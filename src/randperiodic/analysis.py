@@ -1,10 +1,10 @@
 """Monte Carlo analysis: strong errors, moments, and empirical measures.
 
 Every routine here is deterministic given its seeds.  Path seeds are derived
-from one master seed, each path owns its own noise lattice, and paths are
-processed in fixed-size blocks whose composition never changes a path's
-arithmetic; the worker count only distributes blocks, so results are
-identical for any ``workers`` value.
+from one master seed, each path owns its own noise lattice, and every study
+runs its paths through one block runner, :func:`_run_seeds`.  A path's
+arithmetic never depends on which block it runs in, so results are
+byte-identical for any ``block_size``.
 
 Strong errors couple resolutions through the increment lattice: the
 reference run reads fine increments, coarse runs read exact sums of the same
@@ -14,7 +14,6 @@ increments, and both are compared pathwise at matching grid times.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -22,7 +21,7 @@ import numpy as np
 
 from .model import InitialCondition, ModelSpec
 from .noise import GridSpec, NoiseLattice, derive_seeds
-from .pullback import _drive, _int_ratio
+from .pullback import _check_scheme, _drive, _grid_on, _int_ratio
 from .stepper import SolverConfig, DEFAULT_CONFIG
 
 DEFAULT_BLOCK_SIZE = 256
@@ -102,7 +101,6 @@ def strong_error(
     scheme: str = "bem",
     init: InitialCondition | None = None,
     block_size: int | None = None,
-    workers: int = 1,
 ) -> ErrorTable:
     """Pathwise error of coarse runs against a fine implicit reference.
 
@@ -122,71 +120,35 @@ def strong_error(
     k = int(pullback_periods)
     if k < 1:
         raise ValueError(f"pullback_periods must be >= 1, got {k}")
-    scheme = scheme.lower()
+    scheme = _check_scheme(scheme)
     cfg = config or DEFAULT_CONFIG
-    tau = model.period
-    d = model.dimension
-    x0_spec = init if init is not None else InitialCondition(value=np.zeros(d))
-
-    n_ref = _int_ratio(tau, h_ref, "period / h_ref")
-    e_ref = _int_ratio(t_eval, h_ref, "t_eval / h_ref")
-    mults = [_int_ratio(h, h_ref, f"h={h} / h_ref") for h in h_list]
-    n_list = [_int_ratio(tau, h, f"period / h={h}") for h in h_list]
-    for h in h_list:
-        _int_ratio(t_eval, h, f"t_eval / h={h}")
-
-    ref_grid = GridSpec(
-        start_index=e_ref - k * n_ref, step_mult=1, count=k * n_ref,
-        period_steps=n_ref, base_step=h_ref,
-    )
-    # union of all coarse final-period nodes, in reference-grid node indices
-    node_sets = []
-    for m, n_h in zip(mults, n_list):
-        node_sets.append(ref_grid.count - n_ref + np.arange(n_h + 1) * m)
-    union_nodes = np.unique(np.concatenate(node_sets))
-    pos_of = {int(v): i for i, v in enumerate(union_nodes)}
-    ref_maps = [
-        np.array([pos_of[int(v)] for v in nodes], dtype=np.int64) for nodes in node_sets
-    ]
-    coarse_grids = [
-        GridSpec(
-            start_index=_int_ratio(t_eval, h, f"t_eval / h={h}") - k * n_h,
-            step_mult=m, count=k * n_h, period_steps=n_h, base_step=h_ref,
-        )
-        for h, m, n_h in zip(h_list, mults, n_list)
-    ]
-
+    t_start = t_eval - k * model.period
+    x0_spec = init if init is not None else InitialCondition(value=np.zeros(model.dimension))
     seeds = derive_seeds(seed, num_paths)
-    blocks = _make_blocks(num_paths, block_size)
 
-    def run_block(span: tuple[int, int]):
-        b0, b1 = span
-        lats = [NoiseLattice(int(s), h_ref, d) for s in seeds[b0:b1]]
-        x0 = np.stack([x0_spec.resolve(int(s), d) for s in seeds[b0:b1]])
-        ref_rec, _, _ = _drive(model, ref_grid, "bem", x0, lats, cfg, record_nodes=union_nodes)
-        out = []
-        for grid, n_h, ref_map in zip(coarse_grids, n_list, ref_maps):
-            nodes = grid.count - n_h + np.arange(n_h + 1)
-            rec, div_at, _ = _drive(model, grid, scheme, x0, lats, cfg, record_nodes=nodes)
-            diff = rec - ref_rec[:, ref_map, :]
-            sq = np.einsum("ijk,ijk->ij", diff, diff)
-            out.append((sq, div_at >= 0))
-        return out
-
-    per_level_sq: list[list[np.ndarray]] = [[] for _ in h_list]
-    per_level_div: list[list[np.ndarray]] = [[] for _ in h_list]
-    for result in _map_blocks(run_block, blocks, workers):
-        for lvl, (sq, div) in enumerate(result):
-            per_level_sq[lvl].append(sq)
-            per_level_div[lvl].append(div)
+    ref_grid = _grid_on(model, h_ref, h_ref, t_start, t_eval)
+    n_ref = ref_grid.period_steps
+    coarse_grids = [_grid_on(model, h_ref, h, t_start, t_eval) for h in h_list]
+    # each level's final-period nodes, in reference-grid node indices
+    node_sets = [
+        ref_grid.count - n_ref + np.arange(g.period_steps + 1) * g.step_mult
+        for g in coarse_grids
+    ]
+    union_nodes = np.unique(np.concatenate(node_sets))
+    ref_rec, _ = _run_seeds(
+        model, ref_grid, "bem", seeds, x0_spec, cfg, union_nodes, block_size
+    )
 
     rows = []
-    for h, n_h, sq_parts, div_parts in zip(h_list, n_list, per_level_sq, per_level_div):
-        sq = np.vstack(sq_parts)  # (num_paths, n_h + 1), final node is t_eval
-        diverged = bool(np.concatenate(div_parts).any())
-        if diverged:
+    for h, grid, ref_nodes in zip(h_list, coarse_grids, node_sets):
+        n_h = grid.period_steps
+        nodes = grid.count - n_h + np.arange(n_h + 1)
+        rec, div_at = _run_seeds(model, grid, scheme, seeds, x0_spec, cfg, nodes, block_size)
+        if (div_at >= 0).any():
             rows.append(ErrorRow(float(h), math.nan, math.nan, math.nan, num_paths, True))
             continue
+        diff = rec - ref_rec[:, np.searchsorted(union_nodes, ref_nodes), :]
+        sq = np.einsum("ijk,ijk->ij", diff, diff)  # (num_paths, n_h + 1), last node is t_eval
         sq_eval = sq[:, -1]
         mean_sq = math.fsum(sq_eval) / num_paths
         rms = math.sqrt(mean_sq)
@@ -234,7 +196,6 @@ def moment_estimate(
     seed: int = 0,
     config: SolverConfig | None = None,
     block_size: int | None = None,
-    workers: int = 1,
 ) -> MomentEstimate:
     """Estimate ``sup_N E|X_N|^2`` over the grid by Monte Carlo.
 
@@ -246,21 +207,11 @@ def moment_estimate(
         raise ValueError("moment_estimate requires declared C_f and sigma")
     if num_paths < 2:
         raise ValueError(f"num_paths must be >= 2, got {num_paths}")
-    cfg = config or DEFAULT_CONFIG
-    d = model.dimension
-    seeds = derive_seeds(seed, num_paths)
-    blocks = _make_blocks(num_paths, block_size)
-
-    def run_block(span: tuple[int, int]):
-        b0, b1 = span
-        lats = [NoiseLattice(int(s), grid.base_step, d) for s in seeds[b0:b1]]
-        x0 = np.stack([init.resolve(int(s), d) for s in seeds[b0:b1]])
-        states, _, _ = _drive(model, grid, scheme.lower(), x0, lats, cfg, full_states=True)
-        sq = np.einsum("ijk,ijk->ij", states, states)  # (B, count + 1)
-        return sq
-
-    parts = list(_map_blocks(run_block, blocks, workers))
-    sq = np.vstack(parts)  # (num_paths, count + 1)
+    states, _ = _run_seeds(
+        model, grid, scheme, derive_seeds(seed, num_paths), init,
+        config or DEFAULT_CONFIG, np.arange(grid.count + 1), block_size,
+    )
+    sq = np.einsum("ijk,ijk->ij", states, states)  # (num_paths, count + 1)
     mean_sq = np.array([math.fsum(sq[:, i]) / num_paths for i in range(sq.shape[1])])
     node = int(np.argmax(mean_sq))
     se = math.sqrt(float(np.var(sq[:, node], ddof=1)) / num_paths)
@@ -312,7 +263,6 @@ def periodic_measure(
     init: InitialCondition | None = None,
     base_step: float | None = None,
     block_size: int | None = None,
-    workers: int = 1,
 ) -> list[EmpiricalMeasure]:
     """Empirical laws of the pulled-back state at the requested times.
 
@@ -329,34 +279,17 @@ def periodic_measure(
     k = int(pullback_periods)
     if k < 1:
         raise ValueError(f"pullback_periods must be >= 1, got {k}")
-    cfg = config or DEFAULT_CONFIG
-    d = model.dimension
-    base = h if base_step is None else base_step
-    mult = _int_ratio(h, base, "h / base_step")
-    n = _int_ratio(model.period, h, "period / h")
-    start = -k * n
     t_arr = [float(t) for t in t_list]
-    nodes = np.array(
-        [_int_ratio(t, h, f"t={t} / h") - start for t in t_arr], dtype=np.int64
+    grid = _grid_on(
+        model, h if base_step is None else base_step, h, -k * model.period, max(t_arr)
     )
+    nodes = np.array([grid.node_index(t) for t in t_arr], dtype=np.int64)
     if np.unique(nodes).size != nodes.size:
         raise ValueError("t_list contains duplicate times")
-    count = int(nodes.max())
-    if count < 1 or nodes.min() < 0:
-        raise ValueError("every time in t_list must lie at or after the pull-back start")
-    grid = GridSpec(start_index=start, step_mult=mult, count=count, period_steps=n, base_step=base)
-    x0_spec = init if init is not None else InitialCondition(value=np.zeros(d))
-
-    blocks = _make_blocks(seeds.size, block_size)
-
-    def run_block(span: tuple[int, int]):
-        b0, b1 = span
-        lats = [NoiseLattice(int(s), base, d) for s in seeds[b0:b1]]
-        x0 = np.stack([x0_spec.resolve(int(s), d) for s in seeds[b0:b1]])
-        rec, div_at, _ = _drive(model, grid, "bem", x0, lats, cfg, record_nodes=nodes)
-        return rec
-
-    rec = np.vstack(list(_map_blocks(run_block, blocks, workers)))
+    x0_spec = init if init is not None else InitialCondition(value=np.zeros(model.dimension))
+    rec, _ = _run_seeds(
+        model, grid, "bem", seeds, x0_spec, config or DEFAULT_CONFIG, nodes, block_size
+    )
     return [
         EmpiricalMeasure(t=t_arr[i], h=float(h), samples=rec[:, i, :].copy())
         for i in range(len(t_arr))
@@ -449,7 +382,6 @@ def measure_convergence_study(
     config: SolverConfig | None = None,
     init: InitialCondition | None = None,
     block_size: int | None = None,
-    workers: int = 1,
 ) -> MeasureStudy:
     """Distance between empirical laws at ``h`` and ``h/2`` per halving.
 
@@ -475,11 +407,11 @@ def measure_convergence_study(
             raise ValueError(f"pair ({h}, {h2}) must refine the step")
         mu_coarse = periodic_measure(
             model, seeds, h, pullback_periods, [t], config=config, init=init,
-            base_step=h2, block_size=block_size, workers=workers,
+            base_step=h2, block_size=block_size,
         )[0]
         mu_fine = periodic_measure(
             model, seeds, h2, pullback_periods, [t], config=config, init=init,
-            base_step=h2, block_size=block_size, workers=workers,
+            base_step=h2, block_size=block_size,
         )[0]
         dist = weak_distance(mu_coarse, mu_fine)
         rows.append(MeasurePair(h, h2, dist, dist / math.sqrt(h)))
@@ -515,15 +447,34 @@ def write_measure_csv(measure: EmpiricalMeasure, path: str) -> None:
             fh.write(f"{measure.t!r},{i},{float(v)!r}\n")
 
 
-def _make_blocks(total: int, block_size: int | None) -> list[tuple[int, int]]:
+def _run_seeds(
+    model: ModelSpec,
+    grid: GridSpec,
+    scheme: str,
+    seeds: Sequence[int],
+    init: InitialCondition,
+    config: SolverConfig,
+    record_nodes: np.ndarray,
+    block_size: int | None = None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Run one path per seed over ``grid``, ``block_size`` paths per batch.
+
+    Path ``p`` starts from ``init`` resolved for ``seeds[p]`` and reads its
+    own lattice of spacing ``grid.base_step``.  Returns ``(recorded,
+    diverged_at)`` for all paths, as :func:`pullback._drive` returns them
+    for one batch; the block size changes neither.
+    """
+    scheme = _check_scheme(scheme)
     size = DEFAULT_BLOCK_SIZE if block_size is None else int(block_size)
     if size < 1:
         raise ValueError(f"block_size must be >= 1, got {size}")
-    return [(b, min(b + size, total)) for b in range(0, total, size)]
-
-
-def _map_blocks(fn, blocks, workers: int):
-    if workers <= 1 or len(blocks) <= 1:
-        return [fn(b) for b in blocks]
-    with ThreadPoolExecutor(max_workers=int(workers)) as ex:
-        return list(ex.map(fn, blocks))
+    d = model.dimension
+    recorded, diverged_at = [], []
+    for b0 in range(0, len(seeds), size):
+        block = [int(s) for s in seeds[b0 : b0 + size]]
+        lattices = [NoiseLattice(s, grid.base_step, d) for s in block]
+        x0 = np.stack([init.resolve(s, d) for s in block])
+        rec, div_at, _ = _drive(model, grid, scheme, x0, lattices, config, record_nodes)
+        recorded.append(rec)
+        diverged_at.append(div_at)
+    return np.concatenate(recorded), np.concatenate(diverged_at)

@@ -49,10 +49,10 @@ from .pullback import (
 from .stepper import DEFAULT_CONFIG, SolverConfig
 
 _KNOWN_CONFIG_KEYS = {
-    "model", "out", "seed", "workers", "h", "scheme", "t0", "t1",
+    "model", "out", "seed", "h", "scheme", "t0", "t1",
     "pullback_periods", "h_ref", "h_list", "paths", "t_eval", "t",
     "halvings", "threshold", "coalesce_periods", "samples", "radius",
-    "block_size", "bootstrap", "residual_tol",
+    "bootstrap", "residual_tol",
 }
 
 
@@ -85,7 +85,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--model", help="built-in model name or JSON model file")
         p.add_argument("--out", help="output directory (default: current)")
         p.add_argument("--seed", type=int, help="master seed (default: 0)")
-        p.add_argument("--workers", type=int, help="worker threads (default: 1)")
         p.add_argument("--residual-tol", dest="residual_tol", type=float,
                        help="implicit solver residual tolerance")
 
@@ -174,16 +173,15 @@ def _opt(args: argparse.Namespace, config: Mapping[str, Any], key: str, default)
     return default
 
 
-def _setup(args, config) -> tuple[ModelSpec, str, int, int, SolverConfig]:
+def _setup(args, config) -> tuple[ModelSpec, str, int, SolverConfig]:
     model_src = _opt(args, config, "model", "builtin")
     model = load_model(model_src)
     out_dir = str(_opt(args, config, "out", "."))
     os.makedirs(out_dir, exist_ok=True)
     seed = int(_opt(args, config, "seed", 0))
-    workers = int(_opt(args, config, "workers", 1))
     rtol = _opt(args, config, "residual_tol", None)
     solver = DEFAULT_CONFIG if rtol is None else SolverConfig(residual_tol=float(rtol))
-    return model, out_dir, seed, workers, solver
+    return model, out_dir, seed, solver
 
 
 def _parse_float_list(value) -> list[float]:
@@ -199,7 +197,7 @@ def _parse_float_list(value) -> list[float]:
 
 
 def _cmd_simulate(args, config) -> int:
-    model, out_dir, seed, _, solver = _setup(args, config)
+    model, out_dir, seed, solver = _setup(args, config)
     h = float(_opt(args, config, "h", 2.0**-7))
     scheme = str(_opt(args, config, "scheme", "bem"))
     t0 = float(_opt(args, config, "t0", 0.0))
@@ -227,7 +225,7 @@ def _cmd_simulate(args, config) -> int:
 
 
 def _cmd_periodicity(args, config) -> int:
-    model, _, seed, _, solver = _setup(args, config)
+    model, _, seed, solver = _setup(args, config)
     h = float(_opt(args, config, "h", 2.0**-7))
     k = int(_opt(args, config, "pullback_periods", 30))
     threshold = float(_opt(args, config, "threshold", 1e-6))
@@ -261,7 +259,7 @@ _DEFAULT_H_LIST = [2.0**-4, 2.0**-5, 2.0**-6, 2.0**-7, 2.0**-8]
 
 
 def _cmd_order(args, config) -> int:
-    model, out_dir, seed, workers, solver = _setup(args, config)
+    model, out_dir, seed, solver = _setup(args, config)
     h_ref = float(_opt(args, config, "h_ref", 2.0**-12))
     h_list = _parse_float_list(_opt(args, config, "h_list", _DEFAULT_H_LIST))
     paths = int(_opt(args, config, "paths", 1000))
@@ -269,14 +267,12 @@ def _cmd_order(args, config) -> int:
     k = int(_opt(args, config, "pullback_periods", 10))
     which = str(_opt(args, config, "scheme", "both"))
     schemes = ("bem", "em") if which == "both" else (which,)
-    block_size = _opt(args, config, "block_size", None)
-    block_size = None if block_size is None else int(block_size)
 
     tables = {}
     for scheme in schemes:
         table = strong_error(
             model, h_ref, h_list, k, paths, t_eval=t_eval, config=solver,
-            seed=seed, scheme=scheme, block_size=block_size, workers=workers,
+            seed=seed, scheme=scheme,
         )
         tables[scheme] = table
         err_path = os.path.join(out_dir, f"error_table_{scheme}.csv")
@@ -303,7 +299,7 @@ def _cmd_order(args, config) -> int:
 
 
 def _cmd_measure(args, config) -> int:
-    model, out_dir, seed, workers, solver = _setup(args, config)
+    model, out_dir, seed, solver = _setup(args, config)
     h = float(_opt(args, config, "h", 2.0**-7))
     paths = int(_opt(args, config, "paths", 2000))
     t_list = _parse_float_list(_opt(args, config, "t", [0.0]))
@@ -311,14 +307,9 @@ def _cmd_measure(args, config) -> int:
     k = int(k_opt) if k_opt is not None else default_pullback_periods(model, h)
     halvings = int(_opt(args, config, "halvings", 0))
     n_boot = int(_opt(args, config, "bootstrap", 100))
-    block_size = _opt(args, config, "block_size", None)
-    block_size = None if block_size is None else int(block_size)
 
     seeds = derive_seeds(seed, paths)
-    measures = periodic_measure(
-        model, seeds, h, k, t_list, config=solver,
-        block_size=block_size, workers=workers,
-    )
+    measures = periodic_measure(model, seeds, h, k, t_list, config=solver)
     for mu in measures:
         label = repr(mu.t).replace("-", "m").replace(".", "p")
         path = os.path.join(out_dir, f"measure_t{label}.csv")
@@ -334,7 +325,6 @@ def _cmd_measure(args, config) -> int:
         h_values = [h * 2.0**i for i in range(halvings - 1, -1, -1)]
         study = measure_convergence_study(
             model, h_values, paths, t_list[0], k, seed=seed, config=solver,
-            block_size=block_size, workers=workers,
         )
         dist_path = os.path.join(out_dir, "measure_distances.csv")
         with open(dist_path, "w", encoding="utf-8", newline="") as fh:
@@ -350,7 +340,7 @@ def _cmd_measure(args, config) -> int:
 
 
 def _cmd_check(args, config) -> int:
-    model, _, seed, _, _ = _setup(args, config)
+    model, _, seed, _ = _setup(args, config)
     samples = int(_opt(args, config, "samples", 1000))
     radius = float(_opt(args, config, "radius", 5.0))
     report = check_assumptions(model, sample_count=samples, radius=radius, seed=seed)

@@ -23,7 +23,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import InitialCondition, ModelSpec
-from .noise import AlignmentError, GridSpec, NoiseLattice, shift
+from .noise import (
+    AlignmentError, GridSpec, NoiseLattice, _check_alignment, coarse_increments, shift,
+)
 from .stepper import SolverConfig, DEFAULT_CONFIG, _bem_step_batch, _em_step_batch
 
 DIVERGENCE_THRESHOLD = 1e12
@@ -78,15 +80,21 @@ def make_grid(
     must be whole numbers; violations raise :class:`AlignmentError` naming
     the failing ratio.
     """
-    mult = _int_ratio(h, lattice.base_step, "h / lattice base_step")
+    return _grid_on(model, lattice.base_step, h, t_start, t_end)
+
+
+def _grid_on(
+    model: ModelSpec, base_step: float, h: float, t_start: float, t_end: float
+) -> GridSpec:
+    """:func:`make_grid` for lattices of spacing ``base_step`` not yet built."""
+    mult = _int_ratio(h, base_step, "h / lattice base_step")
     n = _int_ratio(model.period, h, "period / h")
     start = _int_ratio(t_start, h, "t_start / h")
     count = _int_ratio(t_end - t_start, h, "(t_end - t_start) / h")
     if count < 1:
         raise ValueError(f"t_end must lie at least one step after t_start, got [{t_start}, {t_end}]")
     return GridSpec(
-        start_index=start, step_mult=mult, count=count, period_steps=n,
-        base_step=lattice.base_step,
+        start_index=start, step_mult=mult, count=count, period_steps=n, base_step=base_step,
     )
 
 
@@ -103,11 +111,7 @@ def _validate_run(model: ModelSpec, grid: GridSpec, lattice: NoiseLattice) -> No
         raise ValueError(
             f"lattice dimension {lattice.dimension} does not match model dimension {model.dimension}"
         )
-    if grid.base_step != lattice.base_step:
-        raise AlignmentError(
-            f"grid base_step {grid.base_step!r} does not match lattice base_step "
-            f"{lattice.base_step!r}"
-        )
+    _check_alignment(lattice, grid)
     tau = grid.period_steps * grid.h
     if abs(tau - model.period) > 1e-9 * max(1.0, model.period):
         raise AlignmentError(
@@ -129,12 +133,12 @@ def _drive(
     x0: np.ndarray,
     lattices: list[NoiseLattice],
     config: SolverConfig,
-    record_nodes: np.ndarray | None = None,
-    full_states: bool = False,
+    record_nodes: np.ndarray,
 ):
     """Advance a batch of paths over the grid, one lattice per path.
 
-    Returns ``(states or recorded, diverged_at, summary)`` where
+    Returns ``(recorded, diverged_at, summary)`` where ``recorded[p, i]`` is
+    the state of path ``p`` at grid node ``record_nodes[i]`` and
     ``diverged_at[p]`` is the node index at which path ``p`` crossed the
     divergence threshold (-1 if it never did).  Batch composition does not
     affect any path's arithmetic, so identical inputs give identical outputs
@@ -143,22 +147,14 @@ def _drive(
     m_paths, d = x0.shape
     n = grid.period_steps
     h = grid.h
-    mult = grid.step_mult
     a0 = grid.start_index
     count = grid.count
 
-    states = None
-    if full_states:
-        states = np.empty((m_paths, count + 1, d))
-        states[:, 0] = x0
-    rec = None
-    rec_pos: dict[int, int] = {}
-    if record_nodes is not None:
-        record_nodes = np.asarray(record_nodes, dtype=np.int64)
-        rec = np.full((m_paths, record_nodes.size, d), np.nan)
-        rec_pos = {int(v): i for i, v in enumerate(record_nodes)}
-        if 0 in rec_pos:
-            rec[:, rec_pos[0]] = x0
+    record_nodes = np.asarray(record_nodes, dtype=np.int64)
+    rec = np.full((m_paths, record_nodes.size, d), np.nan)
+    rec_pos = {int(v): i for i, v in enumerate(record_nodes)}
+    if 0 in rec_pos:
+        rec[:, rec_pos[0]] = x0
 
     x = x0.copy()
     diverged_at = np.full(m_paths, -1, dtype=np.int64)
@@ -167,14 +163,13 @@ def _drive(
     max_resid = 0.0
     any_fb = False
 
-    chunk = max(1, _CHUNK_WORDS // max(1, m_paths * mult * d))
+    chunk = max(1, _CHUNK_WORDS // max(1, m_paths * grid.step_mult * d))
     j = 0
     dw = np.empty((m_paths, min(chunk, count), d))
     while j < count:
         c = min(chunk, count - j)
         for p, lat in enumerate(lattices):
-            fine = lat.increments((a0 + j) * mult, c * mult)
-            dw[p, :c] = fine.reshape(c, mult, d).sum(axis=1)
+            dw[p, :c] = coarse_increments(lat, grid, a0 + j, c)
         for i in range(c):
             a = a0 + j + i
             t_prev = (a % n) * h
@@ -195,17 +190,12 @@ def _drive(
                     diverged_at[bad] = j + i + 1
                     x[bad] = np.nan
                     active &= ~bad
-            node = j + i + 1
-            if states is not None:
-                states[:, node] = x
-            pos = rec_pos.get(node)
+            pos = rec_pos.get(j + i + 1)
             if pos is not None:
                 rec[:, pos] = x
         j += c
 
-    summary = SolverSummary(max_iters, max_resid, any_fb)
-    out = states if full_states else rec
-    return out, diverged_at, summary
+    return rec, diverged_at, SolverSummary(max_iters, max_resid, any_fb)
 
 
 def simulate(
@@ -233,7 +223,7 @@ def simulate(
     cfg = config or DEFAULT_CONFIG
     x0 = init.resolve(lattice.seed, model.dimension)[None, :]
     states, div_at, summary = _drive(
-        model, grid, scheme, x0, [lattice], cfg, full_states=True
+        model, grid, scheme, x0, [lattice], cfg, np.arange(grid.count + 1)
     )
     d_at = int(div_at[0])
     return PathResult(
@@ -331,7 +321,6 @@ def random_periodic_path(
     restricted to ``horizon``.  The starting state (zeros by default) only
     matters below the envelope's magnitude.
     """
-    scheme = _check_scheme(scheme)
     k = default_pullback_periods(model, h) if pullback_periods is None else int(pullback_periods)
     if k < 1:
         raise ValueError(f"pullback_periods must be >= 1, got {k}")
@@ -343,15 +332,8 @@ def random_periodic_path(
     x0 = init if init is not None else InitialCondition(value=np.zeros(model.dimension))
     full = simulate(model, grid, scheme, x0, lattice, config)
     i0 = grid.node_index(t0)
-    sub = GridSpec(
-        start_index=grid.start_index + i0,
-        step_mult=grid.step_mult,
-        count=grid.count - i0,
-        period_steps=grid.period_steps,
-        base_step=grid.base_step,
-    )
     return PathResult(
-        grid=sub,
+        grid=make_grid(model, lattice, h, t0, t1),
         states=full.states[i0:].copy(),
         scheme=full.scheme,
         seed=full.seed,
@@ -449,8 +431,6 @@ def pullback_pinned_path(
     """
     scheme = _check_scheme(scheme)
     cfg = config or DEFAULT_CONFIG
-    mult = _int_ratio(h, lattice.base_step, "h / lattice base_step")
-    n = _int_ratio(model.period, h, "period / h")
     steps_total = _int_ratio(r_max, h, "r_max / h")
     if steps_total < 1:
         raise ValueError(f"r_max must be at least one step, got {r_max}")
@@ -464,10 +444,7 @@ def pullback_pinned_path(
     max_resid = 0.0
     any_fb = False
     for i in range(1, steps_total + 1):
-        grid_i = GridSpec(
-            start_index=-i, step_mult=mult, count=i, period_steps=n,
-            base_step=lattice.base_step,
-        )
+        grid_i = make_grid(model, lattice, h, -i * h, 0.0)
         out, div_at, summary = _drive(
             model, grid_i, scheme, x0_vec[None, :], [lattice], cfg,
             record_nodes=np.array([i], dtype=np.int64),

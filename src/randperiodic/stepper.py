@@ -196,7 +196,12 @@ def _implicit_solve_batch(
             rn[i] = res
             fallback[i] = True
 
-    assert np.all(rn <= tol), "implicit solve returned with residual above tolerance"
+    above = ~(rn <= tol)
+    if above.any():
+        raise NonConvergenceError(
+            f"implicit solve left {int(above.sum())} path(s) above tolerance at t={t} "
+            f"(worst residual {float(np.max(rn[above])):.3e})"
+        )
     return x, iters, rn, fallback
 
 
@@ -313,15 +318,12 @@ def bem_step(
     """
     _check_h(h)
     tau = model.period
-    return _bem_step_reduced(model, (t_next - h) % tau, t_next % tau, h, x_prev, dW, config)
-
-
-def _bem_step_reduced(model, t_prev, t_next, h, x_prev, dW, config=None):
-    cfg = config or DEFAULT_CONFIG
     x_prev = np.atleast_1d(np.asarray(x_prev, dtype=np.float64))
     dW = np.atleast_1d(np.asarray(dW, dtype=np.float64))
-    rhs = x_prev + float(model.diffusion(t_prev)) * dW
-    z, iters, rn, fb = _implicit_solve_batch(model, t_next, h, rhs[None, :], cfg, x_prev[None, :])
+    z, iters, rn, fb = _bem_step_batch(
+        model, (t_next - h) % tau, t_next % tau, h, x_prev[None, :], dW[None, :],
+        config or DEFAULT_CONFIG,
+    )
     return z[0], StepStats(int(iters[0]), float(rn[0]), bool(fb[0]))
 
 

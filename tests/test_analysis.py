@@ -98,18 +98,10 @@ class TestStrongError:
         assert not any(r.diverged for r in table.rows[1:])
         assert table.fitted_order is not None  # fitted on the 3 clean rows
 
-    def test_block_and_worker_invariance(self):
-        m = builtin_benchmark()
-        kwargs = dict(h_ref=2.0**-8, h_list=[2.0**-4, 2.0**-5, 2.0**-6],
-                      pullback_periods=2, num_paths=48, seed=3)
-        base = strong_error(m, **kwargs)
-        small_blocks = strong_error(m, block_size=7, **kwargs)
-        threaded = strong_error(m, block_size=16, workers=4, **kwargs)
-        for other in (small_blocks, threaded):
-            for r0, r1 in zip(base.rows, other.rows):
-                assert r0.rms_error == r1.rms_error
-                assert r0.standard_error == r1.standard_error
-                assert r0.sup_rms_error == r1.sup_rms_error
+    def test_unknown_scheme_raises(self):
+        with pytest.raises(ValueError, match="unknown scheme"):
+            strong_error(builtin_benchmark(), h_ref=2.0**-8, h_list=[2.0**-4],
+                         pullback_periods=1, num_paths=4, scheme="implicit")
 
     def test_alignment_validation(self):
         m = builtin_benchmark()
@@ -156,6 +148,13 @@ class TestMomentEstimate:
         assert est.sup_mean_square == pytest.approx(0.25, rel=1e-12)
         assert est.within_bound  # equality case: bound = E|xi|^2 + 0
 
+    def test_unknown_scheme_raises(self):
+        grid = GridSpec(start_index=0, step_mult=1, count=4, period_steps=4,
+                        base_step=0.25)
+        with pytest.raises(ValueError, match="unknown scheme"):
+            moment_estimate(builtin_benchmark(), grid, "implicit",
+                            InitialCondition(value=[0.0]), num_paths=4)
+
     def test_requires_constants(self):
         m = builtin_benchmark()
         bare = with_diffusion_amplitude(m, 0.05)
@@ -165,6 +164,31 @@ class TestMomentEstimate:
         with pytest.raises(ValueError, match="C_f"):
             moment_estimate(bare, grid, "bem", InitialCondition(value=[0.0]),
                             num_paths=4)
+
+
+def _study(name, block_size):
+    m = builtin_benchmark()
+    if name == "strong_error":
+        table = strong_error(m, h_ref=2.0**-8, h_list=[2.0**-4, 2.0**-5, 2.0**-6],
+                             pullback_periods=2, num_paths=20, seed=3,
+                             block_size=block_size)
+        return [(r.rms_error, r.standard_error, r.sup_rms_error) for r in table.rows]
+    if name == "moment_estimate":
+        grid = GridSpec(start_index=-32, step_mult=2, count=48, period_steps=16,
+                        base_step=2.0**-5)
+        return moment_estimate(m, grid, "bem", InitialCondition(value=[0.1]),
+                               num_paths=20, seed=3, block_size=block_size)
+    mus = periodic_measure(m, derive_seeds(3, 20), h=2.0**-5, pullback_periods=2,
+                           t_list=[0.0, 0.5], block_size=block_size)
+    return [mu.samples.tobytes() for mu in mus]
+
+
+@pytest.mark.parametrize("name", ["strong_error", "moment_estimate", "periodic_measure"])
+def test_block_invariance(name):
+    # The README's contract: byte-identical results across block sizes.
+    base = _study(name, None)
+    for block_size in (1, 7):
+        assert _study(name, block_size) == base
 
 
 class TestEmpiricalMeasure:

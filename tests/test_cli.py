@@ -82,10 +82,10 @@ class TestConfigHandling:
 
     def test_unknown_key_exits_two(self, capsys, tmp_path):
         cfg = tmp_path / "run.json"
-        cfg.write_text(json.dumps({"stepsize": 0.1}))
+        cfg.write_text(json.dumps({"stepsize": 0.1, "workers": 2, "block_size": 7}))
         code, _, err = run(capsys, "simulate", "--config", str(cfg))
         assert code == 2
-        assert "unknown config keys" in err
+        assert "unknown config keys: ['block_size', 'stepsize', 'workers']" in err
 
     def test_malformed_json_exits_two(self, capsys, tmp_path):
         cfg = tmp_path / "run.json"
@@ -133,14 +133,6 @@ class TestOrderCommand:
             assert fit[0] == "log2_h,log2_error"
         assert "fitted order" in out
         assert "em/bem rms ratio" in out
-
-    def test_worker_invariance(self, capsys, tmp_path):
-        run(capsys, *self.ARGS, "--scheme", "bem", "--out", str(tmp_path / "w1"))
-        run(capsys, *self.ARGS, "--scheme", "bem", "--out", str(tmp_path / "w3"),
-            "--workers", "3")
-        a = (tmp_path / "w1" / "error_table_bem.csv").read_bytes()
-        b = (tmp_path / "w3" / "error_table_bem.csv").read_bytes()
-        assert a == b
 
     def test_repeated_h_list_flags_accumulate(self, capsys, tmp_path):
         code, _, _ = run(capsys, "order", "--h-ref", "0.001953125",

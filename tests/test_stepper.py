@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from randperiodic import stepper
 from randperiodic.model import (
     ConstantDiffusion,
     ModelSpec,
@@ -146,6 +147,15 @@ class TestImplicitSolve:
                                   config=cfg, x0=np.array([100.0]))
         assert z[0] == pytest.approx(1.0, abs=1e-9)
         assert stats.fallback_used
+
+    def test_fallback_residual_above_tolerance_raises(self, monkeypatch):
+        # A fallback that returns without reaching the tolerance must raise,
+        # also under ``python -O``.
+        monkeypatch.setattr(stepper, "_bisect_scalar", lambda *args: (1.0, 1e-3))
+        cfg = SolverConfig(max_newton_iters=1)
+        with pytest.raises(NonConvergenceError, match=r"t=0\.25 .*worst residual 1\.000e-03"):
+            implicit_solve(cubic_model(1.0), 0.25, 0.5, np.array([2.0]),
+                           config=cfg, x0=np.array([100.0]))
 
     def test_nonconvergence_raises_for_vector_models(self):
         drift = PolyTrigDrift(poly_coeffs=(0.0, 0.0, 0.0, -1.0), trig_amp=0.0,
