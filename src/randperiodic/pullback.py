@@ -134,6 +134,7 @@ def _drive(
     lattices: list[NoiseLattice],
     config: SolverConfig,
     record_nodes: np.ndarray,
+    start_nodes: np.ndarray | None = None,
 ):
     """Advance a batch of paths over the grid, one lattice per path.
 
@@ -142,19 +143,32 @@ def _drive(
     ``diverged_at[p]`` is the node index at which path ``p`` crossed the
     divergence threshold (-1 if it never did).  Batch composition does not
     affect any path's arithmetic, so identical inputs give identical outputs
-    for any partition of the paths into batches.
+    for any partition of the paths into batches.  Paths whose lattices are
+    equal read their increments once per chunk.
+
+    ``start_nodes[p]``, when given, holds path ``p`` at ``x0[p]`` until grid
+    node ``start_nodes[p]``, from which it steps as usual; its states then
+    equal a run of that path over the grid starting at that node.  A held
+    path still goes through the step kernel, one call per node for the
+    whole batch, and is reset to ``x0[p]`` afterwards; its held steps never
+    count as diverged and are left out of ``summary``.
     """
     m_paths, d = x0.shape
     n = grid.period_steps
     h = grid.h
     a0 = grid.start_index
     count = grid.count
+    hold_until = 0 if start_nodes is None else int(np.max(start_nodes))
 
     record_nodes = np.asarray(record_nodes, dtype=np.int64)
     rec = np.full((m_paths, record_nodes.size, d), np.nan)
     rec_pos = {int(v): i for i, v in enumerate(record_nodes)}
     if 0 in rec_pos:
         rec[:, rec_pos[0]] = x0
+
+    rows_of: dict[NoiseLattice, list[int]] = {}
+    for p, lat in enumerate(lattices):
+        rows_of.setdefault(lat, []).append(p)
 
     x = x0.copy()
     diverged_at = np.full(m_paths, -1, dtype=np.int64)
@@ -168,17 +182,22 @@ def _drive(
     dw = np.empty((m_paths, min(chunk, count), d))
     while j < count:
         c = min(chunk, count - j)
-        for p, lat in enumerate(lattices):
-            dw[p, :c] = coarse_increments(lat, grid, a0 + j, c)
+        for lat, rows in rows_of.items():
+            dw[rows, :c] = coarse_increments(lat, grid, a0 + j, c)
         for i in range(c):
             a = a0 + j + i
             t_prev = (a % n) * h
             t_next = ((a + 1) % n) * h
+            held = start_nodes > j + i if j + i < hold_until else None
             if scheme == "bem":
                 x, iters, rn, fb = _bem_step_batch(model, t_prev, t_next, h, x, dw[:, i], config)
-                max_iters = max(max_iters, int(iters.max()))
-                max_resid = max(max_resid, float(rn.max()))
-                any_fb = any_fb or bool(fb.any())
+                if held is not None:
+                    live = ~held
+                    iters, rn, fb = iters[live], rn[live], fb[live]
+                if iters.size:
+                    max_iters = max(max_iters, int(iters.max()))
+                    max_resid = max(max_resid, float(rn.max()))
+                    any_fb = any_fb or bool(fb.any())
             else:
                 if active.all():
                     x = _em_step_batch(model, t_prev, h, x, dw[:, i])
@@ -186,10 +205,14 @@ def _drive(
                     x[active] = _em_step_batch(model, t_prev, h, x[active], dw[active, i])
                 norms = np.linalg.norm(x, axis=1)
                 bad = active & (~np.isfinite(norms) | (norms > DIVERGENCE_THRESHOLD))
+                if held is not None:
+                    bad &= ~held
                 if bad.any():
                     diverged_at[bad] = j + i + 1
                     x[bad] = np.nan
                     active &= ~bad
+            if held is not None:
+                x[held] = x0[held]
             pos = rec_pos.get(j + i + 1)
             if pos is not None:
                 rec[:, pos] = x
@@ -424,44 +447,36 @@ def pullback_pinned_path(
     """Map each depth ``r`` to the value at time 0 pulled back through ``r``.
 
     For every grid depth ``r`` in ``(0, r_max]`` the scheme runs from time
-    ``-r`` to 0 on the shared lattice, and the state at time 0 is recorded.
-    Runs at different depths are independent integrations over one noise
-    realization; as ``r`` grows the recorded values contract onto a single
-    point, which makes the convergence of the pull-back visible directly.
+    ``-r`` to 0 on the shared lattice, and the state at time 0 is recorded;
+    each value equals its own pull-back from ``-r``.  All depths run as one
+    batch with staggered starts over the grid ``[-r_max, 0]``: the run of
+    depth ``r`` holds the starting state until time ``-r`` and then steps on
+    the same increments as the others.  As ``r`` grows the recorded values
+    contract onto a single point, which makes the convergence of the
+    pull-back visible directly.
     """
     scheme = _check_scheme(scheme)
     cfg = config or DEFAULT_CONFIG
     steps_total = _int_ratio(r_max, h, "r_max / h")
     if steps_total < 1:
         raise ValueError(f"r_max must be at least one step, got {r_max}")
+    grid = make_grid(model, lattice, h, -steps_total * h, 0.0)
+    _validate_run(model, grid, lattice)
     x0 = init if init is not None else InitialCondition(value=np.zeros(model.dimension))
     x0_vec = x0.resolve(lattice.seed, model.dimension)
 
-    values = np.empty((steps_total + 1, model.dimension))
-    values[0] = x0_vec
-    diverged = []
-    max_iters = 0
-    max_resid = 0.0
-    any_fb = False
-    for i in range(1, steps_total + 1):
-        grid_i = make_grid(model, lattice, h, -i * h, 0.0)
-        out, div_at, summary = _drive(
-            model, grid_i, scheme, x0_vec[None, :], [lattice], cfg,
-            record_nodes=np.array([i], dtype=np.int64),
-        )
-        values[i] = out[0, 0]
-        max_iters = max(max_iters, summary.max_newton_iters)
-        max_resid = max(max_resid, summary.max_residual)
-        any_fb = any_fb or summary.any_fallback
-        if div_at[0] >= 0:
-            diverged.append(i)
+    depths = np.arange(steps_total + 1)
+    out, div_at, summary = _drive(
+        model, grid, scheme, np.tile(x0_vec, (depths.size, 1)), [lattice] * depths.size, cfg,
+        record_nodes=np.array([steps_total]), start_nodes=steps_total - depths,
+    )
     return PinnedPullbackResult(
-        depths=np.arange(steps_total + 1) * h,
-        values=values,
+        depths=depths * h,
+        values=out[:, 0],
         scheme=scheme,
         seed=lattice.seed,
-        solver_stats=SolverSummary(max_iters, max_resid, any_fb),
-        diverged_depths=np.array(diverged, dtype=np.int64),
+        solver_stats=summary,
+        diverged_depths=np.flatnonzero(div_at >= 0),
     )
 
 

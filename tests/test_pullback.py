@@ -2,12 +2,21 @@
 
 import math
 
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from randperiodic.model import InitialCondition, builtin_benchmark, with_diffusion_amplitude
+from randperiodic import pullback
+from randperiodic.model import (
+    InitialCondition, builtin_benchmark, model_from_config, with_diffusion_amplitude,
+)
 from randperiodic.noise import AlignmentError, GridSpec, NoiseLattice
 from randperiodic.pullback import (
+    SolverSummary,
+    _drive,
     coalescence,
     default_pullback_periods,
     make_grid,
@@ -21,6 +30,26 @@ from randperiodic.pullback import (
 
 A = 10.0 * math.pi
 H = 2.0**-7
+
+# Scalar cubic drift with a periodic forcing (3-5 Newton iterations per step).
+CUBIC_MODEL = {
+    "lambda": [10.0],
+    "drift": {"poly_coeffs": [0, -1, 0, -2], "trig_amp": 1.5, "trig_freq": 1},
+    "g": {"amp": 0.5},
+    "tau": 1.0,
+    "constants": {"C_f": 0.5, "sigma": 0.5},
+}
+
+
+def cubic_model(eigenvalues):
+    """Coordinatewise cubic drift ``-x**3 + sin(4*pi*t)`` on ``A = diag(eigenvalues)``."""
+    return model_from_config({
+        "lambda": list(eigenvalues),
+        "drift": {"poly_coeffs": [0, 0, 0, -1], "trig_amp": 1.0, "trig_freq": 2},
+        "g": {"amp": 0.3},
+        "tau": 1.0,
+        "constants": {"C_f": 0.5},
+    })
 
 
 def analytic_limit(t):
@@ -274,6 +303,143 @@ class TestPinnedPullback:
         pinned = pullback_pinned_path(m, lat, H, r_max=3.0)
         path = random_periodic_path(m, lat, H, pullback_periods=3, horizon=(0.0, 1.0))
         assert np.array_equal(pinned.values[-1], path.states[0])
+
+
+    def test_lattice_dimension_mismatch_raises(self):
+        m = cubic_model([8.0, 12.0])
+        lat = NoiseLattice(seed=0, base_step=2.0**-5)
+        with pytest.raises(ValueError, match="lattice dimension 1 does not match model dimension 2"):
+            pullback_pinned_path(m, lat, 2.0**-5, r_max=0.5)
+
+    @pytest.mark.parametrize(
+        "model, seed, h, r_max, init, scheme",
+        [
+            (builtin_benchmark(), 5, 2.0**-3, 6.0, None, "bem"),
+            (builtin_benchmark(), 5, 2.0**-3, 6.0, None, "em"),
+            (model_from_config(CUBIC_MODEL), 1, 2.0**-5, 1.5, None, "bem"),
+            (model_from_config(CUBIC_MODEL), 1, 2.0**-5, 1.5, None, "em"),
+            (builtin_benchmark(), 2, 2.0**-5, 1.5, InitialCondition(value=[0.7]), "bem"),
+            (builtin_benchmark(), 2, 2.0**-5, 1.5, InitialCondition(value=[0.7]), "em"),
+            (cubic_model([8.0, 12.0]), 3, 2.0**-5, 1.0, InitialCondition(value=[0.4, -1.1]), "bem"),
+            (cubic_model([8.0, 12.0]), 3, 2.0**-5, 1.0, InitialCondition(value=[0.4, -1.1]), "em"),
+        ],
+        ids=["builtin-bem", "builtin-em", "cubic-bem", "cubic-em", "init-bem", "init-em",
+             "d2-bem", "d2-em"],
+    )
+    def test_matches_one_run_per_depth(self, model, seed, h, r_max, init, scheme):
+        # The batch equals, bit for bit, a separate pull-back from each depth.
+        lat = NoiseLattice(seed=seed, base_step=h, dimension=model.dimension)
+        start = init if init is not None else InitialCondition(value=np.zeros(model.dimension))
+        values = [start.resolve(seed, model.dimension)]
+        diverged = []
+        iters, resid, fb = 0, 0.0, False
+        for i in range(1, round(r_max / h) + 1):
+            path = simulate(model, make_grid(model, lat, h, -i * h, 0.0), scheme, start, lat)
+            values.append(path.states[-1])
+            if path.diverged:
+                diverged.append(i)
+            iters = max(iters, path.solver_stats.max_newton_iters)
+            resid = max(resid, path.solver_stats.max_residual)
+            fb = fb or path.solver_stats.any_fallback
+        pinned = pullback_pinned_path(model, lat, h, r_max, init=init, scheme=scheme)
+        assert np.array_equal(pinned.values, np.array(values), equal_nan=True)
+        assert np.array_equal(pinned.diverged_depths, np.array(diverged, dtype=np.int64))
+        assert pinned.solver_stats == SolverSummary(iters, resid, fb)
+        if model.name == "builtin" and scheme == "em" and h == 2.0**-3:
+            # |1 - h*lambda| > 1: the deeper runs blow up
+            assert pinned.diverged_depths.size > 0
+            assert np.all(np.isnan(pinned.values[pinned.diverged_depths]))
+
+
+class TestDriveStartNodes:
+    """``_drive`` with per-path start nodes, against solo runs."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(data=st.data())
+    def test_each_row_equals_its_solo_run(self, data):
+        d = data.draw(st.sampled_from([1, 2, 3]), label="d")
+        scheme = data.draw(st.sampled_from(pullback.SCHEMES), label="scheme")
+        m_paths = data.draw(st.integers(1, 5), label="m_paths")
+        seeds = data.draw(st.lists(st.integers(0, 3), min_size=m_paths, max_size=m_paths))
+        x0 = np.array(data.draw(st.lists(
+            st.lists(st.floats(-2.0, 2.0), min_size=d, max_size=d),
+            min_size=m_paths, max_size=m_paths,
+        )))
+        # several chunks exercise holds that span chunk boundaries
+        chunk_words = data.draw(st.sampled_from([pullback._CHUNK_WORDS, 7]), label="chunk")
+        model = cubic_model([6.0, 9.0, 12.0][:d])
+        h = 2.0**-4
+        lats = [NoiseLattice(seed=s, base_step=h / 2, dimension=d) for s in seeds]
+        grid = make_grid(model, lats[0], h, -1.0, 0.5)
+        starts = np.array(data.draw(st.lists(
+            st.integers(0, grid.count), min_size=m_paths, max_size=m_paths,
+        )))
+        nodes = np.arange(grid.count + 1)
+        cfg = pullback.DEFAULT_CONFIG
+        with mock.patch.object(pullback, "_CHUNK_WORDS", chunk_words):
+            rec, div_at, summary = _drive(
+                model, grid, scheme, x0, lats, cfg, nodes, start_nodes=starts
+            )
+            plain, plain_div, _ = _drive(model, grid, scheme, x0, lats, cfg, nodes)
+
+        solo_stats = []
+        for p, s in enumerate(starts):
+            assert np.array_equal(rec[p, : s + 1], np.repeat(x0[p : p + 1], s + 1, axis=0))
+            if s == grid.count:
+                assert div_at[p] == -1
+                continue
+            solo_grid = make_grid(model, lats[p], h, grid.t_start + s * h, grid.t_end)
+            solo, solo_div, stats = _drive(
+                model, solo_grid, scheme, x0[p : p + 1], [lats[p]], cfg,
+                np.arange(solo_grid.count + 1),
+            )
+            solo_stats.append(stats)
+            assert np.array_equal(rec[p, s:], solo[0], equal_nan=True)
+            assert div_at[p] == (solo_div[0] + s if solo_div[0] >= 0 else -1)
+            if s == 0:
+                assert np.array_equal(rec[p], plain[p], equal_nan=True)
+                assert div_at[p] == plain_div[p]
+        assert summary == SolverSummary(
+            max((r.max_newton_iters for r in solo_stats), default=0),
+            max((r.max_residual for r in solo_stats), default=0.0),
+            any(r.any_fallback for r in solo_stats),
+        )
+
+    def test_held_rows_are_never_flagged(self):
+        # One explicit step from 5e11 crosses the 1e12 threshold at h=2^-3,
+        # so each row diverges on its own first step and not before.
+        m = builtin_benchmark()
+        h = 2.0**-3
+        lat = NoiseLattice(seed=2, base_step=h)
+        grid = make_grid(m, lat, h, -1.0, 0.0)
+        x0 = np.full((3, 1), 5e11)
+        _, div_at, _ = _drive(m, grid, "em", x0, [lat] * 3, pullback.DEFAULT_CONFIG,
+                              [grid.count], start_nodes=np.array([0, 3, grid.count]))
+        assert div_at.tolist() == [1, 4, -1]
+
+    def test_shared_lattices_are_read_once_per_chunk(self, monkeypatch):
+        calls = []
+        original = NoiseLattice.increments
+
+        def counting(self, start, count):
+            calls.append(self)
+            return original(self, start, count)
+
+        monkeypatch.setattr(NoiseLattice, "increments", counting)
+        monkeypatch.setattr(pullback, "_CHUNK_WORDS", 40)
+        m = builtin_benchmark()
+        lat, other = NoiseLattice(seed=4, base_step=H), NoiseLattice(seed=9, base_step=H)
+        grid = make_grid(m, lat, H, -32 * H, 0.0)
+        x0 = np.zeros((5, 1))
+        args = (m, grid, "bem", x0)
+        shared, _, _ = _drive(*args, [lat] * 5, pullback.DEFAULT_CONFIG, [grid.count])
+        # 40 words over 5 paths: 8 steps per chunk, 4 chunks of 32 steps
+        assert calls == [lat] * 4
+        calls.clear()
+        mixed, _, _ = _drive(*args, [lat, other, lat, lat, other], pullback.DEFAULT_CONFIG,
+                             [grid.count])
+        assert len(calls) == 8 and calls.count(lat) == 4
+        assert np.array_equal(mixed[[0, 2, 3]], shared[[0, 2, 3]])
 
 
 class TestTrajectoryCsv:
