@@ -31,8 +31,7 @@ def main() -> None:
         num_paths=200,
         seed=0,
     )
-    bem = strong_error(model, scheme="bem", **common)
-    em = strong_error(model, scheme="em", **common)
+    bem, em = strong_error(model, scheme=("bem", "em"), **common)
     show(bem)
     show(em)
     ratio = em.rows[0].rms_error / bem.rows[0].rms_error

@@ -2,29 +2,38 @@
 
 Every routine here is deterministic given its seeds.  Path seeds are derived
 from one master seed, each path owns its own noise lattice, and every study
-runs its paths through one block runner, :func:`_run_seeds`.  A path's
-arithmetic never depends on which block it runs in, so results are
-byte-identical for any ``block_size``.
+runs its paths in blocks of ``block_size``.  A path's arithmetic never
+depends on which block it runs in, so results are byte-identical for any
+``block_size``.
 
 Strong errors couple resolutions through the increment lattice: the
 reference run reads fine increments, coarse runs read exact sums of the same
-increments, and both are compared pathwise at matching grid times.
+increments, and both are compared pathwise at matching grid times.  The
+order study reads each window of a path's increments once and advances the
+reference and every coarse run on it, so its results are also identical for
+any split of the pull-back into windows.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
 
 from .model import InitialCondition, ModelSpec
 from .noise import GridSpec, NoiseLattice, derive_seeds
-from .pullback import _check_scheme, _drive, _grid_on, _int_ratio
+from .pullback import (
+    SolverSummary, _check_period, _check_scheme, _drive, _grid_on, _int_ratio, _merge_stats,
+)
 from .stepper import SolverConfig, DEFAULT_CONFIG
 
 DEFAULT_BLOCK_SIZE = 256
+
+# Cap on the fine increments, in words, that the order study holds for one
+# block at a time; a window is one period of fine steps when that fits.
+_WINDOW_WORDS = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -47,7 +56,11 @@ class ErrorRow:
 
 @dataclass(eq=False)
 class ErrorTable:
-    """Strong-error rows for one scheme plus the fitted convergence order."""
+    """Strong-error rows for one scheme plus the fitted convergence order.
+
+    ``solver_stats`` covers the implicit runs behind the table: the
+    reference, and the coarse runs when ``scheme`` is ``"bem"``.
+    """
 
     scheme: str
     h_ref: float
@@ -55,6 +68,7 @@ class ErrorTable:
     rows: list[ErrorRow]
     fitted_order: float | None = None
     fit_intercept: float | None = None
+    solver_stats: SolverSummary = SolverSummary()
 
     def valid_rows(self) -> list[ErrorRow]:
         return [r for r in self.rows if not r.diverged]
@@ -98,10 +112,10 @@ def strong_error(
     t_eval: float = 0.0,
     config: SolverConfig | None = None,
     seed: int = 0,
-    scheme: str = "bem",
+    scheme: str | Sequence[str] = "bem",
     init: InitialCondition | None = None,
     block_size: int | None = None,
-) -> ErrorTable:
+) -> ErrorTable | tuple[ErrorTable, ...]:
     """Pathwise error of coarse runs against a fine implicit reference.
 
     Every path gets its own lattice at resolution ``h_ref``.  The reference
@@ -110,8 +124,15 @@ def strong_error(
     back from ``t_eval - pullback_periods * tau``.  Errors are compared at
     ``t_eval`` and across the final period.
 
-    Returns an :class:`ErrorTable` with the order fitted over non-diverged
-    rows when at least three are available.
+    ``scheme`` is one name, which returns one :class:`ErrorTable`, or a
+    tuple of names, which returns one table per name in that order::
+
+        bem, em = strong_error(..., scheme=("bem", "em"))
+
+    All tables come from one pass: the reference runs once, and each
+    window of a path's increments is read once for every run.  A coarse run
+    that diverges stops stepping, since its row is NaN.  Each table has its
+    order fitted over non-diverged rows when at least three are available.
     """
     if not h_list:
         raise ValueError("h_list must not be empty")
@@ -120,11 +141,10 @@ def strong_error(
     k = int(pullback_periods)
     if k < 1:
         raise ValueError(f"pullback_periods must be >= 1, got {k}")
-    scheme = _check_scheme(scheme)
+    schemes = _check_schemes(scheme)
     cfg = config or DEFAULT_CONFIG
     t_start = t_eval - k * model.period
     x0_spec = init if init is not None else InitialCondition(value=np.zeros(model.dimension))
-    seeds = derive_seeds(seed, num_paths)
 
     ref_grid = _grid_on(model, h_ref, h_ref, t_start, t_eval)
     n_ref = ref_grid.period_steps
@@ -135,37 +155,128 @@ def strong_error(
         for g in coarse_grids
     ]
     union_nodes = np.unique(np.concatenate(node_sets))
-    ref_rec, _ = _run_seeds(
-        model, ref_grid, "bem", seeds, x0_spec, cfg, union_nodes, block_size
-    )
+    ref_cols = [np.searchsorted(union_nodes, nodes) for nodes in node_sets]
+    ref = _Run(ref_grid, "bem", union_nodes)
+    levels = len(coarse_grids)
+    runs = [
+        _Run(g, s, g.count - g.period_steps + np.arange(g.period_steps + 1))
+        for s in schemes
+        for g in coarse_grids
+    ]
+    # squared errors of each run, one (paths, n_h + 1) array per block; the
+    # last node is t_eval
+    sq: list[list[np.ndarray]] = [[] for _ in runs]
+    seeds = derive_seeds(seed, num_paths)
+    for lattices, x0 in _blocks(model, h_ref, seeds, x0_spec, block_size):
+        ref_rec, *recs = _walk_windows(model, [ref, *runs], lattices, x0, cfg)
+        for i, rec in enumerate(recs):
+            if rec is not None:
+                diff = rec - ref_rec[:, ref_cols[i % levels], :]
+                sq[i].append(np.einsum("ijk,ijk->ij", diff, diff))
 
-    rows = []
-    for h, grid, ref_nodes in zip(h_list, coarse_grids, node_sets):
-        n_h = grid.period_steps
-        nodes = grid.count - n_h + np.arange(n_h + 1)
-        rec, div_at = _run_seeds(model, grid, scheme, seeds, x0_spec, cfg, nodes, block_size)
-        if (div_at >= 0).any():
-            rows.append(ErrorRow(float(h), math.nan, math.nan, math.nan, num_paths, True))
-            continue
-        diff = rec - ref_rec[:, np.searchsorted(union_nodes, ref_nodes), :]
-        sq = np.einsum("ijk,ijk->ij", diff, diff)  # (num_paths, n_h + 1), last node is t_eval
-        sq_eval = sq[:, -1]
-        mean_sq = math.fsum(sq_eval) / num_paths
-        rms = math.sqrt(mean_sq)
-        var_sq = float(np.var(sq_eval, ddof=1))
-        se_mean = math.sqrt(var_sq / num_paths)
-        se_rms = se_mean / (2.0 * rms) if rms > 0.0 else 0.0
-        node_rms = np.sqrt([math.fsum(sq[:, i]) / num_paths for i in range(sq.shape[1])])
-        rows.append(
-            ErrorRow(float(h), rms, se_rms, float(np.max(node_rms)), num_paths, False)
+    tables = []
+    for j, s in enumerate(schemes):
+        mine = range(j * levels, (j + 1) * levels)
+        rows = [
+            _error_row(h_list[i % levels], None if runs[i].diverged else np.concatenate(sq[i]),
+                       num_paths)
+            for i in mine
+        ]
+        table = ErrorTable(
+            scheme=s, h_ref=float(h_ref), t_eval=float(t_eval), rows=rows,
+            solver_stats=_merge_stats(ref.stats, *(runs[i].stats for i in mine)),
         )
+        if len(table.valid_rows()) >= 3:
+            fit = fit_order(table)
+            table.fitted_order = fit.order
+            table.fit_intercept = fit.intercept
+        tables.append(table)
+    return tables[0] if isinstance(scheme, str) else tuple(tables)
 
-    table = ErrorTable(scheme=scheme, h_ref=float(h_ref), t_eval=float(t_eval), rows=rows)
-    if len(table.valid_rows()) >= 3:
-        fit = fit_order(table)
-        table.fitted_order = fit.order
-        table.fit_intercept = fit.intercept
-    return table
+
+def _check_schemes(scheme: str | Sequence[str]) -> tuple[str, ...]:
+    names = tuple(_check_scheme(s) for s in ((scheme,) if isinstance(scheme, str) else scheme))
+    if not names:
+        raise ValueError("scheme must name at least one scheme")
+    if len(set(names)) < len(names):
+        raise ValueError(f"duplicate scheme in {scheme!r}")
+    return names
+
+
+def _error_row(h: float, sq: np.ndarray | None, num_paths: int) -> ErrorRow:
+    """Row of squared errors ``sq`` (paths x final-period nodes); None if diverged."""
+    if sq is None:
+        return ErrorRow(float(h), math.nan, math.nan, math.nan, num_paths, True)
+    sq_eval = sq[:, -1]
+    mean_sq = math.fsum(sq_eval) / num_paths
+    rms = math.sqrt(mean_sq)
+    var_sq = float(np.var(sq_eval, ddof=1))
+    se_mean = math.sqrt(var_sq / num_paths)
+    se_rms = se_mean / (2.0 * rms) if rms > 0.0 else 0.0
+    node_rms = np.sqrt([math.fsum(sq[:, i]) / num_paths for i in range(sq.shape[1])])
+    return ErrorRow(float(h), rms, se_rms, float(np.max(node_rms)), num_paths, False)
+
+
+@dataclass(eq=False)
+class _Run:
+    """One run of the order study: its grid, scheme and recorded grid nodes,
+    with the solver statistics and divergence flag of its blocks so far."""
+
+    grid: GridSpec
+    scheme: str
+    nodes: np.ndarray
+    stats: SolverSummary = SolverSummary()
+    diverged: bool = False
+
+
+def _walk_windows(
+    model: ModelSpec,
+    runs: list[_Run],
+    lattices: list[NoiseLattice],
+    x0: np.ndarray,
+    config: SolverConfig,
+) -> list[np.ndarray | None]:
+    """Advance every run over one block of paths, reading the noise once.
+
+    ``runs[0]`` steps on the lattices' own spacing and every run spans the
+    same times.  The span is walked in windows of whole steps at every
+    level: one period of fine steps, or fewer when that exceeds
+    ``_WINDOW_WORDS``.  Per window each path's fine increments are read
+    once, and every run that has not diverged advances on them from the
+    state it ended the last window in.
+
+    Returns each run's states at its ``nodes`` (None once it diverged) and
+    updates its ``stats`` and ``diverged``.
+    """
+    fine_grid = runs[0].grid
+    paths, d = x0.shape
+    lcm = math.lcm(*(r.grid.step_mult for r in runs))
+    span = max(lcm, min(fine_grid.period_steps, _WINDOW_WORDS // (paths * d)) // lcm * lcm)
+    fine = np.empty((paths, span, d))
+    states = [x0] * len(runs)
+    recorded = [np.full((paths, r.nodes.size, d), np.nan) for r in runs]
+    for f0 in range(0, fine_grid.count, span):
+        width = min(span, fine_grid.count - f0)
+        for p, lat in enumerate(lattices):
+            fine[p, :width] = lat.increments(fine_grid.start_index + f0, width)
+        for i, run in enumerate(runs):
+            if run.diverged:
+                continue
+            m = run.grid.step_mult
+            n0, count = f0 // m, width // m
+            inside = (run.nodes >= n0) & (run.nodes <= n0 + count)
+            local = np.union1d(run.nodes[inside] - n0, [count])
+            window = replace(run.grid, start_index=run.grid.start_index + n0, count=count)
+            out, div_at, summary = _drive(
+                model, window, run.scheme, states[i], fine[:, :width], config, local
+            )
+            run.stats = _merge_stats(run.stats, summary)
+            if (div_at >= 0).any():
+                run.diverged = True
+                continue
+            recorded[i][:, inside] = out[:, np.searchsorted(local, run.nodes[inside] - n0)]
+            states[i] = out[:, -1]
+    return [None if r.diverged else rec for r, rec in zip(runs, recorded)]
 
 
 @dataclass(frozen=True)
@@ -207,7 +318,7 @@ def moment_estimate(
         raise ValueError("moment_estimate requires declared C_f and sigma")
     if num_paths < 2:
         raise ValueError(f"num_paths must be >= 2, got {num_paths}")
-    states, _ = _run_seeds(
+    states, _, _ = _run_seeds(
         model, grid, scheme, derive_seeds(seed, num_paths), init,
         config or DEFAULT_CONFIG, np.arange(grid.count + 1), block_size,
     )
@@ -287,7 +398,7 @@ def periodic_measure(
     if np.unique(nodes).size != nodes.size:
         raise ValueError("t_list contains duplicate times")
     x0_spec = init if init is not None else InitialCondition(value=np.zeros(model.dimension))
-    rec, _ = _run_seeds(
+    rec, _, _ = _run_seeds(
         model, grid, "bem", seeds, x0_spec, config or DEFAULT_CONFIG, nodes, block_size
     )
     return [
@@ -447,6 +558,25 @@ def write_measure_csv(measure: EmpiricalMeasure, path: str) -> None:
             fh.write(f"{measure.t!r},{i},{float(v)!r}\n")
 
 
+def _blocks(
+    model: ModelSpec,
+    base_step: float,
+    seeds: Sequence[int],
+    init: InitialCondition,
+    block_size: int | None,
+):
+    """Yield ``(lattices, x0)`` for consecutive blocks of ``block_size`` seeds:
+    one lattice of spacing ``base_step`` per seed, and ``init`` resolved for it."""
+    size = DEFAULT_BLOCK_SIZE if block_size is None else int(block_size)
+    if size < 1:
+        raise ValueError(f"block_size must be >= 1, got {size}")
+    d = model.dimension
+    for b0 in range(0, len(seeds), size):
+        block = [int(s) for s in seeds[b0 : b0 + size]]
+        x0 = np.stack([init.resolve(s, d) for s in block])
+        yield [NoiseLattice(s, base_step, d) for s in block], x0
+
+
 def _run_seeds(
     model: ModelSpec,
     grid: GridSpec,
@@ -456,25 +586,23 @@ def _run_seeds(
     config: SolverConfig,
     record_nodes: np.ndarray,
     block_size: int | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, SolverSummary]:
     """Run one path per seed over ``grid``, ``block_size`` paths per batch.
 
     Path ``p`` starts from ``init`` resolved for ``seeds[p]`` and reads its
     own lattice of spacing ``grid.base_step``.  Returns ``(recorded,
-    diverged_at)`` for all paths, as :func:`pullback._drive` returns them
-    for one batch; the block size changes neither.
+    diverged_at, summary)`` for all paths, as :func:`pullback._drive`
+    returns them for one batch; the block size changes none of them.
+
+    Raises:
+        AlignmentError: the grid's period is not the model's.
     """
     scheme = _check_scheme(scheme)
-    size = DEFAULT_BLOCK_SIZE if block_size is None else int(block_size)
-    if size < 1:
-        raise ValueError(f"block_size must be >= 1, got {size}")
-    d = model.dimension
-    recorded, diverged_at = [], []
-    for b0 in range(0, len(seeds), size):
-        block = [int(s) for s in seeds[b0 : b0 + size]]
-        lattices = [NoiseLattice(s, grid.base_step, d) for s in block]
-        x0 = np.stack([init.resolve(s, d) for s in block])
-        rec, div_at, _ = _drive(model, grid, scheme, x0, lattices, config, record_nodes)
+    _check_period(model, grid)
+    recorded, diverged_at, stats = [], [], SolverSummary()
+    for lattices, x0 in _blocks(model, grid.base_step, seeds, init, block_size):
+        rec, div_at, summary = _drive(model, grid, scheme, x0, lattices, config, record_nodes)
         recorded.append(rec)
         diverged_at.append(div_at)
-    return np.concatenate(recorded), np.concatenate(diverged_at)
+        stats = _merge_stats(stats, summary)
+    return np.concatenate(recorded), np.concatenate(diverged_at), stats

@@ -268,13 +268,11 @@ def _cmd_order(args, config) -> int:
     which = str(_opt(args, config, "scheme", "both"))
     schemes = ("bem", "em") if which == "both" else (which,)
 
-    tables = {}
-    for scheme in schemes:
-        table = strong_error(
-            model, h_ref, h_list, k, paths, t_eval=t_eval, config=solver,
-            seed=seed, scheme=scheme,
-        )
-        tables[scheme] = table
+    tables = dict(zip(schemes, strong_error(
+        model, h_ref, h_list, k, paths, t_eval=t_eval, config=solver,
+        seed=seed, scheme=schemes,
+    )))
+    for scheme, table in tables.items():
         err_path = os.path.join(out_dir, f"error_table_{scheme}.csv")
         fit_path = os.path.join(out_dir, f"order_{scheme}.csv")
         write_error_table_csv(table, err_path)

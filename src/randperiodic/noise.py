@@ -204,8 +204,19 @@ def coarse_increments(lattice: NoiseLattice, grid: GridSpec, k0: int, count: int
     """Increments for grid steps ``k0 .. k0+count-1``, shape ``(count, d)``."""
     _check_alignment(lattice, grid)
     m = grid.step_mult
-    fine = lattice.increments(int(k0) * m, count * m)
-    return fine.reshape(count, m, lattice.dimension).sum(axis=1)
+    return _sum_steps(lattice.increments(int(k0) * m, count * m), m)
+
+
+def _sum_steps(fine: np.ndarray, m: int) -> np.ndarray:
+    """Sum each run of ``m`` consecutive fine increments along axis ``-2``.
+
+    ``fine`` has shape ``(..., count * m, d)``; the result has shape
+    ``(..., count, d)``.  A block of paths summed at once gets the same bits
+    as each path summed alone.  With ``m == 1`` the input is returned as is.
+    """
+    if m == 1:
+        return fine
+    return fine.reshape(*fine.shape[:-2], -1, m, fine.shape[-1]).sum(axis=-2)
 
 
 def derive_seeds(master_seed: int, count: int) -> np.ndarray:

@@ -24,7 +24,8 @@ import numpy as np
 
 from .model import InitialCondition, ModelSpec
 from .noise import (
-    AlignmentError, GridSpec, NoiseLattice, _check_alignment, coarse_increments, shift,
+    AlignmentError, GridSpec, NoiseLattice, _check_alignment, _sum_steps, coarse_increments,
+    shift,
 )
 from .stepper import SolverConfig, DEFAULT_CONFIG, _bem_step_batch, _em_step_batch
 
@@ -42,6 +43,15 @@ class SolverSummary:
     max_newton_iters: int = 0
     max_residual: float = 0.0
     any_fallback: bool = False
+
+
+def _merge_stats(*parts: SolverSummary) -> SolverSummary:
+    """One summary covering every run behind ``parts``."""
+    return SolverSummary(
+        max((s.max_newton_iters for s in parts), default=0),
+        max((s.max_residual for s in parts), default=0.0),
+        any(s.any_fallback for s in parts),
+    )
 
 
 @dataclass(frozen=True, eq=False)
@@ -112,6 +122,10 @@ def _validate_run(model: ModelSpec, grid: GridSpec, lattice: NoiseLattice) -> No
             f"lattice dimension {lattice.dimension} does not match model dimension {model.dimension}"
         )
     _check_alignment(lattice, grid)
+    _check_period(model, grid)
+
+
+def _check_period(model: ModelSpec, grid: GridSpec) -> None:
     tau = grid.period_steps * grid.h
     if abs(tau - model.period) > 1e-9 * max(1.0, model.period):
         raise AlignmentError(
@@ -131,12 +145,17 @@ def _drive(
     grid: GridSpec,
     scheme: str,
     x0: np.ndarray,
-    lattices: list[NoiseLattice],
+    noise: list[NoiseLattice] | np.ndarray,
     config: SolverConfig,
     record_nodes: np.ndarray,
     start_nodes: np.ndarray | None = None,
 ):
-    """Advance a batch of paths over the grid, one lattice per path.
+    """Advance a batch of paths over the grid.
+
+    ``noise`` is either one lattice per path or an array of shape
+    ``(paths, grid.count * grid.step_mult, d)`` holding each path's fine
+    increments under the grid, which are summed per grid step exactly as
+    :func:`noise.coarse_increments` sums them.
 
     Returns ``(recorded, diverged_at, summary)`` where ``recorded[p, i]`` is
     the state of path ``p`` at grid node ``record_nodes[i]`` and
@@ -158,6 +177,7 @@ def _drive(
     h = grid.h
     a0 = grid.start_index
     count = grid.count
+    m = grid.step_mult
     hold_until = 0 if start_nodes is None else int(np.max(start_nodes))
 
     record_nodes = np.asarray(record_nodes, dtype=np.int64)
@@ -166,10 +186,6 @@ def _drive(
     if 0 in rec_pos:
         rec[:, rec_pos[0]] = x0
 
-    rows_of: dict[NoiseLattice, list[int]] = {}
-    for p, lat in enumerate(lattices):
-        rows_of.setdefault(lat, []).append(p)
-
     x = x0.copy()
     diverged_at = np.full(m_paths, -1, dtype=np.int64)
     active = np.ones(m_paths, dtype=bool)
@@ -177,13 +193,27 @@ def _drive(
     max_resid = 0.0
     any_fb = False
 
-    chunk = max(1, _CHUNK_WORDS // max(1, m_paths * grid.step_mult * d))
+    chunk = max(1, _CHUNK_WORDS // max(1, m_paths * m * d))
+    if isinstance(noise, np.ndarray):
+
+        def read(j: int, c: int) -> np.ndarray:
+            return _sum_steps(noise[:, j * m : (j + c) * m], m)
+
+    else:
+        rows_of: dict[NoiseLattice, list[int]] = {}
+        for p, lat in enumerate(noise):
+            rows_of.setdefault(lat, []).append(p)
+        buf = np.empty((m_paths, min(chunk, count), d))
+
+        def read(j: int, c: int) -> np.ndarray:
+            for lat, rows in rows_of.items():
+                buf[rows, :c] = coarse_increments(lat, grid, a0 + j, c)
+            return buf
+
     j = 0
-    dw = np.empty((m_paths, min(chunk, count), d))
     while j < count:
         c = min(chunk, count - j)
-        for lat, rows in rows_of.items():
-            dw[rows, :c] = coarse_increments(lat, grid, a0 + j, c)
+        dw = read(j, c)
         for i in range(c):
             a = a0 + j + i
             t_prev = (a % n) * h

@@ -249,8 +249,7 @@ def test_criterion_5_strong_convergence():
     h_list = [2.0**-4, 2.0**-5, 2.0**-6, 2.0**-7, 2.0**-8]
     common = dict(h_ref=h_ref, h_list=h_list, pullback_periods=k,
                   num_paths=1000, t_eval=0.0, seed=0)
-    bem = strong_error(BENCH, scheme="bem", **common)
-    em = strong_error(BENCH, scheme="em", **common)
+    bem, em = strong_error(BENCH, scheme=("bem", "em"), **common)
     order = bem.fitted_order
     order_ok = order is not None and 0.5 <= order <= 1.6
     elapsed = time.perf_counter() - t0

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from randperiodic import analysis
 from randperiodic.analysis import (
     EmpiricalMeasure,
     ErrorRow,
@@ -26,10 +27,11 @@ from randperiodic.model import (
     ModelSpec,
     PolyTrigDrift,
     builtin_benchmark,
+    model_from_config,
     with_diffusion_amplitude,
 )
-from randperiodic.noise import GridSpec, NoiseLattice, derive_seeds
-from randperiodic.pullback import make_grid, simulate
+from randperiodic.noise import AlignmentError, GridSpec, NoiseLattice, derive_seeds
+from randperiodic.pullback import SolverSummary, _grid_on, _merge_stats, make_grid, simulate
 
 
 def _row(h, rms, diverged=False):
@@ -155,6 +157,14 @@ class TestMomentEstimate:
             moment_estimate(builtin_benchmark(), grid, "implicit",
                             InitialCondition(value=[0.0]), num_paths=4)
 
+    def test_grid_off_model_period_raises(self):
+        # period_steps * h = 16 * 2^-5 = 0.5, but the builtin period is 1.0
+        grid = GridSpec(start_index=0, step_mult=1, count=64, period_steps=16,
+                        base_step=2.0**-5)
+        with pytest.raises(AlignmentError, match="model period"):
+            moment_estimate(builtin_benchmark(), grid, "bem", InitialCondition(value=[0.0]),
+                            num_paths=4)
+
     def test_requires_constants(self):
         m = builtin_benchmark()
         bare = with_diffusion_amplitude(m, 0.05)
@@ -189,6 +199,166 @@ def test_block_invariance(name):
     base = _study(name, None)
     for block_size in (1, 7):
         assert _study(name, block_size) == base
+
+
+# Scalar cubic drift with a periodic forcing, as in perfbench/child.py.
+CUBIC_MODEL = {
+    "lambda": [10.0],
+    "drift": {"poly_coeffs": [0, -1, 0, -2], "trig_amp": 1.5, "trig_freq": 1},
+    "g": {"amp": 0.5},
+    "tau": 1.0,
+    "constants": {"C_f": 0.5, "sigma": 0.5},
+}
+
+D2_MODEL = {
+    "lambda": [3.0, 5.0],
+    "drift": {"poly_coeffs": [0, 0, 0, -1], "trig_amp": 1.0, "trig_freq": 2},
+    "g": {"amp": 0.3},
+    "tau": 1.0,
+    "constants": {"C_f": 0.5},
+}
+
+# (model, strong_error arguments, schemes); "em-diverging" is the setting of
+# TestStrongError.test_em_divergence_marks_row, whose h = 2^-3 row blows up.
+ORDER_CASES = {
+    "builtin": (builtin_benchmark, dict(
+        h_ref=2.0**-8, h_list=[2.0**-4, 2.0**-5, 2.0**-6], pullback_periods=2,
+        num_paths=16, seed=3), ("bem", "em")),
+    "cubic": (lambda: model_from_config(CUBIC_MODEL), dict(
+        h_ref=2.0**-7, h_list=[2.0**-3, 2.0**-4, 2.0**-5], pullback_periods=2,
+        num_paths=12, seed=5), ("bem", "em")),
+    "d2": (lambda: model_from_config(D2_MODEL), dict(
+        h_ref=2.0**-7, h_list=[2.0**-3, 2.0**-4, 2.0**-5], pullback_periods=2,
+        num_paths=9, seed=2), ("em", "bem")),
+    "init": (builtin_benchmark, dict(
+        h_ref=2.0**-8, h_list=[2.0**-4, 2.0**-5, 2.0**-6], pullback_periods=2,
+        num_paths=10, seed=4, t_eval=0.25, init=InitialCondition(value=[0.7])), ("bem", "em")),
+    "em-diverging": (builtin_benchmark, dict(
+        h_ref=2.0**-8, h_list=[2.0**-3, 2.0**-4, 2.0**-5, 2.0**-6], pullback_periods=5,
+        num_paths=8, seed=1), ("em",)),
+}
+
+
+def _oracle_table(model, h_ref, h_list, pullback_periods, num_paths, scheme, seed=0,
+                  t_eval=0.0, init=None, block_size=None):
+    """The order study as one runner call over whole lattices per run: the
+    reference, then each level on its own grid."""
+    cfg = analysis.DEFAULT_CONFIG
+    t_start = t_eval - pullback_periods * model.period
+    x0 = init if init is not None else InitialCondition(value=np.zeros(model.dimension))
+    seeds = derive_seeds(seed, num_paths)
+    ref_grid = _grid_on(model, h_ref, h_ref, t_start, t_eval)
+    n_ref = ref_grid.period_steps
+    grids = [_grid_on(model, h_ref, h, t_start, t_eval) for h in h_list]
+    node_sets = [ref_grid.count - n_ref + np.arange(g.period_steps + 1) * g.step_mult
+                 for g in grids]
+    union = np.unique(np.concatenate(node_sets))
+    ref_rec, _, stats = analysis._run_seeds(
+        model, ref_grid, "bem", seeds, x0, cfg, union, block_size)
+    rows = []
+    for h, grid, ref_nodes in zip(h_list, grids, node_sets):
+        nodes = grid.count - grid.period_steps + np.arange(grid.period_steps + 1)
+        rec, div_at, level_stats = analysis._run_seeds(
+            model, grid, scheme, seeds, x0, cfg, nodes, block_size)
+        stats = _merge_stats(stats, level_stats)
+        if (div_at >= 0).any():
+            rows.append(ErrorRow(h, math.nan, math.nan, math.nan, num_paths, True))
+            continue
+        diff = rec - ref_rec[:, np.searchsorted(union, ref_nodes), :]
+        sq = np.einsum("ijk,ijk->ij", diff, diff)
+        rms = math.sqrt(math.fsum(sq[:, -1]) / num_paths)
+        se_mean = math.sqrt(float(np.var(sq[:, -1], ddof=1)) / num_paths)
+        node_rms = np.sqrt([math.fsum(sq[:, i]) / num_paths for i in range(sq.shape[1])])
+        rows.append(ErrorRow(h, rms, se_mean / (2.0 * rms) if rms > 0.0 else 0.0,
+                             float(np.max(node_rms)), num_paths, False))
+    table = ErrorTable(scheme=scheme, h_ref=h_ref, t_eval=t_eval, rows=rows,
+                       solver_stats=stats)
+    if len(table.valid_rows()) >= 3:
+        fit = fit_order(table)
+        table.fitted_order, table.fit_intercept = fit.order, fit.intercept
+    return table
+
+
+def _bits(table):
+    """Every reported number of a table, NaN-safe and exact."""
+    rows = [(r.h, r.rms_error, r.standard_error, r.sup_rms_error, r.num_paths, r.diverged)
+            for r in table.rows]
+    return repr((table.scheme, table.h_ref, table.t_eval, rows, table.fitted_order,
+                 table.fit_intercept, table.solver_stats))
+
+
+class TestOrderStudyOnePass:
+    """``strong_error`` walks the noise once for all runs; it must give what
+    one runner call per run gives, bit for bit."""
+
+    @pytest.mark.parametrize("block_size", [1, 7, None])
+    @pytest.mark.parametrize("case", sorted(ORDER_CASES))
+    def test_matches_one_run_per_level(self, case, block_size):
+        build, kwargs, schemes = ORDER_CASES[case]
+        model = build()
+        tables = strong_error(model, scheme=schemes, block_size=block_size, **kwargs)
+        assert isinstance(tables, tuple) and len(tables) == len(schemes)
+        for scheme, table in zip(schemes, tables):
+            oracle = _oracle_table(model, scheme=scheme, block_size=block_size, **kwargs)
+            assert _bits(table) == _bits(oracle)
+        if case == "em-diverging":
+            assert tables[0].rows[0].diverged and not tables[0].rows[1].diverged
+
+    @pytest.mark.parametrize("window_words", [1, 50, 333])
+    def test_state_carries_across_windows(self, monkeypatch, window_words):
+        # one pull-back period split into small windows, including widths
+        # that do not divide the period, so records straddle windows
+        build, kwargs, _ = ORDER_CASES["builtin"]
+        kwargs = dict(kwargs, pullback_periods=1)
+        model = build()
+        oracle = [_oracle_table(model, scheme=s, **kwargs) for s in ("bem", "em")]
+        ref_windows = []
+        drive = analysis._drive
+
+        def counting_drive(model, grid, scheme, x0, *rest):
+            if grid.step_mult == 1:
+                ref_windows.append(grid.count)
+            return drive(model, grid, scheme, x0, *rest)
+
+        monkeypatch.setattr(analysis, "_WINDOW_WORDS", window_words)
+        monkeypatch.setattr(analysis, "_drive", counting_drive)
+        tables = strong_error(model, scheme=("bem", "em"), **kwargs)
+        assert len(ref_windows) >= 3
+        assert sum(ref_windows) == round(1.0 / kwargs["h_ref"])
+        assert [_bits(t) for t in tables] == [_bits(t) for t in oracle]
+
+    def test_single_name_returns_one_table(self):
+        build, kwargs, _ = ORDER_CASES["builtin"]
+        model = build()
+        table = strong_error(model, scheme="BEM", **kwargs)
+        assert isinstance(table, ErrorTable) and table.scheme == "bem"
+        bem, em = strong_error(model, scheme=("bem", "em"), **kwargs)
+        assert _bits(table) == _bits(bem)
+        # the em table's only implicit run is the shared reference
+        assert em.solver_stats.max_newton_iters >= 1
+        assert _merge_stats(em.solver_stats, bem.solver_stats) == bem.solver_stats
+
+    @pytest.mark.parametrize("scheme, match", [
+        ((), "at least one"),
+        (("bem", "em", "bem"), "duplicate"),
+        (("em", "EM"), "duplicate"),
+        (("bem", "rk4"), "unknown scheme"),
+    ])
+    def test_bad_scheme_tuple_raises(self, scheme, match):
+        with pytest.raises(ValueError, match=match):
+            strong_error(builtin_benchmark(), h_ref=2.0**-8, h_list=[2.0**-4],
+                         pullback_periods=1, num_paths=4, scheme=scheme)
+
+
+def test_solver_stats_block_invariance():
+    m = model_from_config(CUBIC_MODEL)
+    kwargs = dict(h_ref=2.0**-7, h_list=[2.0**-3, 2.0**-4, 2.0**-5], pullback_periods=2,
+                  num_paths=12, seed=5, scheme=("bem", "em"))
+    base = [t.solver_stats for t in strong_error(m, **kwargs)]
+    assert base[0].max_newton_iters >= 2  # the cubic drift needs Newton
+    assert base[0] != SolverSummary()
+    for block_size in (1, 7):
+        assert [t.solver_stats for t in strong_error(m, block_size=block_size, **kwargs)] == base
 
 
 class TestEmpiricalMeasure:

@@ -2,12 +2,16 @@
 
 ``perfbench/tracer.py`` wraps package callables by name.  A boundary that a
 refactor renames is skipped silently and its layer's metrics read ``None``,
-so this test fails first.
+so this test fails first.  The tracer also reads some arguments by position,
+so those positions are pinned here too.
 """
 
 import importlib
 import importlib.util
+import inspect
 from pathlib import Path
+
+from randperiodic import analysis, pullback
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
@@ -34,3 +38,16 @@ def test_every_traced_boundary_exists():
         if not found:
             missing.append(".".join(p for p in (mod_name, cls_name, attr) if p))
     assert not missing, f"trace points missing from the package: {missing}"
+
+
+def _params(fn):
+    return list(inspect.signature(fn).parameters)
+
+
+def test_traced_arguments_keep_their_positions():
+    # the tracer counts `_drive` path-steps from x0 and grid, and stepper
+    # path-steps from x_prev, taken from the positional arguments
+    assert analysis._drive is pullback._drive
+    assert _params(pullback._drive)[:4] == ["model", "grid", "scheme", "x0"]
+    assert _params(pullback._bem_step_batch)[4] == "x_prev"
+    assert _params(pullback._em_step_batch)[3] == "x_prev"
