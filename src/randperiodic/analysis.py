@@ -2,16 +2,15 @@
 
 Every routine here is deterministic given its seeds.  Path seeds are derived
 from one master seed, each path owns its own noise lattice, and every study
-runs its paths in blocks of ``block_size``.  A path's arithmetic never
-depends on which block it runs in, so results are byte-identical for any
-``block_size``.
+runs its paths in blocks of ``block_size``.  Each block is walked through
+time in windows: a window of each path's increments is read once and every
+run of the study advances on it from where the last window left it.  A
+path's arithmetic depends neither on its block nor on the windows, so
+results are byte-identical for any ``block_size`` and any window length.
 
 Strong errors couple resolutions through the increment lattice: the
 reference run reads fine increments, coarse runs read exact sums of the same
-increments, and both are compared pathwise at matching grid times.  The
-order study reads each window of a path's increments once and advances the
-reference and every coarse run on it, so its results are also identical for
-any split of the pull-back into windows.
+increments, and both are compared pathwise at matching grid times.
 """
 
 from __future__ import annotations
@@ -23,7 +22,7 @@ from typing import Sequence
 import numpy as np
 
 from .model import InitialCondition, ModelSpec
-from .noise import GridSpec, NoiseLattice, derive_seeds
+from .noise import GridSpec, NoiseLattice, _sum_steps, derive_seeds
 from .pullback import (
     SolverSummary, _check_period, _check_scheme, _drive, _grid_on, _int_ratio, _merge_stats,
 )
@@ -31,9 +30,9 @@ from .stepper import SolverConfig, DEFAULT_CONFIG
 
 DEFAULT_BLOCK_SIZE = 256
 
-# Cap on the fine increments, in words, that the order study holds for one
-# block at a time; a window is one period of fine steps when that fits.
-_WINDOW_WORDS = 1 << 20
+# Cap on the fine increments, in words, that a study holds for one block at a
+# time; a window is at least one step of the study's coarsest grid.
+_WINDOW_WORDS = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -130,8 +129,8 @@ def strong_error(
         bem, em = strong_error(..., scheme=("bem", "em"))
 
     All tables come from one pass: the reference runs once, and each
-    window of a path's increments is read once for every run.  A coarse run
-    that diverges stops stepping, since its row is NaN.  Each table has its
+    window of a path's increments is read once for every run.  A row is
+    diverged, and NaN, when any of its paths diverged.  Each table has its
     order fitted over non-diverged rows when at least three are available.
     """
     if not h_list:
@@ -166,19 +165,20 @@ def strong_error(
     # squared errors of each run, one (paths, n_h + 1) array per block; the
     # last node is t_eval
     sq: list[list[np.ndarray]] = [[] for _ in runs]
+    diverged = [False] * len(runs)
     seeds = derive_seeds(seed, num_paths)
     for lattices, x0 in _blocks(model, h_ref, seeds, x0_spec, block_size):
-        ref_rec, *recs = _walk_windows(model, [ref, *runs], lattices, x0, cfg)
-        for i, rec in enumerate(recs):
-            if rec is not None:
-                diff = rec - ref_rec[:, ref_cols[i % levels], :]
-                sq[i].append(np.einsum("ijk,ijk->ij", diff, diff))
+        (ref_rec, _), *outs = _walk_windows(model, [ref, *runs], lattices, x0, cfg)
+        for i, (rec, div_at) in enumerate(outs):
+            diverged[i] = diverged[i] or bool((div_at >= 0).any())
+            diff = rec - ref_rec[:, ref_cols[i % levels], :]
+            sq[i].append(np.einsum("ijk,ijk->ij", diff, diff))
 
     tables = []
     for j, s in enumerate(schemes):
         mine = range(j * levels, (j + 1) * levels)
         rows = [
-            _error_row(h_list[i % levels], None if runs[i].diverged else np.concatenate(sq[i]),
+            _error_row(h_list[i % levels], None if diverged[i] else np.concatenate(sq[i]),
                        num_paths)
             for i in mine
         ]
@@ -219,14 +219,13 @@ def _error_row(h: float, sq: np.ndarray | None, num_paths: int) -> ErrorRow:
 
 @dataclass(eq=False)
 class _Run:
-    """One run of the order study: its grid, scheme and recorded grid nodes,
-    with the solver statistics and divergence flag of its blocks so far."""
+    """One run of a study: its grid, scheme and recorded grid nodes, with the
+    solver statistics of its blocks so far."""
 
     grid: GridSpec
     scheme: str
     nodes: np.ndarray
     stats: SolverSummary = SolverSummary()
-    diverged: bool = False
 
 
 def _walk_windows(
@@ -235,48 +234,50 @@ def _walk_windows(
     lattices: list[NoiseLattice],
     x0: np.ndarray,
     config: SolverConfig,
-) -> list[np.ndarray | None]:
+) -> list[tuple[np.ndarray, np.ndarray]]:
     """Advance every run over one block of paths, reading the noise once.
 
-    ``runs[0]`` steps on the lattices' own spacing and every run spans the
-    same times.  The span is walked in windows of whole steps at every
-    level: one period of fine steps, or fewer when that exceeds
-    ``_WINDOW_WORDS``.  Per window each path's fine increments are read
-    once, and every run that has not diverged advances on them from the
-    state it ended the last window in.
+    Every run spans the same times on a grid aligned with the lattices.  The
+    span is walked in windows of whole steps at every grid, each holding at
+    most ``_WINDOW_WORDS`` fine increments for the block, or one step of the
+    coarsest grid when that is more.  Per window each path's fine increments
+    are read once, and every run advances on their sums over its own steps
+    from the state it ended the last window in.
 
-    Returns each run's states at its ``nodes`` (None once it diverged) and
-    updates its ``stats`` and ``diverged``.
+    Returns each run's ``(recorded, diverged_at)``, as :func:`pullback._drive`
+    returns them for the whole span: the states at its ``nodes``, and the
+    grid node at which each path diverged (-1 if it never did), after which
+    the path is NaN.  Updates each run's ``stats``.
     """
-    fine_grid = runs[0].grid
     paths, d = x0.shape
+    first = runs[0].grid
+    f_start, f_count = first.start_index * first.step_mult, first.count * first.step_mult
     lcm = math.lcm(*(r.grid.step_mult for r in runs))
-    span = max(lcm, min(fine_grid.period_steps, _WINDOW_WORDS // (paths * d)) // lcm * lcm)
+    span = min(f_count, max(lcm, _WINDOW_WORDS // (paths * d) // lcm * lcm))
     fine = np.empty((paths, span, d))
     states = [x0] * len(runs)
     recorded = [np.full((paths, r.nodes.size, d), np.nan) for r in runs]
-    for f0 in range(0, fine_grid.count, span):
-        width = min(span, fine_grid.count - f0)
+    diverged_at = [np.full(paths, -1, dtype=np.int64) for _ in runs]
+    for f0 in range(0, f_count, span):
+        width = min(span, f_count - f0)
         for p, lat in enumerate(lattices):
-            fine[p, :width] = lat.increments(fine_grid.start_index + f0, width)
+            fine[p, :width] = lat.increments(f_start + f0, width)
         for i, run in enumerate(runs):
-            if run.diverged:
-                continue
             m = run.grid.step_mult
             n0, count = f0 // m, width // m
             inside = (run.nodes >= n0) & (run.nodes <= n0 + count)
             local = np.union1d(run.nodes[inside] - n0, [count])
             window = replace(run.grid, start_index=run.grid.start_index + n0, count=count)
             out, div_at, summary = _drive(
-                model, window, run.scheme, states[i], fine[:, :width], config, local
+                model, window, run.scheme, states[i], _sum_steps(fine[:, :width], m), config,
+                local,
             )
             run.stats = _merge_stats(run.stats, summary)
-            if (div_at >= 0).any():
-                run.diverged = True
-                continue
+            first_time = (div_at >= 0) & (diverged_at[i] < 0)
+            diverged_at[i][first_time] = n0 + div_at[first_time]
             recorded[i][:, inside] = out[:, np.searchsorted(local, run.nodes[inside] - n0)]
             states[i] = out[:, -1]
-    return [None if r.diverged else rec for r, rec in zip(runs, recorded)]
+    return list(zip(recorded, diverged_at))
 
 
 @dataclass(frozen=True)
@@ -592,17 +593,18 @@ def _run_seeds(
     Path ``p`` starts from ``init`` resolved for ``seeds[p]`` and reads its
     own lattice of spacing ``grid.base_step``.  Returns ``(recorded,
     diverged_at, summary)`` for all paths, as :func:`pullback._drive`
-    returns them for one batch; the block size changes none of them.
+    returns them for one batch; neither the block size nor the window
+    length changes any of them.
 
     Raises:
         AlignmentError: the grid's period is not the model's.
     """
     scheme = _check_scheme(scheme)
     _check_period(model, grid)
-    recorded, diverged_at, stats = [], [], SolverSummary()
+    run = _Run(grid, scheme, np.asarray(record_nodes, dtype=np.int64))
+    recorded, diverged_at = [], []
     for lattices, x0 in _blocks(model, grid.base_step, seeds, init, block_size):
-        rec, div_at, summary = _drive(model, grid, scheme, x0, lattices, config, record_nodes)
+        [(rec, div_at)] = _walk_windows(model, [run], lattices, x0, config)
         recorded.append(rec)
         diverged_at.append(div_at)
-        stats = _merge_stats(stats, summary)
-    return np.concatenate(recorded), np.concatenate(diverged_at), stats
+    return np.concatenate(recorded), np.concatenate(diverged_at), run.stats

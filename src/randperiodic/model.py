@@ -158,13 +158,15 @@ class InitialCondition:
             )
 
     def resolve(self, seed: int, dimension: int) -> np.ndarray:
-        """Return the starting vector for one path."""
+        """Return the starting vector for one path; it must be finite."""
         if self.value is not None:
             vec = self.value
         else:
             vec = np.atleast_1d(np.asarray(self.sampler(int(seed)), dtype=np.float64))
         if vec.shape != (dimension,):
             raise ValueError(f"initial condition has shape {vec.shape}, expected ({dimension},)")
+        if not np.all(np.isfinite(vec)):
+            raise ValueError(f"initial condition must be finite, got {vec}")
         return vec
 
 

@@ -24,16 +24,13 @@ import numpy as np
 
 from .model import InitialCondition, ModelSpec
 from .noise import (
-    AlignmentError, GridSpec, NoiseLattice, _check_alignment, _sum_steps, coarse_increments,
-    shift,
+    AlignmentError, GridSpec, NoiseLattice, _check_alignment, coarse_increments, shift,
 )
 from .stepper import SolverConfig, DEFAULT_CONFIG, _bem_step_batch, _em_step_batch
 
 DIVERGENCE_THRESHOLD = 1e12
 
 SCHEMES = ("bem", "em")
-
-_CHUNK_WORDS = 4_000_000
 
 
 @dataclass(frozen=True)
@@ -145,25 +142,25 @@ def _drive(
     grid: GridSpec,
     scheme: str,
     x0: np.ndarray,
-    noise: list[NoiseLattice] | np.ndarray,
+    dw: np.ndarray,
     config: SolverConfig,
     record_nodes: np.ndarray,
     start_nodes: np.ndarray | None = None,
 ):
     """Advance a batch of paths over the grid.
 
-    ``noise`` is either one lattice per path or an array of shape
-    ``(paths, grid.count * grid.step_mult, d)`` holding each path's fine
-    increments under the grid, which are summed per grid step exactly as
-    :func:`noise.coarse_increments` sums them.
+    ``dw[p, i]`` is the increment of path ``p`` over grid step ``i``, so
+    ``dw`` has shape ``(paths, grid.count, d)``; paths on one noise
+    realization may share a broadcast row.  A row of ``x0`` that is not
+    finite is a path that diverged before this grid: it stays NaN, the
+    explicit scheme does not step it, and it is not flagged again.
 
     Returns ``(recorded, diverged_at, summary)`` where ``recorded[p, i]`` is
     the state of path ``p`` at grid node ``record_nodes[i]`` and
     ``diverged_at[p]`` is the node index at which path ``p`` crossed the
     divergence threshold (-1 if it never did).  Batch composition does not
     affect any path's arithmetic, so identical inputs give identical outputs
-    for any partition of the paths into batches.  Paths whose lattices are
-    equal read their increments once per chunk.
+    for any partition of the paths into batches.
 
     ``start_nodes[p]``, when given, holds path ``p`` at ``x0[p]`` until grid
     node ``start_nodes[p]``, from which it steps as usual; its states then
@@ -176,8 +173,6 @@ def _drive(
     n = grid.period_steps
     h = grid.h
     a0 = grid.start_index
-    count = grid.count
-    m = grid.step_mult
     hold_until = 0 if start_nodes is None else int(np.max(start_nodes))
 
     record_nodes = np.asarray(record_nodes, dtype=np.int64)
@@ -188,65 +183,43 @@ def _drive(
 
     x = x0.copy()
     diverged_at = np.full(m_paths, -1, dtype=np.int64)
-    active = np.ones(m_paths, dtype=bool)
+    active = np.isfinite(x0).all(axis=1)
     max_iters = 0
     max_resid = 0.0
     any_fb = False
 
-    chunk = max(1, _CHUNK_WORDS // max(1, m_paths * m * d))
-    if isinstance(noise, np.ndarray):
-
-        def read(j: int, c: int) -> np.ndarray:
-            return _sum_steps(noise[:, j * m : (j + c) * m], m)
-
-    else:
-        rows_of: dict[NoiseLattice, list[int]] = {}
-        for p, lat in enumerate(noise):
-            rows_of.setdefault(lat, []).append(p)
-        buf = np.empty((m_paths, min(chunk, count), d))
-
-        def read(j: int, c: int) -> np.ndarray:
-            for lat, rows in rows_of.items():
-                buf[rows, :c] = coarse_increments(lat, grid, a0 + j, c)
-            return buf
-
-    j = 0
-    while j < count:
-        c = min(chunk, count - j)
-        dw = read(j, c)
-        for i in range(c):
-            a = a0 + j + i
-            t_prev = (a % n) * h
-            t_next = ((a + 1) % n) * h
-            held = start_nodes > j + i if j + i < hold_until else None
-            if scheme == "bem":
-                x, iters, rn, fb = _bem_step_batch(model, t_prev, t_next, h, x, dw[:, i], config)
-                if held is not None:
-                    live = ~held
-                    iters, rn, fb = iters[live], rn[live], fb[live]
-                if iters.size:
-                    max_iters = max(max_iters, int(iters.max()))
-                    max_resid = max(max_resid, float(rn.max()))
-                    any_fb = any_fb or bool(fb.any())
-            else:
-                if active.all():
-                    x = _em_step_batch(model, t_prev, h, x, dw[:, i])
-                elif active.any():
-                    x[active] = _em_step_batch(model, t_prev, h, x[active], dw[active, i])
-                norms = np.linalg.norm(x, axis=1)
-                bad = active & (~np.isfinite(norms) | (norms > DIVERGENCE_THRESHOLD))
-                if held is not None:
-                    bad &= ~held
-                if bad.any():
-                    diverged_at[bad] = j + i + 1
-                    x[bad] = np.nan
-                    active &= ~bad
+    for i in range(grid.count):
+        a = a0 + i
+        t_prev = (a % n) * h
+        t_next = ((a + 1) % n) * h
+        held = start_nodes > i if i < hold_until else None
+        if scheme == "bem":
+            x, iters, rn, fb = _bem_step_batch(model, t_prev, t_next, h, x, dw[:, i], config)
             if held is not None:
-                x[held] = x0[held]
-            pos = rec_pos.get(j + i + 1)
-            if pos is not None:
-                rec[:, pos] = x
-        j += c
+                live = ~held
+                iters, rn, fb = iters[live], rn[live], fb[live]
+            if iters.size:
+                max_iters = max(max_iters, int(iters.max()))
+                max_resid = max(max_resid, float(rn.max()))
+                any_fb = any_fb or bool(fb.any())
+        else:
+            if active.all():
+                x = _em_step_batch(model, t_prev, h, x, dw[:, i])
+            elif active.any():
+                x[active] = _em_step_batch(model, t_prev, h, x[active], dw[active, i])
+            norms = np.linalg.norm(x, axis=1)
+            bad = active & (~np.isfinite(norms) | (norms > DIVERGENCE_THRESHOLD))
+            if held is not None:
+                bad &= ~held
+            if bad.any():
+                diverged_at[bad] = i + 1
+                x[bad] = np.nan
+                active &= ~bad
+        if held is not None:
+            x[held] = x0[held]
+        pos = rec_pos.get(i + 1)
+        if pos is not None:
+            rec[:, pos] = x
 
     return rec, diverged_at, SolverSummary(max_iters, max_resid, any_fb)
 
@@ -275,8 +248,9 @@ def simulate(
     _validate_run(model, grid, lattice)
     cfg = config or DEFAULT_CONFIG
     x0 = init.resolve(lattice.seed, model.dimension)[None, :]
+    dw = coarse_increments(lattice, grid, grid.start_index, grid.count)
     states, div_at, summary = _drive(
-        model, grid, scheme, x0, [lattice], cfg, np.arange(grid.count + 1)
+        model, grid, scheme, x0, dw[None], cfg, np.arange(grid.count + 1)
     )
     d_at = int(div_at[0])
     return PathResult(
@@ -496,8 +470,10 @@ def pullback_pinned_path(
     x0_vec = x0.resolve(lattice.seed, model.dimension)
 
     depths = np.arange(steps_total + 1)
+    dw = coarse_increments(lattice, grid, grid.start_index, grid.count)
     out, div_at, summary = _drive(
-        model, grid, scheme, np.tile(x0_vec, (depths.size, 1)), [lattice] * depths.size, cfg,
+        model, grid, scheme, np.tile(x0_vec, (depths.size, 1)),
+        np.broadcast_to(dw, (depths.size, *dw.shape)), cfg,
         record_nodes=np.array([steps_total]), start_nodes=steps_total - depths,
     )
     return PinnedPullbackResult(

@@ -188,6 +188,15 @@ def _study(name, block_size):
                         base_step=2.0**-5)
         return moment_estimate(m, grid, "bem", InitialCondition(value=[0.1]),
                                num_paths=20, seed=3, block_size=block_size)
+    if name == "em_diverging":
+        # the explicit scheme at h = 2^-3 over 5 periods, as in
+        # ORDER_CASES["em-diverging"]; every path crosses 1e12 mid-grid
+        grid = _grid_on(m, 2.0**-3, 2.0**-3, -5.0, 0.0)
+        rec, div_at, stats = analysis._run_seeds(
+            m, grid, "em", derive_seeds(1, 8), InitialCondition(value=[0.0]),
+            analysis.DEFAULT_CONFIG, np.arange(grid.count + 1), block_size,
+        )
+        return rec.tobytes(), div_at.tolist(), stats
     mus = periodic_measure(m, derive_seeds(3, 20), h=2.0**-5, pullback_periods=2,
                            t_list=[0.0, 0.5], block_size=block_size)
     return [mu.samples.tobytes() for mu in mus]
@@ -199,6 +208,44 @@ def test_block_invariance(name):
     base = _study(name, None)
     for block_size in (1, 7):
         assert _study(name, block_size) == base
+
+
+@pytest.mark.parametrize("window_words", [1, 50, 333])
+@pytest.mark.parametrize("name", ["moment_estimate", "periodic_measure", "em_diverging"])
+def test_window_invariance(monkeypatch, name, window_words):
+    # The README's contract: the same bits for any window length, including
+    # windows of one step, which carry every state across a window boundary
+    base = _study(name, None)
+    monkeypatch.setattr(analysis, "_WINDOW_WORDS", window_words)
+    assert _study(name, None) == base
+    assert _study(name, 7) == base
+
+
+@pytest.mark.parametrize("build, start, window_words", [
+    (builtin_benchmark, 0.0, 50),
+    # the cubic drift raises on a NaN state, so a diverged path must not be
+    # stepped again in later windows
+    (lambda: model_from_config(CUBIC_MODEL), 3.0, 1),
+], ids=["builtin", "cubic"])
+def test_diverged_paths_match_solo_runs(monkeypatch, build, start, window_words):
+    # a path that diverges in one window stays NaN in the later ones and
+    # reports its crossing node on the whole grid, as a solo run does
+    monkeypatch.setattr(analysis, "_WINDOW_WORDS", window_words)
+    m = build()
+    h = 2.0**-3
+    grid = _grid_on(m, h, h, -5.0, 0.0)
+    seeds = derive_seeds(1, 8)
+    init = InitialCondition(value=[start])
+    rec, div_at, _ = analysis._run_seeds(m, grid, "em", seeds, init, analysis.DEFAULT_CONFIG,
+                                         np.arange(grid.count + 1))
+    # windows of max(1, window_words // 8) steps; every crossing lies in a
+    # later window than the first
+    assert np.all(div_at > max(1, window_words // 8)) and np.all(div_at < grid.count)
+    for p, s in enumerate(seeds):
+        solo = simulate(m, grid, "em", init, NoiseLattice(s, h))
+        assert div_at[p] == solo.diverged_at
+        assert np.array_equal(rec[p], solo.states, equal_nan=True)
+        assert np.all(np.isnan(rec[p, div_at[p]:])) and np.all(np.isfinite(rec[p, :div_at[p]]))
 
 
 # Scalar cubic drift with a periodic forcing, as in perfbench/child.py.

@@ -128,6 +128,13 @@ class TestInitialCondition:
         assert np.array_equal(a, init.resolve(11, 2))
         assert not np.array_equal(a, init.resolve(12, 2))
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_state_raises(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            InitialCondition(value=[0.0, bad]).resolve(0, 2)
+        with pytest.raises(ValueError, match="finite"):
+            InitialCondition(sampler=lambda seed: np.array([bad, 1.0])).resolve(3, 2)
+
     def test_exactly_one_source(self):
         with pytest.raises(ValueError):
             InitialCondition()

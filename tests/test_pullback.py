@@ -2,8 +2,6 @@
 
 import math
 
-from unittest import mock
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,7 +11,7 @@ from randperiodic import pullback
 from randperiodic.model import (
     InitialCondition, builtin_benchmark, model_from_config, with_diffusion_amplitude,
 )
-from randperiodic.noise import AlignmentError, GridSpec, NoiseLattice
+from randperiodic.noise import AlignmentError, GridSpec, NoiseLattice, coarse_increments
 from randperiodic.pullback import (
     SolverSummary,
     _drive,
@@ -110,6 +108,16 @@ class TestSimulate:
         other = NoiseLattice(seed=5, base_step=H / 2)
         with pytest.raises(AlignmentError):
             simulate(m, grid, "bem", InitialCondition(value=[0.0]), other)
+
+    @pytest.mark.parametrize("scheme", pullback.SCHEMES)
+    def test_non_finite_start_rejected(self, scheme):
+        # rejected before any step, so a non-finite row in the engine is
+        # always a path that diverged
+        m = builtin_benchmark()
+        lat = NoiseLattice(seed=5, base_step=H)
+        grid = make_grid(m, lat, H, 0.0, 1.0)
+        with pytest.raises(ValueError, match="finite"):
+            simulate(m, grid, scheme, InitialCondition(value=[math.nan]), lat)
 
     def test_two_starts_contract_geometrically(self):
         # The drift is x-independent, so two runs on shared noise contract
@@ -275,6 +283,33 @@ class TestShiftPeriodicity:
         assert rep.pullback_periods == 5
         assert rep.path_shifted.states.shape == rep.path_reference.states.shape
 
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_discrepancy_is_exactly_zero_for_monotone_drifts(self, data):
+        # f(t, x) = c0 + c1*x + c3*x**3 + a*sin(2*pi*k*t) with c3 < 0 is
+        # one-sided Lipschitz; the identity holds bit for bit, not to a
+        # tolerance, for any such model and starting state
+        d = data.draw(st.sampled_from([1, 2]), label="d")
+        eig = sorted(data.draw(st.lists(st.floats(2.0, 15.0), min_size=d, max_size=d),
+                               label="eigenvalues"))
+        coeffs = [data.draw(st.floats(-1.0, 1.0), label="c0"),
+                  data.draw(st.floats(-1.0, 1.0), label="c1"), 0.0,
+                  data.draw(st.floats(-3.0, -0.1), label="c3")]
+        model = model_from_config({
+            "lambda": eig,
+            "drift": {"poly_coeffs": coeffs, "trig_amp": data.draw(st.floats(-2.0, 2.0)),
+                      "trig_freq": data.draw(st.integers(1, 3))},
+            "g": {"amp": data.draw(st.floats(0.05, 1.0), label="g")},
+            "tau": 1.0,
+        })
+        start = data.draw(st.lists(st.floats(-2.0, 2.0).filter(bool), min_size=d, max_size=d),
+                          label="start")
+        h = 2.0**-4
+        lat = NoiseLattice(seed=data.draw(st.integers(0, 2**32)), base_step=h, dimension=d)
+        rep = verify_shift_periodicity(model, lat, h, pullback_periods=data.draw(st.integers(2, 3)),
+                                       init=InitialCondition(value=start))
+        assert rep.max_discrepancy == 0.0
+
     def test_depth_validation(self):
         m = builtin_benchmark()
         lat = NoiseLattice(seed=13, base_step=H)
@@ -365,8 +400,6 @@ class TestDriveStartNodes:
             st.lists(st.floats(-2.0, 2.0), min_size=d, max_size=d),
             min_size=m_paths, max_size=m_paths,
         )))
-        # several chunks exercise holds that span chunk boundaries
-        chunk_words = data.draw(st.sampled_from([pullback._CHUNK_WORDS, 7]), label="chunk")
         model = cubic_model([6.0, 9.0, 12.0][:d])
         h = 2.0**-4
         lats = [NoiseLattice(seed=s, base_step=h / 2, dimension=d) for s in seeds]
@@ -376,11 +409,10 @@ class TestDriveStartNodes:
         )))
         nodes = np.arange(grid.count + 1)
         cfg = pullback.DEFAULT_CONFIG
-        with mock.patch.object(pullback, "_CHUNK_WORDS", chunk_words):
-            rec, div_at, summary = _drive(
-                model, grid, scheme, x0, lats, cfg, nodes, start_nodes=starts
-            )
-            plain, plain_div, _ = _drive(model, grid, scheme, x0, lats, cfg, nodes)
+        dw = np.stack([coarse_increments(lat, grid, grid.start_index, grid.count)
+                       for lat in lats])
+        rec, div_at, summary = _drive(model, grid, scheme, x0, dw, cfg, nodes, start_nodes=starts)
+        plain, plain_div, _ = _drive(model, grid, scheme, x0, dw, cfg, nodes)
 
         solo_stats = []
         for p, s in enumerate(starts):
@@ -389,8 +421,9 @@ class TestDriveStartNodes:
                 assert div_at[p] == -1
                 continue
             solo_grid = make_grid(model, lats[p], h, grid.t_start + s * h, grid.t_end)
+            solo_dw = coarse_increments(lats[p], solo_grid, solo_grid.start_index, solo_grid.count)
             solo, solo_div, stats = _drive(
-                model, solo_grid, scheme, x0[p : p + 1], [lats[p]], cfg,
+                model, solo_grid, scheme, x0[p : p + 1], solo_dw[None], cfg,
                 np.arange(solo_grid.count + 1),
             )
             solo_stats.append(stats)
@@ -413,33 +446,34 @@ class TestDriveStartNodes:
         lat = NoiseLattice(seed=2, base_step=h)
         grid = make_grid(m, lat, h, -1.0, 0.0)
         x0 = np.full((3, 1), 5e11)
-        _, div_at, _ = _drive(m, grid, "em", x0, [lat] * 3, pullback.DEFAULT_CONFIG,
-                              [grid.count], start_nodes=np.array([0, 3, grid.count]))
+        dw = coarse_increments(lat, grid, grid.start_index, grid.count)
+        _, div_at, _ = _drive(m, grid, "em", x0, np.broadcast_to(dw, (3, *dw.shape)),
+                              pullback.DEFAULT_CONFIG, [grid.count],
+                              start_nodes=np.array([0, 3, grid.count]))
         assert div_at.tolist() == [1, 4, -1]
 
-    def test_shared_lattices_are_read_once_per_chunk(self, monkeypatch):
-        calls = []
-        original = NoiseLattice.increments
 
-        def counting(self, start, count):
-            calls.append(self)
-            return original(self, start, count)
+@pytest.mark.parametrize("run", ["simulate", "pinned"])
+def test_one_lattice_is_read_once(monkeypatch, run):
+    # a single-lattice run reads its increments in one call, however
+    # many rows of the batch share them
+    calls = []
+    original = NoiseLattice.increments
 
-        monkeypatch.setattr(NoiseLattice, "increments", counting)
-        monkeypatch.setattr(pullback, "_CHUNK_WORDS", 40)
-        m = builtin_benchmark()
-        lat, other = NoiseLattice(seed=4, base_step=H), NoiseLattice(seed=9, base_step=H)
-        grid = make_grid(m, lat, H, -32 * H, 0.0)
-        x0 = np.zeros((5, 1))
-        args = (m, grid, "bem", x0)
-        shared, _, _ = _drive(*args, [lat] * 5, pullback.DEFAULT_CONFIG, [grid.count])
-        # 40 words over 5 paths: 8 steps per chunk, 4 chunks of 32 steps
-        assert calls == [lat] * 4
-        calls.clear()
-        mixed, _, _ = _drive(*args, [lat, other, lat, lat, other], pullback.DEFAULT_CONFIG,
-                             [grid.count])
-        assert len(calls) == 8 and calls.count(lat) == 4
-        assert np.array_equal(mixed[[0, 2, 3]], shared[[0, 2, 3]])
+    def counting(self, start, count):
+        calls.append((self, start, count))
+        return original(self, start, count)
+
+    monkeypatch.setattr(NoiseLattice, "increments", counting)
+    m = builtin_benchmark()
+    lat = NoiseLattice(seed=4, base_step=H / 2)
+    if run == "simulate":
+        simulate(m, make_grid(m, lat, H, -1.5, 0.0), "bem",
+                 InitialCondition(value=[0.0]), lat)
+    else:
+        pullback_pinned_path(m, lat, H, r_max=1.5)
+    # 1.5 time units before 0, at spacing H / 2
+    assert calls == [(lat, round(-3.0 / H), round(3.0 / H))]
 
 
 class TestTrajectoryCsv:

@@ -3,7 +3,8 @@
 ``perfbench/tracer.py`` wraps package callables by name.  A boundary that a
 refactor renames is skipped silently and its layer's metrics read ``None``,
 so this test fails first.  The tracer also reads some arguments by position,
-so those positions are pinned here too.
+so those positions are pinned here too, and its cross-layer count of
+implicit path-steps is checked on tiny runs of every engine entry point.
 """
 
 import importlib
@@ -11,16 +12,25 @@ import importlib.util
 import inspect
 from pathlib import Path
 
+import pytest
+
+import randperiodic
 from randperiodic import analysis, pullback
+from randperiodic.model import InitialCondition, builtin_benchmark, model_from_config
+from randperiodic.noise import GridSpec, NoiseLattice, derive_seeds
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
 
-def _boundaries():
+def _tracer_module():
     spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
     tracer = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracer)
-    return tracer.BOUNDARIES
+    return tracer
+
+
+def _boundaries():
+    return _tracer_module().BOUNDARIES
 
 
 def test_every_traced_boundary_exists():
@@ -51,3 +61,49 @@ def test_traced_arguments_keep_their_positions():
     assert _params(pullback._drive)[:4] == ["model", "grid", "scheme", "x0"]
     assert _params(pullback._bem_step_batch)[4] == "x_prev"
     assert _params(pullback._em_step_batch)[3] == "x_prev"
+
+
+H = 2.0**-4
+
+# Scalar cubic drift, so that implicit steps take several Newton iterations.
+CUBIC = {
+    "lambda": [10.0],
+    "drift": {"poly_coeffs": [0, -1, 0, -2], "trig_amp": 1.5, "trig_freq": 1},
+    "g": {"amp": 0.5},
+    "tau": 1.0,
+    "constants": {"C_f": 0.5, "sigma": 0.5},
+}
+
+TINY_RUNS = {
+    "simulate": lambda m: pullback.simulate(
+        m, pullback.make_grid(m, NoiseLattice(3, H / 2), H, -1.0, 0.5), "bem",
+        InitialCondition(value=[0.2]), NoiseLattice(3, H / 2)),
+    "pinned": lambda m: pullback.pullback_pinned_path(m, NoiseLattice(3, H), H, r_max=1.0),
+    "strong_error": lambda m: analysis.strong_error(
+        m, h_ref=2.0**-6, h_list=[2.0**-3, 2.0**-4, 2.0**-5], pullback_periods=2,
+        num_paths=5, scheme=("bem", "em"), block_size=3),
+    "moment_estimate": lambda m: analysis.moment_estimate(
+        m, GridSpec(start_index=-16, step_mult=2, count=24, period_steps=16, base_step=H / 2),
+        "bem", InitialCondition(value=[0.1]), num_paths=5, block_size=3),
+    "periodic_measure": lambda m: analysis.periodic_measure(
+        m, derive_seeds(2, 5), H, pullback_periods=2, t_list=[0.0, 0.5], base_step=H / 4,
+        block_size=3),
+}
+
+
+@pytest.mark.parametrize("model", ["builtin", "cubic"])
+@pytest.mark.parametrize("run", sorted(TINY_RUNS))
+def test_implicit_path_steps_agree_across_layers(run, model):
+    # the benchmark's `stepper.path_steps_bem == pullback.path_steps_bem`
+    # check: every row of every implicit `_drive` call goes through the step
+    # kernel once per grid step, held rows included
+    tracer = _tracer_module().Tracer()
+    tracer.install(randperiodic)
+    try:
+        m = builtin_benchmark() if model == "builtin" else model_from_config(CUBIC)
+        TINY_RUNS[run](m)
+    finally:
+        tracer.uninstall()
+    assert not tracer.missing
+    assert tracer.counts["pullback.path_steps_bem"] > 0
+    assert tracer.counts["stepper.path_steps_bem"] == tracer.counts["pullback.path_steps_bem"]
