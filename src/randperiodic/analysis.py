@@ -287,6 +287,7 @@ class MomentEstimate:
     ``bound`` is ``E|xi|^2 + alpha`` with
     ``alpha = (2*C_f + sigma**2) / (2*(lambda_1 - C_f))``; ``within_bound``
     allows three standard errors of slack at the maximizing node.
+    ``solver_stats`` summarizes the implicit solves of every path.
     """
 
     sup_mean_square: float
@@ -297,6 +298,7 @@ class MomentEstimate:
     bound: float
     within_bound: bool
     num_paths: int
+    solver_stats: SolverSummary = SolverSummary()
 
 
 def moment_estimate(
@@ -319,7 +321,7 @@ def moment_estimate(
         raise ValueError("moment_estimate requires declared C_f and sigma")
     if num_paths < 2:
         raise ValueError(f"num_paths must be >= 2, got {num_paths}")
-    states, _, _ = _run_seeds(
+    states, _, summary = _run_seeds(
         model, grid, scheme, derive_seeds(seed, num_paths), init,
         config or DEFAULT_CONFIG, np.arange(grid.count + 1), block_size,
     )
@@ -339,16 +341,22 @@ def moment_estimate(
         bound=bound,
         within_bound=sup <= bound + 3.0 * se,
         num_paths=num_paths,
+        solver_stats=summary,
     )
 
 
 @dataclass(frozen=True, eq=False)
 class EmpiricalMeasure:
-    """Samples of the state distribution at one time."""
+    """Samples of the state distribution at one time.
+
+    ``solver_stats`` summarizes the implicit solves behind the samples; the
+    measures of one :func:`periodic_measure` call share it.
+    """
 
     t: float
     h: float
     samples: np.ndarray  # (num_samples, d)
+    solver_stats: SolverSummary = SolverSummary()
 
     def __post_init__(self) -> None:
         samples = np.asarray(self.samples, dtype=np.float64)
@@ -399,11 +407,12 @@ def periodic_measure(
     if np.unique(nodes).size != nodes.size:
         raise ValueError("t_list contains duplicate times")
     x0_spec = init if init is not None else InitialCondition(value=np.zeros(model.dimension))
-    rec, _, _ = _run_seeds(
+    rec, _, summary = _run_seeds(
         model, grid, "bem", seeds, x0_spec, config or DEFAULT_CONFIG, nodes, block_size
     )
     return [
-        EmpiricalMeasure(t=t_arr[i], h=float(h), samples=rec[:, i, :].copy())
+        EmpiricalMeasure(t=t_arr[i], h=float(h), samples=rec[:, i, :].copy(),
+                         solver_stats=summary)
         for i in range(len(t_arr))
     ]
 

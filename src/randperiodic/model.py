@@ -35,7 +35,8 @@ class PolyTrigDrift:
     ``f(t, x)_i = sum_k poly_coeffs[k] * x_i**k
                   + trig_amp * sin(2*pi*trig_freq*(t % period)/period)``
 
-    ``trig_freq`` must be a whole number so the term has period ``period``.
+    ``trig_freq`` must be a whole number (any sign, or zero for no forcing)
+    so the term has period ``period``.
     The time phase is reduced modulo ``period`` before evaluation, keeping the
     declared periodicity at machine precision.
     """
@@ -252,7 +253,7 @@ def model_from_config(config: Mapping) -> ModelSpec:
     if trig_amp != 0.0 and trig_freq_raw != int(trig_freq_raw):
         raise ValueError(f"trig_freq must be a whole number, got {trig_freq_raw!r}")
     drift = PolyTrigDrift(
-        poly_coeffs=coeffs, trig_amp=trig_amp, trig_freq=max(1, int(trig_freq_raw)), period=tau
+        poly_coeffs=coeffs, trig_amp=trig_amp, trig_freq=int(trig_freq_raw), period=tau
     )
 
     g_cfg = dict(config["g"])

@@ -12,6 +12,15 @@ step size.  The explicit step trades that robustness for speed and is kept
 as the comparison scheme; its instability at large ``h`` is an observable
 outcome, not an error.
 
+The solve is a masked, damped Newton iteration with a bisection fallback for
+scalar models.  An affine drift, a :class:`~randperiodic.model.PolyTrigDrift`
+``p0 + p1*x + F(t)``, has the root in closed form, coordinate by coordinate,
+
+    z_i = (y_i + h*(p0 + F(t_next))) / (1 + h*(lambda_i - p1)),
+
+which is the one exact Newton step.  The solver takes it instead of the loop
+whenever every divisor is positive, and otherwise runs Newton unchanged.
+
 All solver kernels operate on batches of states with shape ``(M, d)`` and
 make per-path decisions (convergence, damping) independently, so a path's
 arithmetic never depends on what else happens to be in its batch.  The
@@ -24,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import ModelSpec
+from .model import ModelSpec, PolyTrigDrift
 
 
 class NonConvergenceError(RuntimeError):
@@ -107,18 +116,31 @@ def _implicit_solve_batch(
     last three per path.  Damped Newton with per-path step halving; for
     scalar models a bracketing bisection on the monotone ``G`` catches any
     path Newton fails on.
+
+    When the drift is exactly a :class:`PolyTrigDrift` whose polynomial is
+    at most linear, every row is solved by one division instead (see
+    :func:`_affine_solve`), without calling the drift or its Jacobian; it
+    reports one Newton iteration per path and no fallback.  A subclass, a
+    higher-degree polynomial, or a divisor ``1 + h*(lambda_i - p1) <= 0``
+    runs the Newton loop.
     """
     lam = model.eigenvalues
-    denom = 1.0 + h * lam
     m_paths, d = rhs.shape
-    tol = config.residual_tol * (1.0 + np.linalg.norm(rhs, axis=1))
+    tol = config.residual_tol * (1.0 + _row_norm(rhs))
+
+    if config.jacobian_mode == "analytic" and model.drift_jacobian is None:
+        raise ValueError("jacobian_mode='analytic' but the model declares no drift_jacobian")
+
+    affine = _affine_coeffs(model.drift)
+    if affine is not None:
+        divisor = 1.0 + h * (lam - affine[1])
+        if np.all(divisor > 0.0):
+            return _affine_solve(model.drift, affine[0], divisor, t, h, rhs, tol)
 
     use_analytic = config.jacobian_mode == "analytic" or (
         config.jacobian_mode == "auto" and model.drift_jacobian is not None
     )
-    if config.jacobian_mode == "analytic" and model.drift_jacobian is None:
-        raise ValueError("jacobian_mode='analytic' but the model declares no drift_jacobian")
-
+    denom = 1.0 + h * lam
     x = np.array(x0, dtype=np.float64) if x0 is not None else rhs / denom
 
     r, fx = _residual_masked(model, t, denom, h, rhs, x)
@@ -203,6 +225,53 @@ def _implicit_solve_batch(
             f"(worst residual {float(np.max(rn[above])):.3e})"
         )
     return x, iters, rn, fallback
+
+
+def _affine_coeffs(drift) -> tuple[float, float] | None:
+    """``(p0, p1)`` of a :class:`PolyTrigDrift` (not a subclass) whose
+    polynomial ``p0 + p1*x + ...`` has no nonzero term above ``x``, else None."""
+    if type(drift) is not PolyTrigDrift:
+        return None
+    coeffs = drift.poly_coeffs
+    if any(coeffs[2:]):
+        return None
+    return (coeffs[0] if coeffs else 0.0), (coeffs[1] if len(coeffs) > 1 else 0.0)
+
+
+def _affine_solve(
+    drift: PolyTrigDrift,
+    p0: float,
+    divisor: np.ndarray,
+    t: float,
+    h: float,
+    rhs: np.ndarray,
+    tol: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Closed-form root of ``z*(1 + h*lambda) - h*(p0 + p1*z + F(t)) = rhs``.
+
+    ``divisor`` is ``1 + h*(lambda - p1)``, all positive.  The residual
+    ``|z*divisor - b|`` of the division is checked against ``tol`` as the
+    Newton loop checks its own; returns what :func:`_implicit_solve_batch`
+    returns, with one iteration per path.
+    """
+    b = rhs + h * (p0 + drift._forcing(t))
+    z = b / divisor
+    rn = _row_norm(z * divisor - b)
+    above = ~(rn <= tol)
+    if above.any():
+        if not np.all(np.isfinite(z)):
+            raise NonFiniteEvaluationError(f"affine implicit step is non-finite at t={t}")
+        raise NonConvergenceError(
+            f"affine implicit step left {int(above.sum())} path(s) above tolerance at t={t} "
+            f"(worst residual {float(np.max(rn[above])):.3e})"
+        )
+    m_paths = rhs.shape[0]
+    return z, np.ones(m_paths, dtype=np.int64), rn, np.zeros(m_paths, dtype=bool)
+
+
+def _row_norm(a: np.ndarray) -> np.ndarray:
+    """Euclidean norm of each row of ``a``; ``abs`` for one column."""
+    return np.abs(a[:, 0]) if a.shape[1] == 1 else np.linalg.norm(a, axis=1)
 
 
 def _residual_masked(

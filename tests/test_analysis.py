@@ -407,6 +407,25 @@ def test_solver_stats_block_invariance():
     for block_size in (1, 7):
         assert [t.solver_stats for t in strong_error(m, block_size=block_size, **kwargs)] == base
 
+    # the moment and measure studies keep the summary too
+    grid = GridSpec(start_index=-32, step_mult=2, count=48, period_steps=16, base_step=2.0**-5)
+
+    def moment(block_size):
+        return moment_estimate(m, grid, "bem", InitialCondition(value=[0.8]), num_paths=12,
+                               seed=5, block_size=block_size).solver_stats
+
+    def measure(block_size):
+        mus = periodic_measure(m, derive_seeds(5, 12), h=2.0**-4, pullback_periods=2,
+                               t_list=[0.0, 0.5], base_step=2.0**-5, block_size=block_size)
+        assert mus[0].solver_stats == mus[1].solver_stats
+        return mus[0].solver_stats
+
+    for study in (moment, measure):
+        base = study(None)
+        assert base.max_newton_iters >= 2 and base.max_residual > 0.0
+        for block_size in (1, 7):
+            assert study(block_size) == base
+
 
 class TestEmpiricalMeasure:
     def test_shapes_and_validation(self):

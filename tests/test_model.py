@@ -184,6 +184,18 @@ class TestModelFromConfig:
         cfg = dict(self.CONFIG, constants={"C_f": 0.0, "sigma": 0.7})
         assert model_from_config(cfg).constants["sigma"] == 0.7
 
+    @pytest.mark.parametrize("freq, expect", [(-1, -1.0), (0, 0.0), (1, 1.0), (3, -1.0)])
+    def test_trig_freq_passes_through(self, freq, expect):
+        # sin(2*pi*freq/4) a quarter period in: a zero or negative frequency
+        # is kept, not rewritten to 1
+        m = model_from_config(dict(self.CONFIG, drift={"trig_amp": 1.0, "trig_freq": freq}))
+        assert m.drift.trig_freq == freq
+        assert m.drift(0.125, np.zeros(2)) == pytest.approx([expect, expect], abs=1e-15)
+
+    def test_trig_freq_defaults_to_one(self):
+        m = model_from_config(dict(self.CONFIG, drift={"trig_amp": 1.0}))
+        assert m.drift.trig_freq == 1
+
 
 class TestLoadModel:
     def test_sources(self, tmp_path):

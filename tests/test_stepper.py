@@ -1,17 +1,23 @@
 """Tests for the implicit solver and the two time-stepping kernels."""
 
 import math
+from dataclasses import dataclass, replace
 
 import numpy as np
 import pytest
 
 from randperiodic import stepper
+from randperiodic.analysis import strong_error
 from randperiodic.model import (
     ConstantDiffusion,
+    InitialCondition,
     ModelSpec,
     PolyTrigDrift,
     builtin_benchmark,
+    model_from_config,
 )
+from randperiodic.noise import NoiseLattice, coarse_increments
+from randperiodic.pullback import make_grid, pullback_pinned_path, simulate
 from randperiodic.stepper import (
     DEFAULT_CONFIG,
     NonConvergenceError,
@@ -252,3 +258,267 @@ class TestEmStep:
         )
         with pytest.raises(NonFiniteEvaluationError):
             em_step(m, 0.0, 0.5, np.array([1.0]), np.zeros(1))
+
+
+# -- the closed-form step of affine drifts ------------------------------------
+
+EPS = np.finfo(float).eps
+# Either solver rounds each step within a few ulp of the largest term of the
+# step equation; 8 ulp leaves room for both.
+ULPS = 8.0
+
+
+def affine_model(eigenvalues, coeffs, newton=False):
+    """``f = p0 + p1*x + 0.7*sin(2*pi*t)`` on ``A = diag(eigenvalues)``.
+
+    With ``newton`` the same drift is wrapped in a plain function, which
+    the closed form does not recognize, so the solver runs Newton on it
+    (with the drift's own analytic Jacobian).
+    """
+    drift = PolyTrigDrift(poly_coeffs=tuple(coeffs), trig_amp=0.7, trig_freq=1, period=1.0)
+    return ModelSpec(
+        eigenvalues=np.asarray(eigenvalues, dtype=float),
+        drift=(lambda t, x: drift(t, x)) if newton else drift,
+        diffusion=ConstantDiffusion(0.3),
+        period=1.0,
+        drift_jacobian=drift.jacobian,
+    )
+
+
+def step_scale(model, h, x_prev, rhs, z):
+    """Largest term of ``z*(1 + h*lam) - h*f(t, z) = rhs``, per path, over
+    the closed form's divisor: the size of one ulp of the step."""
+    drift = model.drift
+    p = tuple(drift.poly_coeffs) + (0.0, 0.0)
+    lam = model.eigenvalues
+    big = np.maximum(np.abs(x_prev), np.abs(z)) * (1.0 + h * (lam + abs(p[1])))
+    terms = big + np.abs(rhs) + h * (abs(p[0]) + abs(drift.trig_amp))
+    return np.max(terms / (1.0 + h * (lam - p[1])), axis=1)
+
+
+AFFINE_CASES = {
+    "builtin-like": ([10.0 * math.pi], ()),
+    "p0": ([4.0], (0.8,)),
+    "p0-p1": ([3.0], (-0.4, 1.2)),
+    "d2": ([2.0, 7.5], (0.25, -1.5)),
+    "trailing-zeros": ([5.0], (0.0, -0.6, 0.0, 0.0)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(AFFINE_CASES))
+def test_affine_step_matches_newton(case):
+    eigenvalues, coeffs = AFFINE_CASES[case]
+    closed = affine_model(eigenvalues, coeffs)
+    newton = affine_model(eigenvalues, coeffs, newton=True)
+    d = len(eigenvalues)
+    rng = np.random.default_rng(11)
+    for _ in range(40):
+        h = float(rng.uniform(1e-3, 0.9))
+        t_next = float(rng.uniform(0.0, 1.0))
+        x_prev = rng.normal(scale=2.0, size=(9, d))
+        dw = rng.normal(scale=math.sqrt(h), size=(9, d))
+        z, iters, rn, fb = stepper._bem_step_batch(
+            closed, t_next - h, t_next, h, x_prev, dw, DEFAULT_CONFIG)
+        z_n, iters_n, _, fb_n = stepper._bem_step_batch(
+            newton, t_next - h, t_next, h, x_prev, dw, DEFAULT_CONFIG)
+        rhs = x_prev + 0.3 * dw
+        scale = step_scale(closed, h, x_prev, rhs, z)
+        assert np.all(np.abs(z - z_n).max(axis=1) <= ULPS * EPS * scale)
+        assert np.array_equal(iters, np.ones(9)) and np.array_equal(iters, iters_n)
+        assert not fb.any() and not fb_n.any()
+        tol = DEFAULT_CONFIG.residual_tol * (1.0 + np.linalg.norm(rhs, axis=1))
+        assert np.all(rn <= tol)
+
+
+def test_affine_single_step_api_takes_the_closed_form():
+    m = affine_model([3.0], (-0.4, 1.2))
+    m_n = affine_model([3.0], (-0.4, 1.2), newton=True)
+    x1, stats = bem_step(m, t_next=0.375, h=0.25, x_prev=np.array([0.6]), dW=np.array([0.1]))
+    x1_n, _ = bem_step(m_n, t_next=0.375, h=0.25, x_prev=np.array([0.6]),
+                       dW=np.array([0.1]))
+    assert x1[0] == pytest.approx(x1_n[0], abs=ULPS * EPS)
+    assert stats.newton_iters == 1 and not stats.fallback_used
+    z, stats = implicit_solve(m, t=0.375, h=0.25, rhs=np.array([0.63]))
+    assert stats.newton_iters == 1 and not stats.fallback_used
+    assert stats.final_residual <= DEFAULT_CONFIG.residual_tol * 1.63
+    expect = (0.63 + 0.25 * (-0.4 + 0.7 * math.sin(0.75 * math.pi))) / (1.0 + 0.25 * (3.0 - 1.2))
+    assert z[0] == pytest.approx(expect, rel=4 * EPS)
+
+
+def test_affine_step_checks_its_residual():
+    m = affine_model([3.0], (-0.4, 1.2))
+    rhs = np.random.default_rng(2).normal(size=(50, 1))
+    # no division lands every row within 1e-30 of its right-hand side
+    with pytest.raises(NonConvergenceError, match="above tolerance at t=0.25"):
+        _implicit_solve_batch(m, 0.25, 0.5, rhs, SolverConfig(residual_tol=1e-30))
+    rhs[7, 0] = np.nan
+    with pytest.raises(NonFiniteEvaluationError, match="non-finite at t=0.25"):
+        _implicit_solve_batch(m, 0.25, 0.5, rhs, DEFAULT_CONFIG)
+
+
+def builtin_affine(newton=False):
+    """The builtin model, or the same model with its drift wrapped for Newton."""
+    m = builtin_benchmark()
+    if not newton:
+        return m
+    drift = m.drift
+    return replace(m, drift=lambda t, x: drift(t, x))
+
+
+def _run_scale(model, h, states, dw):
+    """One ulp of any step of a whole run: the largest state, increment and
+    forcing term seen, over the smallest divisor."""
+    p = tuple(model.drift.poly_coeffs) + (0.0, 0.0)
+    lam = model.eigenvalues
+    big = np.max(np.abs(states)) * (2.0 + h * (lam.max() + abs(p[1])))
+    terms = big + 0.3 * np.max(np.abs(dw)) + h * (abs(p[0]) + abs(model.drift.trig_amp))
+    return terms / (1.0 + h * (lam.min() - p[1]))
+
+
+def _check_stats(summary, scale):
+    assert summary.max_newton_iters == 1
+    assert not summary.any_fallback
+    assert summary.max_residual <= DEFAULT_CONFIG.residual_tol * (1.0 + scale)
+
+
+RUN_CASES = {
+    "p0-p1": ([3.0], (-0.4, 1.2), [0.9]),
+    "d2": ([2.0, 7.5], (0.25, -1.5), [0.5, -1.2]),
+    "trailing-zeros": ([5.0], (0.0, -0.6, 0.0, 0.0), [-0.3]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(RUN_CASES))
+def test_affine_runs_match_newton(case):
+    # whole runs: each step adds at most ULPS ulp of the run's scale, and
+    # the contraction of the implicit step never amplifies earlier errors
+    eigenvalues, coeffs, init_value = RUN_CASES[case]
+    closed = affine_model(eigenvalues, coeffs)
+    newton = affine_model(eigenvalues, coeffs, newton=True)
+    init = InitialCondition(value=init_value)
+    h = 2.0**-5
+    lat = NoiseLattice(seed=4, base_step=h / 2, dimension=closed.dimension)
+    grid = make_grid(closed, lat, h, -2.0, 0.5)
+    dw = coarse_increments(lat, grid, grid.start_index, grid.count)
+
+    path = simulate(closed, grid, "bem", init, lat)
+    path_n = simulate(newton, grid, "bem", init, lat)
+    scale = _run_scale(closed, h, path_n.states, dw)
+    assert np.max(np.abs(path.states - path_n.states)) <= grid.count * ULPS * EPS * scale
+    _check_stats(path.solver_stats, scale)
+
+    pinned = pullback_pinned_path(closed, lat, h, r_max=1.5, init=init)
+    pinned_n = pullback_pinned_path(newton, lat, h, r_max=1.5, init=init)
+    steps = round(1.5 / h)
+    assert np.max(np.abs(pinned.values - pinned_n.values)) <= steps * ULPS * EPS * scale
+    _check_stats(pinned.solver_stats, scale)
+
+
+def test_affine_builtin_runs_match_newton():
+    # the builtin model from a nonzero start.  Every term of a step is
+    # below 1 here (|x| <= 0.4, 0.05*|dW| and h*|sin| below 0.1), so a run
+    # moves by at most ULPS ulp of 1 per step, and an rms row of the order
+    # study (both schemes) by at most the pathwise move of its two runs.
+    init = InitialCondition(value=[0.4])
+    kwargs = dict(h_ref=2.0**-8, h_list=[2.0**-4, 2.0**-5, 2.0**-6], pullback_periods=2,
+                  num_paths=6, t_eval=0.25, seed=2, scheme=("bem", "em"), init=init)
+    tables = strong_error(builtin_affine(), **kwargs)
+    tables_n = strong_error(builtin_affine(newton=True), **kwargs)
+    atol = 2 * (2 * 256) * ULPS * EPS
+    for table, table_n in zip(tables, tables_n):
+        for row, row_n in zip(table.rows, table_n.rows):
+            assert row.rms_error == pytest.approx(row_n.rms_error, abs=atol)
+            assert row.sup_rms_error == pytest.approx(row_n.sup_rms_error, abs=atol)
+        _check_stats(table.solver_stats, 1.0)
+
+    lat = NoiseLattice(seed=5, base_step=2.0**-6)
+    grid = make_grid(builtin_affine(), lat, 2.0**-6, -1.0, 0.5)
+    path = simulate(builtin_affine(), grid, "bem", init, lat)
+    path_n = simulate(builtin_affine(newton=True), grid, "bem", init, lat)
+    assert np.max(np.abs(path.states - path_n.states)) <= grid.count * ULPS * EPS
+    _check_stats(path.solver_stats, 1.0)
+
+    pinned = pullback_pinned_path(builtin_affine(), lat, 2.0**-6, r_max=1.0, init=init)
+    pinned_n = pullback_pinned_path(builtin_affine(newton=True), lat, 2.0**-6, r_max=1.0,
+                                    init=init)
+    assert np.max(np.abs(pinned.values - pinned_n.values)) <= 64 * ULPS * EPS
+    _check_stats(pinned.solver_stats, 1.0)
+
+
+class _CountCalls:
+    """Counts the calls of ``PolyTrigDrift.__call__`` and ``jacobian``."""
+
+    def __init__(self, monkeypatch):
+        self.drift = self.jacobian = 0
+        call, jac = PolyTrigDrift.__call__, PolyTrigDrift.jacobian
+
+        def counted_call(drift, t, x):
+            self.drift += 1
+            return call(drift, t, x)
+
+        def counted_jacobian(drift, t, x):
+            self.jacobian += 1
+            return jac(drift, t, x)
+
+        monkeypatch.setattr(PolyTrigDrift, "__call__", counted_call)
+        monkeypatch.setattr(PolyTrigDrift, "jacobian", counted_jacobian)
+
+
+def test_builtin_step_never_calls_the_drift(monkeypatch):
+    counts = _CountCalls(monkeypatch)
+    m = builtin_benchmark()  # built after patching: it binds drift.jacobian
+    x1, stats = bem_step(m, t_next=0.25, h=0.125, x_prev=np.array([0.3]), dW=np.array([0.2]))
+    assert (counts.drift, counts.jacobian) == (0, 0)
+    assert stats.newton_iters == 1
+
+
+def test_cubic_model_still_runs_newton(monkeypatch):
+    # perfbench/child.CUBIC_MODEL
+    counts = _CountCalls(monkeypatch)
+    m = model_from_config({
+        "lambda": [10.0],
+        "drift": {"poly_coeffs": [0, -1, 0, -2], "trig_amp": 1.5, "trig_freq": 1},
+        "g": {"amp": 0.5},
+        "tau": 1.0,
+        "constants": {"C_f": 0.5, "sigma": 0.5},
+    })
+    _, stats = bem_step(m, t_next=0.25, h=0.125, x_prev=np.array([2.0]), dW=np.array([0.2]))
+    assert counts.drift > 0 and counts.jacobian > 0
+    assert stats.newton_iters >= 2
+
+
+@dataclass(frozen=True)
+class _SubDrift(PolyTrigDrift):
+    """A subclass may change how the drift evaluates, so it runs Newton."""
+
+
+def test_other_drifts_run_newton(monkeypatch):
+    counts = _CountCalls(monkeypatch)
+    # a quadratic term, however small, is not affine
+    m = affine_model([3.0], (0.1, -0.2, -1e-9))
+    _, stats = implicit_solve(m, t=0.25, h=0.5, rhs=np.array([1.0]))
+    assert counts.drift > 0 and counts.jacobian > 0
+
+    counts.drift = counts.jacobian = 0
+    drift = _SubDrift(poly_coeffs=(0.3, -0.5), trig_amp=0.7, trig_freq=1, period=1.0)
+    m = ModelSpec(eigenvalues=np.array([3.0]), drift=drift, diffusion=ConstantDiffusion(0.3),
+                  period=1.0, drift_jacobian=drift.jacobian)
+    z, _ = implicit_solve(m, t=0.25, h=0.5, rhs=np.array([1.0]))
+    assert counts.drift > 0 and counts.jacobian > 0
+    assert z[0] == pytest.approx((1.0 + 0.5 * (0.3 + 0.7)) / (1.0 + 0.5 * 3.5), rel=1e-12)
+
+    # 1 + h*(lambda - p1) = 1 + 0.5*(1 - 5) = -1: the closed form stands aside
+    counts.drift = counts.jacobian = 0
+    m = affine_model([1.0], (0.2, 5.0))
+    z, stats = implicit_solve(m, t=0.25, h=0.5, rhs=np.array([1.0]))
+    assert counts.drift > 0 and counts.jacobian > 0
+    assert z[0] == pytest.approx((1.0 + 0.5 * (0.2 + 0.7)) / -1.0, rel=1e-12)
+    assert not stats.fallback_used
+
+
+def test_analytic_mode_without_jacobian_still_raises():
+    # the affine linear_model declares no Jacobian; the closed form does not
+    # skip the configuration check
+    with pytest.raises(ValueError, match="analytic"):
+        implicit_solve(linear_model(), 0.0, 0.5, np.array([1.0]),
+                       config=SolverConfig(jacobian_mode="analytic"))
