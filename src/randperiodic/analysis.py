@@ -2,11 +2,11 @@
 
 Every routine here is deterministic given its seeds.  Path seeds are derived
 from one master seed, each path owns its own noise lattice, and every study
-runs its paths in blocks of ``block_size``.  Each block is walked through
-time in windows: a window of each path's increments is read once and every
-run of the study advances on it from where the last window left it.  A
+runs its paths in blocks of ``DEFAULT_BLOCK_SIZE``.  Each block is walked
+through time in windows: a window of each path's increments is read once and
+every run of the study advances on it from where the last window left it.  A
 path's arithmetic depends neither on its block nor on the windows, so
-results are byte-identical for any ``block_size`` and any window length.
+results are byte-identical for any block size and any window length.
 
 Strong errors couple resolutions through the increment lattice: the
 reference run reads fine increments, coarse runs read exact sums of the same
@@ -113,7 +113,6 @@ def strong_error(
     seed: int = 0,
     scheme: str | Sequence[str] = "bem",
     init: InitialCondition | None = None,
-    block_size: int | None = None,
 ) -> ErrorTable | tuple[ErrorTable, ...]:
     """Pathwise error of coarse runs against a fine implicit reference.
 
@@ -167,7 +166,7 @@ def strong_error(
     sq: list[list[np.ndarray]] = [[] for _ in runs]
     diverged = [False] * len(runs)
     seeds = derive_seeds(seed, num_paths)
-    for lattices, x0 in _blocks(model, h_ref, seeds, x0_spec, block_size):
+    for lattices, x0 in _blocks(model, h_ref, seeds, x0_spec):
         (ref_rec, _), *outs = _walk_windows(model, [ref, *runs], lattices, x0, cfg)
         for i, (rec, div_at) in enumerate(outs):
             diverged[i] = diverged[i] or bool((div_at >= 0).any())
@@ -309,7 +308,6 @@ def moment_estimate(
     num_paths: int,
     seed: int = 0,
     config: SolverConfig | None = None,
-    block_size: int | None = None,
 ) -> MomentEstimate:
     """Estimate ``sup_N E|X_N|^2`` over the grid by Monte Carlo.
 
@@ -323,7 +321,7 @@ def moment_estimate(
         raise ValueError(f"num_paths must be >= 2, got {num_paths}")
     states, _, summary = _run_seeds(
         model, grid, scheme, derive_seeds(seed, num_paths), init,
-        config or DEFAULT_CONFIG, np.arange(grid.count + 1), block_size,
+        config or DEFAULT_CONFIG, np.arange(grid.count + 1),
     )
     sq = np.einsum("ijk,ijk->ij", states, states)  # (num_paths, count + 1)
     mean_sq = np.array([math.fsum(sq[:, i]) / num_paths for i in range(sq.shape[1])])
@@ -382,7 +380,6 @@ def periodic_measure(
     config: SolverConfig | None = None,
     init: InitialCondition | None = None,
     base_step: float | None = None,
-    block_size: int | None = None,
 ) -> list[EmpiricalMeasure]:
     """Empirical laws of the pulled-back state at the requested times.
 
@@ -408,7 +405,7 @@ def periodic_measure(
         raise ValueError("t_list contains duplicate times")
     x0_spec = init if init is not None else InitialCondition(value=np.zeros(model.dimension))
     rec, _, summary = _run_seeds(
-        model, grid, "bem", seeds, x0_spec, config or DEFAULT_CONFIG, nodes, block_size
+        model, grid, "bem", seeds, x0_spec, config or DEFAULT_CONFIG, nodes
     )
     return [
         EmpiricalMeasure(t=t_arr[i], h=float(h), samples=rec[:, i, :].copy(),
@@ -478,11 +475,16 @@ class MeasurePair:
 
 @dataclass(frozen=True)
 class MeasureStudy:
-    """Distances across step halvings at one evaluation time."""
+    """Distances across step halvings at one evaluation time.
+
+    ``solver_stats`` summarizes the implicit solves of every run behind the
+    pairs.
+    """
 
     t: float
     num_paths: int
     pairs: tuple[MeasurePair, ...]
+    solver_stats: SolverSummary = SolverSummary()
 
     def distances(self) -> list[float]:
         return [p.distance for p in self.pairs]
@@ -502,7 +504,6 @@ def measure_convergence_study(
     seed: int = 0,
     config: SolverConfig | None = None,
     init: InitialCondition | None = None,
-    block_size: int | None = None,
 ) -> MeasureStudy:
     """Distance between empirical laws at ``h`` and ``h/2`` per halving.
 
@@ -523,20 +524,20 @@ def measure_convergence_study(
         raise ValueError("h_pairs must not be empty")
     seeds = derive_seeds(seed, num_paths)
     rows = []
+    stats = []
     for h, h2 in pairs_in:
         if _int_ratio(h, h2, f"h={h} / h_half={h2}") < 2:
             raise ValueError(f"pair ({h}, {h2}) must refine the step")
-        mu_coarse = periodic_measure(
-            model, seeds, h, pullback_periods, [t], config=config, init=init,
-            base_step=h2, block_size=block_size,
-        )[0]
-        mu_fine = periodic_measure(
-            model, seeds, h2, pullback_periods, [t], config=config, init=init,
-            base_step=h2, block_size=block_size,
-        )[0]
+        mu_coarse, mu_fine = (
+            periodic_measure(model, seeds, step, pullback_periods, [t], config=config,
+                             init=init, base_step=h2)[0]
+            for step in (h, h2)
+        )
         dist = weak_distance(mu_coarse, mu_fine)
         rows.append(MeasurePair(h, h2, dist, dist / math.sqrt(h)))
-    return MeasureStudy(t=float(t), num_paths=num_paths, pairs=tuple(rows))
+        stats += [mu_coarse.solver_stats, mu_fine.solver_stats]
+    return MeasureStudy(t=float(t), num_paths=num_paths, pairs=tuple(rows),
+                        solver_stats=_merge_stats(*stats))
 
 
 def write_error_table_csv(table: ErrorTable, path: str) -> None:
@@ -573,13 +574,11 @@ def _blocks(
     base_step: float,
     seeds: Sequence[int],
     init: InitialCondition,
-    block_size: int | None,
 ):
-    """Yield ``(lattices, x0)`` for consecutive blocks of ``block_size`` seeds:
-    one lattice of spacing ``base_step`` per seed, and ``init`` resolved for it."""
-    size = DEFAULT_BLOCK_SIZE if block_size is None else int(block_size)
-    if size < 1:
-        raise ValueError(f"block_size must be >= 1, got {size}")
+    """Yield ``(lattices, x0)`` for consecutive blocks of ``DEFAULT_BLOCK_SIZE``
+    seeds: one lattice of spacing ``base_step`` per seed, and ``init``
+    resolved for it."""
+    size = DEFAULT_BLOCK_SIZE
     d = model.dimension
     for b0 in range(0, len(seeds), size):
         block = [int(s) for s in seeds[b0 : b0 + size]]
@@ -595,9 +594,9 @@ def _run_seeds(
     init: InitialCondition,
     config: SolverConfig,
     record_nodes: np.ndarray,
-    block_size: int | None = None,
 ) -> tuple[np.ndarray, np.ndarray, SolverSummary]:
-    """Run one path per seed over ``grid``, ``block_size`` paths per batch.
+    """Run one path per seed over ``grid``, ``DEFAULT_BLOCK_SIZE`` paths per
+    batch.
 
     Path ``p`` starts from ``init`` resolved for ``seeds[p]`` and reads its
     own lattice of spacing ``grid.base_step``.  Returns ``(recorded,
@@ -612,7 +611,7 @@ def _run_seeds(
     _check_period(model, grid)
     run = _Run(grid, scheme, np.asarray(record_nodes, dtype=np.int64))
     recorded, diverged_at = [], []
-    for lattices, x0 in _blocks(model, grid.base_step, seeds, init, block_size):
+    for lattices, x0 in _blocks(model, grid.base_step, seeds, init):
         [(rec, div_at)] = _walk_windows(model, [run], lattices, x0, config)
         recorded.append(rec)
         diverged_at.append(div_at)

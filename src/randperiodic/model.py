@@ -114,14 +114,14 @@ class ModelSpec:
         eig = np.atleast_1d(np.asarray(self.eigenvalues, dtype=np.float64))
         if eig.ndim != 1 or eig.size == 0:
             raise ValueError("eigenvalues must be a non-empty 1-d sequence")
-        if not np.all(eig > 0.0):
-            raise ValueError("all eigenvalues must be positive")
+        if not np.all((eig > 0.0) & np.isfinite(eig)):
+            raise ValueError("all eigenvalues must be positive and finite")
         if not np.all(np.diff(eig) >= 0.0):
             raise ValueError("eigenvalues must be in ascending order")
         object.__setattr__(self, "eigenvalues", eig)
         object.__setattr__(self, "constants", dict(self.constants))
-        if not self.period > 0.0:
-            raise ValueError(f"period must be positive, got {self.period}")
+        if not 0.0 < self.period < math.inf:
+            raise ValueError(f"period must be positive and finite, got {self.period}")
         c_f = self.constants.get("C_f")
         if c_f is not None and not c_f < eig[0]:
             raise ValueError(

@@ -18,7 +18,7 @@ bitwise-identical trajectories.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -145,7 +145,6 @@ def _drive(
     dw: np.ndarray,
     config: SolverConfig,
     record_nodes: np.ndarray,
-    start_nodes: np.ndarray | None = None,
 ):
     """Advance a batch of paths over the grid.
 
@@ -161,19 +160,11 @@ def _drive(
     divergence threshold (-1 if it never did).  Batch composition does not
     affect any path's arithmetic, so identical inputs give identical outputs
     for any partition of the paths into batches.
-
-    ``start_nodes[p]``, when given, holds path ``p`` at ``x0[p]`` until grid
-    node ``start_nodes[p]``, from which it steps as usual; its states then
-    equal a run of that path over the grid starting at that node.  A held
-    path still goes through the step kernel, one call per node for the
-    whole batch, and is reset to ``x0[p]`` afterwards; its held steps never
-    count as diverged and are left out of ``summary``.
     """
     m_paths, d = x0.shape
     n = grid.period_steps
     h = grid.h
     a0 = grid.start_index
-    hold_until = 0 if start_nodes is None else int(np.max(start_nodes))
 
     record_nodes = np.asarray(record_nodes, dtype=np.int64)
     rec = np.full((m_paths, record_nodes.size, d), np.nan)
@@ -192,16 +183,11 @@ def _drive(
         a = a0 + i
         t_prev = (a % n) * h
         t_next = ((a + 1) % n) * h
-        held = start_nodes > i if i < hold_until else None
         if scheme == "bem":
             x, iters, rn, fb = _bem_step_batch(model, t_prev, t_next, h, x, dw[:, i], config)
-            if held is not None:
-                live = ~held
-                iters, rn, fb = iters[live], rn[live], fb[live]
-            if iters.size:
-                max_iters = max(max_iters, int(iters.max()))
-                max_resid = max(max_resid, float(rn.max()))
-                any_fb = any_fb or bool(fb.any())
+            max_iters = max(max_iters, int(iters.max()))
+            max_resid = max(max_resid, float(rn.max()))
+            any_fb = any_fb or bool(fb.any())
         else:
             if active.all():
                 x = _em_step_batch(model, t_prev, h, x, dw[:, i])
@@ -209,14 +195,10 @@ def _drive(
                 x[active] = _em_step_batch(model, t_prev, h, x[active], dw[active, i])
             norms = np.linalg.norm(x, axis=1)
             bad = active & (~np.isfinite(norms) | (norms > DIVERGENCE_THRESHOLD))
-            if held is not None:
-                bad &= ~held
             if bad.any():
                 diverged_at[bad] = i + 1
                 x[bad] = np.nan
                 active &= ~bad
-        if held is not None:
-            x[held] = x0[held]
         pos = rec_pos.get(i + 1)
         if pos is not None:
             rec[:, pos] = x
@@ -452,12 +434,12 @@ def pullback_pinned_path(
 
     For every grid depth ``r`` in ``(0, r_max]`` the scheme runs from time
     ``-r`` to 0 on the shared lattice, and the state at time 0 is recorded;
-    each value equals its own pull-back from ``-r``.  All depths run as one
-    batch with staggered starts over the grid ``[-r_max, 0]``: the run of
-    depth ``r`` holds the starting state until time ``-r`` and then steps on
-    the same increments as the others.  As ``r`` grows the recorded values
-    contract onto a single point, which makes the convergence of the
-    pull-back visible directly.
+    each value equals its own pull-back from ``-r``.  All depths advance as
+    one growing batch over the grid ``[-r_max, 0]``: before the step from
+    time ``-r``, the run of depth ``r`` joins the batch at the starting
+    state, and each step advances every run that has joined on the same
+    increment.  As ``r`` grows the recorded values contract onto a single
+    point, which makes the convergence of the pull-back visible directly.
     """
     scheme = _check_scheme(scheme)
     cfg = config or DEFAULT_CONFIG
@@ -469,20 +451,27 @@ def pullback_pinned_path(
     x0 = init if init is not None else InitialCondition(value=np.zeros(model.dimension))
     x0_vec = x0.resolve(lattice.seed, model.dimension)
 
-    depths = np.arange(steps_total + 1)
     dw = coarse_increments(lattice, grid, grid.start_index, grid.count)
-    out, div_at, summary = _drive(
-        model, grid, scheme, np.tile(x0_vec, (depths.size, 1)),
-        np.broadcast_to(dw, (depths.size, *dw.shape)), cfg,
-        record_nodes=np.array([steps_total]), start_nodes=steps_total - depths,
-    )
+    # row j is the run of depth steps_total - j; it joins before step j
+    x = np.tile(x0_vec, (steps_total + 1, 1))
+    stats = []
+    for i in range(steps_total):
+        step = replace(grid, start_index=grid.start_index + i, count=1)
+        out, _, summary = _drive(
+            model, step, scheme, x[: i + 1], np.broadcast_to(dw[i], (i + 1, 1, dw.shape[1])),
+            cfg, [1],
+        )
+        x[: i + 1] = out[:, 0]
+        stats.append(summary)
+    values = x[::-1]
     return PinnedPullbackResult(
-        depths=depths * h,
-        values=out[:, 0],
+        depths=np.arange(steps_total + 1) * h,
+        values=values,
         scheme=scheme,
         seed=lattice.seed,
-        solver_stats=summary,
-        diverged_depths=np.flatnonzero(div_at >= 0),
+        solver_stats=_merge_stats(*stats),
+        # a diverged run stays NaN through every later step
+        diverged_depths=np.flatnonzero(~np.isfinite(values).all(axis=1)),
     )
 
 

@@ -46,36 +46,19 @@ class NonFiniteEvaluationError(RuntimeError):
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Tunables for the implicit solve.
+    """Tolerance of the implicit solve.
 
     ``residual_tol`` is relative: a solve with right-hand side ``y`` accepts
-    ``z`` once ``|G(z) - y| <= residual_tol * (1 + |y|)``.
-
-    ``jacobian_mode`` is ``"analytic"`` (requires ``model.drift_jacobian``),
-    ``"fd"`` (one-sided differences with step ``fd_epsilon * (1 + |x|)``),
-    or ``"auto"`` (analytic when available).
+    ``z`` once ``|G(z) - y| <= residual_tol * (1 + |y|)``.  Newton uses the
+    model's ``drift_jacobian`` when it declares one, and one-sided finite
+    differences with step ``1e-7 * (1 + |x|)`` otherwise.
     """
 
     residual_tol: float = 1e-12
-    max_newton_iters: int = 50
-    max_bisection_iters: int = 200
-    jacobian_mode: str = "auto"
-    fd_epsilon: float = 1e-7
-    max_damping_halvings: int = 30
 
     def __post_init__(self) -> None:
-        if self.jacobian_mode not in ("auto", "analytic", "fd"):
-            raise ValueError(f"unknown jacobian_mode {self.jacobian_mode!r}")
         if not self.residual_tol > 0.0:
             raise ValueError("residual_tol must be positive")
-        if self.max_newton_iters < 1:
-            raise ValueError("max_newton_iters must be >= 1")
-        if self.max_bisection_iters < 1:
-            raise ValueError("max_bisection_iters must be >= 1")
-        if self.max_damping_halvings < 0:
-            raise ValueError("max_damping_halvings must be >= 0")
-        if not self.fd_epsilon > 0.0:
-            raise ValueError("fd_epsilon must be positive")
 
 
 @dataclass(frozen=True)
@@ -88,6 +71,12 @@ class StepStats:
 
 
 DEFAULT_CONFIG = SolverConfig()
+
+# Caps and finite-difference step of the implicit solve.
+_MAX_NEWTON_ITERS = 50
+_MAX_DAMPING_HALVINGS = 30
+_MAX_BISECTION_ITERS = 200
+_FD_EPSILON = 1e-7
 
 
 def _check_h(h: float) -> None:
@@ -128,18 +117,13 @@ def _implicit_solve_batch(
     m_paths, d = rhs.shape
     tol = config.residual_tol * (1.0 + _row_norm(rhs))
 
-    if config.jacobian_mode == "analytic" and model.drift_jacobian is None:
-        raise ValueError("jacobian_mode='analytic' but the model declares no drift_jacobian")
-
     affine = _affine_coeffs(model.drift)
     if affine is not None:
         divisor = 1.0 + h * (lam - affine[1])
         if np.all(divisor > 0.0):
             return _affine_solve(model.drift, affine[0], divisor, t, h, rhs, tol)
 
-    use_analytic = config.jacobian_mode == "analytic" or (
-        config.jacobian_mode == "auto" and model.drift_jacobian is not None
-    )
+    use_analytic = model.drift_jacobian is not None
     denom = 1.0 + h * lam
     x = np.array(x0, dtype=np.float64) if x0 is not None else rhs / denom
 
@@ -150,7 +134,7 @@ def _implicit_solve_batch(
     iters = np.zeros(m_paths, dtype=np.int64)
     fallback = np.zeros(m_paths, dtype=bool)
 
-    for _ in range(config.max_newton_iters):
+    for _ in range(_MAX_NEWTON_ITERS):
         active = rn > tol
         if not active.any():
             break
@@ -162,7 +146,7 @@ def _implicit_solve_batch(
             if use_analytic:
                 jf = np.asarray(model.drift_jacobian(t, xa))[:, 0, 0]
             else:
-                eps = config.fd_epsilon * (1.0 + np.abs(xa[:, 0]))
+                eps = _FD_EPSILON * (1.0 + np.abs(xa[:, 0]))
                 jf = (_drift(model, t, xa + eps[:, None]) - fx[active])[:, 0] / eps
             delta = (-ra[:, 0] / (denom[0] - h * jf))[:, None]
         else:
@@ -172,7 +156,7 @@ def _implicit_solve_batch(
                 jf = np.empty((xa.shape[0], d, d))
                 fxa = fx[active]
                 for c in range(d):
-                    eps = config.fd_epsilon * (1.0 + np.abs(xa[:, c]))
+                    eps = _FD_EPSILON * (1.0 + np.abs(xa[:, c]))
                     xp = xa.copy()
                     xp[:, c] += eps
                     jf[:, :, c] = (_drift(model, t, xp) - fxa) / eps[:, None]
@@ -187,7 +171,7 @@ def _implicit_solve_batch(
         worse = rpn >= rna
         alpha = np.ones(xa.shape[0])
         halvings = 0
-        while worse.any() and halvings < config.max_damping_halvings:
+        while worse.any() and halvings < _MAX_DAMPING_HALVINGS:
             alpha[worse] *= 0.5
             prop[worse] = xa[worse] + alpha[worse, None] * delta[worse]
             rp, fp = _residual_masked(model, t, denom, h, rhs[active], prop)
@@ -212,7 +196,7 @@ def _implicit_solve_batch(
         for i in np.nonzero(stuck)[0]:
             z, res = _bisect_scalar(
                 model, t, h, float(denom[0]), float(rhs[i, 0]), float(x[i, 0]),
-                float(tol[i]), config.max_bisection_iters,
+                float(tol[i]), _MAX_BISECTION_ITERS,
             )
             x[i, 0] = z
             rn[i] = res
@@ -353,7 +337,7 @@ def implicit_solve(
         t: Drift evaluation time.
         h: Step size in ``(0, 1)``.
         rhs: Right-hand side vector of shape ``(d,)``.
-        config: Solver tunables; defaults used when omitted.
+        config: Solver tolerance; the default when omitted.
         x0: Optional initial guess (defaults to the linear-part solution).
 
     Returns:

@@ -1,5 +1,6 @@
 """Tests for error tables, order fitting, moments, and empirical measures."""
 
+import contextlib
 import math
 
 import numpy as np
@@ -176,29 +177,42 @@ class TestMomentEstimate:
                             num_paths=4)
 
 
+@contextlib.contextmanager
+def _block_size(size):
+    """Run the studies in blocks of ``size`` paths; None keeps the default."""
+    with pytest.MonkeyPatch.context() as mp:
+        if size is not None:
+            mp.setattr(analysis, "DEFAULT_BLOCK_SIZE", size)
+        yield
+
+
 def _study(name, block_size):
+    with _block_size(block_size):
+        return _run_study(name)
+
+
+def _run_study(name):
     m = builtin_benchmark()
     if name == "strong_error":
         table = strong_error(m, h_ref=2.0**-8, h_list=[2.0**-4, 2.0**-5, 2.0**-6],
-                             pullback_periods=2, num_paths=20, seed=3,
-                             block_size=block_size)
+                             pullback_periods=2, num_paths=20, seed=3)
         return [(r.rms_error, r.standard_error, r.sup_rms_error) for r in table.rows]
     if name == "moment_estimate":
         grid = GridSpec(start_index=-32, step_mult=2, count=48, period_steps=16,
                         base_step=2.0**-5)
         return moment_estimate(m, grid, "bem", InitialCondition(value=[0.1]),
-                               num_paths=20, seed=3, block_size=block_size)
+                               num_paths=20, seed=3)
     if name == "em_diverging":
         # the explicit scheme at h = 2^-3 over 5 periods, as in
         # ORDER_CASES["em-diverging"]; every path crosses 1e12 mid-grid
         grid = _grid_on(m, 2.0**-3, 2.0**-3, -5.0, 0.0)
         rec, div_at, stats = analysis._run_seeds(
             m, grid, "em", derive_seeds(1, 8), InitialCondition(value=[0.0]),
-            analysis.DEFAULT_CONFIG, np.arange(grid.count + 1), block_size,
+            analysis.DEFAULT_CONFIG, np.arange(grid.count + 1),
         )
         return rec.tobytes(), div_at.tolist(), stats
     mus = periodic_measure(m, derive_seeds(3, 20), h=2.0**-5, pullback_periods=2,
-                           t_list=[0.0, 0.5], block_size=block_size)
+                           t_list=[0.0, 0.5])
     return [mu.samples.tobytes() for mu in mus]
 
 
@@ -287,7 +301,7 @@ ORDER_CASES = {
 
 
 def _oracle_table(model, h_ref, h_list, pullback_periods, num_paths, scheme, seed=0,
-                  t_eval=0.0, init=None, block_size=None):
+                  t_eval=0.0, init=None):
     """The order study as one runner call over whole lattices per run: the
     reference, then each level on its own grid."""
     cfg = analysis.DEFAULT_CONFIG
@@ -301,12 +315,12 @@ def _oracle_table(model, h_ref, h_list, pullback_periods, num_paths, scheme, see
                  for g in grids]
     union = np.unique(np.concatenate(node_sets))
     ref_rec, _, stats = analysis._run_seeds(
-        model, ref_grid, "bem", seeds, x0, cfg, union, block_size)
+        model, ref_grid, "bem", seeds, x0, cfg, union)
     rows = []
     for h, grid, ref_nodes in zip(h_list, grids, node_sets):
         nodes = grid.count - grid.period_steps + np.arange(grid.period_steps + 1)
         rec, div_at, level_stats = analysis._run_seeds(
-            model, grid, scheme, seeds, x0, cfg, nodes, block_size)
+            model, grid, scheme, seeds, x0, cfg, nodes)
         stats = _merge_stats(stats, level_stats)
         if (div_at >= 0).any():
             rows.append(ErrorRow(h, math.nan, math.nan, math.nan, num_paths, True))
@@ -340,13 +354,15 @@ class TestOrderStudyOnePass:
 
     @pytest.mark.parametrize("block_size", [1, 7, None])
     @pytest.mark.parametrize("case", sorted(ORDER_CASES))
-    def test_matches_one_run_per_level(self, case, block_size):
+    def test_matches_one_run_per_level(self, monkeypatch, case, block_size):
         build, kwargs, schemes = ORDER_CASES[case]
         model = build()
-        tables = strong_error(model, scheme=schemes, block_size=block_size, **kwargs)
+        if block_size is not None:
+            monkeypatch.setattr(analysis, "DEFAULT_BLOCK_SIZE", block_size)
+        tables = strong_error(model, scheme=schemes, **kwargs)
         assert isinstance(tables, tuple) and len(tables) == len(schemes)
         for scheme, table in zip(schemes, tables):
-            oracle = _oracle_table(model, scheme=scheme, block_size=block_size, **kwargs)
+            oracle = _oracle_table(model, scheme=scheme, **kwargs)
             assert _bits(table) == _bits(oracle)
         if case == "em-diverging":
             assert tables[0].rows[0].diverged and not tables[0].rows[1].diverged
@@ -401,26 +417,46 @@ def test_solver_stats_block_invariance():
     m = model_from_config(CUBIC_MODEL)
     kwargs = dict(h_ref=2.0**-7, h_list=[2.0**-3, 2.0**-4, 2.0**-5], pullback_periods=2,
                   num_paths=12, seed=5, scheme=("bem", "em"))
-    base = [t.solver_stats for t in strong_error(m, **kwargs)]
+
+    def order(block_size):
+        with _block_size(block_size):
+            return [t.solver_stats for t in strong_error(m, **kwargs)]
+
+    base = order(None)
     assert base[0].max_newton_iters >= 2  # the cubic drift needs Newton
     assert base[0] != SolverSummary()
     for block_size in (1, 7):
-        assert [t.solver_stats for t in strong_error(m, block_size=block_size, **kwargs)] == base
+        assert order(block_size) == base
 
     # the moment and measure studies keep the summary too
     grid = GridSpec(start_index=-32, step_mult=2, count=48, period_steps=16, base_step=2.0**-5)
 
     def moment(block_size):
-        return moment_estimate(m, grid, "bem", InitialCondition(value=[0.8]), num_paths=12,
-                               seed=5, block_size=block_size).solver_stats
+        with _block_size(block_size):
+            return moment_estimate(m, grid, "bem", InitialCondition(value=[0.8]), num_paths=12,
+                                   seed=5).solver_stats
 
     def measure(block_size):
-        mus = periodic_measure(m, derive_seeds(5, 12), h=2.0**-4, pullback_periods=2,
-                               t_list=[0.0, 0.5], base_step=2.0**-5, block_size=block_size)
+        with _block_size(block_size):
+            mus = periodic_measure(m, derive_seeds(5, 12), h=2.0**-4, pullback_periods=2,
+                                   t_list=[0.0, 0.5], base_step=2.0**-5)
         assert mus[0].solver_stats == mus[1].solver_stats
         return mus[0].solver_stats
 
-    for study in (moment, measure):
+    def halvings(block_size):
+        with _block_size(block_size):
+            study = measure_convergence_study(m, [2.0**-3, 2.0**-4], num_paths=12, t=0.0,
+                                              pullback_periods=2, seed=5)
+        # the study's summary covers each of its periodic_measure calls
+        parts = [
+            periodic_measure(m, derive_seeds(5, 12), h=step, pullback_periods=2, t_list=[0.0],
+                             base_step=p.h_half)[0].solver_stats
+            for p in study.pairs for step in (p.h, p.h_half)
+        ]
+        assert study.solver_stats == _merge_stats(*parts)
+        return study.solver_stats
+
+    for study in (moment, measure, halvings):
         base = study(None)
         assert base.max_newton_iters >= 2 and base.max_residual > 0.0
         for block_size in (1, 7):

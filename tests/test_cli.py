@@ -1,6 +1,7 @@
 """Tests for the command-line interface: flags, configs, outputs, exit codes."""
 
 import json
+import math
 
 import pytest
 
@@ -97,6 +98,17 @@ class TestConfigHandling:
         code, _, err = run(capsys, "check", "--model", "no-such-model")
         assert code == 2
         assert "configuration error" in err
+
+    @pytest.mark.parametrize("command", ["check", "simulate"])
+    @pytest.mark.parametrize("key, value", [("tau", math.inf), ("lambda", [math.inf])])
+    def test_non_finite_model_constant_exits_two(self, capsys, tmp_path, command, key, value):
+        model = {"lambda": [10.0], "drift": {"poly_coeffs": [0.0, -1.0]}, "g": {"amp": 0.1},
+                 "tau": 1.0, "constants": {"C_f": 0.5}}
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(dict(model, **{key: value})))  # writes Infinity
+        code, _, err = run(capsys, command, "--model", str(path), "--out", str(tmp_path))
+        assert code == 2
+        assert "configuration error" in err and "finite" in err
 
     def test_no_subcommand_exits_two(self, capsys):
         code, out, _ = run(capsys)

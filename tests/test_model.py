@@ -93,6 +93,17 @@ class TestModelSpec:
             ModelSpec(eigenvalues=np.array([2.0]), period=0.0, drift=drift,
                       diffusion=ConstantDiffusion(0.1))
 
+    @pytest.mark.parametrize("eigenvalues, period, match", [
+        ([math.inf], 1.0, "eigenvalues must be positive and finite"),
+        ([1.0, math.inf], 1.0, "eigenvalues must be positive and finite"),
+        ([1.0], math.inf, "period must be positive and finite"),
+    ])
+    def test_non_finite_constants_raise(self, eigenvalues, period, match):
+        drift = PolyTrigDrift(poly_coeffs=(), trig_amp=1.0, trig_freq=1, period=1.0)
+        with pytest.raises(ValueError, match=match):
+            ModelSpec(eigenvalues=np.array(eigenvalues), drift=drift,
+                      diffusion=ConstantDiffusion(0.1), period=period)
+
     def test_eigenvalues_accept_scalar(self):
         m = ModelSpec(
             eigenvalues=np.array(4.0),

@@ -11,10 +11,9 @@ from randperiodic import pullback
 from randperiodic.model import (
     InitialCondition, builtin_benchmark, model_from_config, with_diffusion_amplitude,
 )
-from randperiodic.noise import AlignmentError, GridSpec, NoiseLattice, coarse_increments
+from randperiodic.noise import AlignmentError, GridSpec, NoiseLattice
 from randperiodic.pullback import (
     SolverSummary,
-    _drive,
     coalescence,
     default_pullback_periods,
     make_grid,
@@ -385,72 +384,22 @@ class TestPinnedPullback:
             assert pinned.diverged_depths.size > 0
             assert np.all(np.isnan(pinned.values[pinned.diverged_depths]))
 
+    def test_steps_only_live_rows(self, monkeypatch):
+        # the run of depth r joins the batch when the grid reaches -r, so N
+        # steps advance 1 + 2 + ... + N rows and no row waits in the batch
+        rows = []
+        step = pullback._bem_step_batch
 
-class TestDriveStartNodes:
-    """``_drive`` with per-path start nodes, against solo runs."""
+        def counting(model, t_prev, t_next, h, x_prev, *rest):
+            rows.append(x_prev.shape[0])
+            return step(model, t_prev, t_next, h, x_prev, *rest)
 
-    @settings(max_examples=25, deadline=None)
-    @given(data=st.data())
-    def test_each_row_equals_its_solo_run(self, data):
-        d = data.draw(st.sampled_from([1, 2, 3]), label="d")
-        scheme = data.draw(st.sampled_from(pullback.SCHEMES), label="scheme")
-        m_paths = data.draw(st.integers(1, 5), label="m_paths")
-        seeds = data.draw(st.lists(st.integers(0, 3), min_size=m_paths, max_size=m_paths))
-        x0 = np.array(data.draw(st.lists(
-            st.lists(st.floats(-2.0, 2.0), min_size=d, max_size=d),
-            min_size=m_paths, max_size=m_paths,
-        )))
-        model = cubic_model([6.0, 9.0, 12.0][:d])
-        h = 2.0**-4
-        lats = [NoiseLattice(seed=s, base_step=h / 2, dimension=d) for s in seeds]
-        grid = make_grid(model, lats[0], h, -1.0, 0.5)
-        starts = np.array(data.draw(st.lists(
-            st.integers(0, grid.count), min_size=m_paths, max_size=m_paths,
-        )))
-        nodes = np.arange(grid.count + 1)
-        cfg = pullback.DEFAULT_CONFIG
-        dw = np.stack([coarse_increments(lat, grid, grid.start_index, grid.count)
-                       for lat in lats])
-        rec, div_at, summary = _drive(model, grid, scheme, x0, dw, cfg, nodes, start_nodes=starts)
-        plain, plain_div, _ = _drive(model, grid, scheme, x0, dw, cfg, nodes)
-
-        solo_stats = []
-        for p, s in enumerate(starts):
-            assert np.array_equal(rec[p, : s + 1], np.repeat(x0[p : p + 1], s + 1, axis=0))
-            if s == grid.count:
-                assert div_at[p] == -1
-                continue
-            solo_grid = make_grid(model, lats[p], h, grid.t_start + s * h, grid.t_end)
-            solo_dw = coarse_increments(lats[p], solo_grid, solo_grid.start_index, solo_grid.count)
-            solo, solo_div, stats = _drive(
-                model, solo_grid, scheme, x0[p : p + 1], solo_dw[None], cfg,
-                np.arange(solo_grid.count + 1),
-            )
-            solo_stats.append(stats)
-            assert np.array_equal(rec[p, s:], solo[0], equal_nan=True)
-            assert div_at[p] == (solo_div[0] + s if solo_div[0] >= 0 else -1)
-            if s == 0:
-                assert np.array_equal(rec[p], plain[p], equal_nan=True)
-                assert div_at[p] == plain_div[p]
-        assert summary == SolverSummary(
-            max((r.max_newton_iters for r in solo_stats), default=0),
-            max((r.max_residual for r in solo_stats), default=0.0),
-            any(r.any_fallback for r in solo_stats),
-        )
-
-    def test_held_rows_are_never_flagged(self):
-        # One explicit step from 5e11 crosses the 1e12 threshold at h=2^-3,
-        # so each row diverges on its own first step and not before.
-        m = builtin_benchmark()
-        h = 2.0**-3
-        lat = NoiseLattice(seed=2, base_step=h)
-        grid = make_grid(m, lat, h, -1.0, 0.0)
-        x0 = np.full((3, 1), 5e11)
-        dw = coarse_increments(lat, grid, grid.start_index, grid.count)
-        _, div_at, _ = _drive(m, grid, "em", x0, np.broadcast_to(dw, (3, *dw.shape)),
-                              pullback.DEFAULT_CONFIG, [grid.count],
-                              start_nodes=np.array([0, 3, grid.count]))
-        assert div_at.tolist() == [1, 4, -1]
+        monkeypatch.setattr(pullback, "_bem_step_batch", counting)
+        n = 24
+        pullback_pinned_path(builtin_benchmark(), NoiseLattice(seed=6, base_step=H), H,
+                             r_max=n * H)
+        assert len(rows) == n
+        assert sum(rows) == n * (n + 1) // 2
 
 
 @pytest.mark.parametrize("run", ["simulate", "pinned"])

@@ -81,22 +81,22 @@ TINY_RUNS = {
     "pinned": lambda m: pullback.pullback_pinned_path(m, NoiseLattice(3, H), H, r_max=1.0),
     "strong_error": lambda m: analysis.strong_error(
         m, h_ref=2.0**-6, h_list=[2.0**-3, 2.0**-4, 2.0**-5], pullback_periods=2,
-        num_paths=5, scheme=("bem", "em"), block_size=3),
+        num_paths=5, scheme=("bem", "em")),
     "moment_estimate": lambda m: analysis.moment_estimate(
         m, GridSpec(start_index=-16, step_mult=2, count=24, period_steps=16, base_step=H / 2),
-        "bem", InitialCondition(value=[0.1]), num_paths=5, block_size=3),
+        "bem", InitialCondition(value=[0.1]), num_paths=5),
     "periodic_measure": lambda m: analysis.periodic_measure(
-        m, derive_seeds(2, 5), H, pullback_periods=2, t_list=[0.0, 0.5], base_step=H / 4,
-        block_size=3),
+        m, derive_seeds(2, 5), H, pullback_periods=2, t_list=[0.0, 0.5], base_step=H / 4),
 }
 
 
 @pytest.mark.parametrize("model", ["builtin", "cubic"])
 @pytest.mark.parametrize("run", sorted(TINY_RUNS))
-def test_implicit_path_steps_agree_across_layers(run, model):
+def test_implicit_path_steps_agree_across_layers(monkeypatch, run, model):
     # the benchmark's `stepper.path_steps_bem == pullback.path_steps_bem`
     # check: every row of every implicit `_drive` call goes through the step
-    # kernel once per grid step, held rows included
+    # kernel once per grid step; blocks of 3 split the 5 paths unevenly
+    monkeypatch.setattr(analysis, "DEFAULT_BLOCK_SIZE", 3)
     tracer = _tracer_module().Tracer()
     tracer.install(randperiodic)
     try:
