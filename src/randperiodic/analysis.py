@@ -1,16 +1,19 @@
 """Monte Carlo analysis: strong errors, moments, and empirical measures.
 
 Every routine here is deterministic given its seeds.  Path seeds are derived
-from one master seed, each path owns its own noise lattice, and every study
-runs its paths in blocks of ``DEFAULT_BLOCK_SIZE``.  Each block is walked
-through time in windows: a window of each path's increments is read once and
-every run of the study advances on it from where the last window left it.  A
-path's arithmetic depends neither on its block nor on the windows, so
-results are byte-identical for any block size and any window length.
+from one master seed and each path owns its own noise lattice.  A study is a
+list of runs (grid, scheme, recorded nodes) on the same span of time, and
+every study makes one call to the runner, ``_run_seeds``: it takes the paths
+in blocks of ``DEFAULT_BLOCK_SIZE`` and walks each block through time in
+windows.  A window of each path's increments is read once and every run of
+the study advances on it from where the last window left it.  A path's
+arithmetic depends neither on its block nor on the windows, so results are
+byte-identical for any block size and any window length.
 
 Strong errors couple resolutions through the increment lattice: the
 reference run reads fine increments, coarse runs read exact sums of the same
-increments, and both are compared pathwise at matching grid times.
+increments, and both are compared pathwise at matching grid times.  The
+measure study couples each step size with its half the same way.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ import numpy as np
 from .model import InitialCondition, ModelSpec
 from .noise import GridSpec, NoiseLattice, _sum_steps, derive_seeds
 from .pullback import (
-    SolverSummary, _check_period, _check_scheme, _drive, _grid_on, _int_ratio, _merge_stats,
+    SolverSummary, _check_period, _check_scheme, _drive, _grid_on, _merge_stats,
 )
 from .stepper import SolverConfig, DEFAULT_CONFIG
 
@@ -134,15 +137,8 @@ def strong_error(
     """
     if not h_list:
         raise ValueError("h_list must not be empty")
-    if num_paths < 2:
-        raise ValueError(f"num_paths must be >= 2, got {num_paths}")
-    k = int(pullback_periods)
-    if k < 1:
-        raise ValueError(f"pullback_periods must be >= 1, got {k}")
     schemes = _check_schemes(scheme)
-    cfg = config or DEFAULT_CONFIG
-    t_start = t_eval - k * model.period
-    x0_spec = init if init is not None else InitialCondition(value=np.zeros(model.dimension))
+    t_start = t_eval - _check_periods(pullback_periods) * model.period
 
     ref_grid = _grid_on(model, h_ref, h_ref, t_start, t_eval)
     n_ref = ref_grid.period_steps
@@ -154,36 +150,26 @@ def strong_error(
     ]
     union_nodes = np.unique(np.concatenate(node_sets))
     ref_cols = [np.searchsorted(union_nodes, nodes) for nodes in node_sets]
-    ref = _Run(ref_grid, "bem", union_nodes)
     levels = len(coarse_grids)
-    runs = [
+    runs = [_Run(ref_grid, "bem", union_nodes)] + [
         _Run(g, s, g.count - g.period_steps + np.arange(g.period_steps + 1))
         for s in schemes
         for g in coarse_grids
     ]
-    # squared errors of each run, one (paths, n_h + 1) array per block; the
-    # last node is t_eval
-    sq: list[list[np.ndarray]] = [[] for _ in runs]
-    diverged = [False] * len(runs)
-    seeds = derive_seeds(seed, num_paths)
-    for lattices, x0 in _blocks(model, h_ref, seeds, x0_spec):
-        (ref_rec, _), *outs = _walk_windows(model, [ref, *runs], lattices, x0, cfg)
-        for i, (rec, div_at) in enumerate(outs):
-            diverged[i] = diverged[i] or bool((div_at >= 0).any())
-            diff = rec - ref_rec[:, ref_cols[i % levels], :]
-            sq[i].append(np.einsum("ijk,ijk->ij", diff, diff))
+    (ref_rec, _, ref_stats), *outs = _run_seeds(
+        model, runs, derive_seeds(seed, num_paths), init, config
+    )
 
     tables = []
     for j, s in enumerate(schemes):
-        mine = range(j * levels, (j + 1) * levels)
+        mine = outs[j * levels : (j + 1) * levels]
         rows = [
-            _error_row(h_list[i % levels], None if diverged[i] else np.concatenate(sq[i]),
-                       num_paths)
-            for i in mine
+            _error_row(h, None if (div_at >= 0).any() else rec - ref_rec[:, cols, :], num_paths)
+            for h, cols, (rec, div_at, _) in zip(h_list, ref_cols, mine)
         ]
         table = ErrorTable(
             scheme=s, h_ref=float(h_ref), t_eval=float(t_eval), rows=rows,
-            solver_stats=_merge_stats(ref.stats, *(runs[i].stats for i in mine)),
+            solver_stats=_merge_stats(ref_stats, *(stats for _, _, stats in mine)),
         )
         if len(table.valid_rows()) >= 3:
             fit = fit_order(table)
@@ -202,10 +188,12 @@ def _check_schemes(scheme: str | Sequence[str]) -> tuple[str, ...]:
     return names
 
 
-def _error_row(h: float, sq: np.ndarray | None, num_paths: int) -> ErrorRow:
-    """Row of squared errors ``sq`` (paths x final-period nodes); None if diverged."""
-    if sq is None:
+def _error_row(h: float, diff: np.ndarray | None, num_paths: int) -> ErrorRow:
+    """Row of pathwise errors ``diff`` (paths x final-period nodes x d, the
+    last node at ``t_eval``); None if diverged."""
+    if diff is None:
         return ErrorRow(float(h), math.nan, math.nan, math.nan, num_paths, True)
+    sq = np.einsum("ijk,ijk->ij", diff, diff)
     sq_eval = sq[:, -1]
     mean_sq = math.fsum(sq_eval) / num_paths
     rms = math.sqrt(mean_sq)
@@ -216,15 +204,13 @@ def _error_row(h: float, sq: np.ndarray | None, num_paths: int) -> ErrorRow:
     return ErrorRow(float(h), rms, se_rms, float(np.max(node_rms)), num_paths, False)
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class _Run:
-    """One run of a study: its grid, scheme and recorded grid nodes, with the
-    solver statistics of its blocks so far."""
+    """One run of a study: its grid, scheme and recorded grid nodes."""
 
     grid: GridSpec
     scheme: str
     nodes: np.ndarray
-    stats: SolverSummary = SolverSummary()
 
 
 def _walk_windows(
@@ -233,7 +219,7 @@ def _walk_windows(
     lattices: list[NoiseLattice],
     x0: np.ndarray,
     config: SolverConfig,
-) -> list[tuple[np.ndarray, np.ndarray]]:
+) -> list[tuple[np.ndarray, np.ndarray, SolverSummary]]:
     """Advance every run over one block of paths, reading the noise once.
 
     Every run spans the same times on a grid aligned with the lattices.  The
@@ -243,10 +229,10 @@ def _walk_windows(
     are read once, and every run advances on their sums over its own steps
     from the state it ended the last window in.
 
-    Returns each run's ``(recorded, diverged_at)``, as :func:`pullback._drive`
-    returns them for the whole span: the states at its ``nodes``, and the
-    grid node at which each path diverged (-1 if it never did), after which
-    the path is NaN.  Updates each run's ``stats``.
+    Returns each run's ``(recorded, diverged_at, summary)``, as
+    :func:`pullback._drive` returns them for the whole span: the states at
+    its ``nodes``, the grid node at which each path diverged (-1 if it never
+    did), after which the path is NaN, and its solver summary.
     """
     paths, d = x0.shape
     first = runs[0].grid
@@ -257,6 +243,7 @@ def _walk_windows(
     states = [x0] * len(runs)
     recorded = [np.full((paths, r.nodes.size, d), np.nan) for r in runs]
     diverged_at = [np.full(paths, -1, dtype=np.int64) for _ in runs]
+    summaries = [SolverSummary()] * len(runs)
     for f0 in range(0, f_count, span):
         width = min(span, f_count - f0)
         for p, lat in enumerate(lattices):
@@ -271,12 +258,12 @@ def _walk_windows(
                 model, window, run.scheme, states[i], _sum_steps(fine[:, :width], m), config,
                 local,
             )
-            run.stats = _merge_stats(run.stats, summary)
+            summaries[i] = _merge_stats(summaries[i], summary)
             first_time = (div_at >= 0) & (diverged_at[i] < 0)
             diverged_at[i][first_time] = n0 + div_at[first_time]
             recorded[i][:, inside] = out[:, np.searchsorted(local, run.nodes[inside] - n0)]
             states[i] = out[:, -1]
-    return list(zip(recorded, diverged_at))
+    return list(zip(recorded, diverged_at, summaries))
 
 
 @dataclass(frozen=True)
@@ -317,12 +304,8 @@ def moment_estimate(
     sigma = model.constants.get("sigma")
     if c_f is None or sigma is None:
         raise ValueError("moment_estimate requires declared C_f and sigma")
-    if num_paths < 2:
-        raise ValueError(f"num_paths must be >= 2, got {num_paths}")
-    states, _, summary = _run_seeds(
-        model, grid, scheme, derive_seeds(seed, num_paths), init,
-        config or DEFAULT_CONFIG, np.arange(grid.count + 1),
-    )
+    run = _Run(grid, _check_scheme(scheme), np.arange(grid.count + 1))
+    [(states, _, summary)] = _run_seeds(model, [run], derive_seeds(seed, num_paths), init, config)
     sq = np.einsum("ijk,ijk->ij", states, states)  # (num_paths, count + 1)
     mean_sq = np.array([math.fsum(sq[:, i]) / num_paths for i in range(sq.shape[1])])
     node = int(np.argmax(mean_sq))
@@ -379,34 +362,23 @@ def periodic_measure(
     t_list: Sequence[float],
     config: SolverConfig | None = None,
     init: InitialCondition | None = None,
-    base_step: float | None = None,
 ) -> list[EmpiricalMeasure]:
     """Empirical laws of the pulled-back state at the requested times.
 
-    One independent lattice per seed; all paths start at
-    ``-pullback_periods * tau`` and are recorded at each time in ``t_list``.
-    ``base_step`` (default ``h``) sets the lattice resolution so that runs
-    at different step sizes can share one driving path.
+    One independent lattice of spacing ``h`` per seed; all paths start at
+    ``-pullback_periods * tau`` and are recorded at each time in ``t_list``
+    by one implicit run.
     """
-    seeds = np.asarray(lattice_seeds, dtype=np.uint64)
-    if seeds.ndim != 1 or seeds.size < 2:
-        raise ValueError("lattice_seeds must be a 1-d sequence with at least 2 seeds")
     if not t_list:
         raise ValueError("t_list must not be empty")
-    k = int(pullback_periods)
-    if k < 1:
-        raise ValueError(f"pullback_periods must be >= 1, got {k}")
+    t_start = -_check_periods(pullback_periods) * model.period
     t_arr = [float(t) for t in t_list]
-    grid = _grid_on(
-        model, h if base_step is None else base_step, h, -k * model.period, max(t_arr)
-    )
+    grid = _grid_on(model, h, h, t_start, max(t_arr))
     nodes = np.array([grid.node_index(t) for t in t_arr], dtype=np.int64)
     if np.unique(nodes).size != nodes.size:
         raise ValueError("t_list contains duplicate times")
-    x0_spec = init if init is not None else InitialCondition(value=np.zeros(model.dimension))
-    rec, _, summary = _run_seeds(
-        model, grid, "bem", seeds, x0_spec, config or DEFAULT_CONFIG, nodes
-    )
+    [(rec, _, summary)] = _run_seeds(model, [_Run(grid, "bem", nodes)], lattice_seeds, init,
+                                     config)
     return [
         EmpiricalMeasure(t=t_arr[i], h=float(h), samples=rec[:, i, :].copy(),
                          solver_stats=summary)
@@ -449,14 +421,20 @@ def bootstrap_noise_floor(
 
     Distances at or below this floor are statistically indistinguishable
     from sampling noise at this sample count.
+
+    Raises:
+        ValueError: vector samples, or fewer than one resample pair.
     """
     if measure.samples.shape[1] != 1:
         raise ValueError("bootstrap_noise_floor supports scalar samples only")
+    n = int(n_bootstrap)
+    if n < 1:
+        raise ValueError(f"n_bootstrap must be >= 1, got {n_bootstrap}")
     rng = np.random.default_rng(seed)
     values = measure.samples[:, 0]
     m = values.size
     dists = []
-    for _ in range(int(n_bootstrap)):
+    for _ in range(n):
         a = np.sort(rng.choice(values, size=m, replace=True))
         b = np.sort(rng.choice(values, size=m, replace=True))
         dists.append(_w1_sorted(a, b))
@@ -497,7 +475,7 @@ class MeasureStudy:
 
 def measure_convergence_study(
     model: ModelSpec,
-    h_pairs: Sequence,
+    h_list: Sequence[float],
     num_paths: int,
     t: float,
     pullback_periods: int,
@@ -505,37 +483,30 @@ def measure_convergence_study(
     config: SolverConfig | None = None,
     init: InitialCondition | None = None,
 ) -> MeasureStudy:
-    """Distance between empirical laws at ``h`` and ``h/2`` per halving.
+    """Distance between empirical laws at ``h`` and ``h/2`` for each ``h``.
 
-    Each pair shares per-path lattices at the finer resolution, so the two
-    runs differ only through the scheme's step size.  One common set of path
-    seeds is reused across pairs, which removes sampling noise from the
-    comparison between rows.  Entries of ``h_pairs`` may be ``(h, h/2)``
-    tuples or bare ``h`` values.
+    Each halving runs both step sizes on per-path lattices of spacing
+    ``h/2``, so the two runs differ only through the scheme's step size, and
+    each path's lattice is read once for both.  One common set of path seeds
+    is reused across halvings, which removes sampling noise from the
+    comparison between rows.
     """
-    pairs_in: list[tuple[float, float]] = []
-    for entry in h_pairs:
-        if np.isscalar(entry):
-            pairs_in.append((float(entry), float(entry) / 2.0))
-        else:
-            h, h2 = entry
-            pairs_in.append((float(h), float(h2)))
-    if not pairs_in:
-        raise ValueError("h_pairs must not be empty")
+    if not h_list:
+        raise ValueError("h_list must not be empty")
+    t_start = -_check_periods(pullback_periods) * model.period
     seeds = derive_seeds(seed, num_paths)
     rows = []
     stats = []
-    for h, h2 in pairs_in:
-        if _int_ratio(h, h2, f"h={h} / h_half={h2}") < 2:
-            raise ValueError(f"pair ({h}, {h2}) must refine the step")
-        mu_coarse, mu_fine = (
-            periodic_measure(model, seeds, step, pullback_periods, [t], config=config,
-                             init=init, base_step=h2)[0]
-            for step in (h, h2)
-        )
-        dist = weak_distance(mu_coarse, mu_fine)
-        rows.append(MeasurePair(h, h2, dist, dist / math.sqrt(h)))
-        stats += [mu_coarse.solver_stats, mu_fine.solver_stats]
+    for h in map(float, h_list):
+        grids = [_grid_on(model, h / 2.0, step, t_start, t) for step in (h, h / 2.0)]
+        outs = _run_seeds(model, [_Run(g, "bem", np.array([g.count])) for g in grids], seeds,
+                          init, config)
+        dist = weak_distance(*(
+            EmpiricalMeasure(t=float(t), h=g.h, samples=rec[:, 0, :])
+            for g, (rec, _, _) in zip(grids, outs)
+        ))
+        rows.append(MeasurePair(h, h / 2.0, dist, dist / math.sqrt(h)))
+        stats += [summary for _, _, summary in outs]
     return MeasureStudy(t=float(t), num_paths=num_paths, pairs=tuple(rows),
                         solver_stats=_merge_stats(*stats))
 
@@ -569,50 +540,52 @@ def write_measure_csv(measure: EmpiricalMeasure, path: str) -> None:
             fh.write(f"{measure.t!r},{i},{float(v)!r}\n")
 
 
-def _blocks(
-    model: ModelSpec,
-    base_step: float,
-    seeds: Sequence[int],
-    init: InitialCondition,
-):
-    """Yield ``(lattices, x0)`` for consecutive blocks of ``DEFAULT_BLOCK_SIZE``
-    seeds: one lattice of spacing ``base_step`` per seed, and ``init``
-    resolved for it."""
-    size = DEFAULT_BLOCK_SIZE
-    d = model.dimension
-    for b0 in range(0, len(seeds), size):
-        block = [int(s) for s in seeds[b0 : b0 + size]]
-        x0 = np.stack([init.resolve(s, d) for s in block])
-        yield [NoiseLattice(s, base_step, d) for s in block], x0
+def _check_periods(pullback_periods: int) -> int:
+    k = int(pullback_periods)
+    if k < 1:
+        raise ValueError(f"pullback_periods must be >= 1, got {k}")
+    return k
 
 
 def _run_seeds(
     model: ModelSpec,
-    grid: GridSpec,
-    scheme: str,
+    runs: list[_Run],
     seeds: Sequence[int],
-    init: InitialCondition,
-    config: SolverConfig,
-    record_nodes: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray, SolverSummary]:
-    """Run one path per seed over ``grid``, ``DEFAULT_BLOCK_SIZE`` paths per
-    batch.
+    init: InitialCondition | None = None,
+    config: SolverConfig | None = None,
+) -> list[tuple[np.ndarray, np.ndarray, SolverSummary]]:
+    """Run one path per seed through every run of a study.
 
-    Path ``p`` starts from ``init`` resolved for ``seeds[p]`` and reads its
-    own lattice of spacing ``grid.base_step``.  Returns ``(recorded,
-    diverged_at, summary)`` for all paths, as :func:`pullback._drive`
-    returns them for one batch; neither the block size nor the window
-    length changes any of them.
+    The runs span the same times on grids of one lattice spacing.  Path
+    ``p`` starts from ``init`` (default zero) resolved for ``seeds[p]`` and
+    reads its own lattice.  The paths go in blocks of ``DEFAULT_BLOCK_SIZE``,
+    and each block is walked once by :func:`_walk_windows` for all runs.
+
+    Returns one ``(recorded, diverged_at, summary)`` per run, covering all
+    paths, as :func:`pullback._drive` returns them for one batch; neither
+    the block size nor the window length changes any of them.
 
     Raises:
-        AlignmentError: the grid's period is not the model's.
+        ValueError: fewer than 2 seeds.
+        AlignmentError: a run's grid period is not the model's.
     """
-    scheme = _check_scheme(scheme)
-    _check_period(model, grid)
-    run = _Run(grid, scheme, np.asarray(record_nodes, dtype=np.int64))
-    recorded, diverged_at = [], []
-    for lattices, x0 in _blocks(model, grid.base_step, seeds, init):
-        [(rec, div_at)] = _walk_windows(model, [run], lattices, x0, config)
-        recorded.append(rec)
-        diverged_at.append(div_at)
-    return np.concatenate(recorded), np.concatenate(diverged_at), run.stats
+    seeds = np.asarray(seeds, dtype=np.uint64)
+    if seeds.ndim != 1 or seeds.size < 2:
+        raise ValueError(f"a study needs at least 2 path seeds, got shape {seeds.shape}")
+    for run in runs:
+        _check_period(model, run.grid)
+    init = init if init is not None else InitialCondition(value=np.zeros(model.dimension))
+    config = config or DEFAULT_CONFIG
+    base_step, d = runs[0].grid.base_step, model.dimension
+    blocks = []
+    for b0 in range(0, seeds.size, DEFAULT_BLOCK_SIZE):
+        block = [int(s) for s in seeds[b0 : b0 + DEFAULT_BLOCK_SIZE]]
+        x0 = np.stack([init.resolve(s, d) for s in block])
+        lattices = [NoiseLattice(s, base_step, d) for s in block]
+        blocks.append(_walk_windows(model, runs, lattices, x0, config))
+    return [
+        (np.concatenate([rec for rec, _, _ in parts]),
+         np.concatenate([div_at for _, div_at, _ in parts]),
+         _merge_stats(*(summary for _, _, summary in parts)))
+        for parts in zip(*blocks)
+    ]

@@ -230,7 +230,8 @@ def model_from_config(config: Mapping) -> ModelSpec:
         }
 
     Raises:
-        ValueError: on unknown keys, missing fields, or invalid values.
+        ValueError: on unknown keys, missing fields, or invalid values,
+            including any number that is not finite.
     """
     allowed = {"name", "lambda", "drift", "g", "tau", "constants"}
     unknown = set(config) - allowed
@@ -247,9 +248,10 @@ def model_from_config(config: Mapping) -> ModelSpec:
     unknown = set(drift_cfg) - {"poly_coeffs", "trig_amp", "trig_freq"}
     if unknown:
         raise ValueError(f"unknown drift config keys: {sorted(unknown)}")
-    coeffs = tuple(float(c) for c in drift_cfg.get("poly_coeffs", ()))
-    trig_amp = float(drift_cfg.get("trig_amp", 0.0))
+    coeffs = tuple(_finite(c, "poly_coeffs entry") for c in drift_cfg.get("poly_coeffs", ()))
+    trig_amp = _finite(drift_cfg.get("trig_amp", 0.0), "trig_amp")
     trig_freq_raw = drift_cfg.get("trig_freq", 1)
+    _finite(trig_freq_raw, "trig_freq")
     if trig_amp != 0.0 and trig_freq_raw != int(trig_freq_raw):
         raise ValueError(f"trig_freq must be a whole number, got {trig_freq_raw!r}")
     drift = PolyTrigDrift(
@@ -262,9 +264,11 @@ def model_from_config(config: Mapping) -> ModelSpec:
         raise ValueError(f"unknown diffusion config keys: {sorted(unknown)}")
     if "amp" not in g_cfg:
         raise ValueError("diffusion config requires key 'amp'")
-    amp = float(g_cfg["amp"])
+    amp = _finite(g_cfg["amp"], "g.amp")
 
-    constants = {str(k): float(v) for k, v in dict(config.get("constants", {})).items()}
+    constants = {
+        str(k): _finite(v, f"constant {k}") for k, v in dict(config.get("constants", {})).items()
+    }
     constants.setdefault("sigma", abs(amp))
     return ModelSpec(
         eigenvalues=np.asarray(config["lambda"], dtype=np.float64),
@@ -275,6 +279,13 @@ def model_from_config(config: Mapping) -> ModelSpec:
         constants=constants,
         name=str(config.get("name", "")),
     )
+
+
+def _finite(value, what: str) -> float:
+    x = float(value)
+    if not math.isfinite(x):
+        raise ValueError(f"{what} must be finite, got {x}")
+    return x
 
 
 def load_model(source) -> ModelSpec:

@@ -57,16 +57,6 @@ class NoiseLattice:
         object.__setattr__(self, "seed", int(self.seed) % (1 << 64))
         object.__setattr__(self, "origin", int(self.origin))
 
-    def _raw_words(self, w0: int, w1: int) -> np.ndarray:
-        # Contiguous absolute word range [w0, w1) that does not cross zero,
-        # so the 256-bit counters below never wrap inside one generator call.
-        b0 = w0 // _WORDS_PER_BLOCK
-        b1 = -(-w1 // _WORDS_PER_BLOCK)
-        gen = np.random.Philox(key=self.seed, counter=b0 % _COUNTER_MOD)
-        raw = gen.random_raw(_WORDS_PER_BLOCK * (b1 - b0))
-        lo = w0 - _WORDS_PER_BLOCK * b0
-        return raw[lo : lo + (w1 - w0)]
-
     def increments(self, start: int, count: int) -> np.ndarray:
         """Return increments for indices ``start .. start+count-1``.
 
@@ -81,16 +71,15 @@ class NoiseLattice:
         if count < 0:
             raise ValueError(f"count must be >= 0, got {count}")
         d = self.dimension
-        if count == 0:
-            return np.empty((0, d))
+        # Absolute words [w0, w0 + count * d).  Block b of four words is
+        # counter b mod 2**256, and Philox's counter wraps from 2**256 - 1 to
+        # 0, so a range that crosses index 0 is still one generator call.
         w0 = (int(start) + self.origin) * d
-        w1 = w0 + count * d
-        parts = []
-        if w0 < 0:
-            parts.append(self._raw_words(w0, min(w1, 0)))
-        if w1 > 0:
-            parts.append(self._raw_words(max(w0, 0), w1))
-        words = parts[0] if len(parts) == 1 else np.concatenate(parts)
+        b0 = w0 // _WORDS_PER_BLOCK
+        b1 = -(-(w0 + count * d) // _WORDS_PER_BLOCK)
+        gen = np.random.Philox(key=self.seed, counter=b0 % _COUNTER_MOD)
+        lo = w0 - _WORDS_PER_BLOCK * b0
+        words = gen.random_raw(_WORDS_PER_BLOCK * (b1 - b0))[lo : lo + count * d]
         u = ((words >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0**-53
         z = ndtri(u)
         return (z * math.sqrt(self.base_step)).reshape(count, d)
@@ -221,6 +210,8 @@ def _sum_steps(fine: np.ndarray, m: int) -> np.ndarray:
 
 def derive_seeds(master_seed: int, count: int) -> np.ndarray:
     """Derive ``count`` independent lattice seeds from one master seed."""
+    if count < 0:
+        raise ValueError(f"count must be >= 0, got {count}")
     children = np.random.SeedSequence(master_seed).spawn(count)
     return np.array([c.generate_state(1, np.uint64)[0] for c in children], dtype=np.uint64)
 

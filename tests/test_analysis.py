@@ -11,6 +11,8 @@ from randperiodic.analysis import (
     EmpiricalMeasure,
     ErrorRow,
     ErrorTable,
+    MeasurePair,
+    MeasureStudy,
     bootstrap_noise_floor,
     fit_order,
     measure_convergence_study,
@@ -206,9 +208,8 @@ def _run_study(name):
         # the explicit scheme at h = 2^-3 over 5 periods, as in
         # ORDER_CASES["em-diverging"]; every path crosses 1e12 mid-grid
         grid = _grid_on(m, 2.0**-3, 2.0**-3, -5.0, 0.0)
-        rec, div_at, stats = analysis._run_seeds(
-            m, grid, "em", derive_seeds(1, 8), InitialCondition(value=[0.0]),
-            analysis.DEFAULT_CONFIG, np.arange(grid.count + 1),
+        [(rec, div_at, stats)] = analysis._run_seeds(
+            m, [analysis._Run(grid, "em", np.arange(grid.count + 1))], derive_seeds(1, 8),
         )
         return rec.tobytes(), div_at.tolist(), stats
     mus = periodic_measure(m, derive_seeds(3, 20), h=2.0**-5, pullback_periods=2,
@@ -250,8 +251,8 @@ def test_diverged_paths_match_solo_runs(monkeypatch, build, start, window_words)
     grid = _grid_on(m, h, h, -5.0, 0.0)
     seeds = derive_seeds(1, 8)
     init = InitialCondition(value=[start])
-    rec, div_at, _ = analysis._run_seeds(m, grid, "em", seeds, init, analysis.DEFAULT_CONFIG,
-                                         np.arange(grid.count + 1))
+    [(rec, div_at, _)] = analysis._run_seeds(
+        m, [analysis._Run(grid, "em", np.arange(grid.count + 1))], seeds, init)
     # windows of max(1, window_words // 8) steps; every crossing lies in a
     # later window than the first
     assert np.all(div_at > max(1, window_words // 8)) and np.all(div_at < grid.count)
@@ -302,11 +303,9 @@ ORDER_CASES = {
 
 def _oracle_table(model, h_ref, h_list, pullback_periods, num_paths, scheme, seed=0,
                   t_eval=0.0, init=None):
-    """The order study as one runner call over whole lattices per run: the
-    reference, then each level on its own grid."""
-    cfg = analysis.DEFAULT_CONFIG
+    """The order study as one runner call per run: the reference, then each
+    level on its own grid."""
     t_start = t_eval - pullback_periods * model.period
-    x0 = init if init is not None else InitialCondition(value=np.zeros(model.dimension))
     seeds = derive_seeds(seed, num_paths)
     ref_grid = _grid_on(model, h_ref, h_ref, t_start, t_eval)
     n_ref = ref_grid.period_steps
@@ -314,13 +313,13 @@ def _oracle_table(model, h_ref, h_list, pullback_periods, num_paths, scheme, see
     node_sets = [ref_grid.count - n_ref + np.arange(g.period_steps + 1) * g.step_mult
                  for g in grids]
     union = np.unique(np.concatenate(node_sets))
-    ref_rec, _, stats = analysis._run_seeds(
-        model, ref_grid, "bem", seeds, x0, cfg, union)
+    [(ref_rec, _, stats)] = analysis._run_seeds(
+        model, [analysis._Run(ref_grid, "bem", union)], seeds, init)
     rows = []
     for h, grid, ref_nodes in zip(h_list, grids, node_sets):
         nodes = grid.count - grid.period_steps + np.arange(grid.period_steps + 1)
-        rec, div_at, level_stats = analysis._run_seeds(
-            model, grid, scheme, seeds, x0, cfg, nodes)
+        [(rec, div_at, level_stats)] = analysis._run_seeds(
+            model, [analysis._Run(grid, scheme, nodes)], seeds, init)
         stats = _merge_stats(stats, level_stats)
         if (div_at >= 0).any():
             rows.append(ErrorRow(h, math.nan, math.nan, math.nan, num_paths, True))
@@ -439,7 +438,7 @@ def test_solver_stats_block_invariance():
     def measure(block_size):
         with _block_size(block_size):
             mus = periodic_measure(m, derive_seeds(5, 12), h=2.0**-4, pullback_periods=2,
-                                   t_list=[0.0, 0.5], base_step=2.0**-5)
+                                   t_list=[0.0, 0.5])
         assert mus[0].solver_stats == mus[1].solver_stats
         return mus[0].solver_stats
 
@@ -447,11 +446,12 @@ def test_solver_stats_block_invariance():
         with _block_size(block_size):
             study = measure_convergence_study(m, [2.0**-3, 2.0**-4], num_paths=12, t=0.0,
                                               pullback_periods=2, seed=5)
-        # the study's summary covers each of its periodic_measure calls
+        # the study's summary covers each of its runs
         parts = [
-            periodic_measure(m, derive_seeds(5, 12), h=step, pullback_periods=2, t_list=[0.0],
-                             base_step=p.h_half)[0].solver_stats
-            for p in study.pairs for step in (p.h, p.h_half)
+            analysis._run_seeds(m, [analysis._Run(grid, "bem", np.array([grid.count]))],
+                                derive_seeds(5, 12))[0][2]
+            for p in study.pairs
+            for grid in (_grid_on(m, p.h_half, step, -2.0, 0.0) for step in (p.h, p.h_half))
         ]
         assert study.solver_stats == _merge_stats(*parts)
         return study.solver_stats
@@ -576,11 +576,104 @@ class TestMeasureStudy:
             study.pairs[0].distance / math.sqrt(2.0**-4)
         )
 
-    def test_pair_must_refine(self):
+    def test_validation(self):
         m = builtin_benchmark()
-        with pytest.raises(ValueError):
-            measure_convergence_study(m, [(2.0**-4, 2.0**-4)], num_paths=8, t=0.0,
-                                      pullback_periods=1)
+        with pytest.raises(ValueError, match="h_list"):
+            measure_convergence_study(m, [], 8, 0.0, 1)
+        with pytest.raises(ValueError, match="pullback_periods"):
+            measure_convergence_study(m, [2.0**-4], 8, 0.0, 0)
+        with pytest.raises(AlignmentError):
+            measure_convergence_study(m, [0.3], 8, 0.0, 1)
+
+
+# (model, measure_convergence_study arguments); "init" starts each path from
+# its own seed-keyed state and samples the law off the period boundary
+MEASURE_CASES = {
+    "builtin": (builtin_benchmark, dict(
+        h_list=[2.0**-3, 2.0**-4, 2.0**-5], num_paths=16, t=0.0, pullback_periods=2, seed=3)),
+    "cubic": (lambda: model_from_config(CUBIC_MODEL), dict(
+        h_list=[2.0**-3, 2.0**-4], num_paths=12, t=0.25, pullback_periods=2, seed=5)),
+    "init": (builtin_benchmark, dict(
+        h_list=[2.0**-4, 2.0**-5], num_paths=10, t=0.75, pullback_periods=1, seed=4,
+        init=InitialCondition(sampler=lambda s: np.random.default_rng(s).normal(size=1)))),
+}
+
+
+def _oracle_study(model, h_list, num_paths, t, pullback_periods, seed=0, init=None):
+    """The measure study as one runner call per run: each step size of a
+    halving on its own, both on lattices of spacing ``h/2``."""
+    seeds = derive_seeds(seed, num_paths)
+    pairs, stats = [], []
+    for h in h_list:
+        laws = []
+        for step in (h, h / 2):
+            grid = _grid_on(model, h / 2, step, -pullback_periods * model.period, t)
+            [(rec, _, summary)] = analysis._run_seeds(
+                model, [analysis._Run(grid, "bem", np.array([grid.count]))], seeds, init)
+            laws.append(EmpiricalMeasure(t=t, h=step, samples=rec[:, 0, :]))
+            stats.append(summary)
+        dist = weak_distance(*laws)
+        pairs.append(MeasurePair(h, h / 2, dist, dist / math.sqrt(h)))
+    return MeasureStudy(t=t, num_paths=num_paths, pairs=tuple(pairs),
+                        solver_stats=_merge_stats(*stats))
+
+
+class TestMeasureStudyOnePass:
+    """``measure_convergence_study`` walks each halving's noise once for
+    both step sizes; it must give what one runner call per run gives, bit
+    for bit."""
+
+    @pytest.mark.parametrize("window_words", [None, 1, 50, 333])
+    @pytest.mark.parametrize("block_size", [1, 7, None])
+    @pytest.mark.parametrize("case", sorted(MEASURE_CASES))
+    def test_matches_one_run_per_step(self, monkeypatch, case, block_size, window_words):
+        build, kwargs = MEASURE_CASES[case]
+        model = build()
+        oracle = _oracle_study(model, **kwargs)
+        if window_words is not None:
+            monkeypatch.setattr(analysis, "_WINDOW_WORDS", window_words)
+        with _block_size(block_size):
+            study = measure_convergence_study(model, **kwargs)
+        assert repr(study) == repr(oracle)
+        assert study.solver_stats != SolverSummary()
+
+    def test_reads_each_lattice_once_per_halving(self, monkeypatch):
+        build, kwargs = MEASURE_CASES["builtin"]
+        reads = []
+        increments = NoiseLattice.increments
+
+        def counting(self, start, count):
+            reads.append(count)
+            return increments(self, start, count)
+
+        monkeypatch.setattr(NoiseLattice, "increments", counting)
+        study = measure_convergence_study(build(), **kwargs)
+        # one read per path and halving, of every step of the fine grid
+        # (the builtin period is 1)
+        span = kwargs["t"] + kwargs["pullback_periods"]
+        fine_steps = [round(span / (h / 2)) for h in kwargs["h_list"]]
+        assert len(reads) == kwargs["num_paths"] * len(study.pairs)
+        assert sum(reads) == kwargs["num_paths"] * sum(fine_steps)
+
+
+@pytest.mark.parametrize("num_paths", [1, 0, -1])
+@pytest.mark.parametrize("study", ["strong_error", "moment_estimate", "periodic_measure",
+                                   "measure_convergence_study"])
+def test_every_study_needs_two_paths(study, num_paths):
+    m = builtin_benchmark()
+    run = {
+        "strong_error": lambda: strong_error(m, 2.0**-6, [2.0**-4], 1, num_paths),
+        "moment_estimate": lambda: moment_estimate(
+            m, GridSpec(start_index=0, step_mult=1, count=16, period_steps=16,
+                        base_step=2.0**-4),
+            "bem", InitialCondition(value=[0.0]), num_paths),
+        "periodic_measure": lambda: periodic_measure(
+            m, derive_seeds(0, max(num_paths, 0)), 2.0**-4, 1, [0.0]),
+        "measure_convergence_study": lambda: measure_convergence_study(
+            m, [2.0**-4], num_paths, 0.0, 1),
+    }[study]
+    with pytest.raises(ValueError):
+        run()
 
 
 class TestBootstrapFloor:
@@ -598,6 +691,12 @@ class TestBootstrapFloor:
         assert bootstrap_noise_floor(large, 60, seed=2) < bootstrap_noise_floor(
             small, 60, seed=2
         )
+
+    @pytest.mark.parametrize("n_bootstrap", [0, -3])
+    def test_needs_one_resample(self, n_bootstrap):
+        mu = EmpiricalMeasure(t=0.0, h=0.1, samples=np.arange(10.0))
+        with pytest.raises(ValueError, match="n_bootstrap"):
+            bootstrap_noise_floor(mu, n_bootstrap=n_bootstrap)
 
 
 class TestCsvWriters:

@@ -110,6 +110,26 @@ class TestConfigHandling:
         assert code == 2
         assert "configuration error" in err and "finite" in err
 
+    @pytest.mark.parametrize("command", ["check", "simulate"])
+    @pytest.mark.parametrize("section, key, value", [
+        ("constants", "sigma", math.inf),
+        ("constants", "C_f", -math.inf),
+        ("drift", "trig_amp", math.inf),
+        ("drift", "trig_freq", math.inf),
+        ("drift", "poly_coeffs", [0.0, math.nan]),
+        ("g", "amp", math.inf),
+    ])
+    def test_non_finite_model_number_exits_two(self, capsys, tmp_path, command, section, key,
+                                               value):
+        model = {"lambda": [10.0], "drift": {"poly_coeffs": [0.0, -1.0]}, "g": {"amp": 0.1},
+                 "tau": 1.0, "constants": {"C_f": 0.5}}
+        model[section] = dict(model[section], **{key: value})
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(model))  # writes Infinity and NaN
+        code, _, err = run(capsys, command, "--model", str(path), "--out", str(tmp_path))
+        assert code == 2
+        assert "configuration error" in err and "finite" in err
+
     def test_no_subcommand_exits_two(self, capsys):
         code, out, _ = run(capsys)
         assert code == 2
@@ -170,6 +190,19 @@ class TestMeasureCommand:
         assert dist[0] == "h,h_half,distance,ratio_to_sqrt_h"
         assert len(dist) == 3
         assert "bootstrap noise floor" in out
+
+    @pytest.mark.parametrize("n_bootstrap", ["0", "-3"])
+    def test_bootstrap_below_one_exits_two(self, capsys, tmp_path, n_bootstrap):
+        code, _, err = run(capsys, "measure", "--h", "0.03125", "--paths", "8",
+                           "--bootstrap", n_bootstrap, "--out", str(tmp_path))
+        assert code == 2
+        assert "configuration error" in err and "n_bootstrap" in err
+
+    @pytest.mark.parametrize("paths", ["1", "-1"])
+    def test_too_few_paths_exits_two(self, capsys, tmp_path, paths):
+        code, _, err = run(capsys, "measure", "--paths", paths, "--out", str(tmp_path))
+        assert code == 2
+        assert "configuration error" in err
 
     def test_repeated_time_flags_accumulate(self, capsys, tmp_path):
         code, _, _ = run(capsys, "measure", "--h", "0.03125", "--paths", "20",

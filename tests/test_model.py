@@ -207,6 +207,22 @@ class TestModelFromConfig:
         m = model_from_config(dict(self.CONFIG, drift={"trig_amp": 1.0}))
         assert m.drift.trig_freq == 1
 
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    @pytest.mark.parametrize("where", ["poly_coeffs", "trig_amp", "trig_freq", "g.amp",
+                                       "sigma", "C_f"])
+    def test_non_finite_numbers_raise(self, where, value):
+        cfg = json.loads(json.dumps(self.CONFIG))
+        if where == "poly_coeffs":
+            cfg["drift"]["poly_coeffs"][1] = value
+        elif where.startswith("trig"):
+            cfg["drift"][where] = value
+        elif where == "g.amp":
+            cfg["g"]["amp"] = value
+        else:
+            cfg["constants"][where] = value
+        with pytest.raises(ValueError, match="finite"):
+            model_from_config(cfg)
+
 
 class TestLoadModel:
     def test_sources(self, tmp_path):

@@ -1,5 +1,6 @@
 """Tests for the two-sided increment lattice and grid alignment."""
 
+import itertools
 import math
 
 import numpy as np
@@ -44,13 +45,17 @@ class TestNoiseLattice:
             assert np.array_equal(window, wide[start + 30 : start + 30 + count])
 
     def test_ranges_crossing_zero(self):
-        # The index range is split internally at zero; the output must not
-        # show any seam.
-        lat = NoiseLattice(seed=5, base_step=0.125, dimension=2)
-        joined = lat.increments(-8, 16)
-        left = lat.increments(-8, 8)
-        right = lat.increments(0, 8)
-        assert np.array_equal(joined, np.vstack([left, right]))
+        # A range across index 0 is one generator call whose counter wraps
+        # from 2**256 - 1 to 0; it must match reads of one index each, none
+        # of which crosses zero.  Starts and origins are not aligned with
+        # the generator's blocks of four words.
+        for d, origin in itertools.product((1, 2, 3), (0, -3, 5)):
+            lat = NoiseLattice(seed=5, base_step=0.125, dimension=d, origin=origin)
+            for start, count in [(-8, 16), (-1, 2), (-5, 7), (-7, 13), (-2, 3)]:
+                start -= origin
+                joined = lat.increments(start, count)
+                single = np.stack([lat.increment(start + i) for i in range(count)])
+                assert np.array_equal(joined, single)
 
     def test_shift_is_exact_index_translation(self):
         lat = NoiseLattice(seed=17, base_step=0.25)

@@ -86,7 +86,9 @@ TINY_RUNS = {
         m, GridSpec(start_index=-16, step_mult=2, count=24, period_steps=16, base_step=H / 2),
         "bem", InitialCondition(value=[0.1]), num_paths=5),
     "periodic_measure": lambda m: analysis.periodic_measure(
-        m, derive_seeds(2, 5), H, pullback_periods=2, t_list=[0.0, 0.5], base_step=H / 4),
+        m, derive_seeds(2, 5), H, pullback_periods=2, t_list=[0.0, 0.5]),
+    "measure_convergence_study": lambda m: analysis.measure_convergence_study(
+        m, [2.0**-3, H], 5, 0.25, 2),
 }
 
 
