@@ -305,6 +305,9 @@ def _cmd_measure(args, config) -> int:
     k = int(k_opt) if k_opt is not None else default_pullback_periods(model, h)
     halvings = int(_opt(args, config, "halvings", 0))
     n_boot = int(_opt(args, config, "bootstrap", 100))
+    if model.dimension == 1 and n_boot < 1:
+        # the noise floor below needs a resample; fail before simulating
+        raise ValueError(f"n_bootstrap must be >= 1, got {n_boot}")
 
     seeds = derive_seeds(seed, paths)
     measures = periodic_measure(model, seeds, h, k, t_list, config=solver)

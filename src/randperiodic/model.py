@@ -21,6 +21,7 @@ import json
 import math
 import os
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
@@ -60,14 +61,24 @@ class PolyTrigDrift:
             value = np.zeros_like(x)
         return value + self._forcing(t)
 
+    @cached_property
+    def _deriv_coeffs(self) -> np.ndarray | None:
+        """Coefficients of the polynomial's derivative, None when it is constant.
+
+        Cached on the instance, not a field, so equality, hashing and
+        ``repr`` still see only the four fields.
+        """
+        if len(self.poly_coeffs) > 1:
+            return np.polynomial.polynomial.polyder(self.poly_coeffs)
+        return None
+
     def jacobian(self, t: float, x: np.ndarray) -> np.ndarray:
         """Jacobian in ``x``; shape ``x.shape + (d,)`` with diagonal blocks."""
         x = np.asarray(x, dtype=np.float64)
         d = x.shape[-1]
         jac = np.zeros(x.shape + (d,))
-        if len(self.poly_coeffs) > 1:
-            deriv_coeffs = np.polynomial.polynomial.polyder(self.poly_coeffs)
-            deriv = np.polynomial.polynomial.polyval(x, deriv_coeffs)
+        if self._deriv_coeffs is not None:
+            deriv = np.polynomial.polynomial.polyval(x, self._deriv_coeffs)
             idx = np.arange(d)
             jac[..., idx, idx] = deriv
         return jac

@@ -236,6 +236,24 @@ def test_window_invariance(monkeypatch, name, window_words):
     assert _study(name, 7) == base
 
 
+@pytest.mark.parametrize("num_paths, blocks", [(2000, 1), (2049, 2)])
+def test_default_block_holds_2048_paths(monkeypatch, num_paths, blocks):
+    # the CLI's default 2000-path measure study runs as one block
+    walk = analysis._walk_windows
+    calls = []
+
+    def counted(model, runs, lattices, x0, config):
+        calls.append(len(lattices))
+        return walk(model, runs, lattices, x0, config)
+
+    monkeypatch.setattr(analysis, "_walk_windows", counted)
+    m = builtin_benchmark()
+    grid = _grid_on(m, 0.25, 0.25, -1.0, 0.0)
+    [(rec, _, _)] = analysis._run_seeds(
+        m, [analysis._Run(grid, "bem", np.array([grid.count]))], derive_seeds(0, num_paths))
+    assert len(calls) == blocks and sum(calls) == num_paths == rec.shape[0]
+
+
 @pytest.mark.parametrize("build, start, window_words", [
     (builtin_benchmark, 0.0, 50),
     # the cubic drift raises on a NaN state, so a diverged path must not be

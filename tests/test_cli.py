@@ -5,6 +5,7 @@ import math
 
 import pytest
 
+from randperiodic import cli
 from randperiodic.cli import main
 
 
@@ -197,6 +198,18 @@ class TestMeasureCommand:
                            "--bootstrap", n_bootstrap, "--out", str(tmp_path))
         assert code == 2
         assert "configuration error" in err and "n_bootstrap" in err
+
+    @pytest.mark.parametrize("n_bootstrap", ["0", "-3"])
+    def test_bootstrap_below_one_fails_before_simulating(self, capsys, monkeypatch, tmp_path,
+                                                         n_bootstrap):
+        def no_simulation(*args, **kwargs):
+            raise AssertionError("periodic_measure called")
+
+        monkeypatch.setattr(cli, "periodic_measure", no_simulation)
+        code, _, err = run(capsys, "measure", "--h", "0.03125", "--paths", "2000",
+                           "--bootstrap", n_bootstrap, "--out", str(tmp_path))
+        assert code == 2
+        assert f"configuration error: n_bootstrap must be >= 1, got {n_bootstrap}" in err
 
     @pytest.mark.parametrize("paths", ["1", "-1"])
     def test_too_few_paths_exits_two(self, capsys, tmp_path, paths):

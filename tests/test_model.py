@@ -1,9 +1,12 @@
 """Tests for model containers, configuration parsing, and assumption checks."""
 
+import dataclasses
 import json
 import math
+import pickle
 
 import numpy as np
+import numpy.polynomial.polynomial as P
 import pytest
 
 from randperiodic.model import (
@@ -56,6 +59,37 @@ class TestPolyTrigDrift:
         for i in range(2):
             assert np.allclose(np.diag(jac[i]), deriv[i])
             assert jac[i][0, 1] == 0.0 and jac[i][1, 0] == 0.0
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("coeffs", [(), (0.4,), (0.3, -1.25), (0.0, -1.0, 0.7),
+                                        (0.1, -0.3, 0.0, -2.0)])
+    def test_jacobian_is_polyder_bit_for_bit(self, coeffs, d):
+        drift = PolyTrigDrift(poly_coeffs=coeffs, trig_amp=0.5, trig_freq=2, period=1.0)
+        x = np.random.default_rng(d).normal(scale=2.0, size=(5, d))
+        expect = np.zeros((5, d, d))
+        if coeffs:
+            diag = np.arange(d)
+            expect[:, diag, diag] = P.polyval(x, P.polyder(coeffs))
+        for _ in range(2):  # the first call fills the derivative cache, the second reads it
+            jac = drift.jacobian(0.3, x)
+            assert jac.shape == expect.shape and jac.tobytes() == expect.tobytes()
+
+    def test_derivative_cache_is_not_state(self):
+        def make():
+            return PolyTrigDrift(poly_coeffs=(0.1, -0.3, 0.0, -2.0), trig_amp=0.5,
+                                 trig_freq=2, period=1.0)
+
+        fresh, used = make(), make()
+        x = np.array([[0.8], [-1.5]])
+        jac = used.jacobian(0.3, x)
+        assert [f.name for f in dataclasses.fields(used)] == [
+            "poly_coeffs", "trig_amp", "trig_freq", "period"]
+        assert used == fresh and hash(used) == hash(fresh) and repr(used) == repr(fresh)
+        assert len({fresh, used}) == 1
+        for drift in (fresh, used):
+            back = pickle.loads(pickle.dumps(drift))
+            assert back == fresh and hash(back) == hash(fresh)
+            assert back.jacobian(0.3, x).tobytes() == jac.tobytes()
 
     def test_finite_difference_agreement(self):
         drift = PolyTrigDrift(poly_coeffs=(0.1, -0.3, 0.0, -2.0), trig_amp=0.5,

@@ -1,7 +1,9 @@
 """Tests for the implicit solver and the two time-stepping kernels."""
 
+import json
 import math
 from dataclasses import dataclass, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -511,3 +513,88 @@ def test_other_drifts_run_newton(monkeypatch):
     assert z[0] == pytest.approx((1.0 + 0.5 * (0.2 + 0.7)) / -1.0, rel=1e-12)
     assert not stats.fallback_used
 
+
+
+# -- the damped Newton loop, pinned bit for bit -------------------------------
+
+# perfbench/child.CUBIC_MODEL; the d=2 cases put the same drift on A = diag(2, 6.5)
+NEWTON_CUBIC = {
+    "lambda": [10.0],
+    "drift": {"poly_coeffs": [0, -1, 0, -2], "trig_amp": 1.5, "trig_freq": 1},
+    "g": {"amp": 0.5},
+    "tau": 1.0,
+    "constants": {"C_f": 0.5, "sigma": 0.5},
+}
+# repr of each solve's (z, newton_iters, final_residual, fallback_used), as
+# lists of Python floats, ints and bools, recorded before the loop was tuned
+NEWTON_SNAPSHOT = Path(__file__).with_name("newton_snapshot.json")
+
+
+def _newton_cases():
+    """Name -> ``(model, t, h, rhs, x0)`` of the pinned solves: analytic and
+    finite-difference Jacobians at d = 1 and 2, from the default guess, from
+    a nearby guess, and from a far guess on the wrong side that damps."""
+    rng = np.random.default_rng(20261018)
+    cases = {}
+    for d, lam in ((1, [10.0]), (2, [2.0, 6.5])):
+        analytic = model_from_config(dict(NEWTON_CUBIC, **{"lambda": lam}))
+        for jac, m in (("analytic", analytic), ("fd", replace(analytic, drift_jacobian=None))):
+            name = f"d{d}-{jac}"
+            rhs = rng.normal(scale=0.8, size=(9, d))
+            cases[name] = (m, 0.3125, 1 / 64, rhs, None)
+            guess = rhs + rng.normal(scale=0.1, size=rhs.shape)
+            cases[name + "-guess"] = (m, 0.7, 1 / 16, rhs, guess)
+            big = rng.normal(scale=40.0, size=(7, d))
+            cases[name + "-damped"] = (m, 0.55, 0.25, big, -0.3 * big)
+    return cases
+
+
+def _fallback_case():
+    """Scalar solves from hopeless guesses, the last row starting at its root."""
+    m = model_from_config(NEWTON_CUBIC)
+    rhs = np.array([[2.0], [0.01], [-3.0], [0.5]])
+    x0 = np.array([[100.0], [0.01], [-50.0], [0.0]])
+    x0[3] = _implicit_solve_batch(m, 0.25, 0.5, rhs, DEFAULT_CONFIG)[0][3]
+    return m, rhs, x0
+
+
+def _solve_repr(model, t, h, rhs, x0):
+    z, iters, res, fallback = _implicit_solve_batch(model, t, h, rhs, DEFAULT_CONFIG, x0)
+    return repr((z.tolist(), iters.tolist(), res.tolist(), fallback.tolist()))
+
+
+def _snapshot(name):
+    return json.loads(NEWTON_SNAPSHOT.read_text(encoding="utf-8"))[name]
+
+
+@pytest.mark.parametrize("name", sorted(_newton_cases()))
+def test_newton_matches_snapshot(name):
+    assert _solve_repr(*_newton_cases()[name]) == _snapshot(name)
+
+
+def test_damped_cases_halve_the_step(monkeypatch):
+    # one residual per iteration and one per halving, after the initial one
+    residual = stepper._residual_masked
+    calls = [0]
+
+    def counted(*args):
+        calls[0] += 1
+        return residual(*args)
+
+    monkeypatch.setattr(stepper, "_residual_masked", counted)
+    for name, (m, t, h, rhs, x0) in _newton_cases().items():
+        calls[0] = 0
+        _, iters, _, _ = _implicit_solve_batch(m, t, h, rhs, DEFAULT_CONFIG, x0)
+        assert (calls[0] > 1 + iters.max()) == name.endswith("-damped"), name
+
+
+@pytest.mark.parametrize("jac", ["analytic", "fd"])
+def test_newton_fallback_matches_snapshot(jac, monkeypatch):
+    m, rhs, x0 = _fallback_case()
+    if jac == "fd":
+        m = replace(m, drift_jacobian=None)
+    monkeypatch.setattr(stepper, "_MAX_NEWTON_ITERS", 1)
+    _, iters, _, fallback = _implicit_solve_batch(m, 0.25, 0.5, rhs, DEFAULT_CONFIG, x0)
+    assert fallback.tolist() == [True, True, True, False]
+    assert iters.tolist() == [1, 1, 1, 0]
+    assert _solve_repr(m, 0.25, 0.5, rhs, x0) == _snapshot(f"fallback-{jac}")
