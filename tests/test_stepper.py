@@ -514,7 +514,6 @@ def test_other_drifts_run_newton(monkeypatch):
     assert not stats.fallback_used
 
 
-
 # -- the damped Newton loop, pinned bit for bit -------------------------------
 
 # perfbench/child.CUBIC_MODEL; the d=2 cases put the same drift on A = diag(2, 6.5)
@@ -549,15 +548,6 @@ def _newton_cases():
     return cases
 
 
-def _fallback_case():
-    """Scalar solves from hopeless guesses, the last row starting at its root."""
-    m = model_from_config(NEWTON_CUBIC)
-    rhs = np.array([[2.0], [0.01], [-3.0], [0.5]])
-    x0 = np.array([[100.0], [0.01], [-50.0], [0.0]])
-    x0[3] = _implicit_solve_batch(m, 0.25, 0.5, rhs, DEFAULT_CONFIG)[0][3]
-    return m, rhs, x0
-
-
 def _solve_repr(model, t, h, rhs, x0):
     z, iters, res, fallback = _implicit_solve_batch(model, t, h, rhs, DEFAULT_CONFIG, x0)
     return repr((z.tolist(), iters.tolist(), res.tolist(), fallback.tolist()))
@@ -590,7 +580,11 @@ def test_damped_cases_halve_the_step(monkeypatch):
 
 @pytest.mark.parametrize("jac", ["analytic", "fd"])
 def test_newton_fallback_matches_snapshot(jac, monkeypatch):
-    m, rhs, x0 = _fallback_case()
+    # scalar solves from hopeless guesses, the last row starting at its root
+    m = model_from_config(NEWTON_CUBIC)
+    rhs = np.array([[2.0], [0.01], [-3.0], [0.5]])
+    x0 = np.array([[100.0], [0.01], [-50.0], [0.0]])
+    x0[3] = _implicit_solve_batch(m, 0.25, 0.5, rhs, DEFAULT_CONFIG)[0][3]
     if jac == "fd":
         m = replace(m, drift_jacobian=None)
     monkeypatch.setattr(stepper, "_MAX_NEWTON_ITERS", 1)
