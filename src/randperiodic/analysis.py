@@ -33,15 +33,18 @@ from .pullback import (
 )
 from .stepper import SolverConfig, DEFAULT_CONFIG
 
-# Paths per block.  Two per-call costs favour wide blocks: each path's noise
-# read costs about 28 us per window whatever its width (the Philox setup),
-# and the Newton kernel's overhead is paid once per block-step, not per path.
-# At 2048 paths a window still holds at least 128 fine steps at d=1, and the
-# CLI's default 1000-path order and 2000-path measure studies run as one
-# block.  Wider is slower again, as windows shrink and a block's noise calls
+# Paths per block.  Per-call costs favour wide blocks: the kernels' overhead,
+# the Newton loop's most of all, is paid once per block-step, not per path,
+# and each path's noise read per window costs about 20 us of Philox setup
+# plus 0.03 us per word.  The CLI's default 1000-path order and 2000-path
+# measure studies run as one block; the order study's windows fall from
+# 1024 to 256 fine steps, so it makes four times the reads, and is still no
+# slower.  Wider is slower again, as windows shrink and a block's noise calls
 # grow with the square of its paths: criterion 8's 5000-path halving study
 # takes about 1.6 s in blocks of 256, 1.25 s in blocks of 2048 and 2.0 s in
-# one block (2-core Xeon, Python 3.11).
+# one block (2-core Xeon, Python 3.11).  The block also sets the memory peak
+# whenever one step of a study's coarsest grid is longer than a window of
+# ``_WINDOW_WORDS``, as such a window still holds that step for every path.
 DEFAULT_BLOCK_SIZE = 2048
 
 # Cap on the fine increments, in words, that a study holds for one block at a

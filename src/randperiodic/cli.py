@@ -305,8 +305,9 @@ def _cmd_measure(args, config) -> int:
     k = int(k_opt) if k_opt is not None else default_pullback_periods(model, h)
     halvings = int(_opt(args, config, "halvings", 0))
     n_boot = int(_opt(args, config, "bootstrap", 100))
-    if model.dimension == 1 and n_boot < 1:
-        # the noise floor below needs a resample; fail before simulating
+    scalar = model.dimension == 1  # only scalar laws get a bootstrap floor
+    if scalar and n_boot < 1:
+        # bootstrap_noise_floor's own check, made before any path is simulated
         raise ValueError(f"n_bootstrap must be >= 1, got {n_boot}")
 
     seeds = derive_seeds(seed, paths)
@@ -315,10 +316,10 @@ def _cmd_measure(args, config) -> int:
         label = repr(mu.t).replace("-", "m").replace(".", "p")
         path = os.path.join(out_dir, f"measure_t{label}.csv")
         write_measure_csv(mu, path)
-        values = mu.samples[:, 0] if model.dimension == 1 else np.linalg.norm(mu.samples, axis=1)
+        values = mu.samples[:, 0] if scalar else np.linalg.norm(mu.samples, axis=1)
         print(f"t={mu.t!r}: {mu.num_samples} samples, mean={values.mean():.6e}, "
               f"std={values.std(ddof=1):.3e}; wrote {path}")
-    if model.dimension == 1 and measures:
+    if scalar and measures:
         floor = bootstrap_noise_floor(measures[0], n_bootstrap=n_boot, seed=seed)
         print(f"bootstrap noise floor at t={measures[0].t!r}: {floor:.3e} "
               f"({n_boot} resamples, {paths} samples)")

@@ -138,26 +138,24 @@ def _implicit_solve_batch(
         active = rn > tol
         if not active.any():
             break
-        # with every row active, slices take views instead of gathers and scatters
-        rows = slice(None) if active.all() else active
-        rhsa = rhs[rows]
-        xa = x[rows]
-        ra = r[rows]
-        rna = rn[rows]
+        rhsa = rhs[active]
+        xa = x[active]
+        ra = r[active]
+        rna = rn[active]
 
         if d == 1:
             if use_analytic:
                 jf = np.asarray(model.drift_jacobian(t, xa))[:, 0, 0]
             else:
                 eps = _FD_EPSILON * (1.0 + np.abs(xa[:, 0]))
-                jf = (_drift(model, t, xa + eps[:, None]) - fx[rows])[:, 0] / eps
+                jf = (_drift(model, t, xa + eps[:, None]) - fx[active])[:, 0] / eps
             delta = (-ra[:, 0] / (denom[0] - h * jf))[:, None]
         else:
             if use_analytic:
                 jf = np.asarray(model.drift_jacobian(t, xa), dtype=np.float64)
             else:
                 jf = np.empty((xa.shape[0], d, d))
-                fxa = fx[rows]
+                fxa = fx[active]
                 for c in range(d):
                     eps = _FD_EPSILON * (1.0 + np.abs(xa[:, c]))
                     xp = xa.copy()
@@ -182,11 +180,11 @@ def _implicit_solve_batch(
             worse = rpn >= rna
             halvings += 1
 
-        x[rows] = prop
-        r[rows] = rp
-        fx[rows] = fp
-        rn[rows] = rpn
-        iters[rows] += 1
+        x[active] = prop
+        r[active] = rp
+        fx[active] = fp
+        rn[active] = rpn
+        iters[active] += 1
 
     stuck = rn > tol
     if stuck.any():

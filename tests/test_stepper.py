@@ -525,7 +525,11 @@ NEWTON_CUBIC = {
     "constants": {"C_f": 0.5, "sigma": 0.5},
 }
 # repr of each solve's (z, newton_iters, final_residual, fallback_used), as
-# lists of Python floats, ints and bools, recorded before the loop was tuned
+# lists of Python floats, ints and bools, recorded before the loop was tuned.
+# The recorded bits belong to the numpy, LAPACK (the d=2 solves) and libm
+# (``sin`` in the forcing) builds they were recorded with, so another build
+# may differ in the last bit; ``test_newton_matches_reference_loop`` makes
+# the same comparison against a loop run in the same process.
 NEWTON_SNAPSHOT = Path(__file__).with_name("newton_snapshot.json")
 
 
@@ -592,3 +596,84 @@ def test_newton_fallback_matches_snapshot(jac, monkeypatch):
     assert fallback.tolist() == [True, True, True, False]
     assert iters.tolist() == [1, 1, 1, 0]
     assert _solve_repr(m, 0.25, 0.5, rhs, x0) == _snapshot(f"fallback-{jac}")
+    assert _solve_repr(m, 0.25, 0.5, rhs, x0) == _reference_repr(m, 0.25, 0.5, rhs, x0)
+
+
+def _reference_repr(model, t, h, rhs, x0):
+    """``_solve_repr`` of the Newton loop as first written: it gathers and
+    scatters the active rows on every iteration, takes every residual norm
+    with ``np.linalg.norm`` and the Jacobian's derivative from ``polyder``
+    on each call.  It shares only the drift, residual and bisection helpers
+    with the solver."""
+    P = np.polynomial.polynomial
+    d = rhs.shape[1]
+    idx = np.arange(d)
+    tol = DEFAULT_CONFIG.residual_tol * (1.0 + np.linalg.norm(rhs, axis=1))
+    denom = 1.0 + h * model.eigenvalues
+    x = np.array(x0, dtype=np.float64) if x0 is not None else rhs / denom
+    r, fx = stepper._residual_masked(model, t, denom, h, rhs, x)
+    rn = np.linalg.norm(r, axis=1)
+    iters = np.zeros(rhs.shape[0], dtype=np.int64)
+    fallback = np.zeros(rhs.shape[0], dtype=bool)
+
+    def jacobian(xa):
+        jf = np.zeros(xa.shape + (d,))
+        jf[..., idx, idx] = P.polyval(xa, P.polyder(model.drift.poly_coeffs))
+        return jf
+
+    for _ in range(stepper._MAX_NEWTON_ITERS):
+        active = rn > tol
+        if not active.any():
+            break
+        xa, ra, rna = x[active], r[active], rn[active]
+        if d == 1:
+            if model.drift_jacobian is not None:
+                jf = jacobian(xa)[:, 0, 0]
+            else:
+                eps = stepper._FD_EPSILON * (1.0 + np.abs(xa[:, 0]))
+                jf = (stepper._drift(model, t, xa + eps[:, None]) - fx[active])[:, 0] / eps
+            delta = (-ra[:, 0] / (denom[0] - h * jf))[:, None]
+        else:
+            if model.drift_jacobian is not None:
+                jf = jacobian(xa)
+            else:
+                jf = np.empty((xa.shape[0], d, d))
+                for c in range(d):
+                    eps = stepper._FD_EPSILON * (1.0 + np.abs(xa[:, c]))
+                    xp = xa.copy()
+                    xp[:, c] += eps
+                    jf[:, :, c] = (stepper._drift(model, t, xp) - fx[active]) / eps[:, None]
+            jac = -h * jf
+            jac[:, idx, idx] += denom
+            delta = np.linalg.solve(jac, -ra[..., None])[..., 0]
+        prop = xa + delta
+        alpha = np.ones(xa.shape[0])
+        halvings = 0
+        while True:
+            rp, fp = stepper._residual_masked(model, t, denom, h, rhs[active], prop)
+            rpn = np.linalg.norm(rp, axis=1)
+            rpn = np.where(np.isfinite(rpn), rpn, np.inf)
+            worse = rpn >= rna
+            if not worse.any() or halvings == stepper._MAX_DAMPING_HALVINGS:
+                break
+            alpha[worse] *= 0.5
+            prop[worse] = xa[worse] + alpha[worse, None] * delta[worse]
+            halvings += 1
+        x[active], r[active], fx[active], rn[active] = prop, rp, fp, rpn
+        iters[active] += 1
+
+    for i in np.nonzero(rn > tol)[0]:
+        x[i, 0], rn[i] = _bisect_scalar(
+            model, t, h, float(denom[0]), float(rhs[i, 0]), float(x[i, 0]), float(tol[i]),
+            stepper._MAX_BISECTION_ITERS,
+        )
+        fallback[i] = True
+    return repr((x.tolist(), iters.tolist(), rn.tolist(), fallback.tolist()))
+
+
+@pytest.mark.parametrize("name", sorted(_newton_cases()))
+def test_newton_matches_reference_loop(name):
+    # the snapshot's comparison without its build dependence: both loops run
+    # here, on this numpy, LAPACK and libm
+    case = _newton_cases()[name]
+    assert _solve_repr(*case) == _reference_repr(*case)
