@@ -5,10 +5,10 @@ from one master seed and each path owns its own noise lattice.  A study is a
 list of runs (grid, scheme, recorded nodes) on the same span of time, and
 every study makes one call to the runner, ``_run_seeds``: it takes the paths
 in blocks of ``DEFAULT_BLOCK_SIZE`` (2048) and walks each block through time
-in windows.  A window of each path's increments is read once and every run
-of the study advances on it from where the last window left it.  Blocks are
-wide because the costs that dominate are paid per call, not per path: each
-path's noise read per window, and each block-step of the implicit solver.
+in windows.  A window of the block's increments is read in one batch and
+every run of the study advances on it from where the last window left it.
+Blocks are wide because the costs that dominate are paid per call, not per
+path: each window's noise read, and each block-step of the implicit solver.
 A path's arithmetic depends neither on its block nor on the windows, so
 results are byte-identical for any block size and any window length.
 
@@ -27,24 +27,25 @@ from typing import Sequence
 import numpy as np
 
 from .model import InitialCondition, ModelSpec
-from .noise import GridSpec, NoiseLattice, _sum_steps, derive_seeds
+from .noise import GridSpec, NoiseLattice, _read_increments, _sum_steps, derive_seeds
 from .pullback import (
     SolverSummary, _check_period, _check_scheme, _drive, _grid_on, _merge_stats,
 )
 from .stepper import SolverConfig, DEFAULT_CONFIG
 
 # Paths per block.  Per-call costs favour wide blocks: the kernels' overhead,
-# the Newton loop's most of all, is paid once per block-step, not per path,
-# and each path's noise read per window costs about 20 us of Philox setup
-# plus 0.03 us per word.  The CLI's default 1000-path order and 2000-path
-# measure studies run as one block; the order study's windows fall from
-# 1024 to 256 fine steps, so it makes four times the reads, and is still no
-# slower.  Wider is slower again, as windows shrink and a block's noise calls
-# grow with the square of its paths: criterion 8's 5000-path halving study
-# takes about 1.6 s in blocks of 256, 1.25 s in blocks of 2048 and 2.0 s in
-# one block (2-core Xeon, Python 3.11).  The block also sets the memory peak
-# whenever one step of a study's coarsest grid is longer than a window of
-# ``_WINDOW_WORDS``, as such a window still holds that step for every path.
+# the Newton loop's most of all, is paid once per block-step, not per path.
+# Each window's noise read re-keys the generator once per path, at about
+# 7 us a path plus 0.03 us a word.  The CLI's default 1000-path order and
+# 2000-path measure studies run as one block; the order study's windows fall
+# from 1024 to 256 fine steps, so it re-keys four times as often, and is
+# still no slower.  Wider is slower again, as windows shrink and a block's
+# re-keys grow with the square of its paths: criterion 8's 5000-path halving
+# study takes about 0.8 s in blocks of 256, 0.5 s in blocks of 2048 and
+# 0.55-0.75 s in one block (2-core Xeon, Python 3.11).  The block also sets
+# the memory peak whenever one step of a study's coarsest grid is longer
+# than a window of ``_WINDOW_WORDS``, as such a window still holds that step
+# for every path.
 DEFAULT_BLOCK_SIZE = 2048
 
 # Cap on the fine increments, in words, that a study holds for one block at a
@@ -162,7 +163,8 @@ def strong_error(
         ref_grid.count - n_ref + np.arange(g.period_steps + 1) * g.step_mult
         for g in coarse_grids
     ]
-    union_nodes = np.unique(np.concatenate(node_sets))
+    # sorted sets here and below, not np.unique, which imports numpy.ma on first use
+    union_nodes = np.array(sorted(set(np.concatenate(node_sets).tolist())), dtype=np.int64)
     ref_cols = [np.searchsorted(union_nodes, nodes) for nodes in node_sets]
     levels = len(coarse_grids)
     runs = [_Run(ref_grid, "bem", union_nodes)] + [
@@ -239,9 +241,9 @@ def _walk_windows(
     Every run spans the same times on a grid aligned with the lattices.  The
     span is walked in windows of whole steps at every grid, each holding at
     most ``_WINDOW_WORDS`` fine increments for the block, or one step of the
-    coarsest grid when that is more.  Per window each path's fine increments
-    are read once, and every run advances on their sums over its own steps
-    from the state it ended the last window in.
+    coarsest grid when that is more.  Per window the block's fine increments
+    are read in one batch, and every run advances on their sums over its own
+    steps from the state it ended the last window in.
 
     Returns each run's ``(recorded, diverged_at, summary)``, as
     :func:`pullback._drive` returns them for the whole span: the states at
@@ -253,23 +255,21 @@ def _walk_windows(
     f_start, f_count = first.start_index * first.step_mult, first.count * first.step_mult
     lcm = math.lcm(*(r.grid.step_mult for r in runs))
     span = min(f_count, max(lcm, _WINDOW_WORDS // (paths * d) // lcm * lcm))
-    fine = np.empty((paths, span, d))
     states = [x0] * len(runs)
     recorded = [np.full((paths, r.nodes.size, d), np.nan) for r in runs]
     diverged_at = [np.full(paths, -1, dtype=np.int64) for _ in runs]
     summaries = [SolverSummary()] * len(runs)
     for f0 in range(0, f_count, span):
         width = min(span, f_count - f0)
-        for p, lat in enumerate(lattices):
-            fine[p, :width] = lat.increments(f_start + f0, width)
+        fine = _read_increments(lattices, f_start + f0, width)
         for i, run in enumerate(runs):
             m = run.grid.step_mult
             n0, count = f0 // m, width // m
             inside = (run.nodes >= n0) & (run.nodes <= n0 + count)
-            local = np.union1d(run.nodes[inside] - n0, [count])
+            local = np.array(sorted({*(run.nodes[inside] - n0).tolist(), count}), dtype=np.int64)
             window = replace(run.grid, start_index=run.grid.start_index + n0, count=count)
             out, div_at, summary = _drive(
-                model, window, run.scheme, states[i], _sum_steps(fine[:, :width], m), config,
+                model, window, run.scheme, states[i], _sum_steps(fine, m), config,
                 local,
             )
             summaries[i] = _merge_stats(summaries[i], summary)
@@ -389,7 +389,7 @@ def periodic_measure(
     t_arr = [float(t) for t in t_list]
     grid = _grid_on(model, h, h, t_start, max(t_arr))
     nodes = np.array([grid.node_index(t) for t in t_arr], dtype=np.int64)
-    if np.unique(nodes).size != nodes.size:
+    if len(set(nodes.tolist())) != nodes.size:
         raise ValueError("t_list contains duplicate times")
     [(rec, _, summary)] = _run_seeds(model, [_Run(grid, "bem", nodes)], lattice_seeds, init,
                                      config)

@@ -305,9 +305,11 @@ def _cmd_measure(args, config) -> int:
     k = int(k_opt) if k_opt is not None else default_pullback_periods(model, h)
     halvings = int(_opt(args, config, "halvings", 0))
     n_boot = int(_opt(args, config, "bootstrap", 100))
-    scalar = model.dimension == 1  # only scalar laws get a bootstrap floor
-    if scalar and n_boot < 1:
-        # bootstrap_noise_floor's own check, made before any path is simulated
+    # the checks of write_measure_csv, bootstrap_noise_floor and
+    # weak_distance, made before any path is simulated
+    if model.dimension != 1:
+        raise ValueError(f"measure supports scalar models only, got dimension {model.dimension}")
+    if n_boot < 1:
         raise ValueError(f"n_bootstrap must be >= 1, got {n_boot}")
 
     seeds = derive_seeds(seed, paths)
@@ -316,13 +318,12 @@ def _cmd_measure(args, config) -> int:
         label = repr(mu.t).replace("-", "m").replace(".", "p")
         path = os.path.join(out_dir, f"measure_t{label}.csv")
         write_measure_csv(mu, path)
-        values = mu.samples[:, 0] if scalar else np.linalg.norm(mu.samples, axis=1)
+        values = mu.samples[:, 0]
         print(f"t={mu.t!r}: {mu.num_samples} samples, mean={values.mean():.6e}, "
               f"std={values.std(ddof=1):.3e}; wrote {path}")
-    if scalar and measures:
-        floor = bootstrap_noise_floor(measures[0], n_bootstrap=n_boot, seed=seed)
-        print(f"bootstrap noise floor at t={measures[0].t!r}: {floor:.3e} "
-              f"({n_boot} resamples, {paths} samples)")
+    floor = bootstrap_noise_floor(measures[0], n_bootstrap=n_boot, seed=seed)
+    print(f"bootstrap noise floor at t={measures[0].t!r}: {floor:.3e} "
+          f"({n_boot} resamples, {paths} samples)")
     if halvings > 0:
         h_values = [h * 2.0**i for i in range(halvings - 1, -1, -1)]
         study = measure_convergence_study(

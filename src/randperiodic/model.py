@@ -25,6 +25,7 @@ from functools import cached_property
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
+import numpy.polynomial  # loaded with the package, not inside the first drift call
 
 TWO_PI = 2.0 * math.pi
 

@@ -8,24 +8,35 @@ function of ``(seed, index)`` on a uniform lattice of spacing ``base_step``.
 
 Each lattice index ``j`` (any sign) owns ``dimension`` raw 64-bit words of a
 counter-based generator (Philox-4x64), addressed by absolute word index
-``j * dimension + coordinate``.  A word becomes a standard normal through the
-inverse normal CDF applied to ``((word >> 11) + 0.5) * 2**-53``, which avoids
-hitting 0 or 1 exactly, and is scaled by ``sqrt(base_step)``.  Shifting the
-lattice is integer index arithmetic, so shifted views agree bit for bit with
-the parent, and coarse increments are exact sums of the fine increments they
-cover.
+``j * dimension + coordinate``.  A word becomes the uniform
+``((word >> 11) + 0.5) * 2**-53``, clamped to ``1 - 2**-53``: the cell
+centre of the top word rounds to exactly 1.0, and the clamp moves that word
+alone, so no uniform is 0 or 1.  The uniform becomes a standard normal
+through the inverse normal CDF, a numpy port of Cephes ``ndtri`` (the
+algorithm of ``scipy.special.ndtri``, with its coefficients and order of
+operations), and is scaled by ``sqrt(base_step)``.  Shifting the lattice is
+integer index arithmetic, so shifted views agree bit for bit with the
+parent, and coarse increments are exact sums of the fine increments they
+cover.  Reading many lattices over one index range at once gives each the
+same bits as reading it alone.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from typing import Sequence
 
 import numpy as np
-from scipy.special import ndtri
+import numpy.random  # loaded with the package, not inside the first read
 
 _WORDS_PER_BLOCK = 4  # Philox-4x64 emits four 64-bit words per counter value
 _COUNTER_MOD = 1 << 256
+_WORD_MASK = (1 << 64) - 1
+_U_MAX = 1.0 - 2.0**-53  # the largest double below 1
+# Words per pass of the transform: its temporaries stay in cache, and a
+# window of 2**18 words takes four passes.
+_CHUNK_WORDS = 1 << 16
 
 
 class AlignmentError(ValueError):
@@ -68,21 +79,7 @@ class NoiseLattice:
             Array of shape ``(count, dimension)``; entry ``[i, c]`` depends
             only on ``(seed, start + origin + i, c)``.
         """
-        if count < 0:
-            raise ValueError(f"count must be >= 0, got {count}")
-        d = self.dimension
-        # Absolute words [w0, w0 + count * d).  Block b of four words is
-        # counter b mod 2**256, and Philox's counter wraps from 2**256 - 1 to
-        # 0, so a range that crosses index 0 is still one generator call.
-        w0 = (int(start) + self.origin) * d
-        b0 = w0 // _WORDS_PER_BLOCK
-        b1 = -(-(w0 + count * d) // _WORDS_PER_BLOCK)
-        gen = np.random.Philox(key=self.seed, counter=b0 % _COUNTER_MOD)
-        lo = w0 - _WORDS_PER_BLOCK * b0
-        words = gen.random_raw(_WORDS_PER_BLOCK * (b1 - b0))[lo : lo + count * d]
-        u = ((words >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0**-53
-        z = ndtri(u)
-        return (z * math.sqrt(self.base_step)).reshape(count, d)
+        return _read_increments([self], start, count)[0]
 
     def increment(self, index: int) -> np.ndarray:
         """Return the increment vector at a single lattice index."""
@@ -95,6 +92,153 @@ class NoiseLattice:
         composition of shifts adds offsets.
         """
         return replace(self, origin=self.origin + int(lattice_steps))
+
+
+def _read_increments(lattices: Sequence[NoiseLattice], start: int, count: int) -> np.ndarray:
+    """Increments of many lattices for indices ``start .. start+count-1``.
+
+    Row ``i`` of the result, of shape ``(len(lattices), count, dimension)``,
+    is ``lattices[i].increments(start, count)`` bit for bit: that method is
+    this read for one lattice.  One generator is re-keyed for each lattice,
+    which costs a fraction of building one per lattice, and one transform
+    maps the whole buffer to normals.
+
+    Raises:
+        ValueError: negative ``count``, or lattices that differ in
+            ``base_step`` or ``dimension``.
+    """
+    if count < 0:
+        raise ValueError(f"count must be >= 0, got {count}")
+    kinds = {(lat.base_step, lat.dimension) for lat in lattices}
+    if len(kinds) != 1:
+        raise ValueError("the lattices of one read must share base_step and dimension")
+    [(base_step, d)] = kinds
+    n = count * d
+    words = np.empty((len(lattices), n), dtype=np.uint64)
+    gen = np.random.Philox(key=0)
+    state = gen.state
+    key, counter = state["state"]["key"], state["state"]["counter"]
+    for row, lat in zip(words, lattices):
+        # Absolute words [w0, w0 + n).  Block b of four words is counter b
+        # mod 2**256, and Philox's counter wraps from 2**256 - 1 to 0, so a
+        # range that crosses index 0 is still one generator call.
+        w0 = (int(start) + lat.origin) * d
+        b0 = w0 // _WORDS_PER_BLOCK
+        b1 = -(-(w0 + n) // _WORDS_PER_BLOCK)
+        c = b0 % _COUNTER_MOD
+        key[0] = lat.seed
+        counter[:] = [(c >> shift) & _WORD_MASK for shift in (0, 64, 128, 192)]
+        state["buffer_pos"] = _WORDS_PER_BLOCK  # no buffered word carries over
+        gen.state = state
+        lo = w0 - _WORDS_PER_BLOCK * b0
+        row[:] = gen.random_raw(_WORDS_PER_BLOCK * (b1 - b0))[lo : lo + n]
+    z = _normals(words)
+    z *= math.sqrt(base_step)
+    return z.reshape(len(lattices), count, d)
+
+
+def _normals(words: np.ndarray) -> np.ndarray:
+    """Standard normals of raw words, written over the words themselves.
+
+    Each chunk of ``_CHUNK_WORDS`` words becomes uniforms in a temporary, and
+    their normals then overwrite that chunk, so a read holds one buffer.
+    """
+    flat = words.reshape(-1)
+    z = flat.view(np.float64)
+    for c0 in range(0, flat.size, _CHUNK_WORDS):
+        z[c0 : c0 + _CHUNK_WORDS] = _ndtri(_uniform(flat[c0 : c0 + _CHUNK_WORDS]))
+    return z.reshape(words.shape)
+
+
+def _uniform(words: np.ndarray) -> np.ndarray:
+    """Uniforms ``((word >> 11) + 0.5) * 2**-53`` in (0, 1), clamped to
+    ``1 - 2**-53``, which only the top word (``word >> 11 == 2**53 - 1``)
+    would exceed: its cell centre rounds to 1.0."""
+    u = (words >> np.uint64(11)).astype(np.float64)
+    u += 0.5
+    u *= 2.0**-53
+    return np.minimum(u, _U_MAX, out=u)
+
+
+# Cephes ndtri's tables (S. L. Moshier, Cephes Math Library 2.1), as used by
+# scipy.special.ndtri; each Q table gains its implied leading 1.
+_EXP_M2 = 0.13533528323661269189  # exp(-2)
+_S2PI = 2.50662827463100050242  # sqrt(2 pi)
+_P0 = (-5.99633501014107895267E1, 9.80010754185999661536E1, -5.66762857469070293439E1,
+       1.39312609387279679503E1, -1.23916583867381258016E0)
+_Q0 = (1.0, 1.95448858338141759834E0, 4.67627912898881538453E0, 8.63602421390890590575E1,
+       -2.25462687854119370527E2, 2.00260212380060660359E2, -8.20372256168333339912E1,
+       1.59056225126211695515E1, -1.18331621121330003142E0)
+# for sqrt(-2 log y) in [2, 8), i.e. exp(-32) < y <= exp(-2)
+_P1 = (4.05544892305962419923E0, 3.15251094599893866154E1, 5.71628192246421288162E1,
+       4.40805073893200834700E1, 1.46849561928858024014E1, 2.18663306850790267539E0,
+       -1.40256079171354495875E-1, -3.50424626827848203418E-2, -8.57456785154685413611E-4)
+_Q1 = (1.0, 1.57799883256466749731E1, 4.53907635128879210584E1, 4.13172038254672030440E1,
+       1.50425385692907503408E1, 2.50464946208309415979E0, -1.42182922854787788574E-1,
+       -3.80806407691578277194E-2, -9.33259480895457427372E-4)
+# for sqrt(-2 log y) >= 8, i.e. y <= exp(-32)
+_P2 = (3.23774891776946035970E0, 6.91522889068984211695E0, 3.93881025292474443415E0,
+       1.33303460815807542389E0, 2.01485389549179081538E-1, 1.23716634817820021358E-2,
+       3.01581553508235416007E-4, 2.65806974686737550832E-6, 6.23974539184983293730E-9)
+_Q2 = (1.0, 6.02427039364742014255E0, 3.67983563856160859403E0, 1.37702099489081330271E0,
+       2.16236993594496635890E-1, 1.34204006088543189037E-2, 3.28014464682127739104E-4,
+       2.89247864745380683936E-6, 6.79019408009981274425E-9)
+
+
+def _ndtri(u: np.ndarray) -> np.ndarray:
+    """Inverse standard normal CDF of ``u`` in (0, 1), computed in place.
+
+    Cephes ``ndtri`` entry by entry.  On the centre,
+    ``exp(-2) < u <= 1 - exp(-2)``, the result is
+    ``sqrt(2 pi) * (v + v * (v**2 * P0(v**2) / Q0(v**2)))`` with
+    ``v = u - 0.5``.  On the tails, with ``y = min(u, 1 - u)``,
+    ``x = sqrt(-2 log y)`` and ``z = 1 / x``, it is
+    ``x - log(x) / x - z * P(z) / Q(z)``, negated below 0.5, where ``P, Q``
+    switch tables at ``x = 8``.  Cephes takes ``y = 1 - u`` above
+    ``1 - exp(-2)``; ``1 - (1 - exp(-2))`` rounds back to ``exp(-2)``, so
+    every such ``u`` is a tail entry, and the centre needs no reflection.
+    Every product, quotient and sum is taken in Cephes' order, so only
+    numpy's ``log`` and ``sqrt`` can differ from the C library's.  The
+    centre is evaluated on every entry and the tail entries are then
+    overwritten, which is cheaper than splitting the array by a mask.
+    """
+    tail = np.flatnonzero((u <= _EXP_M2) | (u > 1.0 - _EXP_M2))
+    u_tail = u.take(tail)
+    v = np.subtract(u, 0.5, out=u)
+    v2 = v * v
+    r = _horner(v2, _P0)
+    r *= v2
+    r /= _horner(v2, _Q0)
+    r *= v
+    v += r
+    v *= _S2PI
+    x = np.minimum(u_tail, 1.0 - u_tail)
+    np.log(x, out=x)
+    x *= -2.0
+    np.sqrt(x, out=x)
+    z = 1.0 / x
+    out = x - np.log(x) / x
+    r = z * _horner(z, _P1)
+    r /= _horner(z, _Q1)
+    far = np.flatnonzero(x >= 8.0)
+    if far.size:
+        z_far = z.take(far)
+        r[far] = z_far * _horner(z_far, _P2) / _horner(z_far, _Q2)
+    out -= r
+    np.copysign(out, u_tail - 0.5, out=out)
+    u.put(tail, out)
+    return u
+
+
+def _horner(x: np.ndarray, coef: tuple[float, ...]) -> np.ndarray:
+    """``coef[0] * x**n + ... + coef[n]`` by Horner's rule, as Cephes'
+    ``polevl`` (and ``p1evl`` when ``coef[0]`` is 1) evaluates it."""
+    r = x * coef[0]
+    r += coef[1]
+    for c in coef[2:]:
+        r *= x
+        r += c
+    return r
 
 
 @dataclass(frozen=True)

@@ -657,14 +657,14 @@ class TestMeasureStudyOnePass:
 
     def test_reads_each_lattice_once_per_halving(self, monkeypatch):
         build, kwargs = MEASURE_CASES["builtin"]
-        reads = []
-        increments = NoiseLattice.increments
+        reads = []  # one entry per lattice and read, of its step count
+        read_increments = analysis._read_increments
 
-        def counting(self, start, count):
-            reads.append(count)
-            return increments(self, start, count)
+        def counting(lattices, start, count):
+            reads.extend([count] * len(lattices))
+            return read_increments(lattices, start, count)
 
-        monkeypatch.setattr(NoiseLattice, "increments", counting)
+        monkeypatch.setattr(analysis, "_read_increments", counting)
         study = measure_convergence_study(build(), **kwargs)
         # one read per path and halving, of every step of the fine grid
         # (the builtin period is 1)

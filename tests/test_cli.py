@@ -211,6 +211,26 @@ class TestMeasureCommand:
         assert code == 2
         assert f"configuration error: n_bootstrap must be >= 1, got {n_bootstrap}" in err
 
+    def test_vector_model_fails_before_simulating(self, capsys, monkeypatch, tmp_path):
+        def no_simulation(*args, **kwargs):
+            raise AssertionError("periodic_measure called")
+
+        model = {
+            "lambda": [3.0, 5.0],
+            "drift": {"poly_coeffs": [0, 0, 0, -1], "trig_amp": 1.0, "trig_freq": 2},
+            "g": {"amp": 0.3},
+            "tau": 1.0,
+            "constants": {"C_f": 0.5},
+        }
+        path = tmp_path / "model2d.json"
+        path.write_text(json.dumps(model))
+        monkeypatch.setattr(cli, "periodic_measure", no_simulation)
+        code, _, err = run(capsys, "measure", "--model", str(path), "--h", "0.03125",
+                           "--paths", "8", "--out", str(tmp_path))
+        assert code == 2
+        assert "configuration error: measure supports scalar models only" in err
+        assert not list(tmp_path.glob("measure_*.csv"))
+
     @pytest.mark.parametrize("paths", ["1", "-1"])
     def test_too_few_paths_exits_two(self, capsys, tmp_path, paths):
         code, _, err = run(capsys, "measure", "--paths", paths, "--out", str(tmp_path))

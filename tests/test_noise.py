@@ -5,12 +5,16 @@ import math
 
 import numpy as np
 import pytest
-from scipy import stats
+from scipy import special, stats
 
 from randperiodic.noise import (
     AlignmentError,
     GridSpec,
     NoiseLattice,
+    _ndtri,
+    _normals,
+    _read_increments,
+    _uniform,
     coarse_increment,
     coarse_increments,
     derive_seeds,
@@ -113,6 +117,78 @@ class TestNoiseLattice:
     def test_empty_range(self):
         lat = NoiseLattice(seed=0, base_step=0.5, dimension=2)
         assert lat.increments(5, 0).shape == (0, 2)
+
+
+def _reference_increments(lat: NoiseLattice, start: int, count: int) -> np.ndarray:
+    """One lattice's increments from a generator built for it alone."""
+    d = lat.dimension
+    w0 = (start + lat.origin) * d
+    b0, b1 = w0 // 4, -(-(w0 + count * d) // 4)
+    gen = np.random.Philox(key=lat.seed, counter=b0 % (1 << 256))
+    words = gen.random_raw(4 * (b1 - b0))[w0 - 4 * b0 : w0 - 4 * b0 + count * d]
+    return (_normals(words) * math.sqrt(lat.base_step)).reshape(count, d)
+
+
+class TestBatchedRead:
+    """``_read_increments`` re-keys one generator per lattice; every row must
+    equal that lattice read alone, whatever was read before it."""
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_rows_match_single_reads(self, d):
+        base = [NoiseLattice(seed, 0.125, d) for seed in (0, 5, 2**64 - 1, 123456789)]
+        lattices = base + [
+            NoiseLattice(7, 0.125, d, origin=-3),
+            NoiseLattice(7, 0.125, d, origin=-(2**40)),
+            base[1].shifted(13),
+            base[1].shifted(-(2**40)).shifted(5),
+        ]
+        # unaligned with the generator's blocks of four words, crossing
+        # index 0 for some origins, and empty
+        for start, count in [(-9, 21), (-1, 2), (0, 5), (2**40 - 4, 11), (3, 0)]:
+            batch = _read_increments(lattices, start, count)
+            assert batch.shape == (len(lattices), count, d)
+            for row, lat in zip(batch, lattices):
+                assert np.array_equal(row, lat.increments(start, count))
+                assert np.array_equal(row, _reference_increments(lat, start, count))
+
+    def test_lattices_must_share_spacing_and_dimension(self):
+        a = NoiseLattice(1, 0.125)
+        for other in (NoiseLattice(2, 0.25), NoiseLattice(2, 0.125, dimension=2)):
+            with pytest.raises(ValueError):
+                _read_increments([a, other], 0, 4)
+
+
+class TestTransform:
+    def test_top_words_give_finite_normals(self):
+        # ((w >> 11) + 0.5) * 2**-53 rounds to 1.0 for the top word; the
+        # clamp keeps it below 1 and leaves the word beneath it alone
+        words = np.array([0, 2**64 - 2**11, 2**64 - 1, 2**64 - 2**12], dtype=np.uint64)
+        u = _uniform(words)
+        assert np.all((u > 0.0) & (u < 1.0))
+        assert u[1] == u[2] == 1.0 - 2.0**-53
+        assert u[3] == ((words[3] >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0**-53
+        z = _normals(words.copy())
+        assert np.all(np.isfinite(z))
+        assert z[0] < -8.0 and z[1] > 8.0
+
+    def test_matches_scipy_within_8_ulp(self):
+        words = np.random.Philox(key=2024).random_raw(1 << 20)
+        # the centre/tail boundaries, the tail-table switch at x = 8, each
+        # with its neighbours, and the extreme uniforms of a word
+        edges = [math.exp(-2), 1.0 - math.exp(-2), math.exp(-32), 1.0 - math.exp(-32)]
+        near = [np.nextafter(e, t) for e in edges for t in (0.0, 1.0)]
+        u = np.concatenate([_uniform(words), edges, near, [2.0**-54, 1.0 - 2.0**-53, 0.5]])
+        want = special.ndtri(u)
+        got = _ndtri(u.copy())
+        ulps = np.abs(got - want) / np.spacing(np.abs(want))
+        differ = np.count_nonzero(got != want)
+        print(f"ndtri port vs scipy: {differ} of {u.size} values differ, "
+              f"by at most {ulps.max():.0f} ulp")
+        assert np.all(np.isfinite(got))
+        assert ulps.max() <= 8
+        # Cephes' operations in Cephes' order: only log and sqrt may round
+        # differently, which moves about 1 value in 10,000
+        assert differ <= u.size // 1000
 
 
 class TestGridSpec:
