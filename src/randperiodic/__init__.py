@@ -77,10 +77,8 @@ from .pullback import (
     write_trajectory_csv,
 )
 from .stepper import (
-    DEFAULT_CONFIG,
     NonConvergenceError,
     NonFiniteEvaluationError,
-    SolverConfig,
     StepStats,
     bem_step,
     em_step,
@@ -96,7 +94,6 @@ __all__ = [
     "BUILTIN_MODELS",
     "CoalescenceReport",
     "ConstantDiffusion",
-    "DEFAULT_CONFIG",
     "DIVERGENCE_THRESHOLD",
     "EmpiricalMeasure",
     "ErrorRow",
@@ -116,7 +113,6 @@ __all__ = [
     "PolyTrigDrift",
     "SCHEMES",
     "ShiftPeriodicityReport",
-    "SolverConfig",
     "SolverSummary",
     "StepStats",
     "bem_step",

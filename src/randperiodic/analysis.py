@@ -31,7 +31,6 @@ from .noise import GridSpec, NoiseLattice, _read_increments, _sum_steps, derive_
 from .pullback import (
     SolverSummary, _check_period, _check_scheme, _drive, _grid_on, _merge_stats,
 )
-from .stepper import SolverConfig, DEFAULT_CONFIG
 
 # Paths per block.  Per-call costs favour wide blocks: the kernels' overhead,
 # the Newton loop's most of all, is paid once per block-step, not per path.
@@ -127,7 +126,6 @@ def strong_error(
     pullback_periods: int,
     num_paths: int,
     t_eval: float = 0.0,
-    config: SolverConfig | None = None,
     seed: int = 0,
     scheme: str | Sequence[str] = "bem",
     init: InitialCondition | None = None,
@@ -158,6 +156,8 @@ def strong_error(
     ref_grid = _grid_on(model, h_ref, h_ref, t_start, t_eval)
     n_ref = ref_grid.period_steps
     coarse_grids = [_grid_on(model, h_ref, h, t_start, t_eval) for h in h_list]
+    if len({g.step_mult for g in coarse_grids}) < len(coarse_grids):
+        raise ValueError(f"h_list contains duplicate step sizes: {list(h_list)!r}")
     # each level's final-period nodes, in reference-grid node indices
     node_sets = [
         ref_grid.count - n_ref + np.arange(g.period_steps + 1) * g.step_mult
@@ -173,7 +173,7 @@ def strong_error(
         for g in coarse_grids
     ]
     (ref_rec, _, ref_stats), *outs = _run_seeds(
-        model, runs, derive_seeds(seed, num_paths), init, config
+        model, runs, derive_seeds(seed, num_paths), init
     )
 
     tables = []
@@ -234,7 +234,6 @@ def _walk_windows(
     runs: list[_Run],
     lattices: list[NoiseLattice],
     x0: np.ndarray,
-    config: SolverConfig,
 ) -> list[tuple[np.ndarray, np.ndarray, SolverSummary]]:
     """Advance every run over one block of paths, reading the noise once.
 
@@ -269,8 +268,7 @@ def _walk_windows(
             local = np.array(sorted({*(run.nodes[inside] - n0).tolist(), count}), dtype=np.int64)
             window = replace(run.grid, start_index=run.grid.start_index + n0, count=count)
             out, div_at, summary = _drive(
-                model, window, run.scheme, states[i], _sum_steps(fine, m), config,
-                local,
+                model, window, run.scheme, states[i], _sum_steps(fine, m), local,
             )
             summaries[i] = _merge_stats(summaries[i], summary)
             first_time = (div_at >= 0) & (diverged_at[i] < 0)
@@ -308,7 +306,6 @@ def moment_estimate(
     init: InitialCondition,
     num_paths: int,
     seed: int = 0,
-    config: SolverConfig | None = None,
 ) -> MomentEstimate:
     """Estimate ``sup_N E|X_N|^2`` over the grid by Monte Carlo.
 
@@ -319,7 +316,7 @@ def moment_estimate(
     if c_f is None or sigma is None:
         raise ValueError("moment_estimate requires declared C_f and sigma")
     run = _Run(grid, _check_scheme(scheme), np.arange(grid.count + 1))
-    [(states, _, summary)] = _run_seeds(model, [run], derive_seeds(seed, num_paths), init, config)
+    [(states, _, summary)] = _run_seeds(model, [run], derive_seeds(seed, num_paths), init)
     sq = np.einsum("ijk,ijk->ij", states, states)  # (num_paths, count + 1)
     mean_sq = np.array([math.fsum(sq[:, i]) / num_paths for i in range(sq.shape[1])])
     node = int(np.argmax(mean_sq))
@@ -374,7 +371,6 @@ def periodic_measure(
     h: float,
     pullback_periods: int,
     t_list: Sequence[float],
-    config: SolverConfig | None = None,
     init: InitialCondition | None = None,
 ) -> list[EmpiricalMeasure]:
     """Empirical laws of the pulled-back state at the requested times.
@@ -391,8 +387,7 @@ def periodic_measure(
     nodes = np.array([grid.node_index(t) for t in t_arr], dtype=np.int64)
     if len(set(nodes.tolist())) != nodes.size:
         raise ValueError("t_list contains duplicate times")
-    [(rec, _, summary)] = _run_seeds(model, [_Run(grid, "bem", nodes)], lattice_seeds, init,
-                                     config)
+    [(rec, _, summary)] = _run_seeds(model, [_Run(grid, "bem", nodes)], lattice_seeds, init)
     return [
         EmpiricalMeasure(t=t_arr[i], h=float(h), samples=rec[:, i, :].copy(),
                          solver_stats=summary)
@@ -494,7 +489,6 @@ def measure_convergence_study(
     t: float,
     pullback_periods: int,
     seed: int = 0,
-    config: SolverConfig | None = None,
     init: InitialCondition | None = None,
 ) -> MeasureStudy:
     """Distance between empirical laws at ``h`` and ``h/2`` for each ``h``.
@@ -514,7 +508,7 @@ def measure_convergence_study(
     for h in map(float, h_list):
         grids = [_grid_on(model, h / 2.0, step, t_start, t) for step in (h, h / 2.0)]
         outs = _run_seeds(model, [_Run(g, "bem", np.array([g.count])) for g in grids], seeds,
-                          init, config)
+                          init)
         dist = weak_distance(*(
             EmpiricalMeasure(t=float(t), h=g.h, samples=rec[:, 0, :])
             for g, (rec, _, _) in zip(grids, outs)
@@ -566,40 +560,54 @@ def _run_seeds(
     runs: list[_Run],
     seeds: Sequence[int],
     init: InitialCondition | None = None,
-    config: SolverConfig | None = None,
 ) -> list[tuple[np.ndarray, np.ndarray, SolverSummary]]:
     """Run one path per seed through every run of a study.
 
     The runs span the same times on grids of one lattice spacing.  Path
     ``p`` starts from ``init`` (default zero) resolved for ``seeds[p]`` and
-    reads its own lattice.  The paths go in blocks of ``DEFAULT_BLOCK_SIZE``,
-    and each block is walked once by :func:`_walk_windows` for all runs.
+    reads its own lattice.  Seeds are whole numbers, reduced modulo 2**64 as
+    :class:`NoiseLattice` reduces them.  The paths go in blocks of
+    ``DEFAULT_BLOCK_SIZE``, and each block is walked once by
+    :func:`_walk_windows` for all runs.
 
     Returns one ``(recorded, diverged_at, summary)`` per run, covering all
     paths, as :func:`pullback._drive` returns them for one batch; neither
     the block size nor the window length changes any of them.
 
     Raises:
-        ValueError: fewer than 2 seeds.
+        ValueError: fewer than 2 seeds, or a seed that is not a whole number.
         AlignmentError: a run's grid period is not the model's.
     """
-    seeds = np.asarray(seeds, dtype=np.uint64)
-    if seeds.ndim != 1 or seeds.size < 2:
-        raise ValueError(f"a study needs at least 2 path seeds, got shape {seeds.shape}")
+    seeds = _path_seeds(seeds)
     for run in runs:
         _check_period(model, run.grid)
     init = init if init is not None else InitialCondition(value=np.zeros(model.dimension))
-    config = config or DEFAULT_CONFIG
     base_step, d = runs[0].grid.base_step, model.dimension
     blocks = []
-    for b0 in range(0, seeds.size, DEFAULT_BLOCK_SIZE):
-        block = [int(s) for s in seeds[b0 : b0 + DEFAULT_BLOCK_SIZE]]
+    for b0 in range(0, len(seeds), DEFAULT_BLOCK_SIZE):
+        block = seeds[b0 : b0 + DEFAULT_BLOCK_SIZE]
         x0 = np.stack([init.resolve(s, d) for s in block])
         lattices = [NoiseLattice(s, base_step, d) for s in block]
-        blocks.append(_walk_windows(model, runs, lattices, x0, config))
+        blocks.append(_walk_windows(model, runs, lattices, x0))
     return [
         (np.concatenate([rec for rec, _, _ in parts]),
          np.concatenate([div_at for _, div_at, _ in parts]),
          _merge_stats(*(summary for _, _, summary in parts)))
         for parts in zip(*blocks)
     ]
+
+
+def _path_seeds(seeds: Sequence[int]) -> list[int]:
+    """``seeds`` as ints modulo 2**64; at least two, each a whole number."""
+    arr = np.asarray(seeds, dtype=object)
+    if arr.ndim != 1 or arr.size < 2:
+        raise ValueError(f"a study needs at least 2 path seeds, got shape {arr.shape}")
+    out = []
+    for s in arr.tolist():
+        whole = isinstance(s, (int, np.integer)) or (
+            isinstance(s, (float, np.floating)) and float(s).is_integer()
+        )
+        if not whole:
+            raise ValueError(f"path seeds must be whole numbers, got {s!r}")
+        out.append(int(s) % (1 << 64))
+    return out

@@ -46,13 +46,13 @@ from .pullback import (
     verify_shift_periodicity,
     write_trajectory_csv,
 )
-from .stepper import DEFAULT_CONFIG, SolverConfig
+from .stepper import RESIDUAL_TOL
 
 _KNOWN_CONFIG_KEYS = {
     "model", "out", "seed", "h", "scheme", "t0", "t1",
     "pullback_periods", "h_ref", "h_list", "paths", "t_eval", "t",
     "halvings", "threshold", "coalesce_periods", "samples", "radius",
-    "bootstrap", "residual_tol",
+    "bootstrap",
 }
 
 
@@ -85,8 +85,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--model", help="built-in model name or JSON model file")
         p.add_argument("--out", help="output directory (default: current)")
         p.add_argument("--seed", type=int, help="master seed (default: 0)")
-        p.add_argument("--residual-tol", dest="residual_tol", type=float,
-                       help="implicit solver residual tolerance")
 
     p_sim = sub.add_parser("simulate", help="pull back one path and write a trajectory CSV")
     common(p_sim)
@@ -173,15 +171,13 @@ def _opt(args: argparse.Namespace, config: Mapping[str, Any], key: str, default)
     return default
 
 
-def _setup(args, config) -> tuple[ModelSpec, str, int, SolverConfig]:
+def _setup(args, config) -> tuple[ModelSpec, str, int]:
     model_src = _opt(args, config, "model", "builtin")
     model = load_model(model_src)
     out_dir = str(_opt(args, config, "out", "."))
     os.makedirs(out_dir, exist_ok=True)
     seed = int(_opt(args, config, "seed", 0))
-    rtol = _opt(args, config, "residual_tol", None)
-    solver = DEFAULT_CONFIG if rtol is None else SolverConfig(residual_tol=float(rtol))
-    return model, out_dir, seed, solver
+    return model, out_dir, seed
 
 
 def _parse_float_list(value) -> list[float]:
@@ -197,7 +193,7 @@ def _parse_float_list(value) -> list[float]:
 
 
 def _cmd_simulate(args, config) -> int:
-    model, out_dir, seed, solver = _setup(args, config)
+    model, out_dir, seed = _setup(args, config)
     h = float(_opt(args, config, "h", 2.0**-7))
     scheme = str(_opt(args, config, "scheme", "bem"))
     t0 = float(_opt(args, config, "t0", 0.0))
@@ -206,8 +202,7 @@ def _cmd_simulate(args, config) -> int:
     k = None if k_opt is None else int(k_opt)
     lattice = NoiseLattice(seed, h, model.dimension)
     result = random_periodic_path(
-        model, lattice, h, pullback_periods=k, horizon=(t0, t1),
-        scheme=scheme, config=solver,
+        model, lattice, h, pullback_periods=k, horizon=(t0, t1), scheme=scheme,
     )
     k_used = k if k is not None else default_pullback_periods(model, h)
     path = os.path.join(out_dir, "trajectory.csv")
@@ -225,15 +220,15 @@ def _cmd_simulate(args, config) -> int:
 
 
 def _cmd_periodicity(args, config) -> int:
-    model, _, seed, solver = _setup(args, config)
+    model, _, seed = _setup(args, config)
     h = float(_opt(args, config, "h", 2.0**-7))
     k = int(_opt(args, config, "pullback_periods", 30))
     threshold = float(_opt(args, config, "threshold", 1e-6))
     windows = int(_opt(args, config, "coalesce_periods", 2))
     lattice = NoiseLattice(seed, h, model.dimension)
 
-    report = verify_shift_periodicity(model, lattice, h, pullback_periods=k, config=solver)
-    tol = 10.0 * solver.residual_tol
+    report = verify_shift_periodicity(model, lattice, h, pullback_periods=k)
+    tol = 10.0 * RESIDUAL_TOL
     shift_ok = report.max_discrepancy <= tol
     print(f"shift identity: max discrepancy {report.max_discrepancy:.3e} over one period "
           f"(tolerance {tol:.1e}) -> {'PASS' if shift_ok else 'FAIL'}")
@@ -242,7 +237,7 @@ def _cmd_periodicity(args, config) -> int:
     grid = make_grid(model, lattice, h, 0.0, windows * model.period)
     init_a = InitialCondition(value=0.2 * np.ones(d))
     init_b = InitialCondition(value=-0.3 * np.ones(d))
-    co = coalescence(model, grid, init_a, init_b, lattice, config=solver, threshold=threshold)
+    co = coalescence(model, grid, init_a, init_b, lattice, threshold=threshold)
     if co.first_below is not None:
         t_co = float(grid.times()[co.first_below])
         print(f"coalescence: gap below {threshold:g} from t={t_co!r} "
@@ -259,7 +254,7 @@ _DEFAULT_H_LIST = [2.0**-4, 2.0**-5, 2.0**-6, 2.0**-7, 2.0**-8]
 
 
 def _cmd_order(args, config) -> int:
-    model, out_dir, seed, solver = _setup(args, config)
+    model, out_dir, seed = _setup(args, config)
     h_ref = float(_opt(args, config, "h_ref", 2.0**-12))
     h_list = _parse_float_list(_opt(args, config, "h_list", _DEFAULT_H_LIST))
     paths = int(_opt(args, config, "paths", 1000))
@@ -269,8 +264,7 @@ def _cmd_order(args, config) -> int:
     schemes = ("bem", "em") if which == "both" else (which,)
 
     tables = dict(zip(schemes, strong_error(
-        model, h_ref, h_list, k, paths, t_eval=t_eval, config=solver,
-        seed=seed, scheme=schemes,
+        model, h_ref, h_list, k, paths, t_eval=t_eval, seed=seed, scheme=schemes,
     )))
     for scheme, table in tables.items():
         err_path = os.path.join(out_dir, f"error_table_{scheme}.csv")
@@ -297,7 +291,7 @@ def _cmd_order(args, config) -> int:
 
 
 def _cmd_measure(args, config) -> int:
-    model, out_dir, seed, solver = _setup(args, config)
+    model, out_dir, seed = _setup(args, config)
     h = float(_opt(args, config, "h", 2.0**-7))
     paths = int(_opt(args, config, "paths", 2000))
     t_list = _parse_float_list(_opt(args, config, "t", [0.0]))
@@ -305,6 +299,8 @@ def _cmd_measure(args, config) -> int:
     k = int(k_opt) if k_opt is not None else default_pullback_periods(model, h)
     halvings = int(_opt(args, config, "halvings", 0))
     n_boot = int(_opt(args, config, "bootstrap", 100))
+    if halvings < 0:
+        raise ValueError(f"halvings must be >= 0, got {halvings}")
     # the checks of write_measure_csv, bootstrap_noise_floor and
     # weak_distance, made before any path is simulated
     if model.dimension != 1:
@@ -313,7 +309,7 @@ def _cmd_measure(args, config) -> int:
         raise ValueError(f"n_bootstrap must be >= 1, got {n_boot}")
 
     seeds = derive_seeds(seed, paths)
-    measures = periodic_measure(model, seeds, h, k, t_list, config=solver)
+    measures = periodic_measure(model, seeds, h, k, t_list)
     for mu in measures:
         label = repr(mu.t).replace("-", "m").replace(".", "p")
         path = os.path.join(out_dir, f"measure_t{label}.csv")
@@ -326,9 +322,7 @@ def _cmd_measure(args, config) -> int:
           f"({n_boot} resamples, {paths} samples)")
     if halvings > 0:
         h_values = [h * 2.0**i for i in range(halvings - 1, -1, -1)]
-        study = measure_convergence_study(
-            model, h_values, paths, t_list[0], k, seed=seed, config=solver,
-        )
+        study = measure_convergence_study(model, h_values, paths, t_list[0], k, seed=seed)
         dist_path = os.path.join(out_dir, "measure_distances.csv")
         with open(dist_path, "w", encoding="utf-8", newline="") as fh:
             fh.write("h,h_half,distance,ratio_to_sqrt_h\n")
@@ -343,7 +337,7 @@ def _cmd_measure(args, config) -> int:
 
 
 def _cmd_check(args, config) -> int:
-    model, _, seed, _ = _setup(args, config)
+    model, _, seed = _setup(args, config)
     samples = int(_opt(args, config, "samples", 1000))
     radius = float(_opt(args, config, "radius", 5.0))
     report = check_assumptions(model, sample_count=samples, radius=radius, seed=seed)

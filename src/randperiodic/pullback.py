@@ -26,9 +26,13 @@ from .model import InitialCondition, ModelSpec
 from .noise import (
     AlignmentError, GridSpec, NoiseLattice, _check_alignment, coarse_increments, shift,
 )
-from .stepper import SolverConfig, DEFAULT_CONFIG, _bem_step_batch, _em_step_batch
+from .stepper import _bem_step_batch, _em_step_batch
 
 DIVERGENCE_THRESHOLD = 1e12
+
+# Contraction envelope below which the default pull-back depth has forgotten
+# its starting state.
+ENVELOPE_TARGET = 1e-8
 
 SCHEMES = ("bem", "em")
 
@@ -143,7 +147,6 @@ def _drive(
     scheme: str,
     x0: np.ndarray,
     dw: np.ndarray,
-    config: SolverConfig,
     record_nodes: np.ndarray,
 ):
     """Advance a batch of paths over the grid.
@@ -184,7 +187,7 @@ def _drive(
         t_prev = (a % n) * h
         t_next = ((a + 1) % n) * h
         if scheme == "bem":
-            x, iters, rn, fb = _bem_step_batch(model, t_prev, t_next, h, x, dw[:, i], config)
+            x, iters, rn, fb = _bem_step_batch(model, t_prev, t_next, h, x, dw[:, i])
             max_iters = max(max_iters, int(iters.max()))
             max_resid = max(max_resid, float(rn.max()))
             any_fb = any_fb or bool(fb.any())
@@ -212,7 +215,6 @@ def simulate(
     scheme: str,
     init: InitialCondition,
     lattice: NoiseLattice,
-    config: SolverConfig | None = None,
 ) -> PathResult:
     """Run one path of the chosen scheme over the grid.
 
@@ -228,11 +230,10 @@ def simulate(
     """
     scheme = _check_scheme(scheme)
     _validate_run(model, grid, lattice)
-    cfg = config or DEFAULT_CONFIG
     x0 = init.resolve(lattice.seed, model.dimension)[None, :]
     dw = coarse_increments(lattice, grid, grid.start_index, grid.count)
     states, div_at, summary = _drive(
-        model, grid, scheme, x0, dw[None], cfg, np.arange(grid.count + 1)
+        model, grid, scheme, x0, dw[None], np.arange(grid.count + 1)
     )
     d_at = int(div_at[0])
     return PathResult(
@@ -269,20 +270,22 @@ def coalescence(
     init_a: InitialCondition,
     init_b: InitialCondition,
     lattice: NoiseLattice,
-    config: SolverConfig | None = None,
     threshold: float = 1e-6,
 ) -> CoalescenceReport:
     """Run the implicit scheme from two starting states on shared noise.
 
     Reports the pathwise distance series, the geometric envelope
     ``(1 + 2h(lambda_1 - C_f))**(-N/2) * |D_0|`` it must stay under, and the
-    first node where the distance drops below ``threshold``.
+    first node where the distance drops below ``threshold``, which must be
+    finite and positive.
     """
     c_f = model.constants.get("C_f")
     if c_f is None:
         raise ValueError("coalescence requires the model to declare C_f")
-    path_a = simulate(model, grid, "bem", init_a, lattice, config)
-    path_b = simulate(model, grid, "bem", init_b, lattice, config)
+    if not (math.isfinite(threshold) and threshold > 0.0):
+        raise ValueError(f"threshold must be finite and positive, got {threshold}")
+    path_a = simulate(model, grid, "bem", init_a, lattice)
+    path_b = simulate(model, grid, "bem", init_b, lattice)
     dist = np.linalg.norm(path_a.states - path_b.states, axis=1)
     rho = 1.0 + 2.0 * grid.h * (model.lambda_min - c_f)
     steps = np.arange(grid.count + 1)
@@ -299,16 +302,14 @@ def coalescence(
     )
 
 
-def default_pullback_periods(model: ModelSpec, h: float, target: float = 1e-8) -> int:
+def default_pullback_periods(model: ModelSpec, h: float) -> int:
     """Smallest whole number of periods at which the contraction envelope
-    ``(1 + 2h(lambda_1 - C_f))**(-N/2)`` falls below ``target``."""
+    ``(1 + 2h(lambda_1 - C_f))**(-N/2)`` falls below ``ENVELOPE_TARGET``."""
     c_f = model.constants.get("C_f")
     if c_f is None:
         raise ValueError("default pull-back depth requires the model to declare C_f")
-    if not 0.0 < target < 1.0:
-        raise ValueError(f"target must lie in (0, 1), got {target}")
     rho = 1.0 + 2.0 * h * (model.lambda_min - c_f)
-    steps = 2.0 * math.log(1.0 / target) / math.log(rho)
+    steps = 2.0 * math.log(1.0 / ENVELOPE_TARGET) / math.log(rho)
     per_period = model.period / h
     return max(1, math.ceil(steps / per_period))
 
@@ -320,7 +321,6 @@ def random_periodic_path(
     pullback_periods: int | None = None,
     horizon: tuple[float, float] = (0.0, 1.0),
     scheme: str = "bem",
-    config: SolverConfig | None = None,
     init: InitialCondition | None = None,
 ) -> PathResult:
     """Pull-back approximation of the random periodic path on ``horizon``.
@@ -339,7 +339,7 @@ def random_periodic_path(
         raise ValueError(f"horizon {horizon} must satisfy -k*tau <= t0 < t1")
     grid = make_grid(model, lattice, h, start, t1)
     x0 = init if init is not None else InitialCondition(value=np.zeros(model.dimension))
-    full = simulate(model, grid, scheme, x0, lattice, config)
+    full = simulate(model, grid, scheme, x0, lattice)
     i0 = grid.node_index(t0)
     return PathResult(
         grid=make_grid(model, lattice, h, t0, t1),
@@ -373,7 +373,6 @@ def verify_shift_periodicity(
     lattice: NoiseLattice,
     h: float,
     pullback_periods: int = 30,
-    config: SolverConfig | None = None,
     init: InitialCondition | None = None,
 ) -> ShiftPeriodicityReport:
     """Check the defining identity of a random periodic path numerically.
@@ -391,8 +390,8 @@ def verify_shift_periodicity(
     grid_a = dummy_grid
     grid_b = make_grid(model, lattice, h, -(k - 1) * model.period, model.period)
     x0 = init if init is not None else InitialCondition(value=np.zeros(model.dimension))
-    path_a = simulate(model, grid_a, "bem", x0, lat_shifted, config)
-    path_b = simulate(model, grid_b, "bem", x0, lattice, config)
+    path_a = simulate(model, grid_a, "bem", x0, lat_shifted)
+    path_b = simulate(model, grid_b, "bem", x0, lattice)
     disc = float(np.max(np.linalg.norm(path_a.states - path_b.states, axis=1)))
     return ShiftPeriodicityReport(
         max_discrepancy=disc,
@@ -426,7 +425,6 @@ def pullback_pinned_path(
     lattice: NoiseLattice,
     h: float,
     r_max: float,
-    config: SolverConfig | None = None,
     init: InitialCondition | None = None,
     scheme: str = "bem",
 ) -> PinnedPullbackResult:
@@ -442,7 +440,6 @@ def pullback_pinned_path(
     point, which makes the convergence of the pull-back visible directly.
     """
     scheme = _check_scheme(scheme)
-    cfg = config or DEFAULT_CONFIG
     steps_total = _int_ratio(r_max, h, "r_max / h")
     if steps_total < 1:
         raise ValueError(f"r_max must be at least one step, got {r_max}")
@@ -459,7 +456,7 @@ def pullback_pinned_path(
         step = replace(grid, start_index=grid.start_index + i, count=1)
         out, _, summary = _drive(
             model, step, scheme, x[: i + 1], np.broadcast_to(dw[i], (i + 1, 1, dw.shape[1])),
-            cfg, [1],
+            [1],
         )
         x[: i + 1] = out[:, 0]
         stats.append(summary)

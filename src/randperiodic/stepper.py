@@ -45,23 +45,6 @@ class NonFiniteEvaluationError(RuntimeError):
 
 
 @dataclass(frozen=True)
-class SolverConfig:
-    """Tolerance of the implicit solve.
-
-    ``residual_tol`` is relative: a solve with right-hand side ``y`` accepts
-    ``z`` once ``|G(z) - y| <= residual_tol * (1 + |y|)``.  Newton uses the
-    model's ``drift_jacobian`` when it declares one, and one-sided finite
-    differences with step ``1e-7 * (1 + |x|)`` otherwise.
-    """
-
-    residual_tol: float = 1e-12
-
-    def __post_init__(self) -> None:
-        if not self.residual_tol > 0.0:
-            raise ValueError("residual_tol must be positive")
-
-
-@dataclass(frozen=True)
 class StepStats:
     """Work and accuracy record of one implicit solve."""
 
@@ -70,7 +53,9 @@ class StepStats:
     fallback_used: bool
 
 
-DEFAULT_CONFIG = SolverConfig()
+# Relative residual tolerance of the implicit solve: a solve with right-hand
+# side ``y`` accepts ``z`` once ``|G(z) - y| <= RESIDUAL_TOL * (1 + |y|)``.
+RESIDUAL_TOL = 1e-12
 
 # Caps and finite-difference step of the implicit solve.
 _MAX_NEWTON_ITERS = 50
@@ -96,7 +81,6 @@ def _implicit_solve_batch(
     t: float,
     h: float,
     rhs: np.ndarray,
-    config: SolverConfig,
     x0: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Solve ``G(z) = rhs`` rowwise for ``rhs`` of shape ``(M, d)``.
@@ -104,7 +88,9 @@ def _implicit_solve_batch(
     Returns ``(z, newton_iters, final_residual, fallback_used)`` with the
     last three per path.  Damped Newton with per-path step halving; for
     scalar models a bracketing bisection on the monotone ``G`` catches any
-    path Newton fails on.
+    path Newton fails on.  Newton uses the model's ``drift_jacobian`` when it
+    declares one, and one-sided finite differences with step
+    ``1e-7 * (1 + |x|)`` otherwise.
 
     When the drift is exactly a :class:`PolyTrigDrift` whose polynomial is
     at most linear, every row is solved by one division instead (see
@@ -115,7 +101,7 @@ def _implicit_solve_batch(
     """
     lam = model.eigenvalues
     m_paths, d = rhs.shape
-    tol = config.residual_tol * (1.0 + _row_norm(rhs))
+    tol = RESIDUAL_TOL * (1.0 + _row_norm(rhs))
 
     affine = _affine_coeffs(model.drift)
     if affine is not None:
@@ -332,7 +318,6 @@ def implicit_solve(
     t: float,
     h: float,
     rhs: np.ndarray,
-    config: SolverConfig | None = None,
     x0: np.ndarray | None = None,
 ) -> tuple[np.ndarray, StepStats]:
     """Solve ``z + h*A*z - h*f(t, z) = rhs`` for one state vector.
@@ -342,7 +327,6 @@ def implicit_solve(
         t: Drift evaluation time.
         h: Step size in ``(0, 1)``.
         rhs: Right-hand side vector of shape ``(d,)``.
-        config: Solver tolerance; the default when omitted.
         x0: Optional initial guess (defaults to the linear-part solution).
 
     Returns:
@@ -353,10 +337,9 @@ def implicit_solve(
         NonFiniteEvaluationError: the drift produced non-finite values.
     """
     _check_h(h)
-    cfg = config or DEFAULT_CONFIG
     rhs = np.atleast_1d(np.asarray(rhs, dtype=np.float64))
     guess = None if x0 is None else np.atleast_1d(np.asarray(x0, dtype=np.float64))[None, :]
-    z, iters, rn, fb = _implicit_solve_batch(model, t, h, rhs[None, :], cfg, guess)
+    z, iters, rn, fb = _implicit_solve_batch(model, t, h, rhs[None, :], guess)
     return z[0], StepStats(int(iters[0]), float(rn[0]), bool(fb[0]))
 
 
@@ -366,7 +349,6 @@ def bem_step(
     h: float,
     x_prev: np.ndarray,
     dW: np.ndarray,
-    config: SolverConfig | None = None,
 ) -> tuple[np.ndarray, StepStats]:
     """One drift-implicit step to time ``t_next``.
 
@@ -379,8 +361,7 @@ def bem_step(
     x_prev = np.atleast_1d(np.asarray(x_prev, dtype=np.float64))
     dW = np.atleast_1d(np.asarray(dW, dtype=np.float64))
     z, iters, rn, fb = _bem_step_batch(
-        model, (t_next - h) % tau, t_next % tau, h, x_prev[None, :], dW[None, :],
-        config or DEFAULT_CONFIG,
+        model, (t_next - h) % tau, t_next % tau, h, x_prev[None, :], dW[None, :]
     )
     return z[0], StepStats(int(iters[0]), float(rn[0]), bool(fb[0]))
 
@@ -392,11 +373,10 @@ def _bem_step_batch(
     h: float,
     x_prev: np.ndarray,
     dW: np.ndarray,
-    config: SolverConfig,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Batch implicit step; times must already be reduced to ``[0, tau)``."""
     rhs = x_prev + float(model.diffusion(t_prev)) * dW
-    return _implicit_solve_batch(model, t_next, h, rhs, config, x_prev)
+    return _implicit_solve_batch(model, t_next, h, rhs, x_prev)
 
 
 def em_step(

@@ -42,7 +42,7 @@ from randperiodic.pullback import (
     simulate,
     verify_shift_periodicity,
 )
-from randperiodic.stepper import DEFAULT_CONFIG, implicit_solve
+from randperiodic.stepper import RESIDUAL_TOL, implicit_solve
 
 BENCH = builtin_benchmark()
 
@@ -58,7 +58,7 @@ def test_criterion_1_monotone_family_solves():
     contracts by the monotonicity modulus."""
     t0 = time.perf_counter()
     rng = np.random.default_rng(2024)
-    tol_rel = DEFAULT_CONFIG.residual_tol
+    tol_rel = RESIDUAL_TOL
     solves = 0
     worst_resid_ratio = 0.0
     worst_contraction_slack = -np.inf
@@ -147,7 +147,7 @@ def test_criterion_3_shift_periodicity():
     h = 2.0**-7
     lat = NoiseLattice(seed=13, base_step=h)
     rep = verify_shift_periodicity(BENCH, lat, h, pullback_periods=30)
-    tol = 10.0 * DEFAULT_CONFIG.residual_tol
+    tol = 10.0 * RESIDUAL_TOL
     ok = rep.max_discrepancy <= tol
     elapsed = time.perf_counter() - t0
     _line(

@@ -119,6 +119,15 @@ class TestStrongError:
             strong_error(m, h_ref=2.0**-8, h_list=[2.0**-4], pullback_periods=0,
                          num_paths=4)
 
+    @pytest.mark.parametrize("h_list", [
+        [2.0**-4, 2.0**-4, 2.0**-5],
+        [2.0**-5, 2.0**-4, 2.0**-4 * (1.0 + 1e-12)],
+    ])
+    def test_duplicate_step_sizes_raise(self, h_list):
+        with pytest.raises(ValueError, match="duplicate step sizes"):
+            strong_error(builtin_benchmark(), h_ref=2.0**-8, h_list=h_list,
+                         pullback_periods=1, num_paths=4)
+
 
 class TestMomentEstimate:
     def test_benchmark_within_bound(self):
@@ -242,9 +251,9 @@ def test_default_block_holds_2048_paths(monkeypatch, num_paths, blocks):
     walk = analysis._walk_windows
     calls = []
 
-    def counted(model, runs, lattices, x0, config):
+    def counted(model, runs, lattices, x0):
         calls.append(len(lattices))
-        return walk(model, runs, lattices, x0, config)
+        return walk(model, runs, lattices, x0)
 
     monkeypatch.setattr(analysis, "_walk_windows", counted)
     m = builtin_benchmark()
@@ -565,6 +574,19 @@ class TestPeriodicMeasure:
         with pytest.raises(ValueError):
             periodic_measure(m, seeds[:1], h=2.0**-5, pullback_periods=2,
                              t_list=[0.0])
+
+    def test_seeds_are_whole_numbers_modulo_2_64(self):
+        m = builtin_benchmark()
+
+        def samples(seeds):
+            (mu,) = periodic_measure(m, seeds, h=2.0**-4, pullback_periods=1, t_list=[0.0])
+            return mu.samples
+
+        expect = samples([2**64 - 1, 2])
+        assert np.array_equal(samples([-1, 2]), expect)
+        assert np.array_equal(samples([-1.0, 2.0]), expect)
+        with pytest.raises(ValueError, match="whole numbers"):
+            samples([1.5, 2.5])
 
 
 class TestMeasureStudy:

@@ -1,5 +1,6 @@
 """Tests for the command-line interface: flags, configs, outputs, exit codes."""
 
+import argparse
 import json
 import math
 
@@ -89,6 +90,30 @@ class TestConfigHandling:
         assert code == 2
         assert "unknown config keys: ['block_size', 'stepsize', 'workers']" in err
 
+    def test_removed_residual_tol_key_exits_two(self, capsys, tmp_path):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"residual_tol": 1e-10}))
+        code, _, err = run(capsys, "simulate", "--config", str(cfg))
+        assert code == 2
+        assert "unknown config keys: ['residual_tol']" in err
+
+    def test_removed_residual_tol_flag_exits_two(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["simulate", "--residual-tol", "1e-10"])
+        assert exc.value.code == 2
+        assert "--residual-tol" in capsys.readouterr().err
+
+    def test_config_keys_are_the_long_options(self):
+        parser = cli._build_parser()
+        [sub] = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+        options = {
+            action.dest
+            for command in sub.choices.values()
+            for action in command._actions
+            if any(o.startswith("--") for o in action.option_strings)
+        }
+        assert cli._KNOWN_CONFIG_KEYS == options - {"help", "config"}
+
     def test_malformed_json_exits_two(self, capsys, tmp_path):
         cfg = tmp_path / "run.json"
         cfg.write_text("{not json")
@@ -150,6 +175,13 @@ class TestPeriodicityCommand:
         assert out.count("PASS") == 2
         assert "max discrepancy 0.000e+00" in out
 
+    @pytest.mark.parametrize("threshold", ["nan", "-1", "0"])
+    def test_threshold_out_of_range_exits_two(self, capsys, threshold):
+        code, _, err = run(capsys, "periodicity", "--h", "0.0078125",
+                           "--pullback-periods", "2", "--threshold", threshold)
+        assert code == 2
+        assert "configuration error: threshold must be finite and positive" in err
+
 
 class TestOrderCommand:
     ARGS = ("order", "--h-ref", "0.001953125", "--h-list", "0.0625,0.03125,0.015625",
@@ -175,6 +207,15 @@ class TestOrderCommand:
         assert code == 0
         table = (tmp_path / "error_table_bem.csv").read_text().splitlines()
         assert len(table) == 3
+
+    def test_duplicate_step_sizes_exit_two(self, capsys, tmp_path):
+        code, _, err = run(capsys, "order", "--h-ref", "0.001953125",
+                           "--h-list", "0.0625,0.0625,0.03125",
+                           "--paths", "8", "--pullback-periods", "2",
+                           "--out", str(tmp_path))
+        assert code == 2
+        assert "configuration error: h_list contains duplicate step sizes" in err
+        assert not list(tmp_path.glob("*.csv"))
 
 
 class TestMeasureCommand:
@@ -210,6 +251,16 @@ class TestMeasureCommand:
                            "--bootstrap", n_bootstrap, "--out", str(tmp_path))
         assert code == 2
         assert f"configuration error: n_bootstrap must be >= 1, got {n_bootstrap}" in err
+
+    def test_negative_halvings_fail_before_simulating(self, capsys, monkeypatch, tmp_path):
+        def no_simulation(*args, **kwargs):
+            raise AssertionError("periodic_measure called")
+
+        monkeypatch.setattr(cli, "periodic_measure", no_simulation)
+        code, _, err = run(capsys, "measure", "--h", "0.03125", "--paths", "8",
+                           "--halvings", "-2", "--out", str(tmp_path))
+        assert code == 2
+        assert "configuration error: halvings must be >= 0, got -2" in err
 
     def test_vector_model_fails_before_simulating(self, capsys, monkeypatch, tmp_path):
         def no_simulation(*args, **kwargs):

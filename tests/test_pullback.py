@@ -13,6 +13,7 @@ from randperiodic.model import (
 )
 from randperiodic.noise import AlignmentError, GridSpec, NoiseLattice
 from randperiodic.pullback import (
+    ENVELOPE_TARGET,
     SolverSummary,
     coalescence,
     default_pullback_periods,
@@ -223,11 +224,11 @@ class TestDefaultPullbackPeriods:
 
     def test_matches_envelope_formula(self):
         m = builtin_benchmark()
-        h, target = 2.0**-7, 1e-8
+        h = 2.0**-7
         rho = 1.0 + 2.0 * h * (m.lambda_min - m.constants["C_f"])
-        steps = 2.0 * math.log(1.0 / target) / math.log(rho)
+        steps = 2.0 * math.log(1.0 / ENVELOPE_TARGET) / math.log(rho)
         expect = max(1, math.ceil(steps / (m.period / h)))
-        assert default_pullback_periods(m, h, target) == expect
+        assert default_pullback_periods(m, h) == expect
 
     def test_slow_mixing_needs_more_periods(self):
         from randperiodic.model import ConstantDiffusion, ModelSpec, PolyTrigDrift
@@ -269,6 +270,15 @@ class TestCoalescence:
         with pytest.raises(ValueError, match="C_f"):
             coalescence(bare, grid, InitialCondition(value=[0.0]),
                         InitialCondition(value=[1.0]), lat)
+
+    @pytest.mark.parametrize("threshold", [math.nan, math.inf, 0.0, -1.0])
+    def test_threshold_must_be_finite_and_positive(self, threshold):
+        m = builtin_benchmark()
+        lat = NoiseLattice(seed=7, base_step=H)
+        grid = make_grid(m, lat, H, 0.0, 1.0)
+        with pytest.raises(ValueError, match="threshold"):
+            coalescence(m, grid, InitialCondition(value=[0.0]),
+                        InitialCondition(value=[1.0]), lat, threshold=threshold)
 
 
 class TestShiftPeriodicity:

@@ -21,10 +21,9 @@ from randperiodic.model import (
 from randperiodic.noise import NoiseLattice, coarse_increments
 from randperiodic.pullback import make_grid, pullback_pinned_path, simulate
 from randperiodic.stepper import (
-    DEFAULT_CONFIG,
+    RESIDUAL_TOL,
     NonConvergenceError,
     NonFiniteEvaluationError,
-    SolverConfig,
     _bisect_scalar,
     _implicit_solve_batch,
     bem_step,
@@ -63,7 +62,7 @@ class TestImplicitSolve:
         # z + h*lam*z = rhs  ->  z = rhs / (1 + h*lam) = 3 / 2 at h=0.5, lam=2
         z, stats = implicit_solve(linear_model(2.0), t=0.0, h=0.5, rhs=np.array([3.0]))
         assert z[0] == pytest.approx(1.5, abs=1e-12)
-        assert stats.final_residual <= DEFAULT_CONFIG.residual_tol * (1.0 + 3.0)
+        assert stats.final_residual <= RESIDUAL_TOL * (1.0 + 3.0)
         assert not stats.fallback_used
 
     def test_cubic_closed_form(self):
@@ -97,7 +96,7 @@ class TestImplicitSolve:
             z, stats = implicit_solve(m, t=0.0, h=h, rhs=rhs)
             lhs = z * (1.0 + h * 3.0) - h * m.drift(0.0, z)
             resid = abs(float(lhs[0] - rhs[0]))
-            tol = DEFAULT_CONFIG.residual_tol * (1.0 + abs(float(rhs[0])))
+            tol = RESIDUAL_TOL * (1.0 + abs(float(rhs[0])))
             assert resid <= tol
             assert stats.final_residual <= tol
 
@@ -142,7 +141,7 @@ class TestImplicitSolve:
         m = cubic_model(2.0)
         rng = np.random.default_rng(3)
         rhs = rng.normal(scale=2.0, size=(17, 1))
-        z_batch, _, _, _ = _implicit_solve_batch(m, 0.0, 0.25, rhs, DEFAULT_CONFIG)
+        z_batch, _, _, _ = _implicit_solve_batch(m, 0.0, 0.25, rhs)
         for i in range(17):
             z_one, _ = implicit_solve(m, 0.0, 0.25, rhs[i])
             assert np.array_equal(z_batch[i], z_one)
@@ -200,16 +199,10 @@ class TestBisectScalar:
     def test_finds_root_of_monotone_function(self):
         # G(z) = 1.5 z + 0.5 z^3 = 2 has the exact root z = 1
         m = cubic_model(1.0)
-        tol = DEFAULT_CONFIG.residual_tol * (1.0 + 2.0)
+        tol = RESIDUAL_TOL * (1.0 + 2.0)
         root, resid = _bisect_scalar(m, 0.0, 0.5, 1.5, 2.0, 0.0, tol, 200)
         assert root == pytest.approx(1.0, abs=1e-9)
         assert resid <= tol
-
-
-class TestSolverConfig:
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            SolverConfig(residual_tol=0.0)
 
 
 class TestBemStep:
@@ -220,7 +213,7 @@ class TestBemStep:
                              dW=np.array([0.3]))
         expect = (1.0 + 0.1 * 0.3) / (1.0 + 0.5 * 2.0)
         assert x1[0] == pytest.approx(expect, rel=1e-12)
-        assert stats.final_residual <= DEFAULT_CONFIG.residual_tol * 2.1
+        assert stats.final_residual <= RESIDUAL_TOL * 2.1
 
     def test_time_reduction_is_exact(self):
         m = builtin_benchmark()
@@ -316,15 +309,15 @@ def test_affine_step_matches_newton(case):
         x_prev = rng.normal(scale=2.0, size=(9, d))
         dw = rng.normal(scale=math.sqrt(h), size=(9, d))
         z, iters, rn, fb = stepper._bem_step_batch(
-            closed, t_next - h, t_next, h, x_prev, dw, DEFAULT_CONFIG)
+            closed, t_next - h, t_next, h, x_prev, dw)
         z_n, iters_n, _, fb_n = stepper._bem_step_batch(
-            newton, t_next - h, t_next, h, x_prev, dw, DEFAULT_CONFIG)
+            newton, t_next - h, t_next, h, x_prev, dw)
         rhs = x_prev + 0.3 * dw
         scale = step_scale(closed, h, x_prev, rhs, z)
         assert np.all(np.abs(z - z_n).max(axis=1) <= ULPS * EPS * scale)
         assert np.array_equal(iters, np.ones(9)) and np.array_equal(iters, iters_n)
         assert not fb.any() and not fb_n.any()
-        tol = DEFAULT_CONFIG.residual_tol * (1.0 + np.linalg.norm(rhs, axis=1))
+        tol = RESIDUAL_TOL * (1.0 + np.linalg.norm(rhs, axis=1))
         assert np.all(rn <= tol)
 
 
@@ -338,20 +331,22 @@ def test_affine_single_step_api_takes_the_closed_form():
     assert stats.newton_iters == 1 and not stats.fallback_used
     z, stats = implicit_solve(m, t=0.375, h=0.25, rhs=np.array([0.63]))
     assert stats.newton_iters == 1 and not stats.fallback_used
-    assert stats.final_residual <= DEFAULT_CONFIG.residual_tol * 1.63
+    assert stats.final_residual <= RESIDUAL_TOL * 1.63
     expect = (0.63 + 0.25 * (-0.4 + 0.7 * math.sin(0.75 * math.pi))) / (1.0 + 0.25 * (3.0 - 1.2))
     assert z[0] == pytest.approx(expect, rel=4 * EPS)
 
 
-def test_affine_step_checks_its_residual():
+def test_affine_step_checks_its_residual(monkeypatch):
     m = affine_model([3.0], (-0.4, 1.2))
     rhs = np.random.default_rng(2).normal(size=(50, 1))
     # no division lands every row within 1e-30 of its right-hand side
-    with pytest.raises(NonConvergenceError, match="above tolerance at t=0.25"):
-        _implicit_solve_batch(m, 0.25, 0.5, rhs, SolverConfig(residual_tol=1e-30))
+    with monkeypatch.context() as patch:
+        patch.setattr(stepper, "RESIDUAL_TOL", 1e-30)
+        with pytest.raises(NonConvergenceError, match="above tolerance at t=0.25"):
+            _implicit_solve_batch(m, 0.25, 0.5, rhs)
     rhs[7, 0] = np.nan
     with pytest.raises(NonFiniteEvaluationError, match="non-finite at t=0.25"):
-        _implicit_solve_batch(m, 0.25, 0.5, rhs, DEFAULT_CONFIG)
+        _implicit_solve_batch(m, 0.25, 0.5, rhs)
 
 
 def builtin_affine(newton=False):
@@ -376,7 +371,7 @@ def _run_scale(model, h, states, dw):
 def _check_stats(summary, scale):
     assert summary.max_newton_iters == 1
     assert not summary.any_fallback
-    assert summary.max_residual <= DEFAULT_CONFIG.residual_tol * (1.0 + scale)
+    assert summary.max_residual <= RESIDUAL_TOL * (1.0 + scale)
 
 
 RUN_CASES = {
@@ -553,7 +548,7 @@ def _newton_cases():
 
 
 def _solve_repr(model, t, h, rhs, x0):
-    z, iters, res, fallback = _implicit_solve_batch(model, t, h, rhs, DEFAULT_CONFIG, x0)
+    z, iters, res, fallback = _implicit_solve_batch(model, t, h, rhs, x0)
     return repr((z.tolist(), iters.tolist(), res.tolist(), fallback.tolist()))
 
 
@@ -578,7 +573,7 @@ def test_damped_cases_halve_the_step(monkeypatch):
     monkeypatch.setattr(stepper, "_residual_masked", counted)
     for name, (m, t, h, rhs, x0) in _newton_cases().items():
         calls[0] = 0
-        _, iters, _, _ = _implicit_solve_batch(m, t, h, rhs, DEFAULT_CONFIG, x0)
+        _, iters, _, _ = _implicit_solve_batch(m, t, h, rhs, x0)
         assert (calls[0] > 1 + iters.max()) == name.endswith("-damped"), name
 
 
@@ -588,11 +583,11 @@ def test_newton_fallback_matches_snapshot(jac, monkeypatch):
     m = model_from_config(NEWTON_CUBIC)
     rhs = np.array([[2.0], [0.01], [-3.0], [0.5]])
     x0 = np.array([[100.0], [0.01], [-50.0], [0.0]])
-    x0[3] = _implicit_solve_batch(m, 0.25, 0.5, rhs, DEFAULT_CONFIG)[0][3]
+    x0[3] = _implicit_solve_batch(m, 0.25, 0.5, rhs)[0][3]
     if jac == "fd":
         m = replace(m, drift_jacobian=None)
     monkeypatch.setattr(stepper, "_MAX_NEWTON_ITERS", 1)
-    _, iters, _, fallback = _implicit_solve_batch(m, 0.25, 0.5, rhs, DEFAULT_CONFIG, x0)
+    _, iters, _, fallback = _implicit_solve_batch(m, 0.25, 0.5, rhs, x0)
     assert fallback.tolist() == [True, True, True, False]
     assert iters.tolist() == [1, 1, 1, 0]
     assert _solve_repr(m, 0.25, 0.5, rhs, x0) == _snapshot(f"fallback-{jac}")
@@ -608,7 +603,7 @@ def _reference_repr(model, t, h, rhs, x0):
     P = np.polynomial.polynomial
     d = rhs.shape[1]
     idx = np.arange(d)
-    tol = DEFAULT_CONFIG.residual_tol * (1.0 + np.linalg.norm(rhs, axis=1))
+    tol = RESIDUAL_TOL * (1.0 + np.linalg.norm(rhs, axis=1))
     denom = 1.0 + h * model.eigenvalues
     x = np.array(x0, dtype=np.float64) if x0 is not None else rhs / denom
     r, fx = stepper._residual_masked(model, t, denom, h, rhs, x)
