@@ -27,7 +27,9 @@ from typing import Sequence
 import numpy as np
 
 from .model import InitialCondition, ModelSpec
-from .noise import GridSpec, NoiseLattice, _read_increments, _sum_steps, derive_seeds
+from .noise import (
+    GridSpec, NoiseLattice, _read_increments, _sum_steps, _whole_seed, derive_seeds,
+)
 from .pullback import (
     SolverSummary, _check_period, _check_scheme, _drive, _grid_on, _merge_stats,
 )
@@ -602,12 +604,4 @@ def _path_seeds(seeds: Sequence[int]) -> list[int]:
     arr = np.asarray(seeds, dtype=object)
     if arr.ndim != 1 or arr.size < 2:
         raise ValueError(f"a study needs at least 2 path seeds, got shape {arr.shape}")
-    out = []
-    for s in arr.tolist():
-        whole = isinstance(s, (int, np.integer)) or (
-            isinstance(s, (float, np.floating)) and float(s).is_integer()
-        )
-        if not whole:
-            raise ValueError(f"path seeds must be whole numbers, got {s!r}")
-        out.append(int(s) % (1 << 64))
-    return out
+    return [_whole_seed(s) for s in arr.tolist()]

@@ -39,6 +39,7 @@ from .analysis import (
 from .model import InitialCondition, ModelSpec, check_assumptions, load_model
 from .noise import AlignmentError, NoiseLattice, derive_seeds
 from .pullback import (
+    _check_threshold,
     coalescence,
     default_pullback_periods,
     make_grid,
@@ -226,6 +227,10 @@ def _cmd_periodicity(args, config) -> int:
     threshold = float(_opt(args, config, "threshold", 1e-6))
     windows = int(_opt(args, config, "coalesce_periods", 2))
     lattice = NoiseLattice(seed, h, model.dimension)
+    # the checks of make_grid and coalescence, made before any path is
+    # simulated; verify_shift_periodicity checks k before it simulates
+    grid = make_grid(model, lattice, h, 0.0, windows * model.period)
+    _check_threshold(threshold)
 
     report = verify_shift_periodicity(model, lattice, h, pullback_periods=k)
     tol = 10.0 * RESIDUAL_TOL
@@ -234,7 +239,6 @@ def _cmd_periodicity(args, config) -> int:
           f"(tolerance {tol:.1e}) -> {'PASS' if shift_ok else 'FAIL'}")
 
     d = model.dimension
-    grid = make_grid(model, lattice, h, 0.0, windows * model.period)
     init_a = InitialCondition(value=0.2 * np.ones(d))
     init_b = InitialCondition(value=-0.3 * np.ones(d))
     co = coalescence(model, grid, init_a, init_b, lattice, threshold=threshold)

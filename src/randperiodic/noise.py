@@ -48,7 +48,7 @@ class NoiseLattice:
     """Reproducible two-sided lattice of Brownian increments.
 
     Attributes:
-        seed: Generator key, reduced modulo 2**64.
+        seed: Generator key, a whole number, reduced modulo 2**64.
         base_step: Lattice spacing in time; increments are N(0, base_step).
         dimension: Number of coordinates per increment vector.
         origin: Index offset applied to every query.  Shifted views share the
@@ -65,7 +65,7 @@ class NoiseLattice:
             raise ValueError(f"base_step must be positive, got {self.base_step}")
         if self.dimension < 1:
             raise ValueError(f"dimension must be >= 1, got {self.dimension}")
-        object.__setattr__(self, "seed", int(self.seed) % (1 << 64))
+        object.__setattr__(self, "seed", _whole_seed(self.seed))
         object.__setattr__(self, "origin", int(self.origin))
 
     def increments(self, start: int, count: int) -> np.ndarray:
@@ -92,6 +92,16 @@ class NoiseLattice:
         composition of shifts adds offsets.
         """
         return replace(self, origin=self.origin + int(lattice_steps))
+
+
+def _whole_seed(seed) -> int:
+    """``seed`` as an int modulo 2**64; a ValueError unless it is a whole number."""
+    whole = isinstance(seed, (int, np.integer)) or (
+        isinstance(seed, (float, np.floating)) and float(seed).is_integer()
+    )
+    if not whole:
+        raise ValueError(f"seeds must be whole numbers, got {seed!r}")
+    return int(seed) % (1 << 64)
 
 
 def _read_increments(lattices: Sequence[NoiseLattice], start: int, count: int) -> np.ndarray:

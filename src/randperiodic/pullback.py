@@ -13,12 +13,19 @@ with ``n`` steps per period, and period shifts of the noise are integer
 offsets into the lattice.  Two runs that the shift identity says should agree
 therefore see bitwise-identical inputs at every step and produce
 bitwise-identical trajectories.
+
+Every run goes through one path-batch engine, :func:`_drive`.  It runs the
+implicit scheme on an affine drift in chunks of ``_AFFINE_CHUNK`` steps, one
+loop per chunk over increments and forcing computed once; the loop repeats
+the step-by-step kernel's operations in order, so no bit depends on the
+chunk length.  Everything else advances one kernel call per step.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from typing import Callable
 
 import numpy as np
 
@@ -26,9 +33,15 @@ from .model import InitialCondition, ModelSpec
 from .noise import (
     AlignmentError, GridSpec, NoiseLattice, _check_alignment, coarse_increments, shift,
 )
-from .stepper import _bem_step_batch, _em_step_batch
+from .stepper import _affine_plan, _affine_steps, _bem_step_batch, _em_step_batch
 
 DIVERGENCE_THRESHOLD = 1e12
+
+# Steps per chunk of an affine implicit window (see :func:`_drive`).  Each
+# of a chunk's few buffers holds paths x chunk x d numbers; timed in-process
+# on the order study (256 paths) and the pinned pull-back, 64 to 256 steps
+# run equally fast, 32 and 512 slower.
+_AFFINE_CHUNK = 128
 
 # Contraction envelope below which the default pull-back depth has forgotten
 # its starting state.
@@ -154,8 +167,9 @@ def _drive(
     ``dw[p, i]`` is the increment of path ``p`` over grid step ``i``, so
     ``dw`` has shape ``(paths, grid.count, d)``; paths on one noise
     realization may share a broadcast row.  A row of ``x0`` that is not
-    finite is a path that diverged before this grid: it stays NaN, the
-    explicit scheme does not step it, and it is not flagged again.
+    finite is a path that diverged before this grid: under the explicit
+    scheme it stays NaN, is not stepped and is not flagged again; the
+    implicit scheme raises :class:`~randperiodic.stepper.NonFiniteEvaluationError`.
 
     Returns ``(recorded, diverged_at, summary)`` where ``recorded[p, i]`` is
     the state of path ``p`` at grid node ``record_nodes[i]`` and
@@ -174,6 +188,12 @@ def _drive(
     rec_pos = {int(v): i for i, v in enumerate(record_nodes)}
     if 0 in rec_pos:
         rec[:, rec_pos[0]] = x0
+
+    plan = _affine_plan(model, h) if scheme == "bem" else None
+    if plan is not None:
+        max_resid = _affine_window(model, grid, plan, x0, dw, rec, rec_pos)
+        return rec, np.full(m_paths, -1, dtype=np.int64), SolverSummary(
+            1 if grid.count else 0, max_resid, False)
 
     x = x0.copy()
     diverged_at = np.full(m_paths, -1, dtype=np.int64)
@@ -207,6 +227,42 @@ def _drive(
             rec[:, pos] = x
 
     return rec, diverged_at, SolverSummary(max_iters, max_resid, any_fb)
+
+
+def _affine_window(
+    model: ModelSpec,
+    grid: GridSpec,
+    plan: tuple[Callable[[float], float], np.ndarray],
+    x0: np.ndarray,
+    dw: np.ndarray,
+    rec: np.ndarray,
+    rec_pos: dict[int, int],
+) -> float:
+    """The implicit steps of :func:`_drive` for an affine drift, in chunks.
+
+    Per chunk of ``_AFFINE_CHUNK`` steps, the diffusion-weighted increments,
+    the forcing terms and the recorded nodes are laid out once, and
+    :func:`_affine_steps` runs the chunk: the same operations, in the same
+    order, as one ``_bem_step_batch`` call per step.  Fills ``rec`` and
+    returns the largest residual norm.
+    """
+    n, h, a0 = grid.period_steps, grid.h, grid.start_index
+    forcing_at, divisor = plan
+    nodes = np.fromiter(rec_pos, dtype=np.int64, count=len(rec_pos))
+    slots = np.fromiter(rec_pos.values(), dtype=np.int64, count=len(rec_pos))
+    x = x0
+    max_resid = 0.0
+    for c0 in range(0, grid.count, _AFFINE_CHUNK):
+        c1 = min(c0 + _AFFINE_CHUNK, grid.count)
+        g = np.array([float(model.diffusion((a % n) * h)) for a in range(a0 + c0, a0 + c1)])
+        t_next = [((a + 1) % n) * h for a in range(a0 + c0, a0 + c1)]
+        forcing = [forcing_at(t) for t in t_next]
+        z, rn = _affine_steps(x, g[:, None] * dw[:, c0:c1], forcing, divisor, t_next)
+        max_resid = max(max_resid, float(rn.max()))
+        here = (nodes > c0) & (nodes <= c1)
+        rec[:, slots[here]] = z[nodes[here] - c0].swapaxes(0, 1)
+        x = z[-1]
+    return max_resid
 
 
 def simulate(
@@ -282,8 +338,7 @@ def coalescence(
     c_f = model.constants.get("C_f")
     if c_f is None:
         raise ValueError("coalescence requires the model to declare C_f")
-    if not (math.isfinite(threshold) and threshold > 0.0):
-        raise ValueError(f"threshold must be finite and positive, got {threshold}")
+    _check_threshold(threshold)
     path_a = simulate(model, grid, "bem", init_a, lattice)
     path_b = simulate(model, grid, "bem", init_b, lattice)
     dist = np.linalg.norm(path_a.states - path_b.states, axis=1)
@@ -300,6 +355,11 @@ def coalescence(
         path_a=path_a,
         path_b=path_b,
     )
+
+
+def _check_threshold(threshold: float) -> None:
+    if not (math.isfinite(threshold) and threshold > 0.0):
+        raise ValueError(f"threshold must be finite and positive, got {threshold}")
 
 
 def default_pullback_periods(model: ModelSpec, h: float) -> int:

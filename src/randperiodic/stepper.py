@@ -20,6 +20,9 @@ scalar models.  An affine drift, a :class:`~randperiodic.model.PolyTrigDrift`
 
 which is the one exact Newton step.  The solver takes it instead of the loop
 whenever every divisor is positive, and otherwise runs Newton unchanged.
+:func:`_affine_steps` is that closed form and its residual check, for one
+step or for a run of steps in one loop; the single-step solve and the
+windows of :func:`randperiodic.pullback._drive` both call it.
 
 All solver kernels operate on batches of states with shape ``(M, d)`` and
 make per-path decisions (convergence, damping) independently, so a path's
@@ -30,6 +33,7 @@ public single-path functions wrap the batch kernels with ``M = 1``.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -94,21 +98,21 @@ def _implicit_solve_batch(
 
     When the drift is exactly a :class:`PolyTrigDrift` whose polynomial is
     at most linear, every row is solved by one division instead (see
-    :func:`_affine_solve`), without calling the drift or its Jacobian; it
+    :func:`_affine_steps`), without calling the drift or its Jacobian; it
     reports one Newton iteration per path and no fallback.  A subclass, a
     higher-degree polynomial, or a divisor ``1 + h*(lambda_i - p1) <= 0``
     runs the Newton loop.
     """
-    lam = model.eigenvalues
     m_paths, d = rhs.shape
+    plan = _affine_plan(model, h)
+    if plan is not None:
+        forcing, divisor = plan
+        # x + (-0.0) is x bit for bit: rhs is one step from itself
+        z, rn = _affine_steps(rhs, np.full((m_paths, 1, d), -0.0), [forcing(t)], divisor, [t])
+        return z[1], np.ones(m_paths, dtype=np.int64), rn[0], np.zeros(m_paths, dtype=bool)
+
+    lam = model.eigenvalues
     tol = RESIDUAL_TOL * (1.0 + _row_norm(rhs))
-
-    affine = _affine_coeffs(model.drift)
-    if affine is not None:
-        divisor = 1.0 + h * (lam - affine[1])
-        if np.all(divisor > 0.0):
-            return _affine_solve(model.drift, affine[0], divisor, t, h, rhs, tol)
-
     use_analytic = model.drift_jacobian is not None
     denom = 1.0 + h * lam
     x = np.array(x0, dtype=np.float64) if x0 is not None else rhs / denom
@@ -209,44 +213,90 @@ def _affine_coeffs(drift) -> tuple[float, float] | None:
     return (coeffs[0] if coeffs else 0.0), (coeffs[1] if len(coeffs) > 1 else 0.0)
 
 
-def _affine_solve(
-    drift: PolyTrigDrift,
-    p0: float,
-    divisor: np.ndarray,
-    t: float,
-    h: float,
-    rhs: np.ndarray,
-    tol: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Closed-form root of ``z*(1 + h*lambda) - h*(p0 + p1*z + F(t)) = rhs``.
+def _affine_plan(
+    model: ModelSpec, h: float
+) -> tuple[Callable[[float], float], np.ndarray] | None:
+    """``(forcing, divisor)`` of the closed-form implicit step at step size ``h``:
+    ``forcing(t) = h*(p0 + F(t))`` and ``divisor = 1 + h*(lambda - p1)``.
 
-    ``divisor`` is ``1 + h*(lambda - p1)``, all positive.  The residual
-    ``|z*divisor - b|`` of the division is checked against ``tol`` as the
-    Newton loop checks its own; returns what :func:`_implicit_solve_batch`
-    returns, with one iteration per path.
+    None unless the drift is affine (see :func:`_affine_coeffs`) and every
+    divisor is positive.
     """
-    b = rhs + h * (p0 + drift._forcing(t))
-    z = b / divisor
-    rn = _row_norm(z * divisor - b)
+    affine = _affine_coeffs(model.drift)
+    if affine is None:
+        return None
+    divisor = 1.0 + h * (model.eigenvalues - affine[1])
+    if not np.all(divisor > 0.0):
+        return None
+    p0, forcing_term = affine[0], model.drift._forcing
+    return (lambda t: h * (p0 + forcing_term(t))), divisor
+
+
+def _affine_steps(
+    x: np.ndarray,
+    gdw: np.ndarray,
+    forcing: list[float],
+    divisor: np.ndarray,
+    t_next: list[float],
+) -> tuple[np.ndarray, np.ndarray]:
+    """Closed-form implicit steps of an affine drift from the states ``x``.
+
+    Step ``j`` has right-hand side ``rhs_j = z_j + gdw[:, j]`` and solves
+    ``z*(1 + h*lambda) - h*(p0 + p1*z + F(t_next[j])) = rhs_j`` by
+
+        b_j = rhs_j + forcing[j],    z_{j+1} = b_j / divisor,
+
+    with ``forcing[j] = h*(p0 + F(t_next[j]))`` and ``divisor`` from
+    :func:`_affine_plan`.  ``x`` has shape ``(M, d)`` and ``gdw`` shape
+    ``(M, steps, d)``.  The steps run in sequence; afterwards the residual
+    ``|z_{j+1}*divisor - b_j|`` of every division is checked against
+    ``RESIDUAL_TOL * (1 + |rhs_j|)`` at once, and the first step with a row
+    above it raises, naming its ``t_next``.
+
+    Returns ``(z, rn)``: ``z[j]`` is the batch after ``j`` steps, shape
+    ``(steps + 1, M, d)``, and ``rn[j]`` the residual norms of step ``j``.
+
+    Raises:
+        NonFiniteEvaluationError: a step's result is not finite.
+        NonConvergenceError: a finite step missed the tolerance.
+    """
+    z = np.empty((len(forcing) + 1,) + x.shape)
+    z[0] = x
+    for j, f in enumerate(forcing):
+        b = x + gdw[:, j]
+        b += f
+        x = b / divisor
+        z[j + 1] = x
+    # built in place to hold fewer chunk-sized arrays, with the bits of
+    # RESIDUAL_TOL * (1 + |rhs|) and z*divisor - b
+    b = z[:-1] + gdw.swapaxes(0, 1)
+    tol = _row_norm(b)
+    tol += 1.0
+    tol *= RESIDUAL_TOL
+    b += np.asarray(forcing)[:, None, None]
+    r = z[1:] * divisor
+    r -= b
+    rn = _row_norm(r)
     above = ~(rn <= tol)
     if above.any():
-        if not np.all(np.isfinite(z)):
+        j = int(np.flatnonzero(above.any(axis=1))[0])
+        t, bad = t_next[j], above[j]
+        if not np.all(np.isfinite(z[j + 1])):
             raise NonFiniteEvaluationError(f"affine implicit step is non-finite at t={t}")
         raise NonConvergenceError(
-            f"affine implicit step left {int(above.sum())} path(s) above tolerance at t={t} "
-            f"(worst residual {float(np.max(rn[above])):.3e})"
+            f"affine implicit step left {int(bad.sum())} path(s) above tolerance at t={t} "
+            f"(worst residual {float(np.max(rn[j][bad])):.3e})"
         )
-    m_paths = rhs.shape[0]
-    return z, np.ones(m_paths, dtype=np.int64), rn, np.zeros(m_paths, dtype=bool)
+    return z, rn
 
 
 def _row_norm(a: np.ndarray) -> np.ndarray:
-    """Euclidean norm of each row of ``a``; ``abs`` for one column.
+    """Euclidean norm along the last axis of ``a``; ``abs`` for one column.
 
     ``abs`` has the bits of the 1-column norm ``sqrt(a*a)`` wherever the
     square neither overflows nor underflows (``1.5e-154 < |a| < 1.3e154``).
     """
-    return np.abs(a[:, 0]) if a.shape[1] == 1 else np.linalg.norm(a, axis=1)
+    return np.abs(a[..., 0]) if a.shape[-1] == 1 else np.linalg.norm(a, axis=-1)
 
 
 def _residual_masked(

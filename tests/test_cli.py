@@ -6,7 +6,7 @@ import math
 
 import pytest
 
-from randperiodic import cli
+from randperiodic import cli, pullback
 from randperiodic.cli import main
 
 
@@ -181,6 +181,24 @@ class TestPeriodicityCommand:
                            "--pullback-periods", "2", "--threshold", threshold)
         assert code == 2
         assert "configuration error: threshold must be finite and positive" in err
+
+    @pytest.mark.parametrize("args, message", [
+        (("--threshold", "nan"), "threshold must be finite and positive, got nan"),
+        (("--threshold", "0"), "threshold must be finite and positive, got 0.0"),
+        (("--h", "0.3"), "period / h = 3.3333333333333335 is not a whole number"),
+        (("--h", "1.0"), "step size h must lie in (0, 1), got 1.0"),
+        (("--pullback-periods", "1"), "pullback_periods must be >= 2, got 1"),
+        (("--coalesce-periods", "0"), "t_end must lie at least one step after t_start"),
+    ])
+    def test_bad_input_fails_before_simulating(self, capsys, monkeypatch, args, message):
+        def no_simulation(*args, **kwargs):
+            raise AssertionError("simulate called")
+
+        monkeypatch.setattr(pullback, "simulate", no_simulation)
+        code, out, err = run(capsys, "periodicity", *args)
+        assert code == 2
+        assert "PASS" not in out and "FAIL" not in out
+        assert f"configuration error: {message}" in err
 
 
 class TestOrderCommand:

@@ -78,6 +78,20 @@ class TestNoiseLattice:
         b = NoiseLattice(seed=41, base_step=1.0 / 32)
         assert np.array_equal(a.increments(-3, 6), b.increments(-3, 6))
 
+    @pytest.mark.parametrize("seed", [1.5, -0.25, float("nan"), float("inf"), np.float64(2.5)])
+    def test_seed_must_be_a_whole_number(self, seed):
+        with pytest.raises(ValueError, match="whole numbers"):
+            NoiseLattice(seed=seed, base_step=0.125)
+
+    def test_integer_seed_types_agree(self):
+        expect = NoiseLattice(seed=7, base_step=0.125).increments(-2, 4)
+        for seed in (np.int64(7), np.uint64(7), 7.0, np.float64(7.0)):
+            lat = NoiseLattice(seed=seed, base_step=0.125)
+            assert type(lat.seed) is int and lat.seed == 7
+            assert np.array_equal(lat.increments(-2, 4), expect)
+        top = NoiseLattice(seed=np.uint64(2**64 - 1), base_step=0.125)
+        assert top == NoiseLattice(seed=-1, base_step=0.125)
+
     def test_different_seeds_differ(self):
         a = NoiseLattice(seed=1, base_step=0.5).increments(0, 50)
         b = NoiseLattice(seed=2, base_step=0.5).increments(0, 50)

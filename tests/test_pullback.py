@@ -396,15 +396,22 @@ class TestPinnedPullback:
 
     def test_steps_only_live_rows(self, monkeypatch):
         # the run of depth r joins the batch when the grid reaches -r, so N
-        # steps advance 1 + 2 + ... + N rows and no row waits in the batch
+        # steps advance 1 + 2 + ... + N rows and no row waits in the batch.
+        # Each step's rows are counted at whichever kernel takes it: the
+        # affine window kernel (the builtin's) or the per-step kernel.
         rows = []
-        step = pullback._bem_step_batch
+        step, window = pullback._bem_step_batch, pullback._affine_steps
 
-        def counting(model, t_prev, t_next, h, x_prev, *rest):
+        def counting_step(model, t_prev, t_next, h, x_prev, *rest):
             rows.append(x_prev.shape[0])
             return step(model, t_prev, t_next, h, x_prev, *rest)
 
-        monkeypatch.setattr(pullback, "_bem_step_batch", counting)
+        def counting_window(x, gdw, *rest):
+            rows.extend([x.shape[0]] * gdw.shape[1])
+            return window(x, gdw, *rest)
+
+        monkeypatch.setattr(pullback, "_bem_step_batch", counting_step)
+        monkeypatch.setattr(pullback, "_affine_steps", counting_window)
         n = 24
         pullback_pinned_path(builtin_benchmark(), NoiseLattice(seed=6, base_step=H), H,
                              r_max=n * H)

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from randperiodic import stepper
+from randperiodic import pullback, stepper
 from randperiodic.analysis import strong_error
 from randperiodic.model import (
     ConstantDiffusion,
@@ -18,8 +18,10 @@ from randperiodic.model import (
     builtin_benchmark,
     model_from_config,
 )
-from randperiodic.noise import NoiseLattice, coarse_increments
-from randperiodic.pullback import make_grid, pullback_pinned_path, simulate
+from randperiodic.noise import GridSpec, NoiseLattice, coarse_increments
+from randperiodic.pullback import (
+    SolverSummary, make_grid, pullback_pinned_path, simulate,
+)
 from randperiodic.stepper import (
     RESIDUAL_TOL,
     NonConvergenceError,
@@ -507,6 +509,197 @@ def test_other_drifts_run_newton(monkeypatch):
     assert counts.drift > 0 and counts.jacobian > 0
     assert z[0] == pytest.approx((1.0 + 0.5 * (0.2 + 0.7)) / -1.0, rel=1e-12)
     assert not stats.fallback_used
+
+
+def _same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("case", sorted(AFFINE_CASES))
+def test_affine_step_is_one_division(case):
+    # the closed form written out: (rhs + h*(p0 + F(t))) / (1 + h*(lambda - p1))
+    eigenvalues, coeffs = AFFINE_CASES[case]
+    m = affine_model(eigenvalues, coeffs)
+    p = tuple(coeffs) + (0.0, 0.0)
+    rng = np.random.default_rng(3)
+    for _ in range(20):
+        h, t = float(rng.uniform(1e-3, 0.9)), float(rng.uniform(0.0, 1.0))
+        rhs = rng.normal(scale=2.0, size=(7, len(eigenvalues)))
+        b = rhs + h * (p[0] + m.drift._forcing(t))
+        z = _implicit_solve_batch(m, t, h, rhs)[0]
+        assert _same_bits(z, b / (1.0 + h * (m.eigenvalues - p[1])))
+
+
+def test_affine_step_keeps_signed_zeros():
+    # p0 = -0.0 and F(0) = -0.0 make the forcing term -0.0, so a right-hand
+    # side of -0.0 must stay -0.0
+    drift = PolyTrigDrift(poly_coeffs=(-0.0, 0.5), trig_amp=0.7, trig_freq=-1, period=1.0)
+    m = ModelSpec(eigenvalues=np.array([3.0]), drift=drift, diffusion=ConstantDiffusion(0.3),
+                  period=1.0)
+    z = _implicit_solve_batch(m, 0.0, 0.25, np.array([[-0.0], [0.0]]))[0]
+    assert _same_bits(z, np.array([[-0.0], [0.0]]))
+
+
+# -- affine windows, against one step at a time -------------------------------
+
+CHUNK = pullback._AFFINE_CHUNK
+
+
+def _reference_drive(model, grid, x0, dw, record_nodes):
+    """The implicit scheme of ``_drive`` as one ``_bem_step_batch`` call per
+    step: what every affine window must reproduce bit for bit."""
+    n, h = grid.period_steps, grid.h
+    rec = np.full((x0.shape[0], len(record_nodes), x0.shape[1]), np.nan)
+    rec_pos = {int(v): i for i, v in enumerate(record_nodes)}
+    if 0 in rec_pos:
+        rec[:, rec_pos[0]] = x0
+    x = x0.copy()
+    max_iters, max_resid, any_fb = 0, 0.0, False
+    for i in range(grid.count):
+        a = grid.start_index + i
+        x, iters, rn, fb = stepper._bem_step_batch(
+            model, (a % n) * h, ((a + 1) % n) * h, h, x, dw[:, i])
+        max_iters = max(max_iters, int(iters.max()))
+        max_resid = max(max_resid, float(rn.max()))
+        any_fb = any_fb or bool(fb.any())
+        if i + 1 in rec_pos:
+            rec[:, rec_pos[i + 1]] = x
+    return rec, np.full(x0.shape[0], -1, dtype=np.int64), SolverSummary(
+        max_iters, max_resid, any_fb)
+
+
+class _KernelCalls:
+    """Path-steps taken by ``_drive`` at the window kernel and at the
+    per-step kernel; the reference loop calls neither through ``pullback``."""
+
+    def __init__(self, monkeypatch):
+        self.window = self.step = 0
+        window, step = pullback._affine_steps, pullback._bem_step_batch
+
+        def counted_window(x, gdw, *rest):
+            self.window += gdw.shape[0] * gdw.shape[1]
+            return window(x, gdw, *rest)
+
+        def counted_step(model, t_prev, t_next, h, x_prev, *rest):
+            self.step += x_prev.shape[0]
+            return step(model, t_prev, t_next, h, x_prev, *rest)
+
+        monkeypatch.setattr(pullback, "_affine_steps", counted_window)
+        monkeypatch.setattr(pullback, "_bem_step_batch", counted_step)
+
+
+def _window_inputs(d, count, seed, paths=5):
+    """A grid of ``count`` steps of 2**-5 that starts 37 steps before 0 and
+    crosses period boundaries, nonzero starting states and increments."""
+    h = 2.0**-5
+    grid = GridSpec(start_index=-37, step_mult=1, count=count, period_steps=32, base_step=h)
+    rng = np.random.default_rng(seed)
+    x0 = rng.normal(scale=2.0, size=(paths, d))
+    dw = rng.normal(scale=math.sqrt(h), size=(paths, count, d))
+    return grid, x0, dw
+
+
+def _record_subsets(count, seed):
+    rng = np.random.default_rng(seed)
+    some = rng.choice(count + 1, size=min(count + 1, 9), replace=False)
+    return {
+        "all": np.arange(count + 1),
+        "last": np.array([count]),
+        "subset": np.sort(some),
+        # unsorted, repeated and out-of-range nodes are kept as _drive keeps them
+        "unsorted": np.array([count, 0, count // 2, count // 2, count + 3]),
+    }
+
+
+def _check_same_run(got, want):
+    assert _same_bits(got[0], want[0])
+    assert _same_bits(got[1], want[1])
+    assert got[2] == want[2]
+
+
+@pytest.mark.parametrize("count", [1, CHUNK - 1, CHUNK, CHUNK + 1, 3 * CHUNK + 17])
+@pytest.mark.parametrize("case", sorted(AFFINE_CASES))
+def test_affine_window_matches_step_by_step(monkeypatch, case, count):
+    eigenvalues, coeffs = AFFINE_CASES[case]
+    # a diffusion that varies in time pins the node each increment is weighted at
+    m = replace(affine_model(eigenvalues, coeffs),
+                diffusion=lambda t: 0.3 + 0.2 * math.cos(2.0 * math.pi * t))
+    grid, x0, dw = _window_inputs(m.dimension, count, seed=count)
+    # two paths on one noise realization share a broadcast row
+    shared = np.broadcast_to(dw[:1], (3,) + dw.shape[1:])
+    calls = _KernelCalls(monkeypatch)
+    for name, nodes in _record_subsets(count, seed=count).items():
+        for x_start, incs in ((x0, dw), (x0[:3], shared)):
+            want = _reference_drive(m, grid, x_start, incs, nodes)
+            _check_same_run(pullback._drive(m, grid, "bem", x_start, incs, nodes), want)
+    assert calls.step == 0 and calls.window == 4 * (5 + 3) * count
+
+
+@pytest.mark.parametrize("kind", ["quadratic", "subclass", "negative-divisor"])
+def test_other_drifts_keep_the_per_step_kernel(monkeypatch, kind):
+    if kind == "quadratic":
+        m = affine_model([3.0], (0.1, -0.2, -1e-9))
+    elif kind == "subclass":
+        drift = _SubDrift(poly_coeffs=(0.3, -0.5), trig_amp=0.7, trig_freq=1, period=1.0)
+        m = ModelSpec(eigenvalues=np.array([3.0]), drift=drift,
+                      diffusion=ConstantDiffusion(0.3), period=1.0,
+                      drift_jacobian=drift.jacobian)
+    else:
+        # 1 + h*(lambda - p1) = 1 + (1 - 40)/32 < 0
+        m = affine_model([1.0], (0.2, 40.0))
+    count = 3
+    grid, x0, dw = _window_inputs(1, count, seed=1)
+    calls = _KernelCalls(monkeypatch)
+    nodes = np.arange(count + 1)
+    _check_same_run(pullback._drive(m, grid, "bem", x0, dw, nodes),
+                    _reference_drive(m, grid, x0, dw, nodes))
+    assert calls.window == 0 and calls.step == 5 * count
+
+
+def _raised(exc_type, run):
+    with pytest.raises(exc_type) as info:
+        run()
+    return str(info.value)
+
+
+def test_affine_window_names_the_first_step_over_tolerance(monkeypatch):
+    # every step before `bad` divides 0 by the divisor exactly; at `bad` no
+    # division of 50 random right-hand sides lands every row within 1e-30
+    drift = PolyTrigDrift(poly_coeffs=(0.0, -0.5), trig_amp=0.0, trig_freq=1, period=1.0)
+    m = ModelSpec(eigenvalues=np.array([3.0]), drift=drift, diffusion=ConstantDiffusion(0.3),
+                  period=1.0)
+    count, bad = 2 * CHUNK + 10, CHUNK + 5
+    grid, _, _ = _window_inputs(1, count, seed=0)
+    x0, dw = np.zeros((50, 1)), np.zeros((50, count, 1))
+    dw[:, bad:] = np.random.default_rng(2).normal(size=(50, count - bad, 1))
+    nodes = np.arange(count + 1)
+    monkeypatch.setattr(stepper, "RESIDUAL_TOL", 1e-30)
+    got = _raised(NonConvergenceError, lambda: pullback._drive(m, grid, "bem", x0, dw, nodes))
+    want = _raised(NonConvergenceError, lambda: _reference_drive(m, grid, x0, dw, nodes))
+    assert got == want
+    t_bad = ((grid.start_index + bad + 1) % grid.period_steps) * grid.h
+    assert f"above tolerance at t={t_bad} " in got
+
+
+@pytest.mark.parametrize("where", ["x0", "dw"])
+@pytest.mark.parametrize("d", [1, 2])
+def test_affine_window_reports_non_finite_steps(where, d):
+    m = affine_model([3.0, 5.0][:d], (0.25, -1.5))
+    count = 2 * CHUNK + 10
+    grid, x0, dw = _window_inputs(d, count, seed=4)
+    bad = 0 if where == "x0" else CHUNK + 5
+    if where == "x0":
+        x0[3, d - 1] = np.nan
+    else:
+        dw[3, bad, 0] = np.nan
+    nodes = np.array([count])
+    got = _raised(NonFiniteEvaluationError,
+                  lambda: pullback._drive(m, grid, "bem", x0, dw, nodes))
+    want = _raised(NonFiniteEvaluationError, lambda: _reference_drive(m, grid, x0, dw, nodes))
+    assert got == want
+    t_bad = ((grid.start_index + bad + 1) % grid.period_steps) * grid.h
+    assert got == f"affine implicit step is non-finite at t={t_bad}"
 
 
 # -- the damped Newton loop, pinned bit for bit -------------------------------
