@@ -31,7 +31,7 @@ from .noise import (
     GridSpec, NoiseLattice, _read_increments, _sum_steps, _whole_seed, derive_seeds,
 )
 from .pullback import (
-    SolverSummary, _check_period, _check_scheme, _drive, _grid_on, _merge_stats,
+    SolverSummary, _check_period, _check_periods, _check_scheme, _drive, _grid_on, _merge_stats,
 )
 
 # Paths per block.  Per-call costs favour wide blocks: the kernels' overhead,
@@ -431,7 +431,7 @@ def bootstrap_noise_floor(
     """Expected weak distance between two same-law resamples of ``measure``.
 
     Distances at or below this floor are statistically indistinguishable
-    from sampling noise at this sample count.
+    from sampling noise at this sample count.  The seed is taken modulo 2**64.
 
     Raises:
         ValueError: vector samples, or fewer than one resample pair.
@@ -441,7 +441,7 @@ def bootstrap_noise_floor(
     n = int(n_bootstrap)
     if n < 1:
         raise ValueError(f"n_bootstrap must be >= 1, got {n_bootstrap}")
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_whole_seed(seed))
     values = measure.samples[:, 0]
     m = values.size
     dists = []
@@ -548,13 +548,6 @@ def write_measure_csv(measure: EmpiricalMeasure, path: str) -> None:
         fh.write("t,sample_index,value\n")
         for i, v in enumerate(measure.samples[:, 0]):
             fh.write(f"{measure.t!r},{i},{float(v)!r}\n")
-
-
-def _check_periods(pullback_periods: int) -> int:
-    k = int(pullback_periods)
-    if k < 1:
-        raise ValueError(f"pullback_periods must be >= 1, got {k}")
-    return k
 
 
 def _run_seeds(

@@ -209,7 +209,7 @@ def _cmd_simulate(args, config) -> int:
     path = os.path.join(out_dir, "trajectory.csv")
     write_trajectory_csv(result, path, pullback_periods=k_used)
     print(f"scheme={result.scheme} h={h!r} pullback_periods={k_used} "
-          f"nodes={result.grid.count + 1} seed={seed}")
+          f"nodes={result.grid.count + 1} seed={result.seed}")
     print(f"wrote {path}")
     if result.diverged:
         t_div = (result.grid.start_index + result.diverged_at) * h

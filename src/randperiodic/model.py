@@ -27,6 +27,8 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 import numpy.polynomial  # loaded with the package, not inside the first drift call
 
+from .noise import _whole_seed
+
 TWO_PI = 2.0 * math.pi
 
 
@@ -373,13 +375,14 @@ def check_assumptions(
     Samples times in one period and states in a ball, then evaluates each
     structural inequality the solvers rely on, reporting the worst observed
     ratio against the declared bound.  Checks whose constants are not
-    declared are reported as skipped, never silently passed.
+    declared are reported as skipped, never silently passed.  The seed is
+    taken modulo 2**64, as :class:`~randperiodic.noise.NoiseLattice` takes it.
     """
     if sample_count < 2:
         raise ValueError(f"sample_count must be >= 2, got {sample_count}")
     if not radius > 0.0:
         raise ValueError(f"radius must be positive, got {radius}")
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_whole_seed(seed))
     d = model.dimension
     tau = model.period
     consts = model.constants

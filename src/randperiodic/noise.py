@@ -363,10 +363,11 @@ def _sum_steps(fine: np.ndarray, m: int) -> np.ndarray:
 
 
 def derive_seeds(master_seed: int, count: int) -> np.ndarray:
-    """Derive ``count`` independent lattice seeds from one master seed."""
+    """Derive ``count`` independent lattice seeds from one master seed,
+    taken modulo 2**64 as :class:`NoiseLattice` takes its seed."""
     if count < 0:
         raise ValueError(f"count must be >= 0, got {count}")
-    children = np.random.SeedSequence(master_seed).spawn(count)
+    children = np.random.SeedSequence(_whole_seed(master_seed)).spawn(count)
     return np.array([c.generate_state(1, np.uint64)[0] for c in children], dtype=np.uint64)
 
 

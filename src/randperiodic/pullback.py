@@ -14,18 +14,18 @@ offsets into the lattice.  Two runs that the shift identity says should agree
 therefore see bitwise-identical inputs at every step and produce
 bitwise-identical trajectories.
 
-Every run goes through one path-batch engine, :func:`_drive`.  It runs the
-implicit scheme on an affine drift in chunks of ``_AFFINE_CHUNK`` steps, one
-loop per chunk over increments and forcing computed once; the loop repeats
-the step-by-step kernel's operations in order, so no bit depends on the
-chunk length.  Everything else advances one kernel call per step.
+Every run goes through one path-batch engine, :func:`_drive`: one loop over
+chunks of ``_STEP_CHUNK`` steps for both schemes.  Inside a chunk the implicit
+scheme on an affine drift is one closed-form loop over increments and forcing
+laid out once, in the per-step kernel's order of operations; every other
+scheme makes one kernel call per step.  No bit depends on the chunk length.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, replace
-from typing import Callable
 
 import numpy as np
 
@@ -37,11 +37,11 @@ from .stepper import _affine_plan, _affine_steps, _bem_step_batch, _em_step_batc
 
 DIVERGENCE_THRESHOLD = 1e12
 
-# Steps per chunk of an affine implicit window (see :func:`_drive`).  Each
-# of a chunk's few buffers holds paths x chunk x d numbers; timed in-process
-# on the order study (256 paths) and the pinned pull-back, 64 to 256 steps
-# run equally fast, 32 and 512 slower.
-_AFFINE_CHUNK = 128
+# Steps per chunk of :func:`_drive`, for every scheme.  Each of a chunk's few
+# buffers holds paths x chunk x d numbers; timed in-process on the order study
+# (256 paths) and the pinned pull-back, 64 to 256 steps run equally fast, 32
+# and 512 slower.
+_STEP_CHUNK = 128
 
 # Contraction envelope below which the default pull-back depth has forgotten
 # its starting state.
@@ -147,6 +147,15 @@ def _check_period(model: ModelSpec, grid: GridSpec) -> None:
         )
 
 
+def _check_periods(pullback_periods: int, minimum: int = 1) -> int:
+    """``pullback_periods`` as an int: a whole number of at least ``minimum``."""
+    if not float(pullback_periods).is_integer():
+        raise ValueError(f"pullback_periods must be a whole number, got {pullback_periods!r}")
+    if pullback_periods < minimum:
+        raise ValueError(f"pullback_periods must be >= {minimum}, got {pullback_periods}")
+    return int(pullback_periods)
+
+
 def _check_scheme(scheme: str) -> str:
     s = scheme.lower()
     if s not in SCHEMES:
@@ -171,6 +180,11 @@ def _drive(
     scheme it stays NaN, is not stepped and is not flagged again; the
     implicit scheme raises :class:`~randperiodic.stepper.NonFiniteEvaluationError`.
 
+    One loop runs the grid in chunks of ``_STEP_CHUNK`` steps, each with its
+    step times computed and its nodes recorded once.  The implicit scheme on
+    an affine drift takes one :func:`~randperiodic.stepper._affine_steps` call
+    per chunk, every other scheme one kernel call per step.
+
     Returns ``(recorded, diverged_at, summary)`` where ``recorded[p, i]`` is
     the state of path ``p`` at grid node ``record_nodes[i]`` and
     ``diverged_at[p]`` is the node index at which path ``p`` crossed the
@@ -178,91 +192,57 @@ def _drive(
     affect any path's arithmetic, so identical inputs give identical outputs
     for any partition of the paths into batches.
     """
-    m_paths, d = x0.shape
-    n = grid.period_steps
-    h = grid.h
-    a0 = grid.start_index
+    n, h, a0 = grid.period_steps, grid.h, grid.start_index
 
-    record_nodes = np.asarray(record_nodes, dtype=np.int64)
-    rec = np.full((m_paths, record_nodes.size, d), np.nan)
-    rec_pos = {int(v): i for i, v in enumerate(record_nodes)}
-    if 0 in rec_pos:
-        rec[:, rec_pos[0]] = x0
+    # a node listed twice is recorded in its last slot only
+    rec_pos = {int(v): i for i, v in enumerate(np.asarray(record_nodes, dtype=np.int64))}
+    nodes = np.array(sorted(rec_pos), dtype=np.int64)
+    slots = np.array([rec_pos[v] for v in nodes.tolist()], dtype=np.int64)
+    rec = np.full((x0.shape[0], len(record_nodes), x0.shape[1]), np.nan)
 
     plan = _affine_plan(model, h) if scheme == "bem" else None
-    if plan is not None:
-        max_resid = _affine_window(model, grid, plan, x0, dw, rec, rec_pos)
-        return rec, np.full(m_paths, -1, dtype=np.int64), SolverSummary(
-            1 if grid.count else 0, max_resid, False)
-
-    x = x0.copy()
-    diverged_at = np.full(m_paths, -1, dtype=np.int64)
+    diverged_at = np.full(x0.shape[0], -1, dtype=np.int64)
     active = np.isfinite(x0).all(axis=1)
-    max_iters = 0
-    max_resid = 0.0
-    any_fb = False
-
-    for i in range(grid.count):
-        a = a0 + i
-        t_prev = (a % n) * h
-        t_next = ((a + 1) % n) * h
-        if scheme == "bem":
-            x, iters, rn, fb = _bem_step_batch(model, t_prev, t_next, h, x, dw[:, i])
-            max_iters = max(max_iters, int(iters.max()))
-            max_resid = max(max_resid, float(rn.max()))
-            any_fb = any_fb or bool(fb.any())
+    max_iters, max_resid, any_fb = 0, 0.0, False
+    z = x0[None]  # z[j] is the batch after step j of the chunk; z[-1] starts the next
+    for c0 in range(0, grid.count, _STEP_CHUNK):
+        c1 = min(c0 + _STEP_CHUNK, grid.count)
+        # step j of the chunk runs from t[j] to t[j + 1], reduced modulo the period
+        t = [(a % n) * h for a in range(a0 + c0, a0 + c1 + 1)]
+        if plan is not None:
+            forcing_at, divisor = plan
+            g = np.array([float(model.diffusion(s)) for s in t[:-1]])
+            z, rn = _affine_steps(
+                z[-1], g[:, None] * dw[:, c0:c1], [forcing_at(s) for s in t[1:]], divisor, t[1:])
+            max_iters, max_resid = 1, max(max_resid, float(rn.max()))
         else:
-            if active.all():
-                x = _em_step_batch(model, t_prev, h, x, dw[:, i])
-            elif active.any():
-                x[active] = _em_step_batch(model, t_prev, h, x[active], dw[active, i])
-            norms = np.linalg.norm(x, axis=1)
-            bad = active & (~np.isfinite(norms) | (norms > DIVERGENCE_THRESHOLD))
-            if bad.any():
-                diverged_at[bad] = i + 1
-                x[bad] = np.nan
-                active &= ~bad
-        pos = rec_pos.get(i + 1)
-        if pos is not None:
-            rec[:, pos] = x
+            z = np.concatenate((z[-1:], np.empty((c1 - c0,) + x0.shape)))
+            for j, i in enumerate(range(c0, c1)):
+                if scheme == "bem":
+                    z[j + 1], iters, rn, fb = _bem_step_batch(
+                        model, t[j], t[j + 1], h, z[j], dw[:, i])
+                    max_iters = max(max_iters, int(iters.max()))
+                    max_resid = max(max_resid, float(rn.max()))
+                    any_fb = any_fb or bool(fb.any())
+                else:
+                    if active.all():
+                        z[j + 1] = _em_step_batch(model, t[j], h, z[j], dw[:, i])
+                    else:
+                        z[j + 1] = z[j]
+                        if active.any():
+                            z[j + 1, active] = _em_step_batch(
+                                model, t[j], h, z[j, active], dw[active, i])
+                    norms = np.linalg.norm(z[j + 1], axis=1)
+                    bad = active & (~np.isfinite(norms) | (norms > DIVERGENCE_THRESHOLD))
+                    if bad.any():
+                        diverged_at[bad] = i + 1
+                        z[j + 1, bad] = np.nan
+                        active &= ~bad
+        # a node between two chunks is written twice, with the same state
+        lo, hi = bisect_left(nodes, c0), bisect_right(nodes, c1)
+        rec[:, slots[lo:hi]] = z[nodes[lo:hi] - c0].swapaxes(0, 1)
 
     return rec, diverged_at, SolverSummary(max_iters, max_resid, any_fb)
-
-
-def _affine_window(
-    model: ModelSpec,
-    grid: GridSpec,
-    plan: tuple[Callable[[float], float], np.ndarray],
-    x0: np.ndarray,
-    dw: np.ndarray,
-    rec: np.ndarray,
-    rec_pos: dict[int, int],
-) -> float:
-    """The implicit steps of :func:`_drive` for an affine drift, in chunks.
-
-    Per chunk of ``_AFFINE_CHUNK`` steps, the diffusion-weighted increments,
-    the forcing terms and the recorded nodes are laid out once, and
-    :func:`_affine_steps` runs the chunk: the same operations, in the same
-    order, as one ``_bem_step_batch`` call per step.  Fills ``rec`` and
-    returns the largest residual norm.
-    """
-    n, h, a0 = grid.period_steps, grid.h, grid.start_index
-    forcing_at, divisor = plan
-    nodes = np.fromiter(rec_pos, dtype=np.int64, count=len(rec_pos))
-    slots = np.fromiter(rec_pos.values(), dtype=np.int64, count=len(rec_pos))
-    x = x0
-    max_resid = 0.0
-    for c0 in range(0, grid.count, _AFFINE_CHUNK):
-        c1 = min(c0 + _AFFINE_CHUNK, grid.count)
-        g = np.array([float(model.diffusion((a % n) * h)) for a in range(a0 + c0, a0 + c1)])
-        t_next = [((a + 1) % n) * h for a in range(a0 + c0, a0 + c1)]
-        forcing = [forcing_at(t) for t in t_next]
-        z, rn = _affine_steps(x, g[:, None] * dw[:, c0:c1], forcing, divisor, t_next)
-        max_resid = max(max_resid, float(rn.max()))
-        here = (nodes > c0) & (nodes <= c1)
-        rec[:, slots[here]] = z[nodes[here] - c0].swapaxes(0, 1)
-        x = z[-1]
-    return max_resid
 
 
 def simulate(
@@ -390,9 +370,8 @@ def random_periodic_path(
     restricted to ``horizon``.  The starting state (zeros by default) only
     matters below the envelope's magnitude.
     """
-    k = default_pullback_periods(model, h) if pullback_periods is None else int(pullback_periods)
-    if k < 1:
-        raise ValueError(f"pullback_periods must be >= 1, got {k}")
+    k = (default_pullback_periods(model, h) if pullback_periods is None
+         else _check_periods(pullback_periods))
     t0, t1 = horizon
     start = -k * model.period
     if t0 < start - 1e-12 or t1 <= t0:
@@ -401,13 +380,8 @@ def random_periodic_path(
     x0 = init if init is not None else InitialCondition(value=np.zeros(model.dimension))
     full = simulate(model, grid, scheme, x0, lattice)
     i0 = grid.node_index(t0)
-    return PathResult(
-        grid=make_grid(model, lattice, h, t0, t1),
-        states=full.states[i0:].copy(),
-        scheme=full.scheme,
-        seed=full.seed,
-        solver_stats=full.solver_stats,
-        diverged=full.diverged,
+    return replace(
+        full, grid=make_grid(model, lattice, h, t0, t1), states=full.states[i0:].copy(),
         diverged_at=None if full.diverged_at is None else max(0, full.diverged_at - i0),
     )
 
@@ -441,13 +415,9 @@ def verify_shift_periodicity(
     evaluated ``tau`` earlier, must equal the path started at ``-(k-1)*tau``
     under the original noise.  Both runs use the same starting state.
     """
-    k = int(pullback_periods)
-    if k < 2:
-        raise ValueError(f"pullback_periods must be >= 2, got {k}")
-    dummy_grid = make_grid(model, lattice, h, -k * model.period, 0.0)
-    n = dummy_grid.period_steps
-    lat_shifted = shift(lattice, dummy_grid, n)
-    grid_a = dummy_grid
+    k = _check_periods(pullback_periods, 2)
+    grid_a = make_grid(model, lattice, h, -k * model.period, 0.0)
+    lat_shifted = shift(lattice, grid_a, grid_a.period_steps)
     grid_b = make_grid(model, lattice, h, -(k - 1) * model.period, model.period)
     x0 = init if init is not None else InitialCondition(value=np.zeros(model.dimension))
     path_a = simulate(model, grid_a, "bem", x0, lat_shifted)

@@ -21,8 +21,8 @@ scalar models.  An affine drift, a :class:`~randperiodic.model.PolyTrigDrift`
 which is the one exact Newton step.  The solver takes it instead of the loop
 whenever every divisor is positive, and otherwise runs Newton unchanged.
 :func:`_affine_steps` is that closed form and its residual check, for one
-step or for a run of steps in one loop; the single-step solve and the
-windows of :func:`randperiodic.pullback._drive` both call it.
+step or for a run of steps in one loop; the single-step solve calls it for
+one step, and :func:`randperiodic.pullback._drive` once per chunk of steps.
 
 All solver kernels operate on batches of states with shape ``(M, d)`` and
 make per-path decisions (convergence, damping) independently, so a path's

@@ -2,6 +2,7 @@
 
 import contextlib
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -34,7 +35,10 @@ from randperiodic.model import (
     with_diffusion_amplitude,
 )
 from randperiodic.noise import AlignmentError, GridSpec, NoiseLattice, derive_seeds
-from randperiodic.pullback import SolverSummary, _grid_on, _merge_stats, make_grid, simulate
+from randperiodic.pullback import (
+    SolverSummary, _grid_on, _merge_stats, make_grid, random_periodic_path, simulate,
+    verify_shift_periodicity,
+)
 
 
 def _row(h, rms, diverged=False):
@@ -714,6 +718,39 @@ def test_every_study_needs_two_paths(study, num_paths):
     }[study]
     with pytest.raises(ValueError):
         run()
+
+
+def _run_with_periods(routine, k):
+    """One small run of ``routine`` pulled back over ``k`` periods."""
+    m, h = builtin_benchmark(), 2.0**-4
+    lattice = NoiseLattice(0, h, 1)
+    return {
+        "strong_error": lambda: strong_error(m, 2.0**-5, [h], k, 2),
+        "periodic_measure": lambda: periodic_measure(m, derive_seeds(0, 2), h, k, [0.0]),
+        "measure_convergence_study": lambda: measure_convergence_study(m, [h], 2, 0.0, k),
+        "random_periodic_path": lambda: random_periodic_path(m, lattice, h, pullback_periods=k),
+        "verify_shift_periodicity": lambda: verify_shift_periodicity(
+            m, lattice, h, pullback_periods=k),
+    }[routine]()
+
+
+PERIOD_ROUTINES = ["strong_error", "periodic_measure", "measure_convergence_study",
+                   "random_periodic_path", "verify_shift_periodicity"]
+
+
+@pytest.mark.parametrize("k", [2.5, 2.9, float("nan"), float("inf")])
+@pytest.mark.parametrize("routine", PERIOD_ROUTINES)
+def test_pullback_periods_must_be_whole(routine, k):
+    with pytest.raises(ValueError, match=f"pullback_periods must be a whole number, got {k}"):
+        _run_with_periods(routine, k)
+
+
+@pytest.mark.parametrize("routine", PERIOD_ROUTINES)
+def test_whole_float_pullback_periods_run_as_ints(routine):
+    want = _run_with_periods(routine, 3)
+    for k in (3.0, np.float64(3.0), np.int64(3)):
+        # the whole result, bit for bit, with every count an int
+        assert pickle.dumps(_run_with_periods(routine, k)) == pickle.dumps(want)
 
 
 class TestBootstrapFloor:

@@ -312,3 +312,30 @@ class TestMeasureCommand:
         assert code == 0
         assert (tmp_path / "measure_t0p25.csv").exists()
         assert (tmp_path / "measure_t1p25.csv").exists()
+
+
+class TestNegativeSeeds:
+    """A master seed is taken modulo 2**64 by every command, as the lattice takes it."""
+
+    @pytest.mark.parametrize("argv", [
+        ("order", "--h-ref", "0.001953125", "--h-list", "0.0625,0.03125", "--paths", "8",
+         "--pullback-periods", "2"),
+        ("measure", "--h", "0.03125", "--paths", "8", "--halvings", "1", "--bootstrap", "5"),
+        ("check", "--samples", "200"),
+    ], ids=["order", "measure", "check"])
+    def test_minus_one_is_two_to_the_64_minus_one(self, capsys, tmp_path, argv):
+        outputs = []
+        for seed in ("-1", str(2**64 - 1)):
+            out_dir = tmp_path / seed
+            code, out, err = run(capsys, *argv, "--seed", seed, "--out", str(out_dir))
+            assert code == 0, err
+            files = {p.name: p.read_bytes() for p in sorted(out_dir.iterdir())}
+            outputs.append((out.replace(str(out_dir), "<out>"), files))
+        assert outputs[0] == outputs[1]
+
+    def test_simulate_prints_the_seed_it_used(self, capsys, tmp_path):
+        code, out, _ = run(capsys, "simulate", "--h", "0.015625", "--pullback-periods", "1",
+                           "--seed", "-1", "--out", str(tmp_path))
+        assert code == 0
+        assert f"seed={2**64 - 1}\n" in out
+        assert f"#seed={2**64 - 1}\n" in (tmp_path / "trajectory.csv").read_text()

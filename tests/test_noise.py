@@ -302,3 +302,12 @@ class TestDeriveSeeds:
 
     def test_master_seed_matters(self):
         assert not np.array_equal(derive_seeds(1, 8), derive_seeds(2, 8))
+
+    def test_master_seed_is_taken_modulo_2_64(self):
+        assert np.array_equal(derive_seeds(-1, 3), derive_seeds(2**64 - 1, 3))
+        assert np.array_equal(derive_seeds(2**64 + 5, 3), derive_seeds(5, 3))
+        # seeds in [0, 2**64) keep the streams of their SeedSequence
+        for seed in (0, 5, 2**64 - 1):
+            want = [c.generate_state(1, np.uint64)[0]
+                    for c in np.random.SeedSequence(seed).spawn(3)]
+            assert derive_seeds(seed, 3).tolist() == want

@@ -543,7 +543,7 @@ def test_affine_step_keeps_signed_zeros():
 
 # -- affine windows, against one step at a time -------------------------------
 
-CHUNK = pullback._AFFINE_CHUNK
+CHUNK = pullback._STEP_CHUNK
 
 
 def _reference_drive(model, grid, x0, dw, record_nodes):
@@ -567,6 +567,31 @@ def _reference_drive(model, grid, x0, dw, record_nodes):
             rec[:, rec_pos[i + 1]] = x
     return rec, np.full(x0.shape[0], -1, dtype=np.int64), SolverSummary(
         max_iters, max_resid, any_fb)
+
+
+def _reference_drive_em(model, grid, x0, dw, record_nodes):
+    """The explicit scheme of ``_drive`` as one ``_em_step_batch`` call per
+    step over the paths still below the divergence threshold."""
+    n, h = grid.period_steps, grid.h
+    rec = np.full((x0.shape[0], len(record_nodes), x0.shape[1]), np.nan)
+    rec_pos = {int(v): i for i, v in enumerate(record_nodes)}
+    if 0 in rec_pos:
+        rec[:, rec_pos[0]] = x0
+    x = x0.copy()
+    diverged_at = np.full(x0.shape[0], -1, dtype=np.int64)
+    active = np.isfinite(x0).all(axis=1)
+    for i in range(grid.count):
+        if active.any():
+            x[active] = stepper._em_step_batch(
+                model, ((grid.start_index + i) % n) * h, h, x[active], dw[active, i])
+        norms = np.linalg.norm(x, axis=1)
+        bad = active & (~np.isfinite(norms) | (norms > pullback.DIVERGENCE_THRESHOLD))
+        diverged_at[bad] = i + 1
+        x[bad] = np.nan
+        active &= ~bad
+        if i + 1 in rec_pos:
+            rec[:, rec_pos[i + 1]] = x
+    return rec, diverged_at, SolverSummary()
 
 
 class _KernelCalls:
@@ -700,6 +725,56 @@ def test_affine_window_reports_non_finite_steps(where, d):
     assert got == want
     t_bad = ((grid.start_index + bad + 1) % grid.period_steps) * grid.h
     assert got == f"affine implicit step is non-finite at t={t_bad}"
+
+
+# -- chunks of the per-step kernels, against one step at a time --------------
+
+def _newton_cubic_model(d):
+    """The cubic drift of ``NEWTON_CUBIC`` at d = 1 or 2, with a diffusion
+    that varies in time."""
+    m = model_from_config(dict(NEWTON_CUBIC, **{"lambda": [10.0] if d == 1 else [2.0, 6.5]}))
+    return replace(m, diffusion=lambda t: 0.3 + 0.2 * math.cos(2.0 * math.pi * t))
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_chunks_are_invisible_to_newton(monkeypatch, d):
+    m = _newton_cubic_model(d)
+    count = 2 * CHUNK + 10
+    grid, x0, dw = _window_inputs(d, count, seed=d)
+    calls = _KernelCalls(monkeypatch)
+    for nodes in _record_subsets(count, seed=d).values():
+        want = _reference_drive(m, grid, x0, dw, nodes)
+        for chunk in (1, 7, CHUNK):
+            monkeypatch.setattr(pullback, "_STEP_CHUNK", chunk)
+            _check_same_run(pullback._drive(m, grid, "bem", x0, dw, nodes), want)
+    assert calls.window == 0 and calls.step == 4 * 3 * 5 * count
+
+
+def _diverging_em_inputs(d, count):
+    """Explicit-scheme inputs whose paths cross the divergence threshold at
+    chosen nodes, and one path that diverged before the grid."""
+    grid, x0, dw = _window_inputs(d, count, seed=7, paths=7)
+    x0[0, 0] = np.nan
+    dw[1, 0] = 1e15  # crosses at node 1
+    dw[2, 7] = 1e15  # at node 8, the first step of the second chunk of 7
+    dw[3, CHUNK] = 1e15  # at node CHUNK + 1, the first step of the second default chunk
+    dw[4, count - 1, 0] = np.nan  # non-finite at the last node
+    x0[5] = 8.0  # the cubic drift blows up by itself from here
+    return grid, x0, dw
+
+
+@pytest.mark.parametrize("model", ["cubic-d1", "cubic-d2", "builtin"])
+def test_chunks_are_invisible_to_the_explicit_scheme(monkeypatch, model):
+    m = builtin_benchmark() if model == "builtin" else _newton_cubic_model(int(model[-1]))
+    count = 2 * CHUNK + 10
+    grid, x0, dw = _diverging_em_inputs(m.dimension, count)
+    for nodes in _record_subsets(count, seed=3).values():
+        want = _reference_drive_em(m, grid, x0, dw, nodes)
+        assert want[1][:5].tolist() == [-1, 1, 8, CHUNK + 1, count]
+        assert (want[1][5] > 0) == model.startswith("cubic")
+        for chunk in (1, 7, CHUNK):
+            monkeypatch.setattr(pullback, "_STEP_CHUNK", chunk)
+            _check_same_run(pullback._drive(m, grid, "em", x0, dw, nodes), want)
 
 
 # -- the damped Newton loop, pinned bit for bit -------------------------------
