@@ -43,10 +43,10 @@ from .pullback import (
 # still no slower.  Wider is slower again, as windows shrink and a block's
 # re-keys grow with the square of its paths: criterion 8's 5000-path halving
 # study takes about 0.8 s in blocks of 256, 0.5 s in blocks of 2048 and
-# 0.55-0.75 s in one block (2-core Xeon, Python 3.11).  The block also sets
-# the memory peak whenever one step of a study's coarsest grid is longer
-# than a window of ``_WINDOW_WORDS``, as such a window still holds that step
-# for every path.
+# 0.55-0.75 s in one block (2-core Xeon, Python 3.11).  A study whose
+# coarsest step, taken for every path, would not fit in ``_WINDOW_WORDS``
+# runs in narrower blocks, down to one path, as a window holds at least that
+# step.
 DEFAULT_BLOCK_SIZE = 2048
 
 # Cap on the fine increments, in words, that a study holds for one block at a
@@ -246,10 +246,10 @@ def _walk_windows(
     are read in one batch, and every run advances on their sums over its own
     steps from the state it ended the last window in.
 
-    Returns each run's ``(recorded, diverged_at, summary)``, as
-    :func:`pullback._drive` returns them for the whole span: the states at
-    its ``nodes``, the grid node at which each path diverged (-1 if it never
-    did), after which the path is NaN, and its solver summary.
+    Returns each run's ``(recorded, diverged_at, summary)`` for the whole
+    span: the states at its ``nodes``, in their order, the grid node at which
+    each path diverged (-1 if it never did), after which the path is NaN,
+    and its solver summary.
     """
     paths, d = x0.shape
     first = runs[0].grid
@@ -266,17 +266,16 @@ def _walk_windows(
         for i, run in enumerate(runs):
             m = run.grid.step_mult
             n0, count = f0 // m, width // m
-            inside = (run.nodes >= n0) & (run.nodes <= n0 + count)
-            local = np.array(sorted({*(run.nodes[inside] - n0).tolist(), count}), dtype=np.int64)
             window = replace(run.grid, start_index=run.grid.start_index + n0, count=count)
             out, div_at, summary = _drive(
-                model, window, run.scheme, states[i], _sum_steps(fine, m), local,
-            )
+                model, window, run.scheme, states[i], _sum_steps(fine, m))
             summaries[i] = _merge_stats(summaries[i], summary)
             first_time = (div_at >= 0) & (diverged_at[i] < 0)
             diverged_at[i][first_time] = n0 + div_at[first_time]
-            recorded[i][:, inside] = out[:, np.searchsorted(local, run.nodes[inside] - n0)]
-            states[i] = out[:, -1]
+            inside = (run.nodes >= n0) & (run.nodes <= n0 + count)
+            recorded[i][:, inside] = out[:, run.nodes[inside] - n0]
+            # a copy, so that the window's buffer of every node can be freed
+            states[i] = out[:, -1].copy()
     return list(zip(recorded, diverged_at, summaries))
 
 
@@ -503,6 +502,9 @@ def measure_convergence_study(
     """
     if not h_list:
         raise ValueError("h_list must not be empty")
+    if model.dimension != 1:  # the check of weak_distance, made before simulating
+        raise ValueError(f"measure_convergence_study supports scalar models only, "
+                         f"got dimension {model.dimension}")
     t_start = -_check_periods(pullback_periods) * model.period
     seeds = derive_seeds(seed, num_paths)
     rows = []
@@ -562,12 +564,13 @@ def _run_seeds(
     ``p`` starts from ``init`` (default zero) resolved for ``seeds[p]`` and
     reads its own lattice.  Seeds are whole numbers, reduced modulo 2**64 as
     :class:`NoiseLattice` reduces them.  The paths go in blocks of
-    ``DEFAULT_BLOCK_SIZE``, and each block is walked once by
-    :func:`_walk_windows` for all runs.
+    ``DEFAULT_BLOCK_SIZE``, fewer when one step of the coarsest grid would
+    not fit ``_WINDOW_WORDS`` for the block, and each block is walked once
+    by :func:`_walk_windows` for all runs.
 
     Returns one ``(recorded, diverged_at, summary)`` per run, covering all
-    paths, as :func:`pullback._drive` returns them for one batch; neither
-    the block size nor the window length changes any of them.
+    paths, as :func:`_walk_windows` returns them for one block; neither the
+    block size nor the window length changes any of them.
 
     Raises:
         ValueError: fewer than 2 seeds, or a seed that is not a whole number.
@@ -578,9 +581,11 @@ def _run_seeds(
         _check_period(model, run.grid)
     init = init if init is not None else InitialCondition(value=np.zeros(model.dimension))
     base_step, d = runs[0].grid.base_step, model.dimension
+    lcm = math.lcm(*(r.grid.step_mult for r in runs))
+    size = max(1, min(DEFAULT_BLOCK_SIZE, _WINDOW_WORDS // (d * lcm)))
     blocks = []
-    for b0 in range(0, len(seeds), DEFAULT_BLOCK_SIZE):
-        block = seeds[b0 : b0 + DEFAULT_BLOCK_SIZE]
+    for b0 in range(0, len(seeds), size):
+        block = seeds[b0 : b0 + size]
         x0 = np.stack([init.resolve(s, d) for s in block])
         lattices = [NoiseLattice(s, base_step, d) for s in block]
         blocks.append(_walk_windows(model, runs, lattices, x0))

@@ -172,12 +172,20 @@ def _opt(args: argparse.Namespace, config: Mapping[str, Any], key: str, default)
     return default
 
 
+def _whole_opt(args: argparse.Namespace, config: Mapping[str, Any], key: str, default):
+    """:func:`_opt` as an int, or None; a bool or a number that is not whole raises."""
+    value = _opt(args, config, key, default)
+    if isinstance(value, bool) or isinstance(value, float) and not value.is_integer():
+        raise ValueError(f"{key} must be a whole number, got {value!r}")
+    return None if value is None else int(value)
+
+
 def _setup(args, config) -> tuple[ModelSpec, str, int]:
     model_src = _opt(args, config, "model", "builtin")
     model = load_model(model_src)
     out_dir = str(_opt(args, config, "out", "."))
     os.makedirs(out_dir, exist_ok=True)
-    seed = int(_opt(args, config, "seed", 0))
+    seed = _whole_opt(args, config, "seed", 0)
     return model, out_dir, seed
 
 
@@ -199,8 +207,7 @@ def _cmd_simulate(args, config) -> int:
     scheme = str(_opt(args, config, "scheme", "bem"))
     t0 = float(_opt(args, config, "t0", 0.0))
     t1 = float(_opt(args, config, "t1", model.period))
-    k_opt = _opt(args, config, "pullback_periods", None)
-    k = None if k_opt is None else int(k_opt)
+    k = _whole_opt(args, config, "pullback_periods", None)
     lattice = NoiseLattice(seed, h, model.dimension)
     result = random_periodic_path(
         model, lattice, h, pullback_periods=k, horizon=(t0, t1), scheme=scheme,
@@ -223,9 +230,9 @@ def _cmd_simulate(args, config) -> int:
 def _cmd_periodicity(args, config) -> int:
     model, _, seed = _setup(args, config)
     h = float(_opt(args, config, "h", 2.0**-7))
-    k = int(_opt(args, config, "pullback_periods", 30))
+    k = _whole_opt(args, config, "pullback_periods", 30)
     threshold = float(_opt(args, config, "threshold", 1e-6))
-    windows = int(_opt(args, config, "coalesce_periods", 2))
+    windows = _whole_opt(args, config, "coalesce_periods", 2)
     lattice = NoiseLattice(seed, h, model.dimension)
     # the checks of make_grid and coalescence, made before any path is
     # simulated; verify_shift_periodicity checks k before it simulates
@@ -261,9 +268,9 @@ def _cmd_order(args, config) -> int:
     model, out_dir, seed = _setup(args, config)
     h_ref = float(_opt(args, config, "h_ref", 2.0**-12))
     h_list = _parse_float_list(_opt(args, config, "h_list", _DEFAULT_H_LIST))
-    paths = int(_opt(args, config, "paths", 1000))
+    paths = _whole_opt(args, config, "paths", 1000)
     t_eval = float(_opt(args, config, "t_eval", 0.0))
-    k = int(_opt(args, config, "pullback_periods", 10))
+    k = _whole_opt(args, config, "pullback_periods", 10)
     which = str(_opt(args, config, "scheme", "both"))
     schemes = ("bem", "em") if which == "both" else (which,)
 
@@ -297,12 +304,13 @@ def _cmd_order(args, config) -> int:
 def _cmd_measure(args, config) -> int:
     model, out_dir, seed = _setup(args, config)
     h = float(_opt(args, config, "h", 2.0**-7))
-    paths = int(_opt(args, config, "paths", 2000))
+    paths = _whole_opt(args, config, "paths", 2000)
     t_list = _parse_float_list(_opt(args, config, "t", [0.0]))
-    k_opt = _opt(args, config, "pullback_periods", None)
-    k = int(k_opt) if k_opt is not None else default_pullback_periods(model, h)
-    halvings = int(_opt(args, config, "halvings", 0))
-    n_boot = int(_opt(args, config, "bootstrap", 100))
+    k = _whole_opt(args, config, "pullback_periods", None)
+    if k is None:
+        k = default_pullback_periods(model, h)
+    halvings = _whole_opt(args, config, "halvings", 0)
+    n_boot = _whole_opt(args, config, "bootstrap", 100)
     if halvings < 0:
         raise ValueError(f"halvings must be >= 0, got {halvings}")
     # the checks of write_measure_csv, bootstrap_noise_floor and
@@ -342,7 +350,7 @@ def _cmd_measure(args, config) -> int:
 
 def _cmd_check(args, config) -> int:
     model, _, seed = _setup(args, config)
-    samples = int(_opt(args, config, "samples", 1000))
+    samples = _whole_opt(args, config, "samples", 1000)
     radius = float(_opt(args, config, "radius", 5.0))
     report = check_assumptions(model, sample_count=samples, radius=radius, seed=seed)
     for line in report.lines():

@@ -308,6 +308,8 @@ class GridSpec:
             AlignmentError: if ``t`` is not a grid node (relative tol on i).
         """
         ratio = t / self.h - self.start_index
+        if not math.isfinite(ratio):
+            raise AlignmentError(f"t / h - start_index = {ratio!r} is not finite for time {t}")
         i = round(ratio)
         if abs(ratio - i) > tol * max(1.0, abs(ratio)):
             raise AlignmentError(f"time {t} is not on the grid (h={self.h})")

@@ -14,17 +14,18 @@ offsets into the lattice.  Two runs that the shift identity says should agree
 therefore see bitwise-identical inputs at every step and produce
 bitwise-identical trajectories.
 
-Every run goes through one path-batch engine, :func:`_drive`: one loop over
-chunks of ``_STEP_CHUNK`` steps for both schemes.  Inside a chunk the implicit
-scheme on an affine drift is one closed-form loop over increments and forcing
-laid out once, in the per-step kernel's order of operations; every other
-scheme makes one kernel call per step.  No bit depends on the chunk length.
+Every run goes through one path-batch engine, :func:`_drive`, which returns
+the state of every path at every grid node; callers index the nodes they
+need.  It is one loop over chunks of ``_STEP_CHUNK`` steps for both schemes.
+Inside a chunk the implicit scheme on an affine drift is one closed-form loop
+over increments and forcing laid out once, in the per-step kernel's order of
+operations; every other scheme makes one kernel call per step.  No bit
+depends on the chunk length.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -124,6 +125,8 @@ def _grid_on(
 
 def _int_ratio(num: float, den: float, what: str, tol: float = 1e-9) -> int:
     ratio = num / den
+    if not math.isfinite(ratio):
+        raise AlignmentError(f"{what} = {ratio!r} is not finite")
     r = round(ratio)
     if abs(ratio - r) > tol * max(1.0, abs(ratio)):
         raise AlignmentError(f"{what} = {ratio!r} is not a whole number")
@@ -163,14 +166,7 @@ def _check_scheme(scheme: str) -> str:
     return s
 
 
-def _drive(
-    model: ModelSpec,
-    grid: GridSpec,
-    scheme: str,
-    x0: np.ndarray,
-    dw: np.ndarray,
-    record_nodes: np.ndarray,
-):
+def _drive(model: ModelSpec, grid: GridSpec, scheme: str, x0: np.ndarray, dw: np.ndarray):
     """Advance a batch of paths over the grid.
 
     ``dw[p, i]`` is the increment of path ``p`` over grid step ``i``, so
@@ -181,42 +177,37 @@ def _drive(
     implicit scheme raises :class:`~randperiodic.stepper.NonFiniteEvaluationError`.
 
     One loop runs the grid in chunks of ``_STEP_CHUNK`` steps, each with its
-    step times computed and its nodes recorded once.  The implicit scheme on
-    an affine drift takes one :func:`~randperiodic.stepper._affine_steps` call
-    per chunk, every other scheme one kernel call per step.
+    step times computed once and its states written into one buffer of every
+    node.  The implicit scheme on an affine drift takes one
+    :func:`~randperiodic.stepper._affine_steps` call per chunk, every other
+    scheme one kernel call per step.
 
-    Returns ``(recorded, diverged_at, summary)`` where ``recorded[p, i]`` is
-    the state of path ``p`` at grid node ``record_nodes[i]`` and
-    ``diverged_at[p]`` is the node index at which path ``p`` crossed the
-    divergence threshold (-1 if it never did).  Batch composition does not
-    affect any path's arithmetic, so identical inputs give identical outputs
-    for any partition of the paths into batches.
+    Returns ``(states, diverged_at, summary)`` where ``states[p, i]`` is the
+    state of path ``p`` at grid node ``i``, shape ``(paths, grid.count + 1,
+    d)``, and ``diverged_at[p]`` is the node index at which path ``p``
+    crossed the divergence threshold (-1 if it never did).  Batch
+    composition does not affect any path's arithmetic, so identical inputs
+    give identical outputs for any partition of the paths into batches.
     """
     n, h, a0 = grid.period_steps, grid.h, grid.start_index
-
-    # a node listed twice is recorded in its last slot only
-    rec_pos = {int(v): i for i, v in enumerate(np.asarray(record_nodes, dtype=np.int64))}
-    nodes = np.array(sorted(rec_pos), dtype=np.int64)
-    slots = np.array([rec_pos[v] for v in nodes.tolist()], dtype=np.int64)
-    rec = np.full((x0.shape[0], len(record_nodes), x0.shape[1]), np.nan)
-
     plan = _affine_plan(model, h) if scheme == "bem" else None
     diverged_at = np.full(x0.shape[0], -1, dtype=np.int64)
     active = np.isfinite(x0).all(axis=1)
     max_iters, max_resid, any_fb = 0, 0.0, False
-    z = x0[None]  # z[j] is the batch after step j of the chunk; z[-1] starts the next
+    buf = np.empty((grid.count + 1,) + x0.shape)  # buf[i] is the batch at node i
+    buf[0] = x0
     for c0 in range(0, grid.count, _STEP_CHUNK):
         c1 = min(c0 + _STEP_CHUNK, grid.count)
         # step j of the chunk runs from t[j] to t[j + 1], reduced modulo the period
         t = [(a % n) * h for a in range(a0 + c0, a0 + c1 + 1)]
+        z = buf[c0 : c1 + 1]  # z[j] is the batch after step j of the chunk
         if plan is not None:
             forcing_at, divisor = plan
             g = np.array([float(model.diffusion(s)) for s in t[:-1]])
-            z, rn = _affine_steps(
-                z[-1], g[:, None] * dw[:, c0:c1], [forcing_at(s) for s in t[1:]], divisor, t[1:])
+            z[:], rn = _affine_steps(
+                z[0], g[:, None] * dw[:, c0:c1], [forcing_at(s) for s in t[1:]], divisor, t[1:])
             max_iters, max_resid = 1, max(max_resid, float(rn.max()))
         else:
-            z = np.concatenate((z[-1:], np.empty((c1 - c0,) + x0.shape)))
             for j, i in enumerate(range(c0, c1)):
                 if scheme == "bem":
                     z[j + 1], iters, rn, fb = _bem_step_batch(
@@ -238,11 +229,8 @@ def _drive(
                         diverged_at[bad] = i + 1
                         z[j + 1, bad] = np.nan
                         active &= ~bad
-        # a node between two chunks is written twice, with the same state
-        lo, hi = bisect_left(nodes, c0), bisect_right(nodes, c1)
-        rec[:, slots[lo:hi]] = z[nodes[lo:hi] - c0].swapaxes(0, 1)
 
-    return rec, diverged_at, SolverSummary(max_iters, max_resid, any_fb)
+    return buf.swapaxes(0, 1), diverged_at, SolverSummary(max_iters, max_resid, any_fb)
 
 
 def simulate(
@@ -268,9 +256,7 @@ def simulate(
     _validate_run(model, grid, lattice)
     x0 = init.resolve(lattice.seed, model.dimension)[None, :]
     dw = coarse_increments(lattice, grid, grid.start_index, grid.count)
-    states, div_at, summary = _drive(
-        model, grid, scheme, x0, dw[None], np.arange(grid.count + 1)
-    )
+    states, div_at, summary = _drive(model, grid, scheme, x0, dw[None])
     d_at = int(div_at[0])
     return PathResult(
         grid=grid,
@@ -485,10 +471,8 @@ def pullback_pinned_path(
     for i in range(steps_total):
         step = replace(grid, start_index=grid.start_index + i, count=1)
         out, _, summary = _drive(
-            model, step, scheme, x[: i + 1], np.broadcast_to(dw[i], (i + 1, 1, dw.shape[1])),
-            [1],
-        )
-        x[: i + 1] = out[:, 0]
+            model, step, scheme, x[: i + 1], np.broadcast_to(dw[i], (i + 1, 1, dw.shape[1])))
+        x[: i + 1] = out[:, -1]
         stats.append(summary)
     values = x[::-1]
     return PinnedPullbackResult(

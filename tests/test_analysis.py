@@ -267,6 +267,24 @@ def test_default_block_holds_2048_paths(monkeypatch, num_paths, blocks):
     assert len(calls) == blocks and sum(calls) == num_paths == rec.shape[0]
 
 
+def test_block_fits_one_coarse_step_in_a_window(monkeypatch):
+    # a coarsest step of 16 fine steps fills a 64-word window at 4 paths
+    kwargs = dict(h_ref=2.0**-6, h_list=[2.0**-2, 2.0**-3], pullback_periods=1, num_paths=10,
+                  seed=5, scheme=("bem", "em"))
+    base = [_bits(t) for t in strong_error(builtin_benchmark(), **kwargs)]
+    walk = analysis._walk_windows
+    blocks = []
+
+    def counted(model, runs, lattices, x0):
+        blocks.append(len(lattices))
+        return walk(model, runs, lattices, x0)
+
+    monkeypatch.setattr(analysis, "_WINDOW_WORDS", 64)
+    monkeypatch.setattr(analysis, "_walk_windows", counted)
+    assert [_bits(t) for t in strong_error(builtin_benchmark(), **kwargs)] == base
+    assert blocks == [4, 4, 2]
+
+
 @pytest.mark.parametrize("build, start, window_words", [
     (builtin_benchmark, 0.0, 50),
     # the cubic drift raises on a NaN state, so a diverged path must not be
@@ -410,14 +428,15 @@ class TestOrderStudyOnePass:
 
         def counting_drive(model, grid, scheme, x0, *rest):
             if grid.step_mult == 1:
-                ref_windows.append(grid.count)
+                ref_windows.append(grid.count * x0.shape[0])
             return drive(model, grid, scheme, x0, *rest)
 
         monkeypatch.setattr(analysis, "_WINDOW_WORDS", window_words)
         monkeypatch.setattr(analysis, "_drive", counting_drive)
         tables = strong_error(model, scheme=("bem", "em"), **kwargs)
         assert len(ref_windows) >= 3
-        assert sum(ref_windows) == round(1.0 / kwargs["h_ref"])
+        # every path takes every reference step once, whatever its block
+        assert sum(ref_windows) == kwargs["num_paths"] * round(1.0 / kwargs["h_ref"])
         assert [_bits(t) for t in tables] == [_bits(t) for t in oracle]
 
     def test_single_name_returns_one_table(self):
@@ -619,6 +638,14 @@ class TestMeasureStudy:
         assert study.pairs[0].ratio_to_sqrt_h == pytest.approx(
             study.pairs[0].distance / math.sqrt(2.0**-4)
         )
+
+    def test_vector_model_fails_before_simulating(self, monkeypatch):
+        def no_simulation(*args, **kwargs):
+            raise AssertionError("_run_seeds called")
+
+        monkeypatch.setattr(analysis, "_run_seeds", no_simulation)
+        with pytest.raises(ValueError, match="scalar models only, got dimension 2"):
+            measure_convergence_study(model_from_config(D2_MODEL), [2.0**-3], 8, 0.0, 1)
 
     def test_validation(self):
         m = builtin_benchmark()

@@ -167,6 +167,42 @@ class TestConfigHandling:
         assert exc.value.code == 2
 
 
+    @pytest.mark.parametrize("command, key", [
+        ("simulate", "seed"),
+        ("simulate", "pullback_periods"),
+        ("order", "paths"),
+        ("measure", "paths"),
+        ("measure", "halvings"),
+        ("measure", "bootstrap"),
+        ("periodicity", "coalesce_periods"),
+        ("check", "samples"),
+    ])
+    @pytest.mark.parametrize("value", [2.5, True, math.nan])
+    def test_integer_keys_must_be_whole(self, capsys, tmp_path, command, key, value):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({key: value}))  # writes NaN
+        code, out, err = run(capsys, command, "--config", str(cfg), "--out", str(tmp_path))
+        assert code == 2 and out == ""
+        assert f"configuration error: {key} must be a whole number, got {value!r}" in err
+
+    def test_whole_float_keys_run_as_ints(self, capsys, tmp_path):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"samples": 200.0, "seed": 3.0}))
+        assert (run(capsys, "check", "--config", str(cfg))
+                == run(capsys, "check", "--samples", "200", "--seed", "3"))
+
+    @pytest.mark.parametrize("argv, message", [
+        (("simulate", "--t1", "inf"), "(t_end - t_start) / h = inf is not finite"),
+        (("measure", "--t", "inf"), "(t_end - t_start) / h = inf is not finite"),
+        (("periodicity", "--h", "inf"), "h / lattice base_step = nan is not finite"),
+        (("order", "--h-ref", "inf"), "h / lattice base_step = nan is not finite"),
+    ], ids=["simulate", "measure", "periodicity", "order"])
+    def test_non_finite_grid_ratio_exits_two(self, capsys, tmp_path, argv, message):
+        code, out, err = run(capsys, *argv, "--out", str(tmp_path))
+        assert code == 2 and out == ""
+        assert err == f"configuration error: {message}\n"
+
+
 class TestPeriodicityCommand:
     def test_passes_on_benchmark(self, capsys):
         code, out, _ = run(capsys, "periodicity", "--h", "0.0078125",

@@ -79,6 +79,10 @@ class TestMakeGrid:
             make_grid(m, lat, h=2.0**-7, t_start=0.003, t_end=1.0)  # t_start/h
         with pytest.raises(ValueError):
             make_grid(m, lat, h=2.0**-7, t_start=0.5, t_end=0.5)
+        with pytest.raises(AlignmentError, match=r"\(t_end - t_start\) / h = inf is not finite"):
+            make_grid(m, lat, h=2.0**-7, t_start=0.0, t_end=math.inf)
+        with pytest.raises(AlignmentError, match="= inf is not finite for time inf"):
+            make_grid(m, lat, h=2.0**-7, t_start=0.0, t_end=1.0).node_index(math.inf)
 
 
 class TestSimulate:

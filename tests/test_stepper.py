@@ -546,14 +546,11 @@ def test_affine_step_keeps_signed_zeros():
 CHUNK = pullback._STEP_CHUNK
 
 
-def _reference_drive(model, grid, x0, dw, record_nodes):
+def _reference_drive(model, grid, x0, dw):
     """The implicit scheme of ``_drive`` as one ``_bem_step_batch`` call per
     step: what every affine window must reproduce bit for bit."""
     n, h = grid.period_steps, grid.h
-    rec = np.full((x0.shape[0], len(record_nodes), x0.shape[1]), np.nan)
-    rec_pos = {int(v): i for i, v in enumerate(record_nodes)}
-    if 0 in rec_pos:
-        rec[:, rec_pos[0]] = x0
+    states = [x0]
     x = x0.copy()
     max_iters, max_resid, any_fb = 0, 0.0, False
     for i in range(grid.count):
@@ -563,20 +560,16 @@ def _reference_drive(model, grid, x0, dw, record_nodes):
         max_iters = max(max_iters, int(iters.max()))
         max_resid = max(max_resid, float(rn.max()))
         any_fb = any_fb or bool(fb.any())
-        if i + 1 in rec_pos:
-            rec[:, rec_pos[i + 1]] = x
-    return rec, np.full(x0.shape[0], -1, dtype=np.int64), SolverSummary(
+        states.append(x)
+    return np.stack(states, axis=1), np.full(x0.shape[0], -1, dtype=np.int64), SolverSummary(
         max_iters, max_resid, any_fb)
 
 
-def _reference_drive_em(model, grid, x0, dw, record_nodes):
+def _reference_drive_em(model, grid, x0, dw):
     """The explicit scheme of ``_drive`` as one ``_em_step_batch`` call per
     step over the paths still below the divergence threshold."""
     n, h = grid.period_steps, grid.h
-    rec = np.full((x0.shape[0], len(record_nodes), x0.shape[1]), np.nan)
-    rec_pos = {int(v): i for i, v in enumerate(record_nodes)}
-    if 0 in rec_pos:
-        rec[:, rec_pos[0]] = x0
+    states = [x0]
     x = x0.copy()
     diverged_at = np.full(x0.shape[0], -1, dtype=np.int64)
     active = np.isfinite(x0).all(axis=1)
@@ -589,9 +582,8 @@ def _reference_drive_em(model, grid, x0, dw, record_nodes):
         diverged_at[bad] = i + 1
         x[bad] = np.nan
         active &= ~bad
-        if i + 1 in rec_pos:
-            rec[:, rec_pos[i + 1]] = x
-    return rec, diverged_at, SolverSummary()
+        states.append(x.copy())
+    return np.stack(states, axis=1), diverged_at, SolverSummary()
 
 
 class _KernelCalls:
@@ -625,18 +617,6 @@ def _window_inputs(d, count, seed, paths=5):
     return grid, x0, dw
 
 
-def _record_subsets(count, seed):
-    rng = np.random.default_rng(seed)
-    some = rng.choice(count + 1, size=min(count + 1, 9), replace=False)
-    return {
-        "all": np.arange(count + 1),
-        "last": np.array([count]),
-        "subset": np.sort(some),
-        # unsorted, repeated and out-of-range nodes are kept as _drive keeps them
-        "unsorted": np.array([count, 0, count // 2, count // 2, count + 3]),
-    }
-
-
 def _check_same_run(got, want):
     assert _same_bits(got[0], want[0])
     assert _same_bits(got[1], want[1])
@@ -654,11 +634,10 @@ def test_affine_window_matches_step_by_step(monkeypatch, case, count):
     # two paths on one noise realization share a broadcast row
     shared = np.broadcast_to(dw[:1], (3,) + dw.shape[1:])
     calls = _KernelCalls(monkeypatch)
-    for name, nodes in _record_subsets(count, seed=count).items():
-        for x_start, incs in ((x0, dw), (x0[:3], shared)):
-            want = _reference_drive(m, grid, x_start, incs, nodes)
-            _check_same_run(pullback._drive(m, grid, "bem", x_start, incs, nodes), want)
-    assert calls.step == 0 and calls.window == 4 * (5 + 3) * count
+    for x_start, incs in ((x0, dw), (x0[:3], shared)):
+        want = _reference_drive(m, grid, x_start, incs)
+        _check_same_run(pullback._drive(m, grid, "bem", x_start, incs), want)
+    assert calls.step == 0 and calls.window == (5 + 3) * count
 
 
 @pytest.mark.parametrize("kind", ["quadratic", "subclass", "negative-divisor"])
@@ -676,9 +655,7 @@ def test_other_drifts_keep_the_per_step_kernel(monkeypatch, kind):
     count = 3
     grid, x0, dw = _window_inputs(1, count, seed=1)
     calls = _KernelCalls(monkeypatch)
-    nodes = np.arange(count + 1)
-    _check_same_run(pullback._drive(m, grid, "bem", x0, dw, nodes),
-                    _reference_drive(m, grid, x0, dw, nodes))
+    _check_same_run(pullback._drive(m, grid, "bem", x0, dw), _reference_drive(m, grid, x0, dw))
     assert calls.window == 0 and calls.step == 5 * count
 
 
@@ -698,10 +675,9 @@ def test_affine_window_names_the_first_step_over_tolerance(monkeypatch):
     grid, _, _ = _window_inputs(1, count, seed=0)
     x0, dw = np.zeros((50, 1)), np.zeros((50, count, 1))
     dw[:, bad:] = np.random.default_rng(2).normal(size=(50, count - bad, 1))
-    nodes = np.arange(count + 1)
     monkeypatch.setattr(stepper, "RESIDUAL_TOL", 1e-30)
-    got = _raised(NonConvergenceError, lambda: pullback._drive(m, grid, "bem", x0, dw, nodes))
-    want = _raised(NonConvergenceError, lambda: _reference_drive(m, grid, x0, dw, nodes))
+    got = _raised(NonConvergenceError, lambda: pullback._drive(m, grid, "bem", x0, dw))
+    want = _raised(NonConvergenceError, lambda: _reference_drive(m, grid, x0, dw))
     assert got == want
     t_bad = ((grid.start_index + bad + 1) % grid.period_steps) * grid.h
     assert f"above tolerance at t={t_bad} " in got
@@ -718,10 +694,8 @@ def test_affine_window_reports_non_finite_steps(where, d):
         x0[3, d - 1] = np.nan
     else:
         dw[3, bad, 0] = np.nan
-    nodes = np.array([count])
-    got = _raised(NonFiniteEvaluationError,
-                  lambda: pullback._drive(m, grid, "bem", x0, dw, nodes))
-    want = _raised(NonFiniteEvaluationError, lambda: _reference_drive(m, grid, x0, dw, nodes))
+    got = _raised(NonFiniteEvaluationError, lambda: pullback._drive(m, grid, "bem", x0, dw))
+    want = _raised(NonFiniteEvaluationError, lambda: _reference_drive(m, grid, x0, dw))
     assert got == want
     t_bad = ((grid.start_index + bad + 1) % grid.period_steps) * grid.h
     assert got == f"affine implicit step is non-finite at t={t_bad}"
@@ -742,12 +716,11 @@ def test_chunks_are_invisible_to_newton(monkeypatch, d):
     count = 2 * CHUNK + 10
     grid, x0, dw = _window_inputs(d, count, seed=d)
     calls = _KernelCalls(monkeypatch)
-    for nodes in _record_subsets(count, seed=d).values():
-        want = _reference_drive(m, grid, x0, dw, nodes)
-        for chunk in (1, 7, CHUNK):
-            monkeypatch.setattr(pullback, "_STEP_CHUNK", chunk)
-            _check_same_run(pullback._drive(m, grid, "bem", x0, dw, nodes), want)
-    assert calls.window == 0 and calls.step == 4 * 3 * 5 * count
+    want = _reference_drive(m, grid, x0, dw)
+    for chunk in (1, 7, CHUNK):
+        monkeypatch.setattr(pullback, "_STEP_CHUNK", chunk)
+        _check_same_run(pullback._drive(m, grid, "bem", x0, dw), want)
+    assert calls.window == 0 and calls.step == 3 * 5 * count
 
 
 def _diverging_em_inputs(d, count):
@@ -768,13 +741,12 @@ def test_chunks_are_invisible_to_the_explicit_scheme(monkeypatch, model):
     m = builtin_benchmark() if model == "builtin" else _newton_cubic_model(int(model[-1]))
     count = 2 * CHUNK + 10
     grid, x0, dw = _diverging_em_inputs(m.dimension, count)
-    for nodes in _record_subsets(count, seed=3).values():
-        want = _reference_drive_em(m, grid, x0, dw, nodes)
-        assert want[1][:5].tolist() == [-1, 1, 8, CHUNK + 1, count]
-        assert (want[1][5] > 0) == model.startswith("cubic")
-        for chunk in (1, 7, CHUNK):
-            monkeypatch.setattr(pullback, "_STEP_CHUNK", chunk)
-            _check_same_run(pullback._drive(m, grid, "em", x0, dw, nodes), want)
+    want = _reference_drive_em(m, grid, x0, dw)
+    assert want[1][:5].tolist() == [-1, 1, 8, CHUNK + 1, count]
+    assert (want[1][5] > 0) == model.startswith("cubic")
+    for chunk in (1, 7, CHUNK):
+        monkeypatch.setattr(pullback, "_STEP_CHUNK", chunk)
+        _check_same_run(pullback._drive(m, grid, "em", x0, dw), want)
 
 
 # -- the damped Newton loop, pinned bit for bit -------------------------------
