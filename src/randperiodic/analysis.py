@@ -3,14 +3,16 @@
 Every routine here is deterministic given its seeds.  Path seeds are derived
 from one master seed and each path owns its own noise lattice.  A study is a
 list of runs (grid, scheme, recorded nodes) on the same span of time, and
-every study makes one call to the runner, ``_run_seeds``: it takes the paths
-in blocks of ``DEFAULT_BLOCK_SIZE`` (2048) and walks each block through time
-in windows.  A window of the block's increments is read in one batch and
-every run of the study advances on it from where the last window left it.
-Blocks are wide because the costs that dominate are paid per call, not per
-path: each window's noise read, and each block-step of the implicit solver.
-A path's arithmetic depends neither on its block nor on the windows, so
-results are byte-identical for any block size and any window length.
+every study makes one call to the runner, ``_run_seeds``: one loop that
+takes the paths in blocks of ``DEFAULT_BLOCK_SIZE`` (2048) and walks each
+block through time in windows.  A window of the block's increments is read
+in one batch and every run of the study advances on it from where the last
+window left it.  Blocks are wide because the costs that dominate are paid
+per call, not per path: each window's noise read, and each block-step of
+the implicit solver.  A path's arithmetic depends neither on its block nor
+on the windows, so results are byte-identical for any block size and any
+window length.  A path of the explicit scheme that diverged is NaN from its
+crossing node on; the runner keeps no other record of it.
 
 Strong errors couple resolutions through the increment lattice: the
 reference run reads fine increments, coarse runs read exact sums of the same
@@ -38,15 +40,16 @@ from .pullback import (
 # the Newton loop's most of all, is paid once per block-step, not per path.
 # Each window's noise read re-keys the generator once per path, at about
 # 7 us a path plus 0.03 us a word.  The CLI's default 1000-path order and
-# 2000-path measure studies run as one block; the order study's windows fall
-# from 1024 to 256 fine steps, so it re-keys four times as often, and is
-# still no slower.  Wider is slower again, as windows shrink and a block's
-# re-keys grow with the square of its paths: criterion 8's 5000-path halving
-# study takes about 0.8 s in blocks of 256, 0.5 s in blocks of 2048 and
-# 0.55-0.75 s in one block (2-core Xeon, Python 3.11).  A study whose
-# coarsest step, taken for every path, would not fit in ``_WINDOW_WORDS``
-# runs in narrower blocks, down to one path, as a window holds at least that
-# step.
+# 2000-path measure studies run as one block.  That block's order-study
+# windows hold 256 fine steps, and most of its cost is paid per window:
+# criterion 5's study took 6.05 s (58 MiB peak) with ``_WINDOW_WORDS`` at
+# 2^18 and 3.92 s (70 MiB) at 2^20.  Wider is slower again, as windows
+# shrink and a block's re-keys grow with the square of its paths:
+# criterion 8's 5000-path halving study takes about 0.8 s in blocks of 256,
+# 0.5 s in blocks of 2048 and 0.55-0.75 s in one block (2-core Xeon,
+# Python 3.11).  A study whose coarsest step, taken for every path, would
+# not fit in ``_WINDOW_WORDS`` runs in narrower blocks, down to one path, as
+# a window holds at least that step.
 DEFAULT_BLOCK_SIZE = 2048
 
 # Cap on the fine increments, in words, that a study holds for one block at a
@@ -174,20 +177,22 @@ def strong_error(
         for s in schemes
         for g in coarse_grids
     ]
-    (ref_rec, _, ref_stats), *outs = _run_seeds(
+    (ref_rec, ref_stats), *outs = _run_seeds(
         model, runs, derive_seeds(seed, num_paths), init
     )
 
     tables = []
     for j, s in enumerate(schemes):
         mine = outs[j * levels : (j + 1) * levels]
+        # a diverged path is NaN from its crossing on, so at t_eval too
         rows = [
-            _error_row(h, None if (div_at >= 0).any() else rec - ref_rec[:, cols, :], num_paths)
-            for h, cols, (rec, div_at, _) in zip(h_list, ref_cols, mine)
+            _error_row(h, rec - ref_rec[:, cols, :] if np.isfinite(rec[:, -1]).all() else None,
+                       num_paths)
+            for h, cols, (rec, _) in zip(h_list, ref_cols, mine)
         ]
         table = ErrorTable(
             scheme=s, h_ref=float(h_ref), t_eval=float(t_eval), rows=rows,
-            solver_stats=_merge_stats(ref_stats, *(stats for _, _, stats in mine)),
+            solver_stats=_merge_stats(ref_stats, *(stats for _, stats in mine)),
         )
         if len(table.valid_rows()) >= 3:
             fit = fit_order(table)
@@ -231,54 +236,6 @@ class _Run:
     nodes: np.ndarray
 
 
-def _walk_windows(
-    model: ModelSpec,
-    runs: list[_Run],
-    lattices: list[NoiseLattice],
-    x0: np.ndarray,
-) -> list[tuple[np.ndarray, np.ndarray, SolverSummary]]:
-    """Advance every run over one block of paths, reading the noise once.
-
-    Every run spans the same times on a grid aligned with the lattices.  The
-    span is walked in windows of whole steps at every grid, each holding at
-    most ``_WINDOW_WORDS`` fine increments for the block, or one step of the
-    coarsest grid when that is more.  Per window the block's fine increments
-    are read in one batch, and every run advances on their sums over its own
-    steps from the state it ended the last window in.
-
-    Returns each run's ``(recorded, diverged_at, summary)`` for the whole
-    span: the states at its ``nodes``, in their order, the grid node at which
-    each path diverged (-1 if it never did), after which the path is NaN,
-    and its solver summary.
-    """
-    paths, d = x0.shape
-    first = runs[0].grid
-    f_start, f_count = first.start_index * first.step_mult, first.count * first.step_mult
-    lcm = math.lcm(*(r.grid.step_mult for r in runs))
-    span = min(f_count, max(lcm, _WINDOW_WORDS // (paths * d) // lcm * lcm))
-    states = [x0] * len(runs)
-    recorded = [np.full((paths, r.nodes.size, d), np.nan) for r in runs]
-    diverged_at = [np.full(paths, -1, dtype=np.int64) for _ in runs]
-    summaries = [SolverSummary()] * len(runs)
-    for f0 in range(0, f_count, span):
-        width = min(span, f_count - f0)
-        fine = _read_increments(lattices, f_start + f0, width)
-        for i, run in enumerate(runs):
-            m = run.grid.step_mult
-            n0, count = f0 // m, width // m
-            window = replace(run.grid, start_index=run.grid.start_index + n0, count=count)
-            out, div_at, summary = _drive(
-                model, window, run.scheme, states[i], _sum_steps(fine, m))
-            summaries[i] = _merge_stats(summaries[i], summary)
-            first_time = (div_at >= 0) & (diverged_at[i] < 0)
-            diverged_at[i][first_time] = n0 + div_at[first_time]
-            inside = (run.nodes >= n0) & (run.nodes <= n0 + count)
-            recorded[i][:, inside] = out[:, run.nodes[inside] - n0]
-            # a copy, so that the window's buffer of every node can be freed
-            states[i] = out[:, -1].copy()
-    return list(zip(recorded, diverged_at, summaries))
-
-
 @dataclass(frozen=True)
 class MomentEstimate:
     """Worst second moment over a grid against the theoretical bound.
@@ -317,7 +274,7 @@ def moment_estimate(
     if c_f is None or sigma is None:
         raise ValueError("moment_estimate requires declared C_f and sigma")
     run = _Run(grid, _check_scheme(scheme), np.arange(grid.count + 1))
-    [(states, _, summary)] = _run_seeds(model, [run], derive_seeds(seed, num_paths), init)
+    [(states, summary)] = _run_seeds(model, [run], derive_seeds(seed, num_paths), init)
     sq = np.einsum("ijk,ijk->ij", states, states)  # (num_paths, count + 1)
     mean_sq = np.array([math.fsum(sq[:, i]) / num_paths for i in range(sq.shape[1])])
     node = int(np.argmax(mean_sq))
@@ -388,7 +345,7 @@ def periodic_measure(
     nodes = np.array([grid.node_index(t) for t in t_arr], dtype=np.int64)
     if len(set(nodes.tolist())) != nodes.size:
         raise ValueError("t_list contains duplicate times")
-    [(rec, _, summary)] = _run_seeds(model, [_Run(grid, "bem", nodes)], lattice_seeds, init)
+    [(rec, summary)] = _run_seeds(model, [_Run(grid, "bem", nodes)], lattice_seeds, init)
     return [
         EmpiricalMeasure(t=t_arr[i], h=float(h), samples=rec[:, i, :].copy(),
                          solver_stats=summary)
@@ -515,10 +472,10 @@ def measure_convergence_study(
                           init)
         dist = weak_distance(*(
             EmpiricalMeasure(t=float(t), h=g.h, samples=rec[:, 0, :])
-            for g, (rec, _, _) in zip(grids, outs)
+            for g, (rec, _) in zip(grids, outs)
         ))
         rows.append(MeasurePair(h, h / 2.0, dist, dist / math.sqrt(h)))
-        stats += [summary for _, _, summary in outs]
+        stats += [summary for _, summary in outs]
     return MeasureStudy(t=float(t), num_paths=num_paths, pairs=tuple(rows),
                         solver_stats=_merge_stats(*stats))
 
@@ -557,20 +514,25 @@ def _run_seeds(
     runs: list[_Run],
     seeds: Sequence[int],
     init: InitialCondition | None = None,
-) -> list[tuple[np.ndarray, np.ndarray, SolverSummary]]:
-    """Run one path per seed through every run of a study.
+) -> list[tuple[np.ndarray, SolverSummary]]:
+    """Run one path per seed through every run of a study, reading the noise once.
 
     The runs span the same times on grids of one lattice spacing.  Path
     ``p`` starts from ``init`` (default zero) resolved for ``seeds[p]`` and
     reads its own lattice.  Seeds are whole numbers, reduced modulo 2**64 as
     :class:`NoiseLattice` reduces them.  The paths go in blocks of
     ``DEFAULT_BLOCK_SIZE``, fewer when one step of the coarsest grid would
-    not fit ``_WINDOW_WORDS`` for the block, and each block is walked once
-    by :func:`_walk_windows` for all runs.
+    not fit ``_WINDOW_WORDS`` for the block.  Each block walks the span in
+    windows of whole steps at every grid, each holding at most
+    ``_WINDOW_WORDS`` fine increments for the block, or one step of the
+    coarsest grid when that is more.  Per window the block's fine increments
+    are read in one batch, and every run advances on their sums over its own
+    steps from the state it ended the last window in.
 
-    Returns one ``(recorded, diverged_at, summary)`` per run, covering all
-    paths, as :func:`_walk_windows` returns them for one block; neither the
-    block size nor the window length changes any of them.
+    Returns one ``(recorded, summary)`` per run, covering all paths: the
+    states at the run's ``nodes``, in their order, NaN from the node at
+    which a path diverged, and the run's solver summary.  Neither the block
+    size nor the window length changes any of them.
 
     Raises:
         ValueError: fewer than 2 seeds, or a seed that is not a whole number.
@@ -580,21 +542,31 @@ def _run_seeds(
     for run in runs:
         _check_period(model, run.grid)
     init = init if init is not None else InitialCondition(value=np.zeros(model.dimension))
-    base_step, d = runs[0].grid.base_step, model.dimension
+    first, d = runs[0].grid, model.dimension
+    f_start, f_count = first.start_index * first.step_mult, first.count * first.step_mult
     lcm = math.lcm(*(r.grid.step_mult for r in runs))
     size = max(1, min(DEFAULT_BLOCK_SIZE, _WINDOW_WORDS // (d * lcm)))
-    blocks = []
+    recorded = [np.full((len(seeds), r.nodes.size, d), np.nan) for r in runs]
+    summaries = [SolverSummary()] * len(runs)
     for b0 in range(0, len(seeds), size):
         block = seeds[b0 : b0 + size]
-        x0 = np.stack([init.resolve(s, d) for s in block])
-        lattices = [NoiseLattice(s, base_step, d) for s in block]
-        blocks.append(_walk_windows(model, runs, lattices, x0))
-    return [
-        (np.concatenate([rec for rec, _, _ in parts]),
-         np.concatenate([div_at for _, div_at, _ in parts]),
-         _merge_stats(*(summary for _, _, summary in parts)))
-        for parts in zip(*blocks)
-    ]
+        states = [np.stack([init.resolve(s, d) for s in block])] * len(runs)
+        lattices = [NoiseLattice(s, first.base_step, d) for s in block]
+        span = min(f_count, max(lcm, _WINDOW_WORDS // (len(block) * d) // lcm * lcm))
+        for f0 in range(0, f_count, span):
+            width = min(span, f_count - f0)
+            fine = _read_increments(lattices, f_start + f0, width)
+            for i, run in enumerate(runs):
+                m = run.grid.step_mult
+                n0, count = f0 // m, width // m
+                window = replace(run.grid, start_index=run.grid.start_index + n0, count=count)
+                out, summary = _drive(model, window, run.scheme, states[i], _sum_steps(fine, m))
+                summaries[i] = _merge_stats(summaries[i], summary)
+                inside = (run.nodes >= n0) & (run.nodes <= n0 + count)
+                recorded[i][b0 : b0 + len(block), inside] = out[:, run.nodes[inside] - n0]
+                # a copy, so that the window's buffer of every node can be freed
+                states[i] = out[:, -1].copy()
+    return list(zip(recorded, summaries))
 
 
 def _path_seeds(seeds: Sequence[int]) -> list[int]:

@@ -380,8 +380,8 @@ def check_assumptions(
     """
     if sample_count < 2:
         raise ValueError(f"sample_count must be >= 2, got {sample_count}")
-    if not radius > 0.0:
-        raise ValueError(f"radius must be positive, got {radius}")
+    if not (math.isfinite(radius) and radius > 0.0):
+        raise ValueError(f"radius must be positive and finite, got {radius}")
     rng = np.random.default_rng(_whole_seed(seed))
     d = model.dimension
     tau = model.period

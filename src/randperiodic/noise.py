@@ -95,8 +95,10 @@ class NoiseLattice:
 
 
 def _whole_seed(seed) -> int:
-    """``seed`` as an int modulo 2**64; a ValueError unless it is a whole number."""
-    whole = isinstance(seed, (int, np.integer)) or (
+    """``seed`` as an int modulo 2**64; a ValueError unless it is a whole number.
+
+    A bool is not a seed, although Python counts ``True`` as the int 1."""
+    whole = (isinstance(seed, (int, np.integer)) and not isinstance(seed, bool)) or (
         isinstance(seed, (float, np.floating)) and float(seed).is_integer()
     )
     if not whole:

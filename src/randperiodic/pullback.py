@@ -20,7 +20,8 @@ need.  It is one loop over chunks of ``_STEP_CHUNK`` steps for both schemes.
 Inside a chunk the implicit scheme on an affine drift is one closed-form loop
 over increments and forcing laid out once, in the per-step kernel's order of
 operations; every other scheme makes one kernel call per step.  No bit
-depends on the chunk length.
+depends on the chunk length.  A path of the explicit scheme that diverges is
+NaN from its crossing node on, and that NaN is the only record of it.
 """
 
 from __future__ import annotations
@@ -75,8 +76,8 @@ class PathResult:
 
     ``states`` has shape ``(grid.count + 1, d)`` with ``states[0]`` equal to
     the initial condition.  All entries are finite unless ``scheme == "em"``
-    and ``diverged`` is set, in which case entries from ``diverged_at`` on
-    are NaN.
+    and the path diverged, in which case entries from ``diverged_at`` on are
+    NaN.  ``diverged`` and ``diverged_at`` are read from ``states``.
     """
 
     grid: GridSpec
@@ -84,12 +85,20 @@ class PathResult:
     scheme: str
     seed: int
     solver_stats: SolverSummary
-    diverged: bool = False
-    diverged_at: int | None = None
 
     @property
     def times(self) -> np.ndarray:
         return self.grid.times()
+
+    @property
+    def diverged_at(self) -> int | None:
+        """The first node whose state is not finite, or None."""
+        bad = np.flatnonzero(~np.isfinite(self.states).all(axis=1))
+        return int(bad[0]) if bad.size else None
+
+    @property
+    def diverged(self) -> bool:
+        return self.diverged_at is not None
 
     def state_at(self, t: float) -> np.ndarray:
         """State at grid time ``t`` (must be a node)."""
@@ -171,10 +180,11 @@ def _drive(model: ModelSpec, grid: GridSpec, scheme: str, x0: np.ndarray, dw: np
 
     ``dw[p, i]`` is the increment of path ``p`` over grid step ``i``, so
     ``dw`` has shape ``(paths, grid.count, d)``; paths on one noise
-    realization may share a broadcast row.  A row of ``x0`` that is not
-    finite is a path that diverged before this grid: under the explicit
-    scheme it stays NaN, is not stepped and is not flagged again; the
-    implicit scheme raises :class:`~randperiodic.stepper.NonFiniteEvaluationError`.
+    realization may share a broadcast row.  Under the explicit scheme a path
+    whose norm crosses ``DIVERGENCE_THRESHOLD`` (or turns non-finite) is NaN
+    from that node on and is not stepped again; a row of ``x0`` that is not
+    finite is a path that diverged before this grid.  The implicit scheme
+    raises :class:`~randperiodic.stepper.NonFiniteEvaluationError` instead.
 
     One loop runs the grid in chunks of ``_STEP_CHUNK`` steps, each with its
     step times computed once and its states written into one buffer of every
@@ -182,16 +192,13 @@ def _drive(model: ModelSpec, grid: GridSpec, scheme: str, x0: np.ndarray, dw: np
     :func:`~randperiodic.stepper._affine_steps` call per chunk, every other
     scheme one kernel call per step.
 
-    Returns ``(states, diverged_at, summary)`` where ``states[p, i]`` is the
-    state of path ``p`` at grid node ``i``, shape ``(paths, grid.count + 1,
-    d)``, and ``diverged_at[p]`` is the node index at which path ``p``
-    crossed the divergence threshold (-1 if it never did).  Batch
+    Returns ``(states, summary)`` where ``states[p, i]`` is the state of path
+    ``p`` at grid node ``i``, shape ``(paths, grid.count + 1, d)``.  Batch
     composition does not affect any path's arithmetic, so identical inputs
     give identical outputs for any partition of the paths into batches.
     """
     n, h, a0 = grid.period_steps, grid.h, grid.start_index
     plan = _affine_plan(model, h) if scheme == "bem" else None
-    diverged_at = np.full(x0.shape[0], -1, dtype=np.int64)
     active = np.isfinite(x0).all(axis=1)
     max_iters, max_resid, any_fb = 0, 0.0, False
     buf = np.empty((grid.count + 1,) + x0.shape)  # buf[i] is the batch at node i
@@ -226,11 +233,10 @@ def _drive(model: ModelSpec, grid: GridSpec, scheme: str, x0: np.ndarray, dw: np
                     norms = np.linalg.norm(z[j + 1], axis=1)
                     bad = active & (~np.isfinite(norms) | (norms > DIVERGENCE_THRESHOLD))
                     if bad.any():
-                        diverged_at[bad] = i + 1
                         z[j + 1, bad] = np.nan
                         active &= ~bad
 
-    return buf.swapaxes(0, 1), diverged_at, SolverSummary(max_iters, max_resid, any_fb)
+    return buf.swapaxes(0, 1), SolverSummary(max_iters, max_resid, any_fb)
 
 
 def simulate(
@@ -245,8 +251,8 @@ def simulate(
     The implicit scheme completes on any grid satisfying the model
     assumptions.  The explicit scheme may diverge at large steps; a path
     whose norm exceeds ``1e12`` (or turns non-finite) is truncated, the
-    remaining states are NaN, and the result carries a divergence flag
-    instead of raising.
+    remaining states are NaN, and ``diverged`` reports it instead of an
+    exception.
 
     Raises:
         AlignmentError: grid/lattice/period misalignment.
@@ -256,16 +262,9 @@ def simulate(
     _validate_run(model, grid, lattice)
     x0 = init.resolve(lattice.seed, model.dimension)[None, :]
     dw = coarse_increments(lattice, grid, grid.start_index, grid.count)
-    states, div_at, summary = _drive(model, grid, scheme, x0, dw[None])
-    d_at = int(div_at[0])
+    states, summary = _drive(model, grid, scheme, x0, dw[None])
     return PathResult(
-        grid=grid,
-        states=states[0],
-        scheme=scheme,
-        seed=lattice.seed,
-        solver_stats=summary,
-        diverged=d_at >= 0,
-        diverged_at=d_at if d_at >= 0 else None,
+        grid=grid, states=states[0], scheme=scheme, seed=lattice.seed, solver_stats=summary,
     )
 
 
@@ -367,9 +366,7 @@ def random_periodic_path(
     full = simulate(model, grid, scheme, x0, lattice)
     i0 = grid.node_index(t0)
     return replace(
-        full, grid=make_grid(model, lattice, h, t0, t1), states=full.states[i0:].copy(),
-        diverged_at=None if full.diverged_at is None else max(0, full.diverged_at - i0),
-    )
+        full, grid=make_grid(model, lattice, h, t0, t1), states=full.states[i0:].copy())
 
 
 @dataclass(frozen=True, eq=False)
@@ -470,7 +467,7 @@ def pullback_pinned_path(
     stats = []
     for i in range(steps_total):
         step = replace(grid, start_index=grid.start_index + i, count=1)
-        out, _, summary = _drive(
+        out, summary = _drive(
             model, step, scheme, x[: i + 1], np.broadcast_to(dw[i], (i + 1, 1, dw.shape[1])))
         x[: i + 1] = out[:, -1]
         stats.append(summary)

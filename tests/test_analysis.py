@@ -221,10 +221,10 @@ def _run_study(name):
         # the explicit scheme at h = 2^-3 over 5 periods, as in
         # ORDER_CASES["em-diverging"]; every path crosses 1e12 mid-grid
         grid = _grid_on(m, 2.0**-3, 2.0**-3, -5.0, 0.0)
-        [(rec, div_at, stats)] = analysis._run_seeds(
+        [(rec, stats)] = analysis._run_seeds(
             m, [analysis._Run(grid, "em", np.arange(grid.count + 1))], derive_seeds(1, 8),
         )
-        return rec.tobytes(), div_at.tolist(), stats
+        return rec.tobytes(), stats
     mus = periodic_measure(m, derive_seeds(3, 20), h=2.0**-5, pullback_periods=2,
                            t_list=[0.0, 0.5])
     return [mu.samples.tobytes() for mu in mus]
@@ -249,22 +249,29 @@ def test_window_invariance(monkeypatch, name, window_words):
     assert _study(name, 7) == base
 
 
+def _count_blocks(monkeypatch):
+    """The paths of each block, in order, from the lattices of its first
+    noise read; a block's first lattice names it."""
+    read = analysis._read_increments
+    blocks = {}
+
+    def counted(lattices, start, count):
+        blocks.setdefault(lattices[0].seed, len(lattices))
+        return read(lattices, start, count)
+
+    monkeypatch.setattr(analysis, "_read_increments", counted)
+    return blocks
+
+
 @pytest.mark.parametrize("num_paths, blocks", [(2000, 1), (2049, 2)])
 def test_default_block_holds_2048_paths(monkeypatch, num_paths, blocks):
     # the CLI's default 2000-path measure study runs as one block
-    walk = analysis._walk_windows
-    calls = []
-
-    def counted(model, runs, lattices, x0):
-        calls.append(len(lattices))
-        return walk(model, runs, lattices, x0)
-
-    monkeypatch.setattr(analysis, "_walk_windows", counted)
+    calls = _count_blocks(monkeypatch)
     m = builtin_benchmark()
     grid = _grid_on(m, 0.25, 0.25, -1.0, 0.0)
-    [(rec, _, _)] = analysis._run_seeds(
+    [(rec, _)] = analysis._run_seeds(
         m, [analysis._Run(grid, "bem", np.array([grid.count]))], derive_seeds(0, num_paths))
-    assert len(calls) == blocks and sum(calls) == num_paths == rec.shape[0]
+    assert len(calls) == blocks and sum(calls.values()) == num_paths == rec.shape[0]
 
 
 def test_block_fits_one_coarse_step_in_a_window(monkeypatch):
@@ -272,17 +279,10 @@ def test_block_fits_one_coarse_step_in_a_window(monkeypatch):
     kwargs = dict(h_ref=2.0**-6, h_list=[2.0**-2, 2.0**-3], pullback_periods=1, num_paths=10,
                   seed=5, scheme=("bem", "em"))
     base = [_bits(t) for t in strong_error(builtin_benchmark(), **kwargs)]
-    walk = analysis._walk_windows
-    blocks = []
-
-    def counted(model, runs, lattices, x0):
-        blocks.append(len(lattices))
-        return walk(model, runs, lattices, x0)
-
     monkeypatch.setattr(analysis, "_WINDOW_WORDS", 64)
-    monkeypatch.setattr(analysis, "_walk_windows", counted)
+    blocks = _count_blocks(monkeypatch)
     assert [_bits(t) for t in strong_error(builtin_benchmark(), **kwargs)] == base
-    assert blocks == [4, 4, 2]
+    assert list(blocks.values()) == [4, 4, 2]
 
 
 @pytest.mark.parametrize("build, start, window_words", [
@@ -300,8 +300,12 @@ def test_diverged_paths_match_solo_runs(monkeypatch, build, start, window_words)
     grid = _grid_on(m, h, h, -5.0, 0.0)
     seeds = derive_seeds(1, 8)
     init = InitialCondition(value=[start])
-    [(rec, div_at, _)] = analysis._run_seeds(
+    [(rec, _)] = analysis._run_seeds(
         m, [analysis._Run(grid, "em", np.arange(grid.count + 1))], seeds, init)
+    # each path's crossing node: its first state that is not finite
+    bad = ~np.isfinite(rec).all(axis=2)
+    assert bad.any(axis=1).all()
+    div_at = bad.argmax(axis=1)
     # windows of max(1, window_words // 8) steps; every crossing lies in a
     # later window than the first
     assert np.all(div_at > max(1, window_words // 8)) and np.all(div_at < grid.count)
@@ -362,15 +366,15 @@ def _oracle_table(model, h_ref, h_list, pullback_periods, num_paths, scheme, see
     node_sets = [ref_grid.count - n_ref + np.arange(g.period_steps + 1) * g.step_mult
                  for g in grids]
     union = np.unique(np.concatenate(node_sets))
-    [(ref_rec, _, stats)] = analysis._run_seeds(
+    [(ref_rec, stats)] = analysis._run_seeds(
         model, [analysis._Run(ref_grid, "bem", union)], seeds, init)
     rows = []
     for h, grid, ref_nodes in zip(h_list, grids, node_sets):
         nodes = grid.count - grid.period_steps + np.arange(grid.period_steps + 1)
-        [(rec, div_at, level_stats)] = analysis._run_seeds(
+        [(rec, level_stats)] = analysis._run_seeds(
             model, [analysis._Run(grid, scheme, nodes)], seeds, init)
         stats = _merge_stats(stats, level_stats)
-        if (div_at >= 0).any():
+        if not np.isfinite(rec).all():
             rows.append(ErrorRow(h, math.nan, math.nan, math.nan, num_paths, True))
             continue
         diff = rec - ref_rec[:, np.searchsorted(union, ref_nodes), :]
@@ -499,7 +503,7 @@ def test_solver_stats_block_invariance():
         # the study's summary covers each of its runs
         parts = [
             analysis._run_seeds(m, [analysis._Run(grid, "bem", np.array([grid.count]))],
-                                derive_seeds(5, 12))[0][2]
+                                derive_seeds(5, 12))[0][1]
             for p in study.pairs
             for grid in (_grid_on(m, p.h_half, step, -2.0, 0.0) for step in (p.h, p.h_half))
         ]
@@ -679,7 +683,7 @@ def _oracle_study(model, h_list, num_paths, t, pullback_periods, seed=0, init=No
         laws = []
         for step in (h, h / 2):
             grid = _grid_on(model, h / 2, step, -pullback_periods * model.period, t)
-            [(rec, _, summary)] = analysis._run_seeds(
+            [(rec, summary)] = analysis._run_seeds(
                 model, [analysis._Run(grid, "bem", np.array([grid.count]))], seeds, init)
             laws.append(EmpiricalMeasure(t=t, h=step, samples=rec[:, 0, :]))
             stats.append(summary)

@@ -23,6 +23,12 @@ class TestCheckCommand:
         assert "all checks passed" in out
         assert "[ok  ]" in out
 
+    @pytest.mark.parametrize("radius", ["inf", "nan"])
+    def test_non_finite_radius_exits_two(self, capsys, radius):
+        code, out, err = run(capsys, "check", "--samples", "50", "--radius", radius)
+        assert code == 2 and out == ""
+        assert err == f"configuration error: radius must be positive and finite, got {radius}\n"
+
     def test_violating_model_exits_one(self, capsys, tmp_path):
         cfg = {
             "lambda": [2.0],

@@ -283,6 +283,11 @@ class TestCheckAssumptions:
         assert "moment_margin" in names
         assert all(c.status == "passed" for c in report.checks)
 
+    @pytest.mark.parametrize("radius", [math.inf, math.nan, 0.0, -1.0])
+    def test_radius_must_be_positive_and_finite(self, radius):
+        with pytest.raises(ValueError, match="radius must be positive and finite"):
+            check_assumptions(builtin_benchmark(), sample_count=50, radius=radius)
+
     def test_moment_margin_value(self):
         # gamma_p = (C_f + (p-1) sigma^2 / 2) * (2 + p + 2^(p+1)) with p = 4q - 2
         report = check_assumptions(builtin_benchmark(), sample_count=50, seed=0)

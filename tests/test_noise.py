@@ -7,6 +7,8 @@ import numpy as np
 import pytest
 from scipy import special, stats
 
+from randperiodic import analysis
+from randperiodic.model import builtin_benchmark, check_assumptions
 from randperiodic.noise import (
     AlignmentError,
     GridSpec,
@@ -311,3 +313,23 @@ class TestDeriveSeeds:
             want = [c.generate_state(1, np.uint64)[0]
                     for c in np.random.SeedSequence(seed).spawn(3)]
             assert derive_seeds(seed, 3).tolist() == want
+
+
+# Every public way in for a seed, called with the seed ``s``.
+SEED_TAKERS = {
+    "NoiseLattice": lambda s: NoiseLattice(seed=s, base_step=0.5),
+    "derive_seeds": lambda s: derive_seeds(s, 2),
+    "study path seeds": lambda s: analysis._path_seeds([s, 1]),
+    "bootstrap_noise_floor": lambda s: analysis.bootstrap_noise_floor(
+        analysis.EmpiricalMeasure(t=0.0, h=0.5, samples=np.arange(4.0)), n_bootstrap=2, seed=s),
+    "check_assumptions": lambda s: check_assumptions(builtin_benchmark(), sample_count=10,
+                                                     seed=s),
+}
+
+
+@pytest.mark.parametrize("seed", [True, False, np.True_], ids=["True", "False", "np.True_"])
+@pytest.mark.parametrize("taker", sorted(SEED_TAKERS))
+def test_a_bool_is_not_a_seed(taker, seed):
+    # Python counts True as the int 1; a seed must still be a number
+    with pytest.raises(ValueError, match="whole numbers"):
+        SEED_TAKERS[taker](seed)

@@ -213,6 +213,29 @@ class TestRandomPeriodicPath:
         assert np.array_equal(part.state_at(0.5), full.state_at(0.5))
         assert np.array_equal(part.states, full.states[32:97])
 
+    def test_divergence_counts_from_the_horizon(self):
+        # the explicit scheme blows up at h = 2^-3 (as in
+        # test_em_divergence_flagged); a horizon reports the crossing from its
+        # own first node, and one that starts after it is NaN throughout
+        m = builtin_benchmark()
+        h = 2.0**-3
+        lat = NoiseLattice(seed=0, base_step=h)
+
+        def path(t0, scheme="em"):
+            return random_periodic_path(m, lat, h, pullback_periods=5, horizon=(t0, 0.0),
+                                        scheme=scheme)
+
+        full = path(-5.0)
+        assert full.diverged_at == 31  # t = -1.125
+        after = path(-0.5)  # first node 36 of the full run
+        assert after.diverged is True and after.diverged_at == 0
+        assert np.all(np.isnan(after.states))
+        inside = path(-3.0)  # first node 16
+        assert inside.diverged is True and inside.diverged_at == full.diverged_at - 16
+        assert np.array_equal(inside.states, full.states[16:], equal_nan=True)
+        bem = path(-3.0, "bem")
+        assert bem.diverged is False and bem.diverged_at is None
+
     def test_bad_horizon_rejected(self):
         m = builtin_benchmark()
         lat = NoiseLattice(seed=0, base_step=H)
