@@ -180,6 +180,17 @@ def _whole_opt(args: argparse.Namespace, config: Mapping[str, Any], key: str, de
     return None if value is None else int(value)
 
 
+def _float_opt(args: argparse.Namespace, config: Mapping[str, Any], key: str, default) -> float:
+    """:func:`_opt` as a float; a bool, which ``float`` would read as 0 or 1, raises."""
+    return _float(_opt(args, config, key, default), key)
+
+
+def _float(value, key: str) -> float:
+    if isinstance(value, (bool, np.bool_)):
+        raise ValueError(f"{key} must be a number, got {value!r}")
+    return float(value)
+
+
 def _setup(args, config) -> tuple[ModelSpec, str, int]:
     model_src = _opt(args, config, "model", "builtin")
     model = load_model(model_src)
@@ -189,24 +200,24 @@ def _setup(args, config) -> tuple[ModelSpec, str, int]:
     return model, out_dir, seed
 
 
-def _parse_float_list(value) -> list[float]:
+def _parse_float_list(value, key: str) -> list[float]:
     if isinstance(value, str):
         parts = [p for p in value.replace(";", ",").split(",") if p.strip()]
         return [float(p) for p in parts]
     if np.isscalar(value):
-        return [float(value)]
+        return [_float(value, key)]
     out: list[float] = []
     for v in value:
-        out.extend(_parse_float_list(v))
+        out.extend(_parse_float_list(v, key))
     return out
 
 
 def _cmd_simulate(args, config) -> int:
     model, out_dir, seed = _setup(args, config)
-    h = float(_opt(args, config, "h", 2.0**-7))
+    h = _float_opt(args, config, "h", 2.0**-7)
     scheme = str(_opt(args, config, "scheme", "bem"))
-    t0 = float(_opt(args, config, "t0", 0.0))
-    t1 = float(_opt(args, config, "t1", model.period))
+    t0 = _float_opt(args, config, "t0", 0.0)
+    t1 = _float_opt(args, config, "t1", model.period)
     k = _whole_opt(args, config, "pullback_periods", None)
     lattice = NoiseLattice(seed, h, model.dimension)
     result = random_periodic_path(
@@ -229,9 +240,9 @@ def _cmd_simulate(args, config) -> int:
 
 def _cmd_periodicity(args, config) -> int:
     model, _, seed = _setup(args, config)
-    h = float(_opt(args, config, "h", 2.0**-7))
+    h = _float_opt(args, config, "h", 2.0**-7)
     k = _whole_opt(args, config, "pullback_periods", 30)
-    threshold = float(_opt(args, config, "threshold", 1e-6))
+    threshold = _float_opt(args, config, "threshold", 1e-6)
     windows = _whole_opt(args, config, "coalesce_periods", 2)
     lattice = NoiseLattice(seed, h, model.dimension)
     # the checks of make_grid and coalescence, made before any path is
@@ -266,10 +277,10 @@ _DEFAULT_H_LIST = [2.0**-4, 2.0**-5, 2.0**-6, 2.0**-7, 2.0**-8]
 
 def _cmd_order(args, config) -> int:
     model, out_dir, seed = _setup(args, config)
-    h_ref = float(_opt(args, config, "h_ref", 2.0**-12))
-    h_list = _parse_float_list(_opt(args, config, "h_list", _DEFAULT_H_LIST))
+    h_ref = _float_opt(args, config, "h_ref", 2.0**-12)
+    h_list = _parse_float_list(_opt(args, config, "h_list", _DEFAULT_H_LIST), "h_list")
     paths = _whole_opt(args, config, "paths", 1000)
-    t_eval = float(_opt(args, config, "t_eval", 0.0))
+    t_eval = _float_opt(args, config, "t_eval", 0.0)
     k = _whole_opt(args, config, "pullback_periods", 10)
     which = str(_opt(args, config, "scheme", "both"))
     schemes = ("bem", "em") if which == "both" else (which,)
@@ -303,9 +314,9 @@ def _cmd_order(args, config) -> int:
 
 def _cmd_measure(args, config) -> int:
     model, out_dir, seed = _setup(args, config)
-    h = float(_opt(args, config, "h", 2.0**-7))
+    h = _float_opt(args, config, "h", 2.0**-7)
     paths = _whole_opt(args, config, "paths", 2000)
-    t_list = _parse_float_list(_opt(args, config, "t", [0.0]))
+    t_list = _parse_float_list(_opt(args, config, "t", [0.0]), "t")
     k = _whole_opt(args, config, "pullback_periods", None)
     if k is None:
         k = default_pullback_periods(model, h)
@@ -351,7 +362,7 @@ def _cmd_measure(args, config) -> int:
 def _cmd_check(args, config) -> int:
     model, _, seed = _setup(args, config)
     samples = _whole_opt(args, config, "samples", 1000)
-    radius = float(_opt(args, config, "radius", 5.0))
+    radius = _float_opt(args, config, "radius", 5.0)
     report = check_assumptions(model, sample_count=samples, radius=radius, seed=seed)
     for line in report.lines():
         print(line)

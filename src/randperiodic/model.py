@@ -25,9 +25,8 @@ from functools import cached_property
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
-import numpy.polynomial  # loaded with the package, not inside the first drift call
 
-from .noise import _whole_seed
+from .noise import _horner, _whole, _whole_seed
 
 TWO_PI = 2.0 * math.pi
 
@@ -58,32 +57,41 @@ class PolyTrigDrift:
 
     def __call__(self, t: float, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=np.float64)
-        if self.poly_coeffs:
-            value = np.polynomial.polynomial.polyval(x, self.poly_coeffs)
-        else:
-            value = np.zeros_like(x)
-        return value + self._forcing(t)
+        value = _horner(x, self._coeffs) if self.poly_coeffs else np.zeros_like(x)
+        value += self._forcing(t)
+        return value
+
+    # The polynomial and its derivative, as coefficients for noise._horner:
+    # highest power first, behind a 0.0 so that the evaluation starts from
+    # ``x*0 + c_n``, then ``c_k + r*x``, the order and bits of numpy's
+    # ``polyval``.  Cached on the instance, not fields, so equality, hashing
+    # and ``repr`` still see only the four fields.
+    @cached_property
+    def _coeffs(self) -> tuple[float, ...]:
+        return (0.0,) + tuple(float(c) for c in reversed(self.poly_coeffs))
 
     @cached_property
-    def _deriv_coeffs(self) -> np.ndarray | None:
-        """Coefficients of the polynomial's derivative, None when it is constant.
-
-        Cached on the instance, not a field, so equality, hashing and
-        ``repr`` still see only the four fields.
-        """
-        if len(self.poly_coeffs) > 1:
-            return np.polynomial.polynomial.polyder(self.poly_coeffs)
-        return None
+    def _deriv_coeffs(self) -> tuple[float, ...] | None:
+        """None when the polynomial is constant; else ``k * c_k`` for ``k`` from
+        the degree down to 1, as ``numpy.polynomial.polynomial.polyder``
+        forms them."""
+        c = self._coeffs[:0:-1]  # lowest power first
+        if len(c) < 2:
+            return None
+        return (0.0,) + tuple(k * c[k] for k in range(len(c) - 1, 0, -1))
 
     def jacobian(self, t: float, x: np.ndarray) -> np.ndarray:
         """Jacobian in ``x``; shape ``x.shape + (d,)`` with diagonal blocks."""
         x = np.asarray(x, dtype=np.float64)
         d = x.shape[-1]
+        if self._deriv_coeffs is None:
+            return np.zeros(x.shape + (d,))
+        deriv = _horner(x, self._deriv_coeffs)
+        if d == 1:
+            return deriv.reshape(x.shape + (1,))
         jac = np.zeros(x.shape + (d,))
-        if self._deriv_coeffs is not None:
-            deriv = np.polynomial.polynomial.polyval(x, self._deriv_coeffs)
-            idx = np.arange(d)
-            jac[..., idx, idx] = deriv
+        idx = np.arange(d)
+        jac[..., idx, idx] = deriv
         return jac
 
 
@@ -377,8 +385,14 @@ def check_assumptions(
     ratio against the declared bound.  Checks whose constants are not
     declared are reported as skipped, never silently passed.  The seed is
     taken modulo 2**64, as :class:`~randperiodic.noise.NoiseLattice` takes it.
+
+    Raises:
+        ValueError: a ``sample_count`` that is not a whole number of at least
+            2 (a bool is not one), or a ``radius`` that is not positive and
+            finite.
     """
-    if sample_count < 2:
+    s = _whole(sample_count, "sample_count must be a whole number")
+    if s < 2:
         raise ValueError(f"sample_count must be >= 2, got {sample_count}")
     if not (math.isfinite(radius) and radius > 0.0):
         raise ValueError(f"radius must be positive and finite, got {radius}")
@@ -386,7 +400,6 @@ def check_assumptions(
     d = model.dimension
     tau = model.period
     consts = model.constants
-    s = int(sample_count)
 
     t = rng.uniform(0.0, tau, size=s)
     u = _sample_ball(rng, s, d, radius)

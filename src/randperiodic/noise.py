@@ -94,16 +94,21 @@ class NoiseLattice:
         return replace(self, origin=self.origin + int(lattice_steps))
 
 
-def _whole_seed(seed) -> int:
-    """``seed`` as an int modulo 2**64; a ValueError unless it is a whole number.
-
-    A bool is not a seed, although Python counts ``True`` as the int 1."""
-    whole = (isinstance(seed, (int, np.integer)) and not isinstance(seed, bool)) or (
-        isinstance(seed, (float, np.floating)) and float(seed).is_integer()
+def _whole(value, message: str) -> int:
+    """``value`` as an int; ``ValueError(f"{message}, got {value!r}")`` unless
+    it is an int or a float with a whole value.  A bool is not a whole
+    number, although Python counts ``True`` as the int 1."""
+    whole = (isinstance(value, (int, np.integer)) and not isinstance(value, bool)) or (
+        isinstance(value, (float, np.floating)) and float(value).is_integer()
     )
     if not whole:
-        raise ValueError(f"seeds must be whole numbers, got {seed!r}")
-    return int(seed) % (1 << 64)
+        raise ValueError(f"{message}, got {value!r}")
+    return int(value)
+
+
+def _whole_seed(seed) -> int:
+    """``seed`` as an int modulo 2**64; a ValueError unless it is a whole number."""
+    return _whole(seed, "seeds must be whole numbers") % (1 << 64)
 
 
 def _read_increments(lattices: Sequence[NoiseLattice], start: int, count: int) -> np.ndarray:

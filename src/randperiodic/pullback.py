@@ -33,7 +33,7 @@ import numpy as np
 
 from .model import InitialCondition, ModelSpec
 from .noise import (
-    AlignmentError, GridSpec, NoiseLattice, _check_alignment, coarse_increments, shift,
+    AlignmentError, GridSpec, NoiseLattice, _check_alignment, _whole, coarse_increments, shift,
 )
 from .stepper import _affine_plan, _affine_steps, _bem_step_batch, _em_step_batch
 
@@ -161,11 +161,10 @@ def _check_period(model: ModelSpec, grid: GridSpec) -> None:
 
 def _check_periods(pullback_periods: int, minimum: int = 1) -> int:
     """``pullback_periods`` as an int: a whole number of at least ``minimum``."""
-    if not float(pullback_periods).is_integer():
-        raise ValueError(f"pullback_periods must be a whole number, got {pullback_periods!r}")
-    if pullback_periods < minimum:
+    k = _whole(pullback_periods, "pullback_periods must be a whole number")
+    if k < minimum:
         raise ValueError(f"pullback_periods must be >= {minimum}, got {pullback_periods}")
-    return int(pullback_periods)
+    return k
 
 
 def _check_scheme(scheme: str) -> str:

@@ -12,8 +12,11 @@ step size.  The explicit step trades that robustness for speed and is kept
 as the comparison scheme; its instability at large ``h`` is an observable
 outcome, not an error.
 
-The solve is a masked, damped Newton iteration with a bisection fallback for
-scalar models.  An affine drift, a :class:`~randperiodic.model.PolyTrigDrift`
+The solve is a damped Newton iteration with a bisection fallback for scalar
+models.  It works on the rows still above tolerance only, kept compacted: a
+row leaves the working set, and is written to the result, on the iteration
+it is found converged, and the drift and its Jacobian see exactly the rows
+still working.  An affine drift, a :class:`~randperiodic.model.PolyTrigDrift`
 ``p0 + p1*x + F(t)``, has the root in closed form, coordinate by coordinate,
 
     z_i = (y_i + h*(p0 + F(t_next))) / (1 + h*(lambda_i - p1)),
@@ -117,35 +120,45 @@ def _implicit_solve_batch(
     denom = 1.0 + h * lam
     x = np.array(x0, dtype=np.float64) if x0 is not None else rhs / denom
 
-    r, fx = _residual_masked(model, t, denom, h, rhs, x)
+    fx = _drift(model, t, x)
     if not np.all(np.isfinite(fx)):
         raise NonFiniteEvaluationError(f"drift returned non-finite values at t={t}")
+    r = x * denom - h * fx - rhs
     rn = _row_norm(r)
     iters = np.zeros(m_paths, dtype=np.int64)
     fallback = np.zeros(m_paths, dtype=bool)
 
-    for _ in range(_MAX_NEWTON_ITERS):
-        active = rn > tol
-        if not active.any():
-            break
-        rhsa = rhs[active]
-        xa = x[active]
-        ra = r[active]
-        rna = rn[active]
+    # The loop works on the rows still above tolerance, compacted: ``rows``
+    # are their indices in the batch.  A row that is found converged is
+    # written back to ``x``, ``rn`` and ``iters`` once and leaves the set.
+    rows = np.arange(m_paths)
+    xa, ra, fxa, rhsa, rna, tola = x, r, fx, rhs, rn, tol
+    for k in range(_MAX_NEWTON_ITERS):
+        active = rna > tola
+        if not active.all():
+            gone = np.flatnonzero(~active)
+            done = rows[gone]
+            x[done], rn[done], iters[done] = xa.take(gone, axis=0), rna[gone], k
+            keep = np.flatnonzero(active)
+            if not keep.size:
+                break
+            xa, ra, rhsa = (a.take(keep, axis=0) for a in (xa, ra, rhsa))
+            rows, rna, tola = rows[keep], rna[keep], tola[keep]
+            if not use_analytic:
+                fxa = fxa.take(keep, axis=0)
 
         if d == 1:
             if use_analytic:
                 jf = np.asarray(model.drift_jacobian(t, xa))[:, 0, 0]
             else:
                 eps = _FD_EPSILON * (1.0 + np.abs(xa[:, 0]))
-                jf = (_drift(model, t, xa + eps[:, None]) - fx[active])[:, 0] / eps
+                jf = (_drift(model, t, xa + eps[:, None]) - fxa)[:, 0] / eps
             delta = (-ra[:, 0] / (denom[0] - h * jf))[:, None]
         else:
             if use_analytic:
                 jf = np.asarray(model.drift_jacobian(t, xa), dtype=np.float64)
             else:
                 jf = np.empty((xa.shape[0], d, d))
-                fxa = fx[active]
                 for c in range(d):
                     eps = _FD_EPSILON * (1.0 + np.abs(xa[:, c]))
                     xp = xa.copy()
@@ -156,25 +169,28 @@ def _implicit_solve_batch(
             jac[:, idx, idx] += denom
             delta = np.linalg.solve(jac, -ra[..., None])[..., 0]
 
-        prop = xa + delta
-        rp, fp = _residual_masked(model, t, denom, h, rhsa, prop)
-        rpn = _safe_norm(rp)
-        worse = rpn >= rna
-        alpha = np.ones(xa.shape[0])
-        halvings = 0
-        while worse.any() and halvings < _MAX_DAMPING_HALVINGS:
-            alpha[worse] *= 0.5
-            prop[worse] = xa[worse] + alpha[worse, None] * delta[worse]
-            rp, fp = _residual_masked(model, t, denom, h, rhsa, prop)
-            rpn = _safe_norm(rp)
-            worse = rpn >= rna
-            halvings += 1
-
-        x[active] = prop
-        r[active] = rp
-        fx[active] = fp
-        rn[active] = rpn
-        iters[active] += 1
+        # the full step, then up to _MAX_DAMPING_HALVINGS halvings of it on
+        # the rows whose residual did not fall; a non-finite trial residual
+        # counts as worse than any
+        prop, alpha = xa + delta, None
+        for halvings in range(_MAX_DAMPING_HALVINGS + 1):
+            if halvings:
+                if alpha is None:
+                    alpha = np.ones(xa.shape[0])
+                alpha[worse] *= 0.5
+                prop[worse] = xa[worse] + alpha[worse, None] * delta[worse]
+            fp = _drift(model, t, prop)
+            rp = prop * denom - h * fp - rhsa
+            rpn = _row_norm(rp)
+            better = rpn < rna
+            if better.all():
+                break
+            worse = ~better
+        else:
+            rpn = np.where(np.isfinite(rpn), rpn, np.inf)
+        xa, ra, fxa, rna = prop, rp, fp, rpn
+    else:
+        x[rows], rn[rows], iters[rows] = xa, rna, _MAX_NEWTON_ITERS
 
     stuck = rn > tol
     if stuck.any():
@@ -297,19 +313,6 @@ def _row_norm(a: np.ndarray) -> np.ndarray:
     square neither overflows nor underflows (``1.5e-154 < |a| < 1.3e154``).
     """
     return np.abs(a[..., 0]) if a.shape[-1] == 1 else np.linalg.norm(a, axis=-1)
-
-
-def _residual_masked(
-    model: ModelSpec, t: float, denom: np.ndarray, h: float, rhs: np.ndarray, z: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    fz = _drift(model, t, z)
-    return z * denom - h * fz - rhs, fz
-
-
-def _safe_norm(r: np.ndarray) -> np.ndarray:
-    rn = _row_norm(r)
-    # non-finite trial residuals count as arbitrarily bad, so damping backs off
-    return np.where(np.isfinite(rn), rn, np.inf)
 
 
 def _bisect_scalar(

@@ -769,7 +769,7 @@ PERIOD_ROUTINES = ["strong_error", "periodic_measure", "measure_convergence_stud
                    "random_periodic_path", "verify_shift_periodicity"]
 
 
-@pytest.mark.parametrize("k", [2.5, 2.9, float("nan"), float("inf")])
+@pytest.mark.parametrize("k", [2.5, 2.9, float("nan"), float("inf"), True])
 @pytest.mark.parametrize("routine", PERIOD_ROUTINES)
 def test_pullback_periods_must_be_whole(routine, k):
     with pytest.raises(ValueError, match=f"pullback_periods must be a whole number, got {k}"):
@@ -805,6 +805,19 @@ class TestBootstrapFloor:
         mu = EmpiricalMeasure(t=0.0, h=0.1, samples=np.arange(10.0))
         with pytest.raises(ValueError, match="n_bootstrap"):
             bootstrap_noise_floor(mu, n_bootstrap=n_bootstrap)
+
+    @pytest.mark.parametrize("n_bootstrap", [1.5, True, np.True_, float("nan"), "3"])
+    def test_resample_count_must_be_whole(self, n_bootstrap):
+        mu = EmpiricalMeasure(t=0.0, h=0.1, samples=np.arange(10.0))
+        with pytest.raises(ValueError, match=f"n_bootstrap must be a whole number, got "
+                                             f"{n_bootstrap!r}"):
+            bootstrap_noise_floor(mu, n_bootstrap=n_bootstrap)
+
+    def test_whole_float_resample_count_runs_as_int(self):
+        mu = EmpiricalMeasure(t=0.0, h=0.1, samples=np.arange(10.0))
+        want = bootstrap_noise_floor(mu, n_bootstrap=3, seed=4)
+        for n in (3.0, np.float64(3.0), np.int64(3)):
+            assert bootstrap_noise_floor(mu, n_bootstrap=n, seed=4) == want
 
 
 class TestCsvWriters:

@@ -10,6 +10,16 @@ from randperiodic import cli, pullback
 from randperiodic.cli import main
 
 
+# (command, key) of every config key read as one float
+FLOAT_KEYS = [
+    ("simulate", "h"), ("simulate", "t0"), ("simulate", "t1"),
+    ("periodicity", "h"), ("periodicity", "threshold"),
+    ("order", "h_ref"), ("order", "t_eval"),
+    ("measure", "h"),
+    ("check", "radius"),
+]
+
+
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -190,6 +200,19 @@ class TestConfigHandling:
         code, out, err = run(capsys, command, "--config", str(cfg), "--out", str(tmp_path))
         assert code == 2 and out == ""
         assert f"configuration error: {key} must be a whole number, got {value!r}" in err
+
+    @pytest.mark.parametrize("command, key, value", [
+        *[(command, key, value) for command, key in FLOAT_KEYS for value in (True, False)],
+        ("order", "h_list", [0.25, True]),
+        ("measure", "t", [0.25, True]),
+    ])
+    def test_float_keys_must_not_be_bools(self, capsys, tmp_path, command, key, value):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({key: value}))
+        code, out, err = run(capsys, command, "--config", str(cfg), "--out", str(tmp_path))
+        bad = True if isinstance(value, list) else value
+        assert code == 2 and out == ""
+        assert err == f"configuration error: {key} must be a number, got {bad!r}\n"
 
     def test_whole_float_keys_run_as_ints(self, capsys, tmp_path):
         cfg = tmp_path / "run.json"

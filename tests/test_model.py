@@ -74,6 +74,36 @@ class TestPolyTrigDrift:
             jac = drift.jacobian(0.3, x)
             assert jac.shape == expect.shape and jac.tobytes() == expect.tobytes()
 
+    @pytest.mark.parametrize("coeffs", [(0.4,), (0.3, -1.25), (-0.0, -1.0, 0.7),
+                                        (0.1, -0.3, 0.0, -2.0), (0, -1, 0, -2), (1, 2, -0.0)])
+    @pytest.mark.parametrize("shape", [(), (7,), (7, 1), (3, 5, 2)])
+    def test_drift_is_polyval_bit_for_bit(self, coeffs, shape):
+        # Horner's rule in polyval's order, also at signed zeros, huge and
+        # non-finite states, with int coefficients read as floats
+        specials = [0.0, -0.0, 1e200, -1e200, math.inf, -math.inf, math.nan, 3.5]
+        x = np.random.default_rng(len(shape)).normal(scale=2.0, size=shape)
+        x.flat[: len(specials)] = specials[: x.size]
+        drift = PolyTrigDrift(poly_coeffs=coeffs, trig_amp=0.5, trig_freq=2, period=1.0)
+        with np.errstate(invalid="ignore", over="ignore"):
+            expect = P.polyval(x, coeffs) + drift._forcing(0.3)
+            got = drift(0.3, x)
+            if shape and len(coeffs) > 1:
+                d = shape[-1]
+                deriv = P.polyval(x, P.polyder(coeffs))
+                diag = drift.jacobian(0.3, x)[..., range(d), range(d)]
+                assert diag.tobytes() == deriv.tobytes()
+        assert np.shape(got) == np.shape(expect) and got.tobytes() == expect.tobytes()
+
+    @pytest.mark.parametrize("coeffs", [(0.3, -1.25), (0.0, -1.0, 0.7), (0.1, -0.3, 0.0, -2.0),
+                                        (0, -1, 0, -2), (1.1, 1e300, -3e307, 2.5e-310)])
+    def test_derivative_coefficients_are_polyder_bit_for_bit(self, coeffs):
+        drift = PolyTrigDrift(poly_coeffs=coeffs, trig_amp=0.0, trig_freq=1, period=1.0)
+        with np.errstate(over="ignore"):
+            expect = P.polyder(coeffs)
+        # stored highest power first, behind a 0.0
+        assert drift._deriv_coeffs[0] == 0.0
+        assert np.array(drift._deriv_coeffs[:0:-1]).tobytes() == expect.tobytes()
+
     def test_derivative_cache_is_not_state(self):
         def make():
             return PolyTrigDrift(poly_coeffs=(0.1, -0.3, 0.0, -2.0), trig_amp=0.5,
@@ -287,6 +317,18 @@ class TestCheckAssumptions:
     def test_radius_must_be_positive_and_finite(self, radius):
         with pytest.raises(ValueError, match="radius must be positive and finite"):
             check_assumptions(builtin_benchmark(), sample_count=50, radius=radius)
+
+    @pytest.mark.parametrize("count", [2.5, True, np.True_, float("inf"), "50"])
+    def test_sample_count_must_be_whole(self, count):
+        with pytest.raises(ValueError, match=f"sample_count must be a whole number, got "
+                                             f"{count!r}"):
+            check_assumptions(builtin_benchmark(), sample_count=count)
+
+    def test_whole_float_sample_count_runs_as_int(self):
+        want = check_assumptions(builtin_benchmark(), sample_count=50, seed=2)
+        for count in (50.0, np.float64(50.0), np.int64(50)):
+            got = check_assumptions(builtin_benchmark(), sample_count=count, seed=2)
+            assert got == want and type(got.sample_count) is int
 
     def test_moment_margin_value(self):
         # gamma_p = (C_f + (p-1) sigma^2 / 2) * (2 + p + 2^(p+1)) with p = 4q - 2

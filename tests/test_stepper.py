@@ -805,20 +805,42 @@ def test_newton_matches_snapshot(name):
     assert _solve_repr(*_newton_cases()[name]) == _snapshot(name)
 
 
+class _DriftCalls:
+    """Records the states passed to every ``PolyTrigDrift`` call."""
+
+    def __init__(self, monkeypatch):
+        self.states = []
+        call = PolyTrigDrift.__call__
+
+        def recorded(drift, t, x):
+            self.states.append((np.shape(x), np.asarray(x).tobytes()))
+            return call(drift, t, x)
+
+        monkeypatch.setattr(PolyTrigDrift, "__call__", recorded)
+
+    def take(self):
+        states, self.states = self.states, []
+        return states
+
+
+def _halvings(model, rhs, iters, drift_calls):
+    """Damping halvings of one solve: its drift calls less the initial
+    residual, one residual per iteration and, for a finite-difference
+    Jacobian, one call per column per iteration."""
+    per_iter = 1 + (rhs.shape[1] if model.drift_jacobian is None else 0)
+    return drift_calls - 1 - per_iter * int(iters.max())
+
+
 def test_damped_cases_halve_the_step(monkeypatch):
-    # one residual per iteration and one per halving, after the initial one
-    residual = stepper._residual_masked
-    calls = [0]
-
-    def counted(*args):
-        calls[0] += 1
-        return residual(*args)
-
-    monkeypatch.setattr(stepper, "_residual_masked", counted)
+    # the drift sees the same states, call by call, as in the reference loop,
+    # so a traced run's drift rows are those of that loop
+    drift = _DriftCalls(monkeypatch)
     for name, (m, t, h, rhs, x0) in _newton_cases().items():
-        calls[0] = 0
         _, iters, _, _ = _implicit_solve_batch(m, t, h, rhs, x0)
-        assert (calls[0] > 1 + iters.max()) == name.endswith("-damped"), name
+        got = drift.take()
+        _reference_repr(m, t, h, rhs, x0)
+        assert got == drift.take(), name
+        assert (_halvings(m, rhs, iters, len(got)) > 0) == name.endswith("-damped"), name
 
 
 @pytest.mark.parametrize("jac", ["analytic", "fd"])
@@ -838,19 +860,26 @@ def test_newton_fallback_matches_snapshot(jac, monkeypatch):
     assert _solve_repr(m, 0.25, 0.5, rhs, x0) == _reference_repr(m, 0.25, 0.5, rhs, x0)
 
 
+def _residual(model, t, denom, h, rhs, z):
+    """The residual ``G(z) - rhs`` and ``f(t, z)`` as the loop was first
+    written to take them, through the checked drift helper."""
+    fz = stepper._drift(model, t, z)
+    return z * denom - h * fz - rhs, fz
+
+
 def _reference_repr(model, t, h, rhs, x0):
     """``_solve_repr`` of the Newton loop as first written: it gathers and
     scatters the active rows on every iteration, takes every residual norm
     with ``np.linalg.norm`` and the Jacobian's derivative from ``polyder``
-    on each call.  It shares only the drift, residual and bisection helpers
-    with the solver."""
+    on each call.  It shares only the drift and bisection helpers with the
+    solver."""
     P = np.polynomial.polynomial
     d = rhs.shape[1]
     idx = np.arange(d)
     tol = RESIDUAL_TOL * (1.0 + np.linalg.norm(rhs, axis=1))
     denom = 1.0 + h * model.eigenvalues
     x = np.array(x0, dtype=np.float64) if x0 is not None else rhs / denom
-    r, fx = stepper._residual_masked(model, t, denom, h, rhs, x)
+    r, fx = _residual(model, t, denom, h, rhs, x)
     rn = np.linalg.norm(r, axis=1)
     iters = np.zeros(rhs.shape[0], dtype=np.int64)
     fallback = np.zeros(rhs.shape[0], dtype=bool)
@@ -889,7 +918,7 @@ def _reference_repr(model, t, h, rhs, x0):
         alpha = np.ones(xa.shape[0])
         halvings = 0
         while True:
-            rp, fp = stepper._residual_masked(model, t, denom, h, rhs[active], prop)
+            rp, fp = _residual(model, t, denom, h, rhs[active], prop)
             rpn = np.linalg.norm(rp, axis=1)
             rpn = np.where(np.isfinite(rpn), rpn, np.inf)
             worse = rpn >= rna
@@ -916,3 +945,53 @@ def test_newton_matches_reference_loop(name):
     # here, on this numpy, LAPACK and libm
     case = _newton_cases()[name]
     assert _solve_repr(*case) == _reference_repr(*case)
+
+
+def _wide_case(d, jac, m_paths):
+    """``(model, t, h, rhs, x0)`` of a batch of ``m_paths`` rows whose guesses
+    are, in shuffled order, the root, the root moved by 1e-9, 1e-5, 3e-3 and
+    0.3 (none to about three iterations), or, with a right-hand side 50
+    times larger, far on the wrong side (damps)."""
+    lam = [10.0] if d == 1 else [2.0, 6.5]
+    m = model_from_config(dict(NEWTON_CUBIC, **{"lambda": lam}))
+    if jac == "fd":
+        m = replace(m, drift_jacobian=None)
+    rng = np.random.default_rng(20261019 + d)
+    kind = rng.permutation(np.arange(m_paths) % 6)
+    far = kind == 5
+    rhs = rng.normal(scale=0.8, size=(m_paths, d))
+    rhs[far] *= 50.0
+    x0 = _implicit_solve_batch(m, 0.55, 0.25, rhs)[0]
+    x0 += rng.normal(size=x0.shape) * np.array([0.0, 1e-9, 1e-5, 3e-3, 0.3, 0.0])[kind, None]
+    x0[far] = -0.3 * rhs[far]
+    return m, 0.55, 0.25, rhs, x0
+
+
+@pytest.mark.parametrize("m_paths", [1, 256, 1280])
+@pytest.mark.parametrize("jac", ["analytic", "fd"])
+@pytest.mark.parametrize("d", [1, 2])
+def test_newton_matches_reference_loop_at_width(d, jac, m_paths, monkeypatch):
+    # rows converge, damp and (d = 1, capped at three iterations) fall back
+    # to bisection side by side, so the working set shrinks mid-solve
+    if d == 1:
+        monkeypatch.setattr(stepper, "_MAX_NEWTON_ITERS", 3)
+    m, _, _, rhs, _ = case = _wide_case(d, jac, m_paths)
+    drift = _DriftCalls(monkeypatch)
+    newton_calls = []  # the solver's drift calls before its first bisection
+    bisect = stepper._bisect_scalar
+
+    def first_bisection(*args):
+        newton_calls.append(len(drift.states))
+        return bisect(*args)
+
+    monkeypatch.setattr(stepper, "_bisect_scalar", first_bisection)
+    z, iters, res, fallback = _implicit_solve_batch(*case)
+    states = drift.take()
+    got = repr((z.tolist(), iters.tolist(), res.tolist(), fallback.tolist()))
+    assert got == _reference_repr(*case)
+    assert states == drift.take()
+    if m_paths > 1:
+        assert {0, 1, 2, 3} <= set(iters.tolist())
+        assert fallback.any() == (d == 1)
+        newton_calls.append(len(states))
+        assert _halvings(m, rhs, iters, newton_calls[0]) > 0
