@@ -221,12 +221,12 @@ def _error_row(h: float, diff: np.ndarray | None, num_paths: int) -> ErrorRow:
         return ErrorRow(float(h), math.nan, math.nan, math.nan, num_paths, True)
     sq = np.einsum("ijk,ijk->ij", diff, diff)
     sq_eval = sq[:, -1]
-    mean_sq = math.fsum(sq_eval) / num_paths
+    mean_sq = math.fsum(sq_eval.tolist()) / num_paths
     rms = math.sqrt(mean_sq)
     var_sq = float(np.var(sq_eval, ddof=1))
     se_mean = math.sqrt(var_sq / num_paths)
     se_rms = se_mean / (2.0 * rms) if rms > 0.0 else 0.0
-    node_rms = np.sqrt([math.fsum(sq[:, i]) / num_paths for i in range(sq.shape[1])])
+    node_rms = np.sqrt([math.fsum(col) / num_paths for col in sq.T.tolist()])
     return ErrorRow(float(h), rms, se_rms, float(np.max(node_rms)), num_paths, False)
 
 
@@ -279,7 +279,7 @@ def moment_estimate(
     run = _Run(grid, _check_scheme(scheme), np.arange(grid.count + 1))
     [(states, summary)] = _run_seeds(model, [run], derive_seeds(seed, num_paths), init)
     sq = np.einsum("ijk,ijk->ij", states, states)  # (num_paths, count + 1)
-    mean_sq = np.array([math.fsum(sq[:, i]) / num_paths for i in range(sq.shape[1])])
+    mean_sq = np.array([math.fsum(col) / num_paths for col in sq.T.tolist()])
     node = int(np.argmax(mean_sq))
     se = math.sqrt(float(np.var(sq[:, node], ddof=1)) / num_paths)
     alpha = (2.0 * c_f + sigma**2) / (2.0 * (model.lambda_min - c_f))
@@ -381,7 +381,7 @@ def weak_distance(mu: EmpiricalMeasure, nu: EmpiricalMeasure) -> float:
 
 def _w1_sorted(a: np.ndarray, b: np.ndarray) -> float:
     gaps = np.minimum(np.abs(a - b), 2.0)
-    return math.fsum(gaps) / a.size
+    return math.fsum(gaps.tolist()) / a.size
 
 
 def bootstrap_noise_floor(
@@ -547,6 +547,8 @@ def _run_seeds(
         _check_period(model, run.grid)
     init = init if init is not None else InitialCondition(value=np.zeros(model.dimension))
     first, d = runs[0].grid, model.dimension
+    # a fixed start is the same for every seed: checked once, not once per path
+    fixed = init.resolve(seeds[0], d) if init.value is not None else None
     f_start, f_count = first.start_index * first.step_mult, first.count * first.step_mult
     lcm = math.lcm(*(r.grid.step_mult for r in runs))
     size = max(1, min(DEFAULT_BLOCK_SIZE, _WINDOW_WORDS // (d * lcm)))
@@ -554,7 +556,9 @@ def _run_seeds(
     summaries = [SolverSummary()] * len(runs)
     for b0 in range(0, len(seeds), size):
         block = seeds[b0 : b0 + size]
-        states = [np.stack([init.resolve(s, d) for s in block])] * len(runs)
+        start = (np.tile(fixed, (len(block), 1)) if fixed is not None
+                 else np.stack([init.resolve(s, d) for s in block]))
+        states = [start] * len(runs)
         lattices = [NoiseLattice(s, first.base_step, d) for s in block]
         span = min(f_count, max(lcm, _WINDOW_WORDS // (len(block) * d) // lcm * lcm))
         for f0 in range(0, f_count, span):

@@ -17,11 +17,11 @@ bitwise-identical trajectories.
 Every run goes through one path-batch engine, :func:`_drive`, which returns
 the state of every path at every grid node; callers index the nodes they
 need.  It is one loop over chunks of ``_STEP_CHUNK`` steps for both schemes.
-Inside a chunk the implicit scheme on an affine drift is one closed-form loop
-over increments and forcing laid out once, in the per-step kernel's order of
-operations; every other scheme makes one kernel call per step.  No bit
-depends on the chunk length.  A path of the explicit scheme that diverges is
-NaN from its crossing node on, and that NaN is the only record of it.
+Inside a chunk either scheme on an affine drift is one loop over increments
+and forcing laid out once, in the per-step kernel's order of operations; a
+nonlinear drift takes one kernel call per step.  No bit depends on the chunk
+length.  A path of the explicit scheme that diverges is NaN from its
+crossing node on, and that NaN is the only record of it.
 """
 
 from __future__ import annotations
@@ -35,7 +35,10 @@ from .model import InitialCondition, ModelSpec
 from .noise import (
     AlignmentError, GridSpec, NoiseLattice, _check_alignment, _whole, coarse_increments, shift,
 )
-from .stepper import _affine_plan, _affine_steps, _bem_step_batch, _em_step_batch
+from .stepper import (
+    _affine_coeffs, _affine_em_steps, _affine_plan, _affine_steps, _bem_step_batch,
+    _em_step_batch,
+)
 
 DIVERGENCE_THRESHOLD = 1e12
 
@@ -181,15 +184,18 @@ def _drive(model: ModelSpec, grid: GridSpec, scheme: str, x0: np.ndarray, dw: np
     ``dw`` has shape ``(paths, grid.count, d)``; paths on one noise
     realization may share a broadcast row.  Under the explicit scheme a path
     whose norm crosses ``DIVERGENCE_THRESHOLD`` (or turns non-finite) is NaN
-    from that node on and is not stepped again; a row of ``x0`` that is not
-    finite is a path that diverged before this grid.  The implicit scheme
-    raises :class:`~randperiodic.stepper.NonFiniteEvaluationError` instead.
+    from that node on, whatever steps past it compute; a row of ``x0`` that
+    is not finite is a path that diverged before this grid.  The implicit
+    scheme raises :class:`~randperiodic.stepper.NonFiniteEvaluationError`
+    instead.
 
     One loop runs the grid in chunks of ``_STEP_CHUNK`` steps, each with its
     step times computed once and its states written into one buffer of every
-    node.  The implicit scheme on an affine drift takes one
-    :func:`~randperiodic.stepper._affine_steps` call per chunk, every other
-    scheme one kernel call per step.
+    node.  On an affine drift the implicit scheme takes one
+    :func:`~randperiodic.stepper._affine_steps` call per chunk and the
+    explicit scheme one :func:`~randperiodic.stepper._affine_em_steps` call,
+    which finds the chunk's crossings after its steps; on any other drift
+    either scheme takes one kernel call per step.
 
     Returns ``(states, summary)`` where ``states[p, i]`` is the state of path
     ``p`` at grid node ``i``, shape ``(paths, grid.count + 1, d)``.  Batch
@@ -198,6 +204,7 @@ def _drive(model: ModelSpec, grid: GridSpec, scheme: str, x0: np.ndarray, dw: np
     """
     n, h, a0 = grid.period_steps, grid.h, grid.start_index
     plan = _affine_plan(model, h) if scheme == "bem" else None
+    em_window = scheme == "em" and _affine_coeffs(model.drift) is not None
     active = np.isfinite(x0).all(axis=1)
     max_iters, max_resid, any_fb = 0, 0.0, False
     buf = np.empty((grid.count + 1,) + x0.shape)  # buf[i] is the batch at node i
@@ -207,12 +214,17 @@ def _drive(model: ModelSpec, grid: GridSpec, scheme: str, x0: np.ndarray, dw: np
         # step j of the chunk runs from t[j] to t[j + 1], reduced modulo the period
         t = [(a % n) * h for a in range(a0 + c0, a0 + c1 + 1)]
         z = buf[c0 : c1 + 1]  # z[j] is the batch after step j of the chunk
+        if plan is not None or em_window:
+            # g(t_j)*dw, laid out step-major for the windows' loops over steps
+            g = np.array([float(model.diffusion(s)) for s in t[:-1]])
+            gdw = np.multiply(g[:, None, None], dw[:, c0:c1].swapaxes(0, 1), order="C")
+            gdw = gdw.swapaxes(0, 1)
         if plan is not None:
             forcing_at, divisor = plan
-            g = np.array([float(model.diffusion(s)) for s in t[:-1]])
-            z[:], rn = _affine_steps(
-                z[0], g[:, None] * dw[:, c0:c1], [forcing_at(s) for s in t[1:]], divisor, t[1:])
+            z[:], rn = _affine_steps(z[0], gdw, [forcing_at(s) for s in t[1:]], divisor, t[1:])
             max_iters, max_resid = 1, max(max_resid, float(rn.max()))
+        elif em_window:
+            z[:] = _affine_em_steps(model, h, t[:-1], z[0], gdw, DIVERGENCE_THRESHOLD)
         else:
             for j, i in enumerate(range(c0, c1)):
                 if scheme == "bem":

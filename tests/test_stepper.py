@@ -753,6 +753,110 @@ def test_chunks_are_invisible_to_the_explicit_scheme(monkeypatch, model):
         _check_same_run(pullback._drive(m, grid, "em", x0, dw), want)
 
 
+
+# -- the explicit window of affine drifts, against one step at a time ---------
+
+class _ExplicitCalls:
+    """Path-steps taken by ``_drive`` at the explicit window and at the
+    per-step explicit kernel."""
+
+    def __init__(self, monkeypatch):
+        self.window = self.step = 0
+        window, step = pullback._affine_em_steps, pullback._em_step_batch
+
+        def counted_window(model, h, t_prev, x, gdw, *rest):
+            self.window += gdw.shape[0] * gdw.shape[1]
+            return window(model, h, t_prev, x, gdw, *rest)
+
+        def counted_step(model, t_prev, h, x_prev, *rest):
+            self.step += x_prev.shape[0]
+            return step(model, t_prev, h, x_prev, *rest)
+
+        monkeypatch.setattr(pullback, "_affine_em_steps", counted_window)
+        monkeypatch.setattr(pullback, "_em_step_batch", counted_step)
+
+
+def _explicit_window_inputs(d, count, paths):
+    """Explicit-scheme inputs with paths that diverged before the grid and
+    paths that cross the divergence threshold at chosen nodes."""
+    grid, x0, dw = _window_inputs(d, count, seed=11, paths=paths)
+    x0[0] = np.nan  # diverged before the grid
+    x0[1, 0] = np.nan  # held as it is, a finite second coordinate included
+    x0[2] = 1e14  # finite above the threshold: stepped once, NaN from node 1
+    # crossings at the first and last node of chunks of 7 and of CHUNK steps,
+    # and at the grid's last node
+    for p, node in zip(range(3, 10), (1, 7, 8, CHUNK, CHUNK + 1, count, 20)):
+        dw[p, node - 1, 0] = 1e15 if p < 9 else np.nan
+    return grid, x0, dw
+
+
+@pytest.mark.parametrize("paths", [10, 3 * stepper._NARROW_WIDTH])
+@pytest.mark.parametrize("case", sorted(AFFINE_CASES))
+def test_explicit_window_matches_step_by_step(monkeypatch, case, paths):
+    eigenvalues, coeffs = AFFINE_CASES[case]
+    m = replace(affine_model(eigenvalues, coeffs),
+                diffusion=lambda t: 0.3 + 0.2 * math.cos(2.0 * math.pi * t))
+    count = 2 * CHUNK + 10
+    grid, x0, dw = _explicit_window_inputs(m.dimension, count, paths)
+    # the other paths share the noise of the path crossing at node CHUNK
+    shared = np.broadcast_to(dw[6:7], (paths - 2,) + dw.shape[1:])
+    runs = ((x0, dw), (x0[2:], shared))
+    wants = [_reference_drive_em(m, grid, x_start, incs) for x_start, incs in runs]
+    assert _crossings(wants[0][0])[:10].tolist() == [0, 0, 1, 1, 7, 8, CHUNK, CHUNK + 1, count, 20]
+    assert np.isfinite(wants[0][0][1, :, 1:]).all()
+    calls = _ExplicitCalls(monkeypatch)
+    for chunk in (1, 7, CHUNK):
+        monkeypatch.setattr(pullback, "_STEP_CHUNK", chunk)
+        for (x_start, incs), want in zip(runs, wants):
+            _check_same_run(pullback._drive(m, grid, "em", x_start, incs), want)
+    assert calls.step == 0 and calls.window == 3 * (2 * paths - 2) * count
+
+
+@pytest.mark.parametrize("paths", [3, 3 * stepper._NARROW_WIDTH])
+def test_explicit_window_raises_on_a_non_finite_drift(paths):
+    # p1 = 1e308: the drift overflows at any state above 2 in size and is 0
+    # at 0, where the paths stay until an increment moves them
+    drift = PolyTrigDrift(poly_coeffs=(0.0, 1e308), trig_amp=0.0, trig_freq=1, period=1.0)
+    m = ModelSpec(eigenvalues=np.array([3.0]), drift=drift, diffusion=ConstantDiffusion(0.5),
+                  period=1.0)
+    count = 2 * CHUNK + 10
+    grid, _, _ = _window_inputs(1, count, seed=0)
+    x0, dw = np.zeros((paths, 1)), np.zeros((paths, count, 1))
+    dw[0, 3] = 1e14  # above the threshold at node 4: the drift there is not evaluated
+    dw[1, CHUNK + 5] = 10.0  # 5 at node CHUNK + 6, a live state with an infinite drift
+    dw[2, CHUNK + 40] = 10.0  # a later one in the same chunk
+    with np.errstate(over="ignore"):
+        got = _raised(NonFiniteEvaluationError, lambda: pullback._drive(m, grid, "em", x0, dw))
+        want = _raised(NonFiniteEvaluationError, lambda: _reference_drive_em(m, grid, x0, dw))
+    assert got == want
+    t_bad = ((grid.start_index + CHUNK + 6) % grid.period_steps) * grid.h
+    assert got == f"drift returned non-finite values at t={t_bad}"
+
+
+# -- the narrow loops of both windows, against the wide ones ------------------
+
+@pytest.mark.parametrize("width", [1, stepper._NARROW_WIDTH, stepper._NARROW_WIDTH + 1, 256])
+@pytest.mark.parametrize("d", [1, 2])
+@pytest.mark.parametrize("scheme", ["bem", "em"])
+def test_narrow_and_wide_loops_agree(monkeypatch, scheme, d, width):
+    # rows x d numbers on either side of the threshold; each run once at the
+    # default, once all on Python floats, once all on arrays
+    rows = -(-width // d)
+    m = replace(affine_model([3.0, 7.5][:d], (-0.4, 1.2)),
+                diffusion=lambda t: 0.3 + 0.2 * math.cos(2.0 * math.pi * t))
+    count = 40
+    grid, x0, dw = _window_inputs(d, count, seed=width, paths=rows)
+    if scheme == "em":
+        x0[-1] = np.nan
+        dw[0, count // 2] = 1e15
+    runs = []
+    for narrow in (stepper._NARROW_WIDTH, 10**9, -1):
+        monkeypatch.setattr(stepper, "_NARROW_WIDTH", narrow)
+        runs.append(pullback._drive(m, grid, scheme, x0, dw))
+    for run in runs[1:]:
+        _check_same_run(run, runs[0])
+
+
 # -- the damped Newton loop, pinned bit for bit -------------------------------
 
 # perfbench/child.CUBIC_MODEL; the d=2 cases put the same drift on A = diag(2, 6.5)
