@@ -40,9 +40,9 @@ from .model import InitialCondition, ModelSpec, check_assumptions, load_model
 from .noise import AlignmentError, NoiseLattice, derive_seeds
 from .pullback import (
     _check_threshold,
+    _grid_on,
     coalescence,
     default_pullback_periods,
-    make_grid,
     random_periodic_path,
     verify_shift_periodicity,
     write_trajectory_csv,
@@ -244,11 +244,12 @@ def _cmd_periodicity(args, config) -> int:
     k = _whole_opt(args, config, "pullback_periods", 30)
     threshold = _float_opt(args, config, "threshold", 1e-6)
     windows = _whole_opt(args, config, "coalesce_periods", 2)
-    lattice = NoiseLattice(seed, h, model.dimension)
-    # the checks of make_grid and coalescence, made before any path is
-    # simulated; verify_shift_periodicity checks k before it simulates
-    grid = make_grid(model, lattice, h, 0.0, windows * model.period)
+    # the checks of make_grid and coalescence, made before the lattice is
+    # built or any path simulated; verify_shift_periodicity checks k before
+    # it simulates
+    grid = _grid_on(model, h, h, 0.0, windows * model.period)
     _check_threshold(threshold)
+    lattice = NoiseLattice(seed, h, model.dimension)
 
     report = verify_shift_periodicity(model, lattice, h, pullback_periods=k)
     tol = 10.0 * RESIDUAL_TOL

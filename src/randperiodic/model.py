@@ -406,10 +406,10 @@ def check_assumptions(
     u1 = _sample_ball(rng, s, d, radius)
     u2 = _sample_ball(rng, s, d, radius)
 
-    f_u = np.stack([model.drift(t[i], u[i]) for i in range(s)])
+    # one drift call per sample at t and one at t + tau
+    f_now = np.stack([model.drift(t[i], np.stack([u[i], u1[i], u2[i]])) for i in range(s)])
+    f_u, f_u1, f_u2 = np.ascontiguousarray(f_now.swapaxes(0, 1))
     f_u_tau = np.stack([model.drift(t[i] + tau, u[i]) for i in range(s)])
-    f_u1 = np.stack([model.drift(t[i], u1[i]) for i in range(s)])
-    f_u2 = np.stack([model.drift(t[i], u2[i]) for i in range(s)])
     g_t = np.array([model.diffusion(t[i]) for i in range(s)], dtype=np.float64)
     g_t_tau = np.array([model.diffusion(t[i] + tau) for i in range(s)], dtype=np.float64)
 

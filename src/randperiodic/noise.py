@@ -49,8 +49,10 @@ class NoiseLattice:
 
     Attributes:
         seed: Generator key, a whole number, reduced modulo 2**64.
-        base_step: Lattice spacing in time; increments are N(0, base_step).
-        dimension: Number of coordinates per increment vector.
+        base_step: Lattice spacing in time, positive and finite; increments
+            are N(0, base_step).
+        dimension: Number of coordinates per increment vector, a whole
+            number of at least 1.
         origin: Index offset applied to every query.  Shifted views share the
             parent's seed and differ only in this offset.
     """
@@ -61,8 +63,10 @@ class NoiseLattice:
     origin: int = 0
 
     def __post_init__(self) -> None:
-        if not self.base_step > 0.0:
-            raise ValueError(f"base_step must be positive, got {self.base_step}")
+        if not (self.base_step > 0.0 and math.isfinite(self.base_step)):
+            raise ValueError(f"base_step must be positive and finite, got {self.base_step}")
+        object.__setattr__(
+            self, "dimension", _whole(self.dimension, "dimension must be a whole number"))
         if self.dimension < 1:
             raise ValueError(f"dimension must be >= 1, got {self.dimension}")
         object.__setattr__(self, "seed", _whole_seed(self.seed))
@@ -373,10 +377,12 @@ def _sum_steps(fine: np.ndarray, m: int) -> np.ndarray:
 
 def derive_seeds(master_seed: int, count: int) -> np.ndarray:
     """Derive ``count`` independent lattice seeds from one master seed,
-    taken modulo 2**64 as :class:`NoiseLattice` takes its seed."""
-    if count < 0:
+    taken modulo 2**64 as :class:`NoiseLattice` takes its seed.  ``count``
+    must be a whole number of at least 0 (a bool is not one)."""
+    n = _whole(count, "count must be a whole number")
+    if n < 0:
         raise ValueError(f"count must be >= 0, got {count}")
-    children = np.random.SeedSequence(_whole_seed(master_seed)).spawn(count)
+    children = np.random.SeedSequence(_whole_seed(master_seed)).spawn(n)
     return np.array([c.generate_state(1, np.uint64)[0] for c in children], dtype=np.uint64)
 
 

@@ -17,11 +17,12 @@ bitwise-identical trajectories.
 Every run goes through one path-batch engine, :func:`_drive`, which returns
 the state of every path at every grid node; callers index the nodes they
 need.  It is one loop over chunks of ``_STEP_CHUNK`` steps for both schemes.
-Inside a chunk either scheme on an affine drift is one loop over increments
-and forcing laid out once, in the per-step kernel's order of operations; a
-nonlinear drift takes one kernel call per step.  No bit depends on the chunk
-length.  A path of the explicit scheme that diverges is NaN from its
-crossing node on, and that NaN is the only record of it.
+Inside a chunk the explicit scheme on any drift, and the implicit scheme on
+an affine one, is one loop over increments laid out once, in the per-step
+kernel's order of operations; the implicit scheme on a nonlinear drift takes
+one Newton solve per step.  No bit depends on the chunk length.  A path of
+the explicit scheme that diverges is NaN from its crossing node on, and that
+NaN is the only record of it.
 """
 
 from __future__ import annotations
@@ -35,10 +36,8 @@ from .model import InitialCondition, ModelSpec
 from .noise import (
     AlignmentError, GridSpec, NoiseLattice, _check_alignment, _whole, coarse_increments, shift,
 )
-from .stepper import (
-    _affine_coeffs, _affine_em_steps, _affine_plan, _affine_steps, _bem_step_batch,
-    _em_step_batch,
-)
+# unused here: perfbench/tracer.py wraps _em_step_batch under this module's name
+from .stepper import _affine_plan, _affine_steps, _bem_step_batch, _em_step_batch, _em_steps
 
 DIVERGENCE_THRESHOLD = 1e12
 
@@ -115,7 +114,7 @@ def make_grid(
 
     All three ratios ``h / base_step``, ``period / h`` and ``t_start / h``
     must be whole numbers; violations raise :class:`AlignmentError` naming
-    the failing ratio.
+    the failing ratio.  A step ``h`` that is not positive raises ValueError.
     """
     return _grid_on(model, lattice.base_step, h, t_start, t_end)
 
@@ -124,6 +123,8 @@ def _grid_on(
     model: ModelSpec, base_step: float, h: float, t_start: float, t_end: float
 ) -> GridSpec:
     """:func:`make_grid` for lattices of spacing ``base_step`` not yet built."""
+    if h <= 0.0:
+        raise ValueError(f"step size h must be positive, got {h!r}")
     mult = _int_ratio(h, base_step, "h / lattice base_step")
     n = _int_ratio(model.period, h, "period / h")
     start = _int_ratio(t_start, h, "t_start / h")
@@ -191,11 +192,11 @@ def _drive(model: ModelSpec, grid: GridSpec, scheme: str, x0: np.ndarray, dw: np
 
     One loop runs the grid in chunks of ``_STEP_CHUNK`` steps, each with its
     step times computed once and its states written into one buffer of every
-    node.  On an affine drift the implicit scheme takes one
-    :func:`~randperiodic.stepper._affine_steps` call per chunk and the
-    explicit scheme one :func:`~randperiodic.stepper._affine_em_steps` call,
-    which finds the chunk's crossings after its steps; on any other drift
-    either scheme takes one kernel call per step.
+    node.  The explicit scheme takes one
+    :func:`~randperiodic.stepper._em_steps` call per chunk on any drift,
+    which finds the chunk's crossings after its steps.  The implicit scheme
+    takes one :func:`~randperiodic.stepper._affine_steps` call per chunk on
+    an affine drift, and one Newton solve per step otherwise.
 
     Returns ``(states, summary)`` where ``states[p, i]`` is the state of path
     ``p`` at grid node ``i``, shape ``(paths, grid.count + 1, d)``.  Batch
@@ -204,8 +205,6 @@ def _drive(model: ModelSpec, grid: GridSpec, scheme: str, x0: np.ndarray, dw: np
     """
     n, h, a0 = grid.period_steps, grid.h, grid.start_index
     plan = _affine_plan(model, h) if scheme == "bem" else None
-    em_window = scheme == "em" and _affine_coeffs(model.drift) is not None
-    active = np.isfinite(x0).all(axis=1)
     max_iters, max_resid, any_fb = 0, 0.0, False
     buf = np.empty((grid.count + 1,) + x0.shape)  # buf[i] is the batch at node i
     buf[0] = x0
@@ -214,38 +213,23 @@ def _drive(model: ModelSpec, grid: GridSpec, scheme: str, x0: np.ndarray, dw: np
         # step j of the chunk runs from t[j] to t[j + 1], reduced modulo the period
         t = [(a % n) * h for a in range(a0 + c0, a0 + c1 + 1)]
         z = buf[c0 : c1 + 1]  # z[j] is the batch after step j of the chunk
-        if plan is not None or em_window:
-            # g(t_j)*dw, laid out step-major for the windows' loops over steps
-            g = np.array([float(model.diffusion(s)) for s in t[:-1]])
-            gdw = np.multiply(g[:, None, None], dw[:, c0:c1].swapaxes(0, 1), order="C")
-            gdw = gdw.swapaxes(0, 1)
+        if scheme == "bem" and plan is None:
+            for j, i in enumerate(range(c0, c1)):
+                z[j + 1], iters, rn, fb = _bem_step_batch(model, t[j], t[j + 1], h, z[j], dw[:, i])
+                max_iters = max(max_iters, int(iters.max()))
+                max_resid = max(max_resid, float(rn.max()))
+                any_fb = any_fb or bool(fb.any())
+            continue
+        # g(t_j)*dw, laid out step-major for the windows' loops over steps
+        g = np.array([float(model.diffusion(s)) for s in t[:-1]])
+        gdw = np.multiply(g[:, None, None], dw[:, c0:c1].swapaxes(0, 1), order="C")
+        gdw = gdw.swapaxes(0, 1)
         if plan is not None:
             forcing_at, divisor = plan
             z[:], rn = _affine_steps(z[0], gdw, [forcing_at(s) for s in t[1:]], divisor, t[1:])
             max_iters, max_resid = 1, max(max_resid, float(rn.max()))
-        elif em_window:
-            z[:] = _affine_em_steps(model, h, t[:-1], z[0], gdw, DIVERGENCE_THRESHOLD)
         else:
-            for j, i in enumerate(range(c0, c1)):
-                if scheme == "bem":
-                    z[j + 1], iters, rn, fb = _bem_step_batch(
-                        model, t[j], t[j + 1], h, z[j], dw[:, i])
-                    max_iters = max(max_iters, int(iters.max()))
-                    max_resid = max(max_resid, float(rn.max()))
-                    any_fb = any_fb or bool(fb.any())
-                else:
-                    if active.all():
-                        z[j + 1] = _em_step_batch(model, t[j], h, z[j], dw[:, i])
-                    else:
-                        z[j + 1] = z[j]
-                        if active.any():
-                            z[j + 1, active] = _em_step_batch(
-                                model, t[j], h, z[j, active], dw[active, i])
-                    norms = np.linalg.norm(z[j + 1], axis=1)
-                    bad = active & (~np.isfinite(norms) | (norms > DIVERGENCE_THRESHOLD))
-                    if bad.any():
-                        z[j + 1, bad] = np.nan
-                        active &= ~bad
+            z[:] = _em_steps(model, h, t[:-1], z[0], gdw, DIVERGENCE_THRESHOLD)
 
     return buf.swapaxes(0, 1), SolverSummary(max_iters, max_resid, any_fb)
 

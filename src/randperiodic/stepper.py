@@ -26,10 +26,11 @@ whenever every divisor is positive, and otherwise runs Newton unchanged.
 :func:`_affine_steps` is that closed form and its residual check, for one
 step or for a run of steps in one loop; the single-step solve calls it for
 one step, and :func:`randperiodic.pullback._drive` once per chunk of steps.
-:func:`_affine_em_steps` is the same kind of window for the explicit step
-of an affine drift, with its divergence check made once per run of steps.
-Both windows step a narrow batch on Python floats, column by column, with
-the same IEEE operations in the same order as on arrays.
+:func:`_em_steps` is the same kind of window for the explicit step of any
+drift, with its divergence check made once per run of steps.  Both windows
+step a narrow batch of a :class:`~randperiodic.model.PolyTrigDrift` on
+Python floats, column by column, with the same IEEE operations in the same
+order as on arrays.
 
 All solver kernels operate on batches of states with shape ``(M, d)`` and
 make per-path decisions (convergence, damping) independently, so a path's
@@ -223,33 +224,24 @@ def _implicit_solve_batch(
     return x, iters, rn, fallback
 
 
-def _affine_coeffs(drift) -> tuple[float, float] | None:
-    """``(p0, p1)`` of a :class:`PolyTrigDrift` (not a subclass) whose
-    polynomial ``p0 + p1*x + ...`` has no nonzero term above ``x``, else None."""
-    if type(drift) is not PolyTrigDrift:
-        return None
-    coeffs = drift.poly_coeffs
-    if any(coeffs[2:]):
-        return None
-    return (coeffs[0] if coeffs else 0.0), (coeffs[1] if len(coeffs) > 1 else 0.0)
-
-
 def _affine_plan(
     model: ModelSpec, h: float
 ) -> tuple[Callable[[float], float], np.ndarray] | None:
     """``(forcing, divisor)`` of the closed-form implicit step at step size ``h``:
     ``forcing(t) = h*(p0 + F(t))`` and ``divisor = 1 + h*(lambda - p1)``.
 
-    None unless the drift is affine (see :func:`_affine_coeffs`) and every
-    divisor is positive.
+    None unless the drift is a :class:`PolyTrigDrift` (not a subclass) whose
+    polynomial ``p0 + p1*x + ...`` has no nonzero term above ``x``, and
+    every divisor is positive.
     """
-    affine = _affine_coeffs(model.drift)
-    if affine is None:
+    drift = model.drift
+    if type(drift) is not PolyTrigDrift or any(drift.poly_coeffs[2:]):
         return None
-    divisor = 1.0 + h * (model.eigenvalues - affine[1])
+    p0, p1 = (tuple(drift.poly_coeffs) + (0.0, 0.0))[:2]
+    divisor = 1.0 + h * (model.eigenvalues - p1)
     if not np.all(divisor > 0.0):
         return None
-    p0, forcing_term = affine[0], model.drift._forcing
+    forcing_term = drift._forcing
     return (lambda t: h * (p0 + forcing_term(t))), divisor
 
 
@@ -323,7 +315,7 @@ def _affine_steps(
     return z, rn
 
 
-def _affine_em_steps(
+def _em_steps(
     model: ModelSpec,
     h: float,
     t_prev: list[float],
@@ -331,22 +323,23 @@ def _affine_em_steps(
     gdw: np.ndarray,
     threshold: float,
 ) -> np.ndarray:
-    """Explicit steps of an affine :class:`PolyTrigDrift` drift from ``x``.
+    """Explicit steps of any drift from the states ``x``.
 
     Step ``j`` is :func:`_em_step_batch` from time ``t_prev[j]`` written
-    out, in its order of operations: the drift ``f`` is the polynomial by
+    out, in its order of operations: ``z_{j+1} = z_j + h*((-lambda)*z_j + f)
+    + gdw_j`` with ``f`` the drift at ``(t_prev[j], z_j)`` and ``gdw[:, j]``
+    the step's ``g(t_prev[j])*dW``.  A :class:`PolyTrigDrift` (not a
+    subclass) is evaluated here: its polynomial by
     :func:`~randperiodic.noise._horner` (zero for an empty one) plus
-    ``F(t_prev[j])``, and ``z_{j+1} = z_j + h*((-lambda)*z_j + f) + gdw_j``
-    with ``gdw[:, j]`` the step's ``g(t_prev[j])*dW``.  ``x`` has shape
-    ``(M, d)`` and ``gdw`` shape ``(M, steps, d)``; the steps run on Python
-    floats when the batch is narrow (see :func:`_narrow_columns`).
+    ``F(t_prev[j])``, on Python floats when the batch is narrow (see
+    :func:`_narrow_columns`).  Any other drift is called once per step.
+    ``x`` has shape ``(M, d)`` and ``gdw`` shape ``(M, steps, d)``.
 
-    A row of ``x`` that is not finite has diverged already and is held.
-    Every other row is live and runs all the steps; afterwards it is NaN
-    from its first node after ``x`` whose norm is non-finite or above
-    ``threshold``, and live only before it.  A step whose drift is
-    non-finite at a live state raises, as the per-step kernel does; the
-    earliest one names its ``t_prev``.
+    Every row runs every step.  A row of ``x`` that is not finite has
+    diverged already and is held at ``x``.  Every other row is NaN from its
+    first node after ``x`` whose norm is non-finite or above ``threshold``.
+    A step whose drift is non-finite at a state before that node raises, as
+    the per-step kernel does; the earliest one names its ``t_prev``.
 
     Returns ``z``, the batch after ``j`` steps at ``z[j]``, shape
     ``(steps + 1, M, d)``.
@@ -354,25 +347,18 @@ def _affine_em_steps(
     Raises:
         NonFiniteEvaluationError: the drift is non-finite at a live state.
     """
-    steps = len(t_prev)
     drift = model.drift
-    coeffs = drift._coeffs if drift.poly_coeffs else None
-    forcing = [drift._forcing(t) for t in t_prev]
+    exact = type(drift) is PolyTrigDrift
+    if exact:
+        coeffs = drift._coeffs if drift.poly_coeffs else None
+        forcing = [drift._forcing(t) for t in t_prev]
     neg_lam = -model.eigenvalues
-    z = np.empty((steps + 1,) + x.shape)
+    z = np.empty((len(t_prev) + 1,) + x.shape)
     z[0] = x
-    live = np.isfinite(x).all(axis=1)
-    if not live.all():
-        z[1:] = x
-        x, gdw = x[live], gdw[live]
-        if not x.size:
-            return z
-    zl = z if x.shape[0] == z.shape[1] else np.empty((steps + 1,) + x.shape)
-    zl[0] = x
     # rows that diverge keep stepping to the end of the window, and may
     # overflow there; only their values up to the crossing are kept
     with np.errstate(over="ignore", invalid="ignore"):
-        if x.size <= _NARROW_WIDTH:
+        if exact and x.size <= _NARROW_WIDTH:
             cols = []
             for x_c, gdw_c, nl in _narrow_columns(x, gdw, neg_lam):
                 col = []
@@ -387,38 +373,40 @@ def _affine_em_steps(
                     x_c = x_c + h * (nl * x_c + fx) + w
                     col.append(x_c)
                 cols.append(col)
-            _write_columns(zl, cols)
+            _write_columns(z, cols)
         else:
             inc = np.ascontiguousarray(gdw.swapaxes(0, 1))
-            for j, f in enumerate(forcing):
-                xj, out = zl[j], zl[j + 1]
-                if coeffs is None:
-                    fx = 0.0 + f  # the value of every entry of zeros_like(x) + F
+            for j, t in enumerate(t_prev):
+                xj, out = z[j], z[j + 1]
+                if not exact:
+                    fx = _drift(model, t, xj)
+                elif coeffs is None:
+                    fx = 0.0 + forcing[j]  # the value of every entry of zeros_like(x) + F
                 else:
                     fx = _horner(xj, coeffs)
-                    fx += f
+                    fx += forcing[j]
                 np.multiply(neg_lam, xj, out=out)
                 out += fx
                 out *= h
                 out += xj
                 out += inc[j]
 
-        bad = ~(_row_norm(zl[1:]) <= threshold)  # (steps, rows)
+        bad = ~(_row_norm(z[1:]) <= threshold)  # (steps, rows)
+        held = ~np.isfinite(x).all(axis=1)
+        if held.any():
+            z[1:, held] = x[held]
+            bad[:, held] = False
         if bad.any():
             # a non-finite drift makes the next state non-finite, so only a
             # row's step into its first bad node can have had one
             crossed = np.flatnonzero(bad.any(axis=0))
             last = bad[:, crossed].argmax(axis=0)  # each crossing row's last live node
-            xs = zl[last, crossed]
-            fx = _horner(xs, coeffs) if coeffs is not None else np.zeros_like(xs)
-            fx += np.asarray(forcing)[last][:, None]
-            wrong = ~np.isfinite(fx).all(axis=1)
-            if wrong.any():
-                t = t_prev[int(last[wrong].min())]
-                raise NonFiniteEvaluationError(f"drift returned non-finite values at t={t}")
-            zl[1:][np.logical_or.accumulate(bad, axis=0)] = np.nan
-    if zl is not z:
-        z[:, live] = zl
+            for j in np.unique(last).tolist():
+                rows = crossed[last == j]
+                if not np.isfinite(_drift(model, t_prev[j], z[j, rows])).all():
+                    raise NonFiniteEvaluationError(
+                        f"drift returned non-finite values at t={t_prev[j]}")
+            z[1:][np.logical_or.accumulate(bad, axis=0)] = np.nan
     return z
 
 

@@ -231,6 +231,14 @@ class TestConfigHandling:
         assert code == 2 and out == ""
         assert err == f"configuration error: {message}\n"
 
+    @pytest.mark.parametrize("h", ["0", "-0.5"])
+    @pytest.mark.parametrize("command, key", [("periodicity", "--h"), ("order", "--h-ref")])
+    def test_non_positive_step_exits_two(self, capsys, tmp_path, command, key, h):
+        # checked before any grid ratio is formed, which for 0 would divide by zero
+        code, out, err = run(capsys, command, key, h, "--out", str(tmp_path))
+        assert code == 2 and out == ""
+        assert err == f"configuration error: step size h must be positive, got {float(h)!r}\n"
+
 
 class TestPeriodicityCommand:
     def test_passes_on_benchmark(self, capsys):

@@ -330,6 +330,39 @@ class TestCheckAssumptions:
             got = check_assumptions(builtin_benchmark(), sample_count=count, seed=2)
             assert got == want and type(got.sample_count) is int
 
+    def test_two_drift_calls_per_sample(self):
+        # a d = 2 cubic that declares every constant, so every drift check
+        # runs; the worst values are those of one drift call per state
+        calls = []
+        m = model_from_config({
+            "lambda": [2.0, 6.5],
+            "drift": {"poly_coeffs": [0.3, -1, 0.2, -2], "trig_amp": 1.5, "trig_freq": 1},
+            "g": {"amp": 0.5},
+            "tau": 1.0,
+            "constants": {"C_f": 0.5, "sigma": 0.5, "C_f_hat": 10.0, "L": 10.0, "q": 2.0},
+        })
+        drift = m.drift
+
+        def counted(t, x):
+            calls.append(np.shape(x))
+            return drift(t, x)
+
+        report = check_assumptions(dataclasses.replace(m, drift=counted), sample_count=40, seed=7)
+        assert len(calls) == 2 * 40
+        assert {c.name: c.worst for c in report.checks} == {
+            "eigenvalues_positive": -2.0,
+            "drift_periodicity": 3.552713678800501e-15,
+            "diffusion_periodicity": 0.0,
+            "spectral_gap": 0.5,
+            "one_sided_lipschitz": -3.7036686959676097,
+            "drift_growth": -0.3545219059315116,
+            "diffusion_bound": 0.5,
+            "tangent_condition": 9.687975677440548,
+            "polynomial_lipschitz": 8.334316977053463,
+            "moment_margin": 153.0,
+        }
+        assert report == check_assumptions(m, sample_count=40, seed=7)
+
     def test_moment_margin_value(self):
         # gamma_p = (C_f + (p-1) sigma^2 / 2) * (2 + p + 2^(p+1)) with p = 4q - 2
         report = check_assumptions(builtin_benchmark(), sample_count=50, seed=0)

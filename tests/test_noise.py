@@ -130,6 +130,23 @@ class TestNoiseLattice:
         with pytest.raises(ValueError):
             NoiseLattice(seed=0, base_step=0.5).increments(0, -1)
 
+    @pytest.mark.parametrize("dimension", [1.5, True, np.True_, "2", float("inf")])
+    def test_dimension_must_be_whole(self, dimension):
+        with pytest.raises(ValueError, match=f"dimension must be a whole number, got "
+                                             f"{dimension!r}"):
+            NoiseLattice(seed=0, base_step=0.5, dimension=dimension)
+
+    def test_whole_float_dimension_is_an_int(self):
+        lat = NoiseLattice(seed=0, base_step=0.5, dimension=2.0)
+        assert type(lat.dimension) is int
+        assert lat == NoiseLattice(seed=0, base_step=0.5, dimension=2)
+        assert lat.increments(3, 4).shape == (4, 2)
+
+    @pytest.mark.parametrize("base_step", [math.inf, math.nan, -math.inf])
+    def test_base_step_must_be_finite(self, base_step):
+        with pytest.raises(ValueError, match="base_step must be positive and finite"):
+            NoiseLattice(seed=0, base_step=base_step)
+
     def test_empty_range(self):
         lat = NoiseLattice(seed=0, base_step=0.5, dimension=2)
         assert lat.increments(5, 0).shape == (0, 2)
@@ -313,6 +330,18 @@ class TestDeriveSeeds:
             want = [c.generate_state(1, np.uint64)[0]
                     for c in np.random.SeedSequence(seed).spawn(3)]
             assert derive_seeds(seed, 3).tolist() == want
+
+    @pytest.mark.parametrize("count", [True, False, np.True_, 2.5, float("inf"), "3"])
+    def test_count_must_be_whole(self, count):
+        with pytest.raises(ValueError, match=f"count must be a whole number, got {count!r}"):
+            derive_seeds(0, count)
+
+    def test_whole_float_count_runs_as_int(self):
+        want = derive_seeds(3, 2)
+        for count in (2.0, np.float64(2.0), np.int64(2)):
+            assert np.array_equal(derive_seeds(3, count), want)
+        with pytest.raises(ValueError, match="count must be >= 0, got -1.0"):
+            derive_seeds(3, -1.0)
 
 
 # Every public way in for a seed, called with the seed ``s``.

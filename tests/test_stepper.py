@@ -762,7 +762,7 @@ class _ExplicitCalls:
 
     def __init__(self, monkeypatch):
         self.window = self.step = 0
-        window, step = pullback._affine_em_steps, pullback._em_step_batch
+        window, step = pullback._em_steps, pullback._em_step_batch
 
         def counted_window(model, h, t_prev, x, gdw, *rest):
             self.window += gdw.shape[0] * gdw.shape[1]
@@ -772,7 +772,7 @@ class _ExplicitCalls:
             self.step += x_prev.shape[0]
             return step(model, t_prev, h, x_prev, *rest)
 
-        monkeypatch.setattr(pullback, "_affine_em_steps", counted_window)
+        monkeypatch.setattr(pullback, "_em_steps", counted_window)
         monkeypatch.setattr(pullback, "_em_step_batch", counted_step)
 
 
@@ -831,6 +831,93 @@ def test_explicit_window_raises_on_a_non_finite_drift(paths):
     assert got == want
     t_bad = ((grid.start_index + CHUNK + 6) % grid.period_steps) * grid.h
     assert got == f"drift returned non-finite values at t={t_bad}"
+
+
+# -- the explicit window of any drift, against one step at a time ------------
+
+def _plain_drift(t, x):
+    """A nonlinear drift that is a plain function, not a :class:`PolyTrigDrift`."""
+    return np.sin(x) - 2.0 * x * x * x + 0.5 * math.cos(2.0 * math.pi * t)
+
+
+def _any_drift_model(kind, d):
+    """An explicit-scheme model whose drift is ``kind``, with a diffusion
+    that varies in time."""
+    if kind == "cubic":
+        return _newton_cubic_model(d)
+    if kind == "function":
+        drift = _plain_drift
+    else:
+        drift = _SubDrift(poly_coeffs=(0.3, -0.5), trig_amp=0.7, trig_freq=1, period=1.0)
+    return ModelSpec(eigenvalues=np.array([3.0, 7.5][:d]), drift=drift,
+                     diffusion=lambda t: 0.3 + 0.2 * math.cos(2.0 * math.pi * t), period=1.0)
+
+
+def _any_drift_em_inputs(d, count, paths):
+    """Explicit-scheme inputs with rows of ``x0`` that are NaN, +inf and
+    -inf, one finite above the threshold, one where a cubic blows up by
+    itself, and crossings at chosen nodes."""
+    grid, x0, dw = _window_inputs(d, count, seed=13, paths=paths)
+    x0[0, 0] = np.nan
+    x0[1] = np.inf
+    x0[2, 0] = -np.inf  # held as it is, a finite second coordinate included
+    x0[3] = 1e14
+    x0[4] = 8.0
+    for p, node in zip(range(5, 10), (1, 7, 8, CHUNK, count)):
+        dw[p, node - 1, 0] = 1e15 if node < count else np.nan
+    return grid, x0, dw
+
+
+@pytest.mark.parametrize("paths", [10, 3 * stepper._NARROW_WIDTH])
+@pytest.mark.parametrize("kind,d", [("function", 1), ("function", 2), ("subclass", 1),
+                                    ("cubic", 1), ("cubic", 2)])
+def test_explicit_window_takes_any_drift(monkeypatch, kind, d, paths):
+    # 10 paths are a narrow batch at d = 1 and 2, 60 a wide one
+    m = _any_drift_model(kind, d)
+    count = 2 * CHUNK + 10
+    grid, x0, dw = _any_drift_em_inputs(d, count, paths)
+    want = _reference_drive_em(m, grid, x0, dw)
+    crossed = _crossings(want[0])
+    assert crossed[:4].tolist() == [0, 0, 0, 1]
+    assert crossed[5:10].tolist() == [1, 7, 8, CHUNK, count]
+    assert (crossed[4] > 0) == (kind != "subclass")
+    assert np.isfinite(want[0][2, :, 1:]).all()
+    assert (want[0][1] == np.inf).all()
+    calls = _ExplicitCalls(monkeypatch)
+    for chunk in (1, 7, CHUNK):
+        monkeypatch.setattr(pullback, "_STEP_CHUNK", chunk)
+        _check_same_run(pullback._drive(m, grid, "em", x0, dw), want)
+    assert calls.step == 0 and calls.window == 3 * paths * count
+
+
+@pytest.mark.parametrize("paths", [3, 3 * stepper._NARROW_WIDTH])
+@pytest.mark.parametrize("kind", ["function", "subclass"])
+def test_explicit_window_of_any_drift_raises_on_a_non_finite_drift(kind, paths):
+    # the drift overflows at any state above 2 in size and is 0 at 0, where
+    # the paths stay until an increment moves them
+    drift = ((lambda t, x: 1e308 * x) if kind == "function" else
+             _SubDrift(poly_coeffs=(0.0, 1e308), trig_amp=0.0, trig_freq=1, period=1.0))
+    m = ModelSpec(eigenvalues=np.array([3.0]), drift=drift, diffusion=ConstantDiffusion(0.5),
+                  period=1.0)
+    count = 2 * CHUNK + 10
+    grid, _, _ = _window_inputs(1, count, seed=0)
+    x0, dw = np.zeros((paths, 1)), np.zeros((paths, count, 1))
+    dw[0, 3] = 1e14  # above the threshold at node 4: the drift there is not evaluated
+    dw[1, CHUNK + 40] = 10.0  # 5 at node CHUNK + 41, a live state with an infinite drift
+    dw[2, CHUNK + 5] = 10.0  # an earlier one in the same chunk, on a later row
+    with np.errstate(over="ignore"):
+        got = _raised(NonFiniteEvaluationError, lambda: pullback._drive(m, grid, "em", x0, dw))
+        want = _raised(NonFiniteEvaluationError, lambda: _reference_drive_em(m, grid, x0, dw))
+    assert got == want
+    t_bad = ((grid.start_index + CHUNK + 6) % grid.period_steps) * grid.h
+    assert got == f"drift returned non-finite values at t={t_bad}"
+
+    # with no live overflow, the row above the threshold does not raise
+    dw[1:3] = 0.0
+    with np.errstate(over="ignore"):
+        states, _ = pullback._drive(m, grid, "em", x0, dw)
+    assert _same_bits(states, _reference_drive_em(m, grid, x0, dw)[0])
+    assert _crossings(states).tolist() == [4] + [-1] * (paths - 1)
 
 
 # -- the narrow loops of both windows, against the wide ones ------------------
