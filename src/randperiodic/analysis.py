@@ -29,9 +29,7 @@ from typing import Sequence
 import numpy as np
 
 from .model import InitialCondition, ModelSpec
-from .noise import (
-    GridSpec, NoiseLattice, _read_increments, _sum_steps, _whole, _whole_seed, derive_seeds,
-)
+from .noise import GridSpec, _read_increments, _sum_steps, _whole, _whole_seed, derive_seeds
 from .pullback import (
     SolverSummary, _check_period, _check_periods, _check_scheme, _drive, _grid_on, _merge_stats,
 )
@@ -42,7 +40,7 @@ from .pullback import (
 # about 130 us at 1 or 256 paths and 190 us at 1280, most of it the fixed
 # cost of some 30 numpy calls an iteration (best of 30 runs of 64 steps).
 # Each window's noise read re-keys the generator once per path, at about
-# 7 us a path plus 0.03 us a word.  The CLI's default 1000-path order and
+# 4 us a path plus 0.03 us a word.  The CLI's default 1000-path order and
 # 2000-path measure studies run as one block.  That block's order-study
 # windows hold 256 fine steps, and most of its cost is paid per window:
 # criterion 5's study took 6.05 s (58 MiB peak) with ``_WINDOW_WORDS`` at
@@ -559,11 +557,10 @@ def _run_seeds(
         start = (np.tile(fixed, (len(block), 1)) if fixed is not None
                  else np.stack([init.resolve(s, d) for s in block]))
         states = [start] * len(runs)
-        lattices = [NoiseLattice(s, first.base_step, d) for s in block]
         span = min(f_count, max(lcm, _WINDOW_WORDS // (len(block) * d) // lcm * lcm))
         for f0 in range(0, f_count, span):
             width = min(span, f_count - f0)
-            fine = _read_increments(lattices, f_start + f0, width)
+            fine = _read_increments(block, f_start + f0, width, first.base_step, d)
             for i, run in enumerate(runs):
                 m = run.grid.step_mult
                 n0, count = f0 // m, width // m

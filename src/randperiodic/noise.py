@@ -31,7 +31,6 @@ import numpy as np
 import numpy.random  # loaded with the package, not inside the first read
 
 _WORDS_PER_BLOCK = 4  # Philox-4x64 emits four 64-bit words per counter value
-_COUNTER_MOD = 1 << 256
 _WORD_MASK = (1 << 64) - 1
 _U_MAX = 1.0 - 2.0**-53  # the largest double below 1
 # Words per pass of the transform: its temporaries stay in cache, and a
@@ -83,7 +82,8 @@ class NoiseLattice:
             Array of shape ``(count, dimension)``; entry ``[i, c]`` depends
             only on ``(seed, start + origin + i, c)``.
         """
-        return _read_increments([self], start, count)[0]
+        return _read_increments(
+            [self.seed], int(start) + self.origin, count, self.base_step, self.dimension)[0]
 
     def increment(self, index: int) -> np.ndarray:
         """Return the increment vector at a single lattice index."""
@@ -115,47 +115,41 @@ def _whole_seed(seed) -> int:
     return _whole(seed, "seeds must be whole numbers") % (1 << 64)
 
 
-def _read_increments(lattices: Sequence[NoiseLattice], start: int, count: int) -> np.ndarray:
+def _read_increments(seeds: Sequence[int], start: int, count: int, base_step: float,
+                     d: int) -> np.ndarray:
     """Increments of many lattices for indices ``start .. start+count-1``.
 
-    Row ``i`` of the result, of shape ``(len(lattices), count, dimension)``,
-    is ``lattices[i].increments(start, count)`` bit for bit: that method is
-    this read for one lattice.  One generator is re-keyed for each lattice,
-    which costs a fraction of building one per lattice, and one transform
-    maps the whole buffer to normals.
+    Row ``i`` of the result, of shape ``(len(seeds), count, d)``, is
+    ``NoiseLattice(seeds[i], base_step, d).increments(start, count)`` bit for
+    bit, for seeds in ``[0, 2**64)``: that method is this read for one seed.
+    The word range and its counter are computed once, one generator is
+    re-keyed for each seed, and one transform maps the whole buffer.
 
     Raises:
-        ValueError: negative ``count``, or lattices that differ in
-            ``base_step`` or ``dimension``.
+        ValueError: negative ``count``.
     """
     if count < 0:
         raise ValueError(f"count must be >= 0, got {count}")
-    kinds = {(lat.base_step, lat.dimension) for lat in lattices}
-    if len(kinds) != 1:
-        raise ValueError("the lattices of one read must share base_step and dimension")
-    [(base_step, d)] = kinds
+    # Absolute words [w0, w0 + n).  Block b of four words is counter b mod
+    # 2**256: the low four 64-bit words of b in two's complement.  Philox's
+    # counter wraps from 2**256 - 1 to 0, so a range that crosses index 0 is
+    # still one generator call.
     n = count * d
-    words = np.empty((len(lattices), n), dtype=np.uint64)
+    w0 = int(start) * d
+    b0, b1 = w0 // _WORDS_PER_BLOCK, -(-(w0 + n) // _WORDS_PER_BLOCK)
+    lo, raw = w0 - _WORDS_PER_BLOCK * b0, _WORDS_PER_BLOCK * (b1 - b0)
     gen = np.random.Philox(key=0)
     state = gen.state
-    key, counter = state["state"]["key"], state["state"]["counter"]
-    for row, lat in zip(words, lattices):
-        # Absolute words [w0, w0 + n).  Block b of four words is counter b
-        # mod 2**256, and Philox's counter wraps from 2**256 - 1 to 0, so a
-        # range that crosses index 0 is still one generator call.
-        w0 = (int(start) + lat.origin) * d
-        b0 = w0 // _WORDS_PER_BLOCK
-        b1 = -(-(w0 + n) // _WORDS_PER_BLOCK)
-        c = b0 % _COUNTER_MOD
-        key[0] = lat.seed
-        counter[:] = [(c >> shift) & _WORD_MASK for shift in (0, 64, 128, 192)]
-        state["buffer_pos"] = _WORDS_PER_BLOCK  # no buffered word carries over
+    state["state"]["counter"][:] = [(b0 >> shift) & _WORD_MASK for shift in (0, 64, 128, 192)]
+    state["buffer_pos"] = _WORDS_PER_BLOCK  # no buffered word carries over
+    words = np.empty((len(seeds), n), dtype=np.uint64)
+    for row, seed in zip(words, seeds):
+        state["state"]["key"][0] = seed
         gen.state = state
-        lo = w0 - _WORDS_PER_BLOCK * b0
-        row[:] = gen.random_raw(_WORDS_PER_BLOCK * (b1 - b0))[lo : lo + n]
+        row[:] = gen.random_raw(raw)[lo : lo + n]
     z = _normals(words)
     z *= math.sqrt(base_step)
-    return z.reshape(len(lattices), count, d)
+    return z.reshape(len(seeds), count, d)
 
 
 def _normals(words: np.ndarray) -> np.ndarray:
@@ -351,9 +345,7 @@ def coarse_increment(lattice: NoiseLattice, grid: GridSpec, k: int) -> np.ndarra
     Exactly the sum of the ``step_mult`` fine increments it covers, so runs
     at different resolutions on one lattice see one consistent path.
     """
-    _check_alignment(lattice, grid)
-    fine = lattice.increments(int(k) * grid.step_mult, grid.step_mult)
-    return fine.sum(axis=0)
+    return coarse_increments(lattice, grid, k, 1)[0]
 
 
 def coarse_increments(lattice: NoiseLattice, grid: GridSpec, k0: int, count: int) -> np.ndarray:

@@ -136,6 +136,11 @@ def _grid_on(
     )
 
 
+def _check_step(h: float) -> None:
+    if not (h > 0.0 and math.isfinite(h)):
+        raise ValueError(f"step size h must be positive, got {h!r}")
+
+
 def _int_ratio(num: float, den: float, what: str, tol: float = 1e-9) -> int:
     ratio = num / den
     if not math.isfinite(ratio):
@@ -295,14 +300,11 @@ def coalescence(
     first node where the distance drops below ``threshold``, which must be
     finite and positive.
     """
-    c_f = model.constants.get("C_f")
-    if c_f is None:
-        raise ValueError("coalescence requires the model to declare C_f")
+    rho = _contraction_rate(model, grid.h, "coalescence")
     _check_threshold(threshold)
     path_a = simulate(model, grid, "bem", init_a, lattice)
     path_b = simulate(model, grid, "bem", init_b, lattice)
     dist = np.linalg.norm(path_a.states - path_b.states, axis=1)
-    rho = 1.0 + 2.0 * grid.h * (model.lambda_min - c_f)
     steps = np.arange(grid.count + 1)
     envelope = rho ** (-steps / 2.0) * dist[0]
     below = np.nonzero(dist < threshold)[0]
@@ -322,13 +324,20 @@ def _check_threshold(threshold: float) -> None:
         raise ValueError(f"threshold must be finite and positive, got {threshold}")
 
 
+def _contraction_rate(model: ModelSpec, h: float, what: str) -> float:
+    """``1 + 2h(lambda_1 - C_f)``, for a positive and finite ``h``; ``what``
+    names the caller when the model declares no ``C_f``."""
+    c_f = model.constants.get("C_f")
+    if c_f is None:
+        raise ValueError(f"{what} requires the model to declare C_f")
+    _check_step(h)
+    return 1.0 + 2.0 * h * (model.lambda_min - c_f)
+
+
 def default_pullback_periods(model: ModelSpec, h: float) -> int:
     """Smallest whole number of periods at which the contraction envelope
     ``(1 + 2h(lambda_1 - C_f))**(-N/2)`` falls below ``ENVELOPE_TARGET``."""
-    c_f = model.constants.get("C_f")
-    if c_f is None:
-        raise ValueError("default pull-back depth requires the model to declare C_f")
-    rho = 1.0 + 2.0 * h * (model.lambda_min - c_f)
+    rho = _contraction_rate(model, h, "default pull-back depth")
     steps = 2.0 * math.log(1.0 / ENVELOPE_TARGET) / math.log(rho)
     per_period = model.period / h
     return max(1, math.ceil(steps / per_period))
@@ -448,6 +457,7 @@ def pullback_pinned_path(
     point, which makes the convergence of the pull-back visible directly.
     """
     scheme = _check_scheme(scheme)
+    _check_step(h)
     steps_total = _int_ratio(r_max, h, "r_max / h")
     if steps_total < 1:
         raise ValueError(f"r_max must be at least one step, got {r_max}")

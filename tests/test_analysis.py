@@ -250,14 +250,14 @@ def test_window_invariance(monkeypatch, name, window_words):
 
 
 def _count_blocks(monkeypatch):
-    """The paths of each block, in order, from the lattices of its first
-    noise read; a block's first lattice names it."""
+    """The paths of each block, in order, from the seeds of its first noise
+    read; a block's first seed names it."""
     read = analysis._read_increments
     blocks = {}
 
-    def counted(lattices, start, count):
-        blocks.setdefault(lattices[0].seed, len(lattices))
-        return read(lattices, start, count)
+    def counted(seeds, start, count, *rest):
+        blocks.setdefault(seeds[0], len(seeds))
+        return read(seeds, start, count, *rest)
 
     monkeypatch.setattr(analysis, "_read_increments", counted)
     return blocks
@@ -283,6 +283,26 @@ def test_block_fits_one_coarse_step_in_a_window(monkeypatch):
     blocks = _count_blocks(monkeypatch)
     assert [_bits(t) for t in strong_error(builtin_benchmark(), **kwargs)] == base
     assert list(blocks.values()) == [4, 4, 2]
+
+
+@pytest.mark.parametrize("study", ["periodic_measure", "strong_error"])
+def test_studies_read_noise_by_seed(monkeypatch, study):
+    # the runner reads every path's increments by seed; a NoiseLattice per
+    # path would only check again what the seeds and the grid have checked
+    built = []
+    post_init = NoiseLattice.__post_init__
+
+    def counting(self):
+        built.append(self.seed)
+        post_init(self)
+
+    monkeypatch.setattr(NoiseLattice, "__post_init__", counting)
+    m = builtin_benchmark()
+    if study == "periodic_measure":
+        periodic_measure(m, derive_seeds(1, 5), 2.0**-4, 2, [0.0, 0.5])
+    else:
+        strong_error(m, 2.0**-6, [2.0**-4, 2.0**-5], 1, 5, scheme=("bem", "em"))
+    assert built == []
 
 
 @pytest.mark.parametrize("build, start, window_words", [
@@ -714,12 +734,12 @@ class TestMeasureStudyOnePass:
 
     def test_reads_each_lattice_once_per_halving(self, monkeypatch):
         build, kwargs = MEASURE_CASES["builtin"]
-        reads = []  # one entry per lattice and read, of its step count
+        reads = []  # one entry per seed and read, of its step count
         read_increments = analysis._read_increments
 
-        def counting(lattices, start, count):
-            reads.extend([count] * len(lattices))
-            return read_increments(lattices, start, count)
+        def counting(seeds, start, count, *rest):
+            reads.extend([count] * len(seeds))
+            return read_increments(seeds, start, count, *rest)
 
         monkeypatch.setattr(analysis, "_read_increments", counting)
         study = measure_convergence_study(build(), **kwargs)

@@ -324,6 +324,13 @@ class TestMeasureCommand:
         assert len(dist) == 3
         assert "bootstrap noise floor" in out
 
+    @pytest.mark.parametrize("h", ["0", "-0.5", "nan"])
+    def test_bad_step_exits_two(self, capsys, tmp_path, h):
+        # the default depth checks the step before it forms any ratio
+        code, out, err = run(capsys, "measure", "--h", h, "--out", str(tmp_path))
+        assert code == 2 and out == ""
+        assert err == f"configuration error: step size h must be positive, got {float(h)!r}\n"
+
     @pytest.mark.parametrize("n_bootstrap", ["0", "-3"])
     def test_bootstrap_below_one_exits_two(self, capsys, tmp_path, n_bootstrap):
         code, _, err = run(capsys, "measure", "--h", "0.03125", "--paths", "8",

@@ -163,32 +163,26 @@ def _reference_increments(lat: NoiseLattice, start: int, count: int) -> np.ndarr
 
 
 class TestBatchedRead:
-    """``_read_increments`` re-keys one generator per lattice; every row must
-    equal that lattice read alone, whatever was read before it."""
+    """``_read_increments`` reads by seed, re-keying one generator per seed;
+    every row must equal that seed's lattice read alone, whatever was read
+    before it."""
 
     @pytest.mark.parametrize("d", [1, 2, 3])
     def test_rows_match_single_reads(self, d):
-        base = [NoiseLattice(seed, 0.125, d) for seed in (0, 5, 2**64 - 1, 123456789)]
-        lattices = base + [
-            NoiseLattice(7, 0.125, d, origin=-3),
-            NoiseLattice(7, 0.125, d, origin=-(2**40)),
-            base[1].shifted(13),
-            base[1].shifted(-(2**40)).shifted(5),
-        ]
+        seeds = [0, 5, 2**64 - 1, 123456789, 7]
         # unaligned with the generator's blocks of four words, crossing
-        # index 0 for some origins, and empty
-        for start, count in [(-9, 21), (-1, 2), (0, 5), (2**40 - 4, 11), (3, 0)]:
-            batch = _read_increments(lattices, start, count)
-            assert batch.shape == (len(lattices), count, d)
-            for row, lat in zip(batch, lattices):
+        # index 0, at +-2**40, and empty
+        for start, count in [(-9, 21), (-1, 2), (0, 5), (2**40 - 4, 11),
+                             (-(2**40) - 3, 9), (3, 0)]:
+            batch = _read_increments(seeds, start, count, 0.125, d)
+            assert batch.shape == (len(seeds), count, d)
+            for row, seed in zip(batch, seeds):
+                lat = NoiseLattice(seed, 0.125, d)
                 assert np.array_equal(row, lat.increments(start, count))
                 assert np.array_equal(row, _reference_increments(lat, start, count))
-
-    def test_lattices_must_share_spacing_and_dimension(self):
-        a = NoiseLattice(1, 0.125)
-        for other in (NoiseLattice(2, 0.25), NoiseLattice(2, 0.125, dimension=2)):
-            with pytest.raises(ValueError):
-                _read_increments([a, other], 0, 4)
+                # a shifted view reads the same words from another start
+                view = lat.shifted(start + 13)
+                assert np.array_equal(row, view.increments(-13, count))
 
 
 class TestTransform:
@@ -268,6 +262,15 @@ class TestCoarseIncrements:
         for k in (-16, -3, 0, 7):
             fine = lat.increments(k * 8, 8)
             assert np.array_equal(coarse_increment(lat, grid, k), fine.sum(axis=0))
+        # coarse_increment is row 0 of coarse_increments; its reshaped sum
+        # gets the bits of a plain sum over the fine increments' first axis
+        for m, d in itertools.product([1, 2, 3, 5, 64, 129, 257], [1, 2, 3]):
+            lat = NoiseLattice(seed=4, base_step=1.0 / 512, dimension=d)
+            grid = GridSpec(start_index=-2, step_mult=m, count=4, period_steps=2,
+                            base_step=1.0 / 512)
+            for k in (-2, 0, 3):
+                fine = lat.increments(k * m, m)
+                assert np.array_equal(coarse_increment(lat, grid, k), fine.sum(axis=0))
 
     def test_batch_matches_single(self):
         lat = NoiseLattice(seed=21, base_step=1.0 / 128, dimension=2)

@@ -1,6 +1,7 @@
 """Tests for path construction, pull-back, and periodicity checks."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -272,6 +273,18 @@ class TestDefaultPullbackPeriods:
         steps = 2.0 * math.log(1e8) / math.log(rho)
         assert k == math.ceil(steps / 16.0)
         assert k > 100
+
+    @pytest.mark.parametrize("h", [0.0, -0.5, math.nan, math.inf])
+    def test_step_is_checked_before_any_ratio(self, h):
+        # rejected before any ratio or logarithm is formed from the step
+        m = builtin_benchmark()
+        lat = NoiseLattice(seed=0, base_step=0.25)
+        message = f"step size h must be positive, got {h!r}"
+        for call in (lambda: default_pullback_periods(m, h),
+                     lambda: random_periodic_path(m, lat, h),
+                     lambda: pullback_pinned_path(m, lat, h, r_max=1.0)):
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                call()
 
 
 class TestCoalescence:

@@ -15,7 +15,7 @@ from pathlib import Path
 import pytest
 
 import randperiodic
-from randperiodic import analysis, pullback
+from randperiodic import analysis, noise, pullback
 from randperiodic.model import InitialCondition, builtin_benchmark, model_from_config
 from randperiodic.noise import GridSpec, NoiseLattice, derive_seeds
 
@@ -61,6 +61,9 @@ def test_traced_arguments_keep_their_positions():
     assert _params(pullback._drive)[:4] == ["model", "grid", "scheme", "x0"]
     assert _params(pullback._bem_step_batch)[4] == "x_prev"
     assert _params(pullback._em_step_batch)[3] == "x_prev"
+    # a tracer of the batched reader counts len(seeds) * count * d words
+    assert analysis._read_increments is noise._read_increments
+    assert _params(noise._read_increments)[:3] == ["seeds", "start", "count"]
 
 
 H = 2.0**-4
