@@ -23,7 +23,7 @@ measure study couples each step size with its half the same way.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -31,7 +31,8 @@ import numpy as np
 from .model import InitialCondition, ModelSpec
 from .noise import GridSpec, _read_increments, _sum_steps, _whole, _whole_seed, derive_seeds
 from .pullback import (
-    SolverSummary, _check_period, _check_periods, _check_scheme, _drive, _grid_on, _merge_stats,
+    SolverSummary, _StepPlan, _check_period, _check_periods, _check_scheme, _drive, _grid_on,
+    _merge_stats,
 )
 
 # Paths per block.  Per-call costs favour wide blocks: the kernels' overhead,
@@ -543,6 +544,9 @@ def _run_seeds(
     seeds = _path_seeds(seeds)
     for run in runs:
         _check_period(model, run.grid)
+    # one step plan per grid, for every block and window of the runs on it
+    plans = {grid: _StepPlan(model, grid) for grid in dict.fromkeys(r.grid for r in runs)}
+    run_plans = [plans[r.grid] for r in runs]
     init = init if init is not None else InitialCondition(value=np.zeros(model.dimension))
     first, d = runs[0].grid, model.dimension
     # a fixed start is the same for every seed: checked once, not once per path
@@ -564,8 +568,9 @@ def _run_seeds(
             for i, run in enumerate(runs):
                 m = run.grid.step_mult
                 n0, count = f0 // m, width // m
-                window = replace(run.grid, start_index=run.grid.start_index + n0, count=count)
-                out, summary = _drive(model, window, run.scheme, states[i], _sum_steps(fine, m))
+                window = run.grid._steps(n0, count)
+                out, summary = _drive(model, window, run.scheme, states[i], _sum_steps(fine, m),
+                                      run_plans[i])
                 summaries[i] = _merge_stats(summaries[i], summary)
                 inside = (run.nodes >= n0) & (run.nodes <= n0 + count)
                 recorded[i][b0 : b0 + len(block), inside] = out[:, run.nodes[inside] - n0]

@@ -294,6 +294,15 @@ class GridSpec:
         """Grid step size."""
         return self.step_mult * self.base_step
 
+    def _steps(self, first: int, count: int) -> GridSpec:
+        """The grid of steps ``first`` to ``first + count - 1`` of this one,
+        with ``0 <= first`` and ``first + count <= self.count``.  Built
+        without the checks of ``__post_init__``, which a run of a checked
+        grid's steps passes."""
+        sub = object.__new__(GridSpec)
+        sub.__dict__.update(self.__dict__, start_index=self.start_index + first, count=count)
+        return sub
+
     @property
     def t_start(self) -> float:
         return self.start_index * self.h

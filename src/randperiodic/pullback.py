@@ -16,7 +16,12 @@ bitwise-identical trajectories.
 
 Every run goes through one path-batch engine, :func:`_drive`, which returns
 the state of every path at every grid node; callers index the nodes they
-need.  It is one loop over chunks of ``_STEP_CHUNK`` steps for both schemes.
+need.  Its coefficients come from the run's step plan, :class:`_StepPlan`,
+which evaluates the diffusion and the forcing once per residue ``a mod n``
+when the run starts; a run that calls :func:`_drive` many times (a study's
+blocks and windows, the pinned pull-back's steps) builds one plan and passes
+it to each call.  :func:`_drive` is one loop over chunks of ``_STEP_CHUNK``
+steps for both schemes.
 Inside a chunk the explicit scheme on any drift, and the implicit scheme on
 an affine one, is one loop over increments laid out once, in the per-step
 kernel's order of operations; the implicit scheme on a nonlinear drift takes
@@ -32,19 +37,24 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .model import InitialCondition, ModelSpec
+from .model import InitialCondition, ModelSpec, PolyTrigDrift
 from .noise import (
     AlignmentError, GridSpec, NoiseLattice, _check_alignment, _whole, coarse_increments, shift,
 )
 # unused here: perfbench/tracer.py wraps _em_step_batch under this module's name
-from .stepper import _affine_plan, _affine_steps, _bem_step_batch, _em_step_batch, _em_steps
+from .stepper import (
+    _affine_bound, _affine_plan, _affine_steps, _bem_step_batch, _em_step_batch, _em_steps,
+)
 
 DIVERGENCE_THRESHOLD = 1e12
 
 # Steps per chunk of :func:`_drive`, for every scheme.  Each of a chunk's few
-# buffers holds paths x chunk x d numbers; timed in-process on the order study
-# (256 paths) and the pinned pull-back, 64 to 256 steps run equally fast, 32
-# and 512 slower.
+# buffers holds paths x chunk x d numbers.  Timed in-process on a 2-core Xeon,
+# on the order study (256 paths, 0.12-0.17 s) and on the pinned pull-back with
+# its shift check (9-16 ms; a pinned step is a call of one step, so only the
+# shift check's two 3840-step runs take whole chunks), 64 to 512 steps run
+# equally fast within the host's noise, and 32 is slower on the pinned
+# pull-back.
 _STEP_CHUNK = 128
 
 # Contraction envelope below which the default pull-back depth has forgotten
@@ -56,7 +66,12 @@ SCHEMES = ("bem", "em")
 
 @dataclass(frozen=True)
 class SolverSummary:
-    """Aggregate implicit-solver statistics over a whole run."""
+    """Aggregate implicit-solver statistics over a whole run.
+
+    ``max_residual`` is the largest residual norm of any solve; for the
+    closed-form steps of an affine drift it is the proven bound that
+    :func:`~randperiodic.stepper._affine_steps` reports.
+    """
 
     max_newton_iters: int = 0
     max_residual: float = 0.0
@@ -114,7 +129,8 @@ def make_grid(
 
     All three ratios ``h / base_step``, ``period / h`` and ``t_start / h``
     must be whole numbers; violations raise :class:`AlignmentError` naming
-    the failing ratio.  A step ``h`` that is not positive raises ValueError.
+    the failing ratio.  A step ``h`` that is not positive and finite raises
+    ValueError before any ratio is formed.
     """
     return _grid_on(model, lattice.base_step, h, t_start, t_end)
 
@@ -123,8 +139,7 @@ def _grid_on(
     model: ModelSpec, base_step: float, h: float, t_start: float, t_end: float
 ) -> GridSpec:
     """:func:`make_grid` for lattices of spacing ``base_step`` not yet built."""
-    if h <= 0.0:
-        raise ValueError(f"step size h must be positive, got {h!r}")
+    _check_step(h)
     mult = _int_ratio(h, base_step, "h / lattice base_step")
     n = _int_ratio(model.period, h, "period / h")
     start = _int_ratio(t_start, h, "t_start / h")
@@ -138,7 +153,7 @@ def _grid_on(
 
 def _check_step(h: float) -> None:
     if not (h > 0.0 and math.isfinite(h)):
-        raise ValueError(f"step size h must be positive, got {h!r}")
+        raise ValueError(f"step size h must be positive and finite, got {h!r}")
 
 
 def _int_ratio(num: float, den: float, what: str, tol: float = 1e-9) -> int:
@@ -183,7 +198,66 @@ def _check_scheme(scheme: str) -> str:
     return s
 
 
-def _drive(model: ModelSpec, grid: GridSpec, scheme: str, x0: np.ndarray, dw: np.ndarray):
+class _StepPlan:
+    """Every coefficient of a run's steps, tabulated once by residue.
+
+    Node ``a`` of a grid with ``n`` steps of ``h`` per period is at time
+    ``t_a = (a mod n)*h``, so each coefficient of a step takes one of ``n``
+    values.  A plan built for a grid tabulates, over the residues of the
+    grid's nodes (every residue once the grid spans a period), the time
+    ``t_a`` and ``g(t_a)``; for an exact :class:`PolyTrigDrift` also
+    ``F(t_a)``; and for an affine one also ``h*(p0 + F(t_a))``, with the
+    closed-form divisor and :func:`~randperiodic.stepper._affine_bound` over
+    those terms.  Each value comes from the call a step would make, once, so
+    a step reads the bits it would compute.  The plan serves any grid of the
+    same ``h`` and ``n`` whose nodes it tabulates.
+    """
+
+    def __init__(self, model: ModelSpec, grid: GridSpec) -> None:
+        n, h = grid.period_steps, grid.h
+        self.n, self._first = n, grid.start_index % n
+        times = [((self._first + i) % n) * h for i in range(min(grid.count + 1, n))]
+        rows = [times, [float(model.diffusion(t)) for t in times]]
+        if type(model.drift) is PolyTrigDrift:
+            rows.append([model.drift._forcing(t) for t in times])
+        affine = _affine_plan(model, h)
+        self.affine = affine is not None
+        if self.affine:
+            p0, self.divisor = affine
+            rows.append([h * (p0 + f) for f in rows[2]])
+            self.bound = _affine_bound(self.divisor, float(np.abs(rows[3]).max()))
+        self._span = len(times)
+        self._hold(np.array(rows))
+
+    def _hold(self, table: np.ndarray) -> None:
+        """Keep the rows of ``table``: the times, ``g`` (an array, which
+        multiplies increments), and ``F`` and ``h*(p0 + F)`` when tabulated."""
+        self._table = table
+        self.times, _, *forcing = table.tolist()
+        self.g = table[1]
+        self.forcing = forcing[0] if forcing else None
+        self.affine_forcing = forcing[1] if self.affine else None
+
+    def offset(self, a: int, count: int) -> int:
+        """Where the rows hold grid node ``a``, followed by the ``count - 1``
+        nodes after it."""
+        k = (a - self._first) % self.n
+        if k + count > len(self.times):
+            if self._span < self.n:
+                raise ValueError(f"nodes {a} to {a + count - 1} are not in the step plan")
+            # one period repeated: an entry is the same residue in every period
+            self._hold(np.tile(self._table[:, : self.n], -(-(k + count) // self.n)))
+        return k
+
+
+def _drive(
+    model: ModelSpec,
+    grid: GridSpec,
+    scheme: str,
+    x0: np.ndarray,
+    dw: np.ndarray,
+    plan: _StepPlan | None = None,
+):
     """Advance a batch of paths over the grid.
 
     ``dw[p, i]`` is the increment of path ``p`` over grid step ``i``, so
@@ -195,46 +269,54 @@ def _drive(model: ModelSpec, grid: GridSpec, scheme: str, x0: np.ndarray, dw: np
     scheme raises :class:`~randperiodic.stepper.NonFiniteEvaluationError`
     instead.
 
-    One loop runs the grid in chunks of ``_STEP_CHUNK`` steps, each with its
-    step times computed once and its states written into one buffer of every
-    node.  The explicit scheme takes one
-    :func:`~randperiodic.stepper._em_steps` call per chunk on any drift,
-    which finds the chunk's crossings after its steps.  The implicit scheme
-    takes one :func:`~randperiodic.stepper._affine_steps` call per chunk on
-    an affine drift, and one Newton solve per step otherwise.
+    Every coefficient comes from ``plan``, the run's :class:`_StepPlan` for
+    this grid's step and period; without one, a plan for this grid is built
+    here.  One loop runs the grid in chunks of ``_STEP_CHUNK`` steps, each
+    reading its times and coefficients from the plan as one slice and
+    writing its states into one buffer of every node.  The explicit scheme
+    takes one :func:`~randperiodic.stepper._em_steps` call per chunk on any
+    drift, which finds the chunk's crossings after its steps.  The implicit
+    scheme takes one :func:`~randperiodic.stepper._affine_steps` call per
+    chunk on an affine drift, and one Newton solve per step otherwise.
 
     Returns ``(states, summary)`` where ``states[p, i]`` is the state of path
     ``p`` at grid node ``i``, shape ``(paths, grid.count + 1, d)``.  Batch
     composition does not affect any path's arithmetic, so identical inputs
     give identical outputs for any partition of the paths into batches.
     """
-    n, h, a0 = grid.period_steps, grid.h, grid.start_index
-    plan = _affine_plan(model, h) if scheme == "bem" else None
+    if plan is None:
+        plan = _StepPlan(model, grid)
+    h, a0 = grid.h, grid.start_index
+    newton = scheme == "bem" and not plan.affine
     max_iters, max_resid, any_fb = 0, 0.0, False
     buf = np.empty((grid.count + 1,) + x0.shape)  # buf[i] is the batch at node i
     buf[0] = x0
     for c0 in range(0, grid.count, _STEP_CHUNK):
-        c1 = min(c0 + _STEP_CHUNK, grid.count)
-        # step j of the chunk runs from t[j] to t[j + 1], reduced modulo the period
-        t = [(a % n) * h for a in range(a0 + c0, a0 + c1 + 1)]
-        z = buf[c0 : c1 + 1]  # z[j] is the batch after step j of the chunk
-        if scheme == "bem" and plan is None:
-            for j, i in enumerate(range(c0, c1)):
-                z[j + 1], iters, rn, fb = _bem_step_batch(model, t[j], t[j + 1], h, z[j], dw[:, i])
+        steps = min(_STEP_CHUNK, grid.count - c0)
+        # entry k + j of the plan's rows is node a0 + c0 + j; step j of the
+        # chunk runs from it to the next
+        k = plan.offset(a0 + c0, steps + 1)
+        t = plan.times[k : k + steps + 1]
+        z = buf[c0 : c0 + steps + 1]  # z[j] is the batch after step j of the chunk
+        if newton:
+            g = plan.g[k : k + steps].tolist()
+            for j in range(steps):
+                z[j + 1], iters, rn, fb = _bem_step_batch(
+                    model, t[j], t[j + 1], h, z[j], dw[:, c0 + j], g[j])
                 max_iters = max(max_iters, int(iters.max()))
                 max_resid = max(max_resid, float(rn.max()))
                 any_fb = any_fb or bool(fb.any())
             continue
         # g(t_j)*dw, laid out step-major for the windows' loops over steps
-        g = np.array([float(model.diffusion(s)) for s in t[:-1]])
-        gdw = np.multiply(g[:, None, None], dw[:, c0:c1].swapaxes(0, 1), order="C")
-        gdw = gdw.swapaxes(0, 1)
-        if plan is not None:
-            forcing_at, divisor = plan
-            z[:], rn = _affine_steps(z[0], gdw, [forcing_at(s) for s in t[1:]], divisor, t[1:])
-            max_iters, max_resid = 1, max(max_resid, float(rn.max()))
+        gdw = np.multiply(plan.g[k : k + steps, None, None],
+                          dw[:, c0 : c0 + steps].swapaxes(0, 1), order="C").swapaxes(0, 1)
+        if scheme == "bem":
+            _, resid = _affine_steps(z[0], gdw, plan.affine_forcing[k + 1 : k + steps + 1],
+                                     plan.divisor, t[1:], plan.bound, z)
+            max_iters, max_resid = 1, max(max_resid, resid)
         else:
-            z[:] = _em_steps(model, h, t[:-1], z[0], gdw, DIVERGENCE_THRESHOLD)
+            _em_steps(model, h, t[:-1], z[0], gdw, DIVERGENCE_THRESHOLD,
+                      None if plan.forcing is None else plan.forcing[k : k + steps], z)
 
     return buf.swapaxes(0, 1), SolverSummary(max_iters, max_resid, any_fb)
 
@@ -258,11 +340,23 @@ def simulate(
         AlignmentError: grid/lattice/period misalignment.
         NonConvergenceError: the implicit solve failed (with step context).
     """
-    scheme = _check_scheme(scheme)
+    return _simulate(model, grid, _check_scheme(scheme), init, lattice)
+
+
+def _simulate(
+    model: ModelSpec,
+    grid: GridSpec,
+    scheme: str,
+    init: InitialCondition,
+    lattice: NoiseLattice,
+    plan: _StepPlan | None = None,
+) -> PathResult:
+    """:func:`simulate` of a checked scheme name, on the step plan ``plan``
+    when given."""
     _validate_run(model, grid, lattice)
     x0 = init.resolve(lattice.seed, model.dimension)[None, :]
     dw = coarse_increments(lattice, grid, grid.start_index, grid.count)
-    states, summary = _drive(model, grid, scheme, x0, dw[None])
+    states, summary = _drive(model, grid, scheme, x0, dw[None], plan)
     return PathResult(
         grid=grid, states=states[0], scheme=scheme, seed=lattice.seed, solver_stats=summary,
     )
@@ -400,15 +494,17 @@ def verify_shift_periodicity(
 
     The path started at ``-k*tau`` under noise shifted by one period,
     evaluated ``tau`` earlier, must equal the path started at ``-(k-1)*tau``
-    under the original noise.  Both runs use the same starting state.
+    under the original noise.  Both runs use the same starting state, and
+    one step plan: each spans whole periods.
     """
     k = _check_periods(pullback_periods, 2)
     grid_a = make_grid(model, lattice, h, -k * model.period, 0.0)
     lat_shifted = shift(lattice, grid_a, grid_a.period_steps)
     grid_b = make_grid(model, lattice, h, -(k - 1) * model.period, model.period)
     x0 = init if init is not None else InitialCondition(value=np.zeros(model.dimension))
-    path_a = simulate(model, grid_a, "bem", x0, lat_shifted)
-    path_b = simulate(model, grid_b, "bem", x0, lattice)
+    plan = _StepPlan(model, grid_a)
+    path_a = _simulate(model, grid_a, "bem", x0, lat_shifted, plan)
+    path_b = _simulate(model, grid_b, "bem", x0, lattice, plan)
     disc = float(np.max(np.linalg.norm(path_a.states - path_b.states, axis=1)))
     return ShiftPeriodicityReport(
         max_discrepancy=disc,
@@ -455,6 +551,7 @@ def pullback_pinned_path(
     state, and each step advances every run that has joined on the same
     increment.  As ``r`` grows the recorded values contract onto a single
     point, which makes the convergence of the pull-back visible directly.
+    Each step is one :func:`_drive` call on one step plan for the grid.
     """
     scheme = _check_scheme(scheme)
     _check_step(h)
@@ -467,13 +564,15 @@ def pullback_pinned_path(
     x0_vec = x0.resolve(lattice.seed, model.dimension)
 
     dw = coarse_increments(lattice, grid, grid.start_index, grid.count)
+    # shared[i, p] is step i's increment, for every row p of the batch
+    shared = np.broadcast_to(dw[:, None, None], (steps_total, steps_total, 1, dw.shape[1]))
+    plan = _StepPlan(model, grid)
     # row j is the run of depth steps_total - j; it joins before step j
     x = np.tile(x0_vec, (steps_total + 1, 1))
     stats = []
     for i in range(steps_total):
-        step = replace(grid, start_index=grid.start_index + i, count=1)
         out, summary = _drive(
-            model, step, scheme, x[: i + 1], np.broadcast_to(dw[i], (i + 1, 1, dw.shape[1])))
+            model, grid._steps(i, 1), scheme, x[: i + 1], shared[i, : i + 1], plan)
         x[: i + 1] = out[:, -1]
         stats.append(summary)
     values = x[::-1]

@@ -26,6 +26,9 @@ whenever every divisor is positive, and otherwise runs Newton unchanged.
 :func:`_affine_steps` is that closed form and its residual check, for one
 step or for a run of steps in one loop; the single-step solve calls it for
 one step, and :func:`randperiodic.pullback._drive` once per chunk of steps.
+Its residual needs no measuring where :func:`_affine_bound` holds: a
+division's residual is then proven below the tolerance, and the step
+reports that bound.
 :func:`_em_steps` is the same kind of window for the explicit step of any
 drift, with its divergence check made once per run of steps.  Both windows
 step a narrow batch of a :class:`~randperiodic.model.PolyTrigDrift` on
@@ -40,8 +43,8 @@ public single-path functions wrap the batch kernels with ``M = 1``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -59,7 +62,11 @@ class NonFiniteEvaluationError(RuntimeError):
 
 @dataclass(frozen=True)
 class StepStats:
-    """Work and accuracy record of one implicit solve."""
+    """Work and accuracy record of one implicit solve.
+
+    ``final_residual`` is the measured residual norm of the solve, or, for a
+    closed-form step of an affine drift, the bound of :func:`_affine_bound`.
+    """
 
     newton_iters: int
     final_residual: float
@@ -108,17 +115,21 @@ def _implicit_solve_batch(
     When the drift is exactly a :class:`PolyTrigDrift` whose polynomial is
     at most linear, every row is solved by one division instead (see
     :func:`_affine_steps`), without calling the drift or its Jacobian; it
-    reports one Newton iteration per path and no fallback.  A subclass, a
+    reports one Newton iteration per path, no fallback, and for every path
+    the batch's largest residual (or its proven bound).  A subclass, a
     higher-degree polynomial, or a divisor ``1 + h*(lambda_i - p1) <= 0``
     runs the Newton loop.
     """
     m_paths, d = rhs.shape
-    plan = _affine_plan(model, h)
-    if plan is not None:
-        forcing, divisor = plan
+    affine = _affine_plan(model, h)
+    if affine is not None:
+        p0, divisor = affine
+        forcing = h * (p0 + model.drift._forcing(t))
         # x + (-0.0) is x bit for bit: rhs is one step from itself
-        z, rn = _affine_steps(rhs, np.full((m_paths, 1, d), -0.0), [forcing(t)], divisor, [t])
-        return z[1], np.ones(m_paths, dtype=np.int64), rn[0], np.zeros(m_paths, dtype=bool)
+        z, resid = _affine_steps(rhs, np.full((m_paths, 1, d), -0.0), [forcing], divisor, [t],
+                                 _affine_bound(divisor, abs(forcing)))
+        return (z[1], np.ones(m_paths, dtype=np.int64), np.full(m_paths, resid),
+                np.zeros(m_paths, dtype=bool))
 
     lam = model.eigenvalues
     tol = RESIDUAL_TOL * (1.0 + _row_norm(rhs))
@@ -224,11 +235,10 @@ def _implicit_solve_batch(
     return x, iters, rn, fallback
 
 
-def _affine_plan(
-    model: ModelSpec, h: float
-) -> tuple[Callable[[float], float], np.ndarray] | None:
-    """``(forcing, divisor)`` of the closed-form implicit step at step size ``h``:
-    ``forcing(t) = h*(p0 + F(t))`` and ``divisor = 1 + h*(lambda - p1)``.
+def _affine_plan(model: ModelSpec, h: float) -> tuple[float, np.ndarray] | None:
+    """``(p0, divisor)`` of the closed-form implicit step at step size ``h``:
+    the step to time ``t`` divides ``rhs + h*(p0 + F(t))`` by
+    ``divisor = 1 + h*(lambda - p1)``.
 
     None unless the drift is a :class:`PolyTrigDrift` (not a subclass) whose
     polynomial ``p0 + p1*x + ...`` has no nonzero term above ``x``, and
@@ -241,8 +251,43 @@ def _affine_plan(
     divisor = 1.0 + h * (model.eigenvalues - p1)
     if not np.all(divisor > 0.0):
         return None
-    forcing_term = drift._forcing
-    return (lambda t: h * (p0 + forcing_term(t))), divisor
+    return p0, divisor
+
+
+# The residual of one closed-form division.  Take ``z = fl(b/d)`` with
+# ``d > 0``, and u = 2**-53.  Where no quotient or product is subnormal,
+# ``fl(z*d) = b*(1 + e1)*(1 + e2)`` with ``|e1|, |e2| <= u``, the subtraction
+# ``fl(z*d) - b`` is exact (Sterbenz's lemma), and so
+# ``|fl(fl(z*d) - b)| <= (2u + u**2)*|b|``; subnormal roundings add at most
+# ``(2 + d)*2**-1075``.  Over ``k`` coordinates the norm of a row is at most
+# ``sqrt(k)`` times its largest coordinate, and for ``k > 1`` the computed
+# norm, a square root of a sum of squares, exceeds the exact one by at most
+# ``sqrt(k)*2**-537`` where the squares are subnormal.  _RESIDUAL_ULPS is
+# 2u + u**2 with room for the other roundings of the norms and the bound.
+# Rows whose squares overflow (above about 1e154) have a computed norm of
+# inf, which the bound does not cover.
+_RESIDUAL_ULPS = 2.0**-52 * (1.0 + 2.0**-40)
+
+
+def _affine_bound(divisor: np.ndarray, forcing_max: float) -> tuple[float, float, float] | None:
+    """``(scale, floor, limit)`` of the proven residual of closed-form steps
+    whose forcing terms are at most ``forcing_max`` in size, or None.
+
+    A step of right-hand side ``rhs`` and ``b = rhs + forcing`` whose every
+    ``|b_i|`` is at most ``limit`` has a finite quotient and product, and
+    residual norm at most ``scale * max|b_i| + floor``.  None unless that
+    bound is at most half of ``RESIDUAL_TOL * (1 + |rhs|)`` for every
+    ``rhs``: then no such step can miss the tolerance, and only ``b`` needs
+    checking.
+    """
+    root = math.sqrt(divisor.size)
+    scale = root * _RESIDUAL_ULPS
+    floor = root * ((2.0 + float(divisor.max())) * 2.0**-1072
+                    + (2.0**-536 if divisor.size > 1 else 0.0))
+    if not 2.0 * (scale * (1.0 + forcing_max) + floor) <= RESIDUAL_TOL:
+        return None
+    # |z| <= |b|/min(divisor) and |z*divisor| <= |b| up to rounding: both finite
+    return scale, floor, 0.5 * np.finfo(float).max * min(1.0, float(divisor.min()))
 
 
 def _affine_steps(
@@ -251,7 +296,9 @@ def _affine_steps(
     forcing: list[float],
     divisor: np.ndarray,
     t_next: list[float],
-) -> tuple[np.ndarray, np.ndarray]:
+    bound: tuple[float, float, float] | None = None,
+    out: np.ndarray | None = None,
+) -> tuple[np.ndarray, float]:
     """Closed-form implicit steps of an affine drift from the states ``x``.
 
     Step ``j`` has right-hand side ``rhs_j = z_j + gdw[:, j]`` and solves
@@ -262,20 +309,28 @@ def _affine_steps(
     with ``forcing[j] = h*(p0 + F(t_next[j]))`` and ``divisor`` from
     :func:`_affine_plan`.  ``x`` has shape ``(M, d)`` and ``gdw`` shape
     ``(M, steps, d)``.  The steps run in sequence, on Python floats when the
-    batch is narrow (see :func:`_narrow_columns`); afterwards the residual
-    ``|z_{j+1}*divisor - b_j|`` of every division is checked against
-    ``RESIDUAL_TOL * (1 + |rhs_j|)`` at once, and the first step with a row
-    above it raises, naming its ``t_next``.
+    batch is narrow (see :func:`_narrow_columns`).
 
-    Returns ``(z, rn)``: ``z[j]`` is the batch after ``j`` steps, shape
-    ``(steps + 1, M, d)``, and ``rn[j]`` the residual norms of step ``j``.
+    ``bound`` is :func:`_affine_bound` for these steps' forcing, or None.
+    With a bound, a run of steps whose every ``|b_j|`` is within its limit
+    is proven within tolerance, and reports the bound at its largest
+    ``|b_j|``.  Otherwise the residual ``|z_{j+1}*divisor - b_j|`` of every
+    division is measured and checked against ``RESIDUAL_TOL * (1 + |rhs_j|)``
+    at once, and the first step with a row above it raises, naming its
+    ``t_next``; the run reports its largest measured residual.
+
+    Returns ``(z, resid)``: ``z[j]`` is the batch after ``j`` steps, shape
+    ``(steps + 1, M, d)``, and ``resid`` the residual reported for the run.
+    ``z`` is ``out`` when given, whose entry 0 must hold ``x``.
 
     Raises:
         NonFiniteEvaluationError: a step's result is not finite.
         NonConvergenceError: a finite step missed the tolerance.
     """
-    z = np.empty((len(forcing) + 1,) + x.shape)
-    z[0] = x
+    z = out
+    if z is None:
+        z = np.empty((len(forcing) + 1,) + x.shape)
+        z[0] = x
     inc = np.ascontiguousarray(gdw.swapaxes(0, 1))  # inc[j]: the increments of step j
     if x.size <= _NARROW_WIDTH:
         cols = []
@@ -288,17 +343,26 @@ def _affine_steps(
         _write_columns(z, cols)
     else:
         for j, f in enumerate(forcing):
-            out = z[j + 1]
-            np.add(z[j], inc[j], out=out)
-            out += f
-            out /= divisor
+            nxt = z[j + 1]
+            np.add(z[j], inc[j], out=nxt)
+            nxt += f
+            nxt /= divisor
+    # b as the loops formed it: z[:-1] + inc, then the forcing
+    b = z[:-1] + inc
+    f = np.asarray(forcing)[:, None, None]
+    if bound is not None:
+        scale, floor, limit = bound
+        b += f
+        big = float(np.maximum.reduce(np.abs(b, out=b), axis=None))
+        if big <= limit:  # so every b, and with it every z, is finite
+            return z, scale * big + floor
+        b = z[:-1] + inc
     # built in place to hold fewer chunk-sized arrays, with the bits of
     # RESIDUAL_TOL * (1 + |rhs|) and z*divisor - b
-    b = z[:-1] + inc
     tol = _row_norm(b)
     tol += 1.0
     tol *= RESIDUAL_TOL
-    b += np.asarray(forcing)[:, None, None]
+    b += f
     r = z[1:] * divisor
     r -= b
     rn = _row_norm(r)
@@ -312,7 +376,7 @@ def _affine_steps(
             f"affine implicit step left {int(bad.sum())} path(s) above tolerance at t={t} "
             f"(worst residual {float(np.max(rn[j][bad])):.3e})"
         )
-    return z, rn
+    return z, float(rn.max())
 
 
 def _em_steps(
@@ -322,6 +386,8 @@ def _em_steps(
     x: np.ndarray,
     gdw: np.ndarray,
     threshold: float,
+    forcing: list[float] | None,
+    out: np.ndarray,
 ) -> np.ndarray:
     """Explicit steps of any drift from the states ``x``.
 
@@ -331,8 +397,9 @@ def _em_steps(
     the step's ``g(t_prev[j])*dW``.  A :class:`PolyTrigDrift` (not a
     subclass) is evaluated here: its polynomial by
     :func:`~randperiodic.noise._horner` (zero for an empty one) plus
-    ``F(t_prev[j])``, on Python floats when the batch is narrow (see
-    :func:`_narrow_columns`).  Any other drift is called once per step.
+    ``forcing[j] = F(t_prev[j])``, as the run's step plan tabulates it, on
+    Python floats when the batch is narrow (see :func:`_narrow_columns`).
+    Any other drift, whose ``forcing`` is None, is called once per step.
     ``x`` has shape ``(M, d)`` and ``gdw`` shape ``(M, steps, d)``.
 
     Every row runs every step.  A row of ``x`` that is not finite has
@@ -341,8 +408,8 @@ def _em_steps(
     A step whose drift is non-finite at a state before that node raises, as
     the per-step kernel does; the earliest one names its ``t_prev``.
 
-    Returns ``z``, the batch after ``j`` steps at ``z[j]``, shape
-    ``(steps + 1, M, d)``.
+    Returns ``out``, of shape ``(steps + 1, M, d)`` with ``x`` at entry 0,
+    holding the batch after ``j`` steps at entry ``j``.
 
     Raises:
         NonFiniteEvaluationError: the drift is non-finite at a live state.
@@ -351,10 +418,8 @@ def _em_steps(
     exact = type(drift) is PolyTrigDrift
     if exact:
         coeffs = drift._coeffs if drift.poly_coeffs else None
-        forcing = [drift._forcing(t) for t in t_prev]
     neg_lam = -model.eigenvalues
-    z = np.empty((len(t_prev) + 1,) + x.shape)
-    z[0] = x
+    z = out
     # rows that diverge keep stepping to the end of the window, and may
     # overflow there; only their values up to the crossing are kept
     with np.errstate(over="ignore", invalid="ignore"):
@@ -377,7 +442,7 @@ def _em_steps(
         else:
             inc = np.ascontiguousarray(gdw.swapaxes(0, 1))
             for j, t in enumerate(t_prev):
-                xj, out = z[j], z[j + 1]
+                xj, nxt = z[j], z[j + 1]
                 if not exact:
                     fx = _drift(model, t, xj)
                 elif coeffs is None:
@@ -385,18 +450,18 @@ def _em_steps(
                 else:
                     fx = _horner(xj, coeffs)
                     fx += forcing[j]
-                np.multiply(neg_lam, xj, out=out)
-                out += fx
-                out *= h
-                out += xj
-                out += inc[j]
+                np.multiply(neg_lam, xj, out=nxt)
+                nxt += fx
+                nxt *= h
+                nxt += xj
+                nxt += inc[j]
 
         bad = ~(_row_norm(z[1:]) <= threshold)  # (steps, rows)
-        held = ~np.isfinite(x).all(axis=1)
-        if held.any():
+        # a row of x that is not finite steps to states that are not: bad too
+        if bad.any():
+            held = ~np.isfinite(x).all(axis=1)
             z[1:, held] = x[held]
             bad[:, held] = False
-        if bad.any():
             # a non-finite drift makes the next state non-finite, so only a
             # row's step into its first bad node can have had one
             crossed = np.flatnonzero(bad.any(axis=0))
@@ -556,9 +621,14 @@ def _bem_step_batch(
     h: float,
     x_prev: np.ndarray,
     dW: np.ndarray,
+    g: float | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Batch implicit step; times must already be reduced to ``[0, tau)``."""
-    rhs = x_prev + float(model.diffusion(t_prev)) * dW
+    """Batch implicit step; times must already be reduced to ``[0, tau)``.
+    ``g`` is the diffusion at ``t_prev`` when known, as a run's step plan
+    tabulates it."""
+    if g is None:
+        g = float(model.diffusion(t_prev))
+    rhs = x_prev + g * dW
     return _implicit_solve_batch(model, t_next, h, rhs, x_prev)
 
 

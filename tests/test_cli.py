@@ -223,9 +223,11 @@ class TestConfigHandling:
     @pytest.mark.parametrize("argv, message", [
         (("simulate", "--t1", "inf"), "(t_end - t_start) / h = inf is not finite"),
         (("measure", "--t", "inf"), "(t_end - t_start) / h = inf is not finite"),
-        (("periodicity", "--h", "inf"), "h / lattice base_step = nan is not finite"),
-        (("order", "--h-ref", "inf"), "h / lattice base_step = nan is not finite"),
-    ], ids=["simulate", "measure", "periodicity", "order"])
+        (("periodicity", "--h", "inf"), "step size h must be positive and finite, got inf"),
+        (("order", "--h-ref", "inf"), "step size h must be positive and finite, got inf"),
+        (("periodicity", "--h", "nan"), "step size h must be positive and finite, got nan"),
+        (("order", "--h-ref", "nan"), "step size h must be positive and finite, got nan"),
+    ], ids=["simulate", "measure", "periodicity", "order", "periodicity-nan", "order-nan"])
     def test_non_finite_grid_ratio_exits_two(self, capsys, tmp_path, argv, message):
         code, out, err = run(capsys, *argv, "--out", str(tmp_path))
         assert code == 2 and out == ""
@@ -237,7 +239,7 @@ class TestConfigHandling:
         # checked before any grid ratio is formed, which for 0 would divide by zero
         code, out, err = run(capsys, command, key, h, "--out", str(tmp_path))
         assert code == 2 and out == ""
-        assert err == f"configuration error: step size h must be positive, got {float(h)!r}\n"
+        assert err == f"configuration error: step size h must be positive and finite, got {float(h)!r}\n"
 
 
 class TestPeriodicityCommand:
@@ -329,7 +331,7 @@ class TestMeasureCommand:
         # the default depth checks the step before it forms any ratio
         code, out, err = run(capsys, "measure", "--h", h, "--out", str(tmp_path))
         assert code == 2 and out == ""
-        assert err == f"configuration error: step size h must be positive, got {float(h)!r}\n"
+        assert err == f"configuration error: step size h must be positive and finite, got {float(h)!r}\n"
 
     @pytest.mark.parametrize("n_bootstrap", ["0", "-3"])
     def test_bootstrap_below_one_exits_two(self, capsys, tmp_path, n_bootstrap):

@@ -2,15 +2,18 @@
 
 import math
 import re
+from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from randperiodic import pullback
+from randperiodic import analysis, pullback
 from randperiodic.model import (
-    InitialCondition, builtin_benchmark, model_from_config, with_diffusion_amplitude,
+    InitialCondition, PolyTrigDrift, builtin_benchmark, model_from_config,
+    with_diffusion_amplitude,
 )
 from randperiodic.noise import AlignmentError, GridSpec, NoiseLattice
 from randperiodic.pullback import (
@@ -279,7 +282,7 @@ class TestDefaultPullbackPeriods:
         # rejected before any ratio or logarithm is formed from the step
         m = builtin_benchmark()
         lat = NoiseLattice(seed=0, base_step=0.25)
-        message = f"step size h must be positive, got {h!r}"
+        message = f"step size h must be positive and finite, got {h!r}"
         for call in (lambda: default_pullback_periods(m, h),
                      lambda: random_periodic_path(m, lat, h),
                      lambda: pullback_pinned_path(m, lat, h, r_max=1.0)):
@@ -480,6 +483,82 @@ def test_one_lattice_is_read_once(monkeypatch, run):
         pullback_pinned_path(m, lat, H, r_max=1.5)
     # 1.5 time units before 0, at spacing H / 2
     assert calls == [(lat, round(-3.0 / H), round(3.0 / H))]
+
+
+class _CoefficientCalls:
+    """Records every time at which a run evaluates the diffusion or the
+    forcing of a :class:`PolyTrigDrift`."""
+
+    def __init__(self, monkeypatch):
+        self.diffusion, self.forcing = [], []
+        forcing = PolyTrigDrift._forcing
+
+        def counted_forcing(drift, t):
+            self.forcing.append(t)
+            return forcing(drift, t)
+
+        monkeypatch.setattr(PolyTrigDrift, "_forcing", counted_forcing)
+
+    def model(self, kind):
+        """The builtin drift, or the cubic one, with a counted diffusion."""
+        base = builtin_benchmark() if kind == "affine" else model_from_config(CUBIC_MODEL)
+
+        def diffusion(t):
+            self.diffusion.append(t)
+            return 0.05 + 0.01 * math.cos(2.0 * math.pi * t)
+
+        return replace(base, diffusion=diffusion)
+
+    def check(self, steps, forcing=True):
+        """At most one evaluation of each coefficient per residue of each
+        step size in ``steps`` (powers of 2 on a period of 1)."""
+        for calls in (self.diffusion, self.forcing) if forcing else (self.diffusion,):
+            assert calls
+            assert len(calls) <= sum(round(1.0 / h) for h in steps)
+            for t, k in Counter(calls).items():
+                assert 0.0 <= t < 1.0
+                assert k <= sum(1 for h in steps if t / h == round(t / h))
+        self.diffusion.clear()
+        self.forcing.clear()
+
+
+@pytest.mark.parametrize("scheme", ["bem", "em"])
+def test_runs_evaluate_each_coefficient_once_per_residue(monkeypatch, scheme):
+    # each run tabulates its coefficients once, over the residues a mod n,
+    # however many steps, chunks, pinned steps, blocks and windows it takes
+    calls = _CoefficientCalls(monkeypatch)
+    m = calls.model("affine")
+    h = 2.0**-4
+    lat = NoiseLattice(seed=3, base_step=h)
+    simulate(m, make_grid(m, lat, h, -30.0, 0.0), scheme, InitialCondition(value=[0.2]), lat)
+    calls.check([h])
+    pullback_pinned_path(m, lat, h, r_max=2.5, scheme=scheme)
+    calls.check([h])
+    if scheme == "bem":
+        verify_shift_periodicity(m, lat, h, pullback_periods=3)
+        calls.check([h])
+    monkeypatch.setattr(analysis, "DEFAULT_BLOCK_SIZE", 3)
+    monkeypatch.setattr(analysis, "_WINDOW_WORDS", 40)
+    steps = [2.0**-5, 2.0**-3, 2.0**-4]
+    analysis.strong_error(m, h_ref=steps[0], h_list=steps[1:], pullback_periods=2,
+                          num_paths=7, scheme=scheme)
+    calls.check(steps)
+
+
+def test_newton_runs_read_the_diffusion_from_the_plan(monkeypatch):
+    # the implicit scheme on a cubic drift evaluates the drift, and so its
+    # forcing, in every Newton iteration; the diffusion only once per residue
+    calls = _CoefficientCalls(monkeypatch)
+    m = calls.model("cubic")
+    h = 2.0**-4
+    lat = NoiseLattice(seed=3, base_step=h)
+    simulate(m, make_grid(m, lat, h, -3.0, 0.0), "bem", InitialCondition(value=[0.2]), lat)
+    calls.check([h], forcing=False)
+    pullback_pinned_path(m, lat, h, r_max=1.5)
+    calls.check([h], forcing=False)
+    monkeypatch.setattr(analysis, "DEFAULT_BLOCK_SIZE", 3)
+    analysis.periodic_measure(m, [1, 2, 3, 4, 5], h, pullback_periods=2, t_list=[0.0, 0.5])
+    calls.check([h], forcing=False)
 
 
 class TestTrajectoryCsv:

@@ -2,11 +2,14 @@
 
 import json
 import math
+import re
 from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from randperiodic import pullback, stepper
 from randperiodic.analysis import strong_error
@@ -701,6 +704,191 @@ def test_affine_window_reports_non_finite_steps(where, d):
     assert got == want
     t_bad = ((grid.start_index + bad + 1) % grid.period_steps) * grid.h
     assert got == f"affine implicit step is non-finite at t={t_bad}"
+
+
+# -- the proven residual bound of the closed-form step ------------------------
+
+def _measured_residual(z, gdw, forcing, divisor):
+    """The largest residual norm ``|z_{j+1}*divisor - b_j|`` of a window,
+    measured as the check without a bound measures it, and ``|rhs|`` at
+    its largest."""
+    rhs = z[:-1] + np.ascontiguousarray(gdw.swapaxes(0, 1))
+    r = z[1:] * divisor - (rhs + np.asarray(forcing)[:, None, None])
+    return float(stepper._row_norm(r).max()), float(stepper._row_norm(rhs).max())
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_proven_bound_covers_the_measured_residual(data):
+    # random affine models, states and increments at d = 1 and 2, inside the
+    # bound's precondition: the reported bound lies between the residual the
+    # check would measure and the tolerance, and the states are those of the
+    # measured check
+    d = data.draw(st.sampled_from([1, 2]), label="d")
+    floats = lambda lo, hi: st.floats(lo, hi, allow_nan=False)  # noqa: E731
+    h = data.draw(floats(1e-3, 0.9), label="h")
+    lam = np.sort([data.draw(floats(0.1, 60.0), label="lambda") for _ in range(d)])
+    p0 = data.draw(floats(-5.0, 5.0), label="p0")
+    p1 = data.draw(floats(-5.0, float(lam.min()) + 0.9 / h), label="p1")
+    drift = PolyTrigDrift(poly_coeffs=(p0, p1), trig_amp=data.draw(floats(-3.0, 3.0)),
+                          trig_freq=data.draw(st.integers(-3, 3)), period=1.0)
+    m = ModelSpec(eigenvalues=lam, drift=drift, diffusion=ConstantDiffusion(0.3), period=1.0)
+    affine = stepper._affine_plan(m, h)
+    assume(affine is not None)
+    _, divisor = affine
+    steps, paths = data.draw(st.integers(1, 12)), data.draw(st.integers(1, 30))
+    # squares of the computed norms at d = 2 stay finite
+    scale = 10.0 ** data.draw(st.integers(-150, 140) | st.integers(-3, 3), label="scale")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    x = rng.normal(scale=scale, size=(paths, d))
+    gdw = rng.normal(scale=scale * math.sqrt(h), size=(paths, steps, d))
+    t_next = rng.uniform(0.0, 1.0, size=steps).tolist()
+    forcing = [h * (p0 + drift._forcing(t)) for t in t_next]
+    bound = stepper._affine_bound(divisor, max(abs(f) for f in forcing))
+    assert bound is not None
+    z, reported = stepper._affine_steps(x, gdw, forcing, divisor, t_next, bound)
+    z_measured, resid = stepper._affine_steps(x, gdw, forcing, divisor, t_next)
+    assert _same_bits(z, z_measured)
+    measured, rhs_max = _measured_residual(z, gdw, forcing, divisor)
+    assert resid == measured <= reported <= RESIDUAL_TOL * (1.0 + rhs_max)
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_proven_bound_covers_subnormal_steps(d):
+    # quotients and products below the normal range round by an absolute
+    # amount, which the bound's floor covers
+    m = affine_model([3.0, 7.5][:d], (0.0, 1.2))
+    _, divisor = stepper._affine_plan(m, 0.5)
+    rng = np.random.default_rng(d)
+    x = rng.normal(scale=1e-310, size=(40, d))
+    gdw = rng.normal(scale=1e-312, size=(40, 3, d))
+    forcing = [0.0, -0.0, 0.0]
+    bound = stepper._affine_bound(divisor, 0.0)
+    z, reported = stepper._affine_steps(x, gdw, forcing, divisor, [0.1, 0.2, 0.3], bound)
+    measured, rhs_max = _measured_residual(z, gdw, forcing, divisor)
+    assert measured <= reported <= RESIDUAL_TOL * (1.0 + rhs_max)
+    # the floor is needed: 2u|b| alone lies below what is measured at d = 1
+    assert (measured > 2.0**-52 * float(np.abs(z[1:] * divisor).max())) == (d == 1)
+
+
+def test_forcing_outside_the_bound_keeps_the_measured_check():
+    # h*|F| = 5e5 leaves no room for the bound, so each division's residual
+    # is measured: at t = 0.25 it misses the tolerance on 24 of 50 rows, and
+    # elsewhere every residual here is exactly 0
+    drift = PolyTrigDrift(poly_coeffs=(-0.4, 1.2), trig_amp=1e6, trig_freq=1, period=1.0)
+    m = ModelSpec(eigenvalues=np.array([3.0]), drift=drift, diffusion=ConstantDiffusion(0.3),
+                  period=1.0)
+    _, divisor = stepper._affine_plan(m, 0.5)
+    assert stepper._affine_bound(divisor, 0.5 * (1e6 + 0.4)) is None
+    rhs = np.random.default_rng(2).normal(size=(50, 1))
+    message = _raised(NonConvergenceError, lambda: _implicit_solve_batch(m, 0.25, 0.5, rhs))
+    assert message == ("affine implicit step left 24 path(s) above tolerance at t=0.25 "
+                       "(worst residual 5.821e-11)")
+    _, _, rn, _ = _implicit_solve_batch(m, 0.125, 0.5, rhs)
+    assert np.array_equal(rn, np.zeros(50))
+
+
+def test_tolerance_below_the_bound_keeps_the_measured_check(monkeypatch):
+    m = affine_model([3.0], (-0.4, 1.2))
+    _, divisor = stepper._affine_plan(m, 0.5)
+    assert stepper._affine_bound(divisor, 1.0) is not None
+    monkeypatch.setattr(stepper, "RESIDUAL_TOL", 1e-30)
+    assert stepper._affine_bound(divisor, 1.0) is None
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf", "overflow"])
+@pytest.mark.parametrize("d", [1, 2])
+def test_proven_window_names_the_first_non_finite_step(bad, d):
+    # inside the bound's precondition a non-finite step raises as the
+    # measured check does, naming the first step whose result is not finite
+    m = affine_model([3.0, 5.0][:d], (0.25, -1.5))
+    h, steps = 2.0**-5, 9
+    _, divisor = stepper._affine_plan(m, h)
+    rng = np.random.default_rng(5)
+    x = rng.normal(size=(30, d))
+    gdw = rng.normal(scale=math.sqrt(h), size=(30, steps, d))
+    gdw[4, 6, 0] = {"nan": np.nan, "inf": np.inf, "overflow": 1.7e308}[bad]
+    gdw[4, 7, 0] = 1.7e308  # x + 1.7e308 + 1.7e308 overflows at step 7
+    t_next = [(j + 1) * h for j in range(steps)]
+    forcing = [h * (0.25 + m.drift._forcing(t)) for t in t_next]
+    bound = stepper._affine_bound(divisor, max(abs(f) for f in forcing))
+    assert bound is not None
+    first = 6 if bad != "overflow" else 7
+    message = f"affine implicit step is non-finite at t={t_next[first]}"
+    for b in (bound, None):
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(NonFiniteEvaluationError, match=f"^{re.escape(message)}$"):
+            stepper._affine_steps(x, gdw, forcing, divisor, t_next, b)
+
+
+# -- the step plan, against coefficients evaluated at every step -------------
+
+def _plan_model(kind, n, trig_freq):
+    """A drift of ``kind`` with forcing frequency ``trig_freq`` on a period of
+    ``n`` steps of 0.25, and a diffusion that is neither even nor odd about
+    any node, so that reading it one node off changes its value."""
+    tau = n * 0.25
+    coeffs = {"affine": (0.25, -1.5), "cubic": (0.0, -1.0, 0.0, -2.0)}[kind]
+    drift = PolyTrigDrift(poly_coeffs=coeffs, trig_amp=0.7, trig_freq=trig_freq, period=tau)
+    return ModelSpec(
+        eigenvalues=np.array([3.0]), drift=drift, period=tau, drift_jacobian=drift.jacobian,
+        diffusion=lambda t: 0.3 + 0.2 * math.cos(2.0 * math.pi * t / tau)
+        + 0.1 * math.sin(4.0 * math.pi * t / tau),
+    )
+
+
+PLAN_CASES = [(kind, n, freq) for kind in ("affine", "cubic") for n in (3, 4) for freq in (2, -1)]
+
+
+@pytest.mark.parametrize("chunk", [1, 7, CHUNK])
+@pytest.mark.parametrize("kind,n,trig_freq", PLAN_CASES)
+def test_plan_tables_index_the_right_times(monkeypatch, kind, n, trig_freq, chunk):
+    # periods of 3 and 4 steps wrap the tables inside a chunk, and the grid
+    # starts mid-period at a negative index; the plan of the whole grid also
+    # serves a window of it, as a study's windows use their run's plan
+    m = _plan_model(kind, n, trig_freq)
+    count = CHUNK + 9
+    grid = GridSpec(start_index=-4 * n - 2, step_mult=1, count=count, period_steps=n,
+                    base_step=0.25)
+    rng = np.random.default_rng(n)
+    x0 = rng.normal(size=(5, 1))
+    dw = rng.normal(scale=0.5, size=(5, count, 1))
+    monkeypatch.setattr(pullback, "_STEP_CHUNK", chunk)
+    plan = pullback._StepPlan(m, grid)
+    window = grid._steps(5, 17)
+    for scheme, reference in (("bem", _reference_drive), ("em", _reference_drive_em)):
+        want = reference(m, grid, x0, dw)
+        _check_same_run(pullback._drive(m, grid, scheme, x0, dw), want)
+        _check_same_run(pullback._drive(m, grid, scheme, x0, dw, plan), want)
+        _check_same_run(pullback._drive(m, window, scheme, x0, dw[:, 5:22], plan),
+                        reference(m, window, x0, dw[:, 5:22]))
+
+
+@pytest.mark.parametrize("scheme", ["bem", "em"])
+@pytest.mark.parametrize("kind,n,trig_freq", PLAN_CASES)
+def test_pinned_plan_matches_one_run_per_depth(kind, n, trig_freq, scheme):
+    m = _plan_model(kind, n, trig_freq)
+    h, steps = 0.25, 4 * n + 2  # the deepest run starts mid-period
+    lat = NoiseLattice(seed=n, base_step=h)
+    start = InitialCondition(value=[0.6])
+    values = [start.resolve(n, 1)]
+    for i in range(1, steps + 1):
+        values.append(simulate(m, make_grid(m, lat, h, -i * h, 0.0), scheme, start,
+                               lat).states[-1])
+    pinned = pullback_pinned_path(m, lat, h, steps * h, init=start, scheme=scheme)
+    assert _same_bits(pinned.values, np.array(values))
+
+
+def test_plan_refuses_nodes_it_does_not_hold():
+    # a grid shorter than a period tabulates only its own nodes
+    m = _plan_model("affine", 4, 2)
+    plan = pullback._StepPlan(m, GridSpec(start_index=-3, step_mult=1, count=2,
+                                          period_steps=4, base_step=0.25))
+    for a in (-3, 1):  # and one period later
+        k = plan.offset(a, 3)
+        assert plan.times[k : k + 3] == [0.25, 0.5, 0.75]
+    with pytest.raises(ValueError, match="nodes -3 to 0 are not in the step plan"):
+        plan.offset(-3, 4)
 
 
 # -- chunks of the per-step kernels, against one step at a time --------------
