@@ -32,8 +32,7 @@ def main() -> None:
           f"   <- half a period apart: genuinely different")
     print()
     study = measure_convergence_study(
-        model, [2.0**-4, 2.0**-5, 2.0**-6], num_paths=2000, t=0.25,
-        pullback_periods=2, seed=21,
+        model, seeds, [2.0**-4, 2.0**-5, 2.0**-6], t=0.25, pullback_periods=2,
     )
     print("distance between laws at h and h/2 (shared noise):")
     for pair in study.pairs:

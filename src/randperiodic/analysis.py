@@ -445,20 +445,19 @@ class MeasureStudy:
 
 def measure_convergence_study(
     model: ModelSpec,
+    lattice_seeds: Sequence[int],
     h_list: Sequence[float],
-    num_paths: int,
     t: float,
     pullback_periods: int,
-    seed: int = 0,
     init: InitialCondition | None = None,
 ) -> MeasureStudy:
     """Distance between empirical laws at ``h`` and ``h/2`` for each ``h``.
 
+    One path per seed in ``lattice_seeds``, as in :func:`periodic_measure`.
     Each halving runs both step sizes on per-path lattices of spacing
     ``h/2``, so the two runs differ only through the scheme's step size, and
-    each path's lattice is read once for both.  One common set of path seeds
-    is reused across halvings, which removes sampling noise from the
-    comparison between rows.
+    each path's lattice is read once for both.  The same seeds serve every
+    halving, which removes sampling noise from the comparison between rows.
     """
     if not h_list:
         raise ValueError("h_list must not be empty")
@@ -466,20 +465,19 @@ def measure_convergence_study(
         raise ValueError(f"measure_convergence_study supports scalar models only, "
                          f"got dimension {model.dimension}")
     t_start = -_check_periods(pullback_periods) * model.period
-    seeds = derive_seeds(seed, num_paths)
     rows = []
     stats = []
     for h in map(float, h_list):
         grids = [_grid_on(model, h / 2.0, step, t_start, t) for step in (h, h / 2.0)]
-        outs = _run_seeds(model, [_Run(g, "bem", np.array([g.count])) for g in grids], seeds,
-                          init)
+        outs = _run_seeds(model, [_Run(g, "bem", np.array([g.count])) for g in grids],
+                          lattice_seeds, init)
         dist = weak_distance(*(
             EmpiricalMeasure(t=float(t), h=g.h, samples=rec[:, 0, :])
             for g, (rec, _) in zip(grids, outs)
         ))
         rows.append(MeasurePair(h, h / 2.0, dist, dist / math.sqrt(h)))
         stats += [summary for _, summary in outs]
-    return MeasureStudy(t=float(t), num_paths=num_paths, pairs=tuple(rows),
+    return MeasureStudy(t=float(t), num_paths=len(lattice_seeds), pairs=tuple(rows),
                         solver_stats=_merge_stats(*stats))
 
 

@@ -346,7 +346,7 @@ def _cmd_measure(args, config) -> int:
           f"({n_boot} resamples, {paths} samples)")
     if halvings > 0:
         h_values = [h * 2.0**i for i in range(halvings - 1, -1, -1)]
-        study = measure_convergence_study(model, h_values, paths, t_list[0], k, seed=seed)
+        study = measure_convergence_study(model, seeds, h_values, t_list[0], k)
         dist_path = os.path.join(out_dir, "measure_distances.csv")
         with open(dist_path, "w", encoding="utf-8", newline="") as fh:
             fh.write("h,h_half,distance,ratio_to_sqrt_h\n")

@@ -18,12 +18,13 @@ Every run goes through one path-batch engine, :func:`_drive`, which returns
 the state of every path at every grid node; callers index the nodes they
 need.  Its coefficients come from the run's step plan, :class:`_StepPlan`,
 which evaluates the diffusion and the forcing once per residue ``a mod n``
-when the run starts; a run that calls :func:`_drive` many times (a study's
-blocks and windows, the pinned pull-back's steps) builds one plan and passes
-it to each call.  :func:`_drive` is one loop over chunks of ``_STEP_CHUNK``
-steps for both schemes.
-Inside a chunk the explicit scheme on any drift, and the implicit scheme on
-an affine one, is one loop over increments laid out once, in the per-step
+when the run starts, and never changes after; a run that calls
+:func:`_drive` many times (a study's blocks and windows, the pinned
+pull-back's steps) builds one plan and passes it to each call.
+:func:`_drive` is one loop over chunks of ``_STEP_CHUNK`` steps for both
+schemes.  Inside a chunk the explicit scheme on any drift, and the implicit
+scheme on an affine one, is one window that fills the chunk's states from
+its first, over increments laid out once step-major, in the per-step
 kernel's order of operations; the implicit scheme on a nonlinear drift takes
 one Newton solve per step.  No bit depends on the chunk length.  A path of
 the explicit scheme that diverges is NaN from its crossing node on, and that
@@ -204,13 +205,15 @@ class _StepPlan:
     Node ``a`` of a grid with ``n`` steps of ``h`` per period is at time
     ``t_a = (a mod n)*h``, so each coefficient of a step takes one of ``n``
     values.  A plan built for a grid tabulates, over the residues of the
-    grid's nodes (every residue once the grid spans a period), the time
-    ``t_a`` and ``g(t_a)``; for an exact :class:`PolyTrigDrift` also
-    ``F(t_a)``; and for an affine one also ``h*(p0 + F(t_a))``, with the
-    closed-form divisor and :func:`~randperiodic.stepper._affine_bound` over
-    those terms.  Each value comes from the call a step would make, once, so
-    a step reads the bits it would compute.  The plan serves any grid of the
-    same ``h`` and ``n`` whose nodes it tabulates.
+    grid's nodes, the time ``t_a`` and ``g(t_a)``; for an exact
+    :class:`PolyTrigDrift` also ``F(t_a)``; and for an affine one also
+    ``h*(p0 + F(t_a))``, with the closed-form divisor and
+    :func:`~randperiodic.stepper._affine_bound` over those terms.  Each
+    value comes from the call a step would make, once, so a step reads the
+    bits it would compute.  The rows of a grid spanning a period repeat it
+    far enough for a chunk from any residue; a shorter grid's hold only its
+    nodes.  Built whole, the plan never changes, and serves any grid of the
+    same ``h`` and ``n`` whose nodes it holds.
     """
 
     def __init__(self, model: ModelSpec, grid: GridSpec) -> None:
@@ -226,15 +229,11 @@ class _StepPlan:
             p0, self.divisor = affine
             rows.append([h * (p0 + f) for f in rows[2]])
             self.bound = _affine_bound(self.divisor, float(np.abs(rows[3]).max()))
-        self._span = len(times)
-        self._hold(np.array(rows))
-
-    def _hold(self, table: np.ndarray) -> None:
-        """Keep the rows of ``table``: the times, ``g`` (an array, which
-        multiplies increments), and ``F`` and ``h*(p0 + F)`` when tabulated."""
-        self._table = table
-        self.times, _, *forcing = table.tolist()
-        self.g = table[1]
+        if len(times) == n:  # an entry is the same residue in every period
+            size = n + _STEP_CHUNK + 1
+            rows = [(row * -(-size // n))[:size] for row in rows]
+        self.times, g, *forcing = rows
+        self.g = np.array(g)  # an array: it multiplies increments
         self.forcing = forcing[0] if forcing else None
         self.affine_forcing = forcing[1] if self.affine else None
 
@@ -243,10 +242,7 @@ class _StepPlan:
         nodes after it."""
         k = (a - self._first) % self.n
         if k + count > len(self.times):
-            if self._span < self.n:
-                raise ValueError(f"nodes {a} to {a + count - 1} are not in the step plan")
-            # one period repeated: an entry is the same residue in every period
-            self._hold(np.tile(self._table[:, : self.n], -(-(k + count) // self.n)))
+            raise ValueError(f"nodes {a} to {a + count - 1} are not in the step plan")
         return k
 
 
@@ -277,7 +273,9 @@ def _drive(
     takes one :func:`~randperiodic.stepper._em_steps` call per chunk on any
     drift, which finds the chunk's crossings after its steps.  The implicit
     scheme takes one :func:`~randperiodic.stepper._affine_steps` call per
-    chunk on an affine drift, and one Newton solve per step otherwise.
+    chunk on an affine drift, and one Newton solve per step otherwise.  A
+    window fills the chunk's slice ``z`` of the buffer from ``z[0]``, reading
+    the chunk's ``g(t_j)*dw`` step-major, shape ``(steps, paths, d)``.
 
     Returns ``(states, summary)`` where ``states[p, i]`` is the state of path
     ``p`` at grid node ``i``, shape ``(paths, grid.count + 1, d)``.  Batch
@@ -307,16 +305,16 @@ def _drive(
                 max_resid = max(max_resid, float(rn.max()))
                 any_fb = any_fb or bool(fb.any())
             continue
-        # g(t_j)*dw, laid out step-major for the windows' loops over steps
-        gdw = np.multiply(plan.g[k : k + steps, None, None],
-                          dw[:, c0 : c0 + steps].swapaxes(0, 1), order="C").swapaxes(0, 1)
+        # inc[j] = g(t_j)*dw of step j, step-major for the windows' loops over steps
+        inc = np.multiply(plan.g[k : k + steps, None, None],
+                          dw[:, c0 : c0 + steps].swapaxes(0, 1), order="C")
         if scheme == "bem":
-            _, resid = _affine_steps(z[0], gdw, plan.affine_forcing[k + 1 : k + steps + 1],
-                                     plan.divisor, t[1:], plan.bound, z)
+            resid = _affine_steps(z, inc, plan.affine_forcing[k + 1 : k + steps + 1],
+                                  plan.divisor, t[1:], plan.bound)
             max_iters, max_resid = 1, max(max_resid, resid)
         else:
-            _em_steps(model, h, t[:-1], z[0], gdw, DIVERGENCE_THRESHOLD,
-                      None if plan.forcing is None else plan.forcing[k : k + steps], z)
+            _em_steps(model, h, t[:-1], z, inc, DIVERGENCE_THRESHOLD,
+                      None if plan.forcing is None else plan.forcing[k : k + steps])
 
     return buf.swapaxes(0, 1), SolverSummary(max_iters, max_resid, any_fb)
 

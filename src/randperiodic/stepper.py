@@ -31,9 +31,11 @@ division's residual is then proven below the tolerance, and the step
 reports that bound.
 :func:`_em_steps` is the same kind of window for the explicit step of any
 drift, with its divergence check made once per run of steps.  Both windows
-step a narrow batch of a :class:`~randperiodic.model.PolyTrigDrift` on
-Python floats, column by column, with the same IEEE operations in the same
-order as on arrays.
+take a buffer ``z`` of shape ``(steps + 1, M, d)`` and fill ``z[1:]`` from
+``z[0]``, reading step ``j``'s increments at ``inc[j]`` of one step-major
+array of shape ``(steps, M, d)``.  Both step a narrow batch of a
+:class:`~randperiodic.model.PolyTrigDrift` on Python floats, column by
+column, with the same IEEE operations in the same order as on arrays.
 
 All solver kernels operate on batches of states with shape ``(M, d)`` and
 make per-path decisions (convergence, damping) independently, so a path's
@@ -125,9 +127,10 @@ def _implicit_solve_batch(
     if affine is not None:
         p0, divisor = affine
         forcing = h * (p0 + model.drift._forcing(t))
+        z = np.stack((rhs, rhs))  # the step fills z[1] from z[0]
         # x + (-0.0) is x bit for bit: rhs is one step from itself
-        z, resid = _affine_steps(rhs, np.full((m_paths, 1, d), -0.0), [forcing], divisor, [t],
-                                 _affine_bound(divisor, abs(forcing)))
+        resid = _affine_steps(z, np.full((1, m_paths, d), -0.0), [forcing], divisor, [t],
+                              _affine_bound(divisor, abs(forcing)))
         return (z[1], np.ones(m_paths, dtype=np.int64), np.full(m_paths, resid),
                 np.zeros(m_paths, dtype=bool))
 
@@ -164,23 +167,18 @@ def _implicit_solve_batch(
             if not use_analytic:
                 fxa = fxa.take(keep, axis=0)
 
-        if d == 1:
-            if use_analytic:
-                jf = np.asarray(model.drift_jacobian(t, xa))[:, 0, 0]
-            else:
-                eps = _FD_EPSILON * (1.0 + np.abs(xa[:, 0]))
-                jf = (_drift(model, t, xa + eps[:, None]) - fxa)[:, 0] / eps
-            delta = (-ra[:, 0] / (denom[0] - h * jf))[:, None]
+        if use_analytic:
+            jf = np.asarray(model.drift_jacobian(t, xa), dtype=np.float64)
         else:
-            if use_analytic:
-                jf = np.asarray(model.drift_jacobian(t, xa), dtype=np.float64)
-            else:
-                jf = np.empty((xa.shape[0], d, d))
-                for c in range(d):
-                    eps = _FD_EPSILON * (1.0 + np.abs(xa[:, c]))
-                    xp = xa.copy()
-                    xp[:, c] += eps
-                    jf[:, :, c] = (_drift(model, t, xp) - fxa) / eps[:, None]
+            jf = np.empty((xa.shape[0], d, d))
+            for c in range(d):
+                eps = _FD_EPSILON * (1.0 + np.abs(xa[:, c]))
+                xp = xa.copy()
+                xp[:, c] += eps
+                jf[:, :, c] = (_drift(model, t, xp) - fxa) / eps[:, None]
+        if d == 1:
+            delta = -ra / (denom - h * jf[:, 0])
+        else:
             jac = -h * jf
             idx = np.arange(d)
             jac[:, idx, idx] += denom
@@ -264,8 +262,9 @@ def _affine_plan(model: ModelSpec, h: float) -> tuple[float, np.ndarray] | None:
 # norm, a square root of a sum of squares, exceeds the exact one by at most
 # ``sqrt(k)*2**-537`` where the squares are subnormal.  _RESIDUAL_ULPS is
 # 2u + u**2 with room for the other roundings of the norms and the bound.
-# Rows whose squares overflow (above about 1e154) have a computed norm of
-# inf, which the bound does not cover.
+# Rows whose squares overflow (above about 1e154) are normed with scaling
+# by their largest coordinate (see _row_norm), which adds a few roundings
+# of relative size u, well inside that room.
 _RESIDUAL_ULPS = 2.0**-52 * (1.0 + 2.0**-40)
 
 
@@ -291,52 +290,45 @@ def _affine_bound(divisor: np.ndarray, forcing_max: float) -> tuple[float, float
 
 
 def _affine_steps(
-    x: np.ndarray,
-    gdw: np.ndarray,
+    z: np.ndarray,
+    inc: np.ndarray,
     forcing: list[float],
     divisor: np.ndarray,
     t_next: list[float],
     bound: tuple[float, float, float] | None = None,
-    out: np.ndarray | None = None,
-) -> tuple[np.ndarray, float]:
-    """Closed-form implicit steps of an affine drift from the states ``x``.
+) -> float:
+    """Closed-form implicit steps of an affine drift: fill ``z[1:]`` from
+    ``z[0]``.
 
-    Step ``j`` has right-hand side ``rhs_j = z_j + gdw[:, j]`` and solves
+    Step ``j`` has right-hand side ``rhs_j = z[j] + inc[j]`` and solves
     ``z*(1 + h*lambda) - h*(p0 + p1*z + F(t_next[j])) = rhs_j`` by
 
-        b_j = rhs_j + forcing[j],    z_{j+1} = b_j / divisor,
+        b_j = rhs_j + forcing[j],    z[j + 1] = b_j / divisor,
 
     with ``forcing[j] = h*(p0 + F(t_next[j]))`` and ``divisor`` from
-    :func:`_affine_plan`.  ``x`` has shape ``(M, d)`` and ``gdw`` shape
-    ``(M, steps, d)``.  The steps run in sequence, on Python floats when the
-    batch is narrow (see :func:`_narrow_columns`).
+    :func:`_affine_plan`.  ``z`` has shape ``(steps + 1, M, d)`` and ``inc``,
+    step-major, shape ``(steps, M, d)``.  The steps run in sequence, on
+    Python floats when the batch is narrow (see :func:`_narrow_columns`).
 
     ``bound`` is :func:`_affine_bound` for these steps' forcing, or None.
     With a bound, a run of steps whose every ``|b_j|`` is within its limit
     is proven within tolerance, and reports the bound at its largest
-    ``|b_j|``.  Otherwise the residual ``|z_{j+1}*divisor - b_j|`` of every
+    ``|b_j|``.  Otherwise the residual ``|z[j + 1]*divisor - b_j|`` of every
     division is measured and checked against ``RESIDUAL_TOL * (1 + |rhs_j|)``
     at once, and the first step with a row above it raises, naming its
     ``t_next``; the run reports its largest measured residual.
 
-    Returns ``(z, resid)``: ``z[j]`` is the batch after ``j`` steps, shape
-    ``(steps + 1, M, d)``, and ``resid`` the residual reported for the run.
-    ``z`` is ``out`` when given, whose entry 0 must hold ``x``.
+    Returns the residual reported for the run.
 
     Raises:
         NonFiniteEvaluationError: a step's result is not finite.
         NonConvergenceError: a finite step missed the tolerance.
     """
-    z = out
-    if z is None:
-        z = np.empty((len(forcing) + 1,) + x.shape)
-        z[0] = x
-    inc = np.ascontiguousarray(gdw.swapaxes(0, 1))  # inc[j]: the increments of step j
-    if x.size <= _NARROW_WIDTH:
+    if z[0].size <= _NARROW_WIDTH:
         cols = []
-        for x_c, gdw_c, div_c in _narrow_columns(x, gdw, divisor):
+        for x_c, inc_c, div_c in _narrow_columns(z, inc, divisor):
             col = []
-            for w, f in zip(gdw_c, forcing):
+            for w, f in zip(inc_c, forcing):
                 x_c = (x_c + w + f) / div_c
                 col.append(x_c)
             cols.append(col)
@@ -355,7 +347,7 @@ def _affine_steps(
         b += f
         big = float(np.maximum.reduce(np.abs(b, out=b), axis=None))
         if big <= limit:  # so every b, and with it every z, is finite
-            return z, scale * big + floor
+            return scale * big + floor
         b = z[:-1] + inc
     # built in place to hold fewer chunk-sized arrays, with the bits of
     # RESIDUAL_TOL * (1 + |rhs|) and z*divisor - b
@@ -376,40 +368,38 @@ def _affine_steps(
             f"affine implicit step left {int(bad.sum())} path(s) above tolerance at t={t} "
             f"(worst residual {float(np.max(rn[j][bad])):.3e})"
         )
-    return z, float(rn.max())
+    return float(rn.max())
 
 
 def _em_steps(
     model: ModelSpec,
     h: float,
     t_prev: list[float],
-    x: np.ndarray,
-    gdw: np.ndarray,
+    z: np.ndarray,
+    inc: np.ndarray,
     threshold: float,
     forcing: list[float] | None,
-    out: np.ndarray,
-) -> np.ndarray:
-    """Explicit steps of any drift from the states ``x``.
+) -> None:
+    """Explicit steps of any drift: fill ``z[1:]`` from ``z[0]``.
 
     Step ``j`` is :func:`_em_step_batch` from time ``t_prev[j]`` written
-    out, in its order of operations: ``z_{j+1} = z_j + h*((-lambda)*z_j + f)
-    + gdw_j`` with ``f`` the drift at ``(t_prev[j], z_j)`` and ``gdw[:, j]``
-    the step's ``g(t_prev[j])*dW``.  A :class:`PolyTrigDrift` (not a
-    subclass) is evaluated here: its polynomial by
+    out, in its order of operations: ``z[j + 1] = z[j] + h*((-lambda)*z[j]
+    + f) + inc[j]`` with ``f`` the drift at ``(t_prev[j], z[j])`` and
+    ``inc[j]`` the step's ``g(t_prev[j])*dW``.  A :class:`PolyTrigDrift`
+    (not a subclass) is evaluated here: its polynomial by
     :func:`~randperiodic.noise._horner` (zero for an empty one) plus
     ``forcing[j] = F(t_prev[j])``, as the run's step plan tabulates it, on
     Python floats when the batch is narrow (see :func:`_narrow_columns`).
     Any other drift, whose ``forcing`` is None, is called once per step.
-    ``x`` has shape ``(M, d)`` and ``gdw`` shape ``(M, steps, d)``.
+    ``z`` has shape ``(steps + 1, M, d)`` and ``inc``, step-major, shape
+    ``(steps, M, d)``.
 
-    Every row runs every step.  A row of ``x`` that is not finite has
-    diverged already and is held at ``x``.  Every other row is NaN from its
-    first node after ``x`` whose norm is non-finite or above ``threshold``.
-    A step whose drift is non-finite at a state before that node raises, as
-    the per-step kernel does; the earliest one names its ``t_prev``.
-
-    Returns ``out``, of shape ``(steps + 1, M, d)`` with ``x`` at entry 0,
-    holding the batch after ``j`` steps at entry ``j``.
+    Every row runs every step.  A row of ``z[0]`` that is not finite has
+    diverged already and is held at ``z[0]``.  Every other row is NaN from
+    its first node after ``z[0]`` whose norm is non-finite or above
+    ``threshold``.  A step whose drift is non-finite at a state before that
+    node raises, as the per-step kernel does; the earliest one names its
+    ``t_prev``.
 
     Raises:
         NonFiniteEvaluationError: the drift is non-finite at a live state.
@@ -419,15 +409,14 @@ def _em_steps(
     if exact:
         coeffs = drift._coeffs if drift.poly_coeffs else None
     neg_lam = -model.eigenvalues
-    z = out
     # rows that diverge keep stepping to the end of the window, and may
     # overflow there; only their values up to the crossing are kept
     with np.errstate(over="ignore", invalid="ignore"):
-        if exact and x.size <= _NARROW_WIDTH:
+        if exact and z[0].size <= _NARROW_WIDTH:
             cols = []
-            for x_c, gdw_c, nl in _narrow_columns(x, gdw, neg_lam):
+            for x_c, inc_c, nl in _narrow_columns(z, inc, neg_lam):
                 col = []
-                for w, f in zip(gdw_c, forcing):
+                for w, f in zip(inc_c, forcing):
                     if coeffs is None:
                         fx = 0.0 + f
                     else:
@@ -440,7 +429,6 @@ def _em_steps(
                 cols.append(col)
             _write_columns(z, cols)
         else:
-            inc = np.ascontiguousarray(gdw.swapaxes(0, 1))
             for j, t in enumerate(t_prev):
                 xj, nxt = z[j], z[j + 1]
                 if not exact:
@@ -457,10 +445,10 @@ def _em_steps(
                 nxt += inc[j]
 
         bad = ~(_row_norm(z[1:]) <= threshold)  # (steps, rows)
-        # a row of x that is not finite steps to states that are not: bad too
+        # a row of z[0] that is not finite steps to states that are not: bad too
         if bad.any():
-            held = ~np.isfinite(x).all(axis=1)
-            z[1:, held] = x[held]
+            held = ~np.isfinite(z[0]).all(axis=1)
+            z[1:, held] = z[0, held]
             bad[:, held] = False
             # a non-finite drift makes the next state non-finite, so only a
             # row's step into its first bad node can have had one
@@ -472,7 +460,6 @@ def _em_steps(
                     raise NonFiniteEvaluationError(
                         f"drift returned non-finite values at t={t_prev[j]}")
             z[1:][np.logical_or.accumulate(bad, axis=0)] = np.nan
-    return z
 
 
 # Batches of at most this many numbers (rows x d) step on Python floats, one
@@ -482,17 +469,14 @@ def _em_steps(
 _NARROW_WIDTH = 20
 
 
-def _narrow_columns(x: np.ndarray, gdw: np.ndarray, per_coord: np.ndarray):
-    """``(x, gdw, c)`` as Python floats, one triple per column ``(row, i)``
-    of the batch in row-major order: the column's start, its increments over
-    the steps, and ``per_coord[i]``.  The narrow loops of both windows run
-    the same IEEE ``+ - * /`` on these as the wide loops run on arrays."""
-    m, steps, d = gdw.shape
-    return zip(
-        x.ravel().tolist(),
-        gdw.transpose(0, 2, 1).reshape(m * d, steps).tolist(),
-        per_coord.tolist() * m,
-    )
+def _narrow_columns(z: np.ndarray, inc: np.ndarray, per_coord: np.ndarray):
+    """``(x, inc, c)`` as Python floats, one triple per column ``(row, i)``
+    of the batch in row-major order: the column's start in ``z[0]``, its
+    increments over the steps from the step-major ``inc``, and
+    ``per_coord[i]``.  The narrow loops of both windows run the same IEEE
+    ``+ - * /`` on these as the wide loops run on arrays."""
+    return zip(z[0].ravel().tolist(), inc.reshape(len(inc), -1).T.tolist(),
+               per_coord.tolist() * len(z[0]))
 
 
 def _write_columns(z: np.ndarray, cols: list[list[float]]) -> None:
@@ -506,8 +490,19 @@ def _row_norm(a: np.ndarray) -> np.ndarray:
 
     ``abs`` has the bits of the 1-column norm ``sqrt(a*a)`` wherever the
     square neither overflows nor underflows (``1.5e-154 < |a| < 1.3e154``).
+    A row of finite entries whose sum of squares overflows is normed again
+    with its entries scaled by the largest ``|entry|``; every other row
+    keeps the bits of the plain norm.
     """
-    return np.abs(a[..., 0]) if a.shape[-1] == 1 else np.linalg.norm(a, axis=-1)
+    if a.shape[-1] == 1:
+        return np.abs(a[..., 0])
+    norm = np.linalg.norm(a, axis=-1)
+    over = np.isinf(norm)
+    if over.any():
+        over &= np.isfinite(a).all(axis=-1)
+        big = np.abs(a[over]).max(axis=-1, keepdims=True)
+        norm[over] = big[:, 0] * np.linalg.norm(a[over] / big, axis=-1)
+    return norm
 
 
 def _bisect_scalar(

@@ -370,8 +370,7 @@ def test_criterion_8_periodic_measure_convergence():
     shift_ok = dist_shift <= 3.0 * floor
 
     study = measure_convergence_study(
-        m, [2.0**-4, 2.0**-5, 2.0**-6], num_paths=5000, t=0.25,
-        pullback_periods=2, seed=21,
+        m, seeds, [2.0**-4, 2.0**-5, 2.0**-6], t=0.25, pullback_periods=2,
     )
     dists = study.distances()
     monotone_ok = study.monotone_decreasing

@@ -518,8 +518,8 @@ def test_solver_stats_block_invariance():
 
     def halvings(block_size):
         with _block_size(block_size):
-            study = measure_convergence_study(m, [2.0**-3, 2.0**-4], num_paths=12, t=0.0,
-                                              pullback_periods=2, seed=5)
+            study = measure_convergence_study(m, derive_seeds(5, 12), [2.0**-3, 2.0**-4], t=0.0,
+                                              pullback_periods=2)
         # the study's summary covers each of its runs
         parts = [
             analysis._run_seeds(m, [analysis._Run(grid, "bem", np.array([grid.count]))],
@@ -642,8 +642,8 @@ class TestMeasureStudy:
         # weak distance equals the plain difference of the two resolutions.
         m = with_diffusion_amplitude(builtin_benchmark(), 0.0)
         t = 0.25
-        study = measure_convergence_study(m, [2.0**-4, 2.0**-5], num_paths=4,
-                                          t=t, pullback_periods=2, seed=0)
+        study = measure_convergence_study(m, derive_seeds(0, 4), [2.0**-4, 2.0**-5],
+                                          t=t, pullback_periods=2)
         lat = NoiseLattice(seed=0, base_step=2.0**-6)
         for pair in study.pairs:
             a = simulate(m, make_grid(m, lat, pair.h, -2.0, t), "bem",
@@ -655,8 +655,8 @@ class TestMeasureStudy:
 
     def test_scalar_entries_mean_halving_pairs(self):
         m = builtin_benchmark()
-        study = measure_convergence_study(m, [2.0**-4], num_paths=16, t=0.0,
-                                          pullback_periods=1, seed=2)
+        study = measure_convergence_study(m, derive_seeds(2, 16), [2.0**-4], t=0.0,
+                                          pullback_periods=1)
         assert study.pairs[0].h == 2.0**-4
         assert study.pairs[0].h_half == 2.0**-5
         assert study.pairs[0].ratio_to_sqrt_h == pytest.approx(
@@ -669,35 +669,36 @@ class TestMeasureStudy:
 
         monkeypatch.setattr(analysis, "_run_seeds", no_simulation)
         with pytest.raises(ValueError, match="scalar models only, got dimension 2"):
-            measure_convergence_study(model_from_config(D2_MODEL), [2.0**-3], 8, 0.0, 1)
+            measure_convergence_study(model_from_config(D2_MODEL), derive_seeds(0, 8), [2.0**-3],
+                                      0.0, 1)
 
     def test_validation(self):
         m = builtin_benchmark()
         with pytest.raises(ValueError, match="h_list"):
-            measure_convergence_study(m, [], 8, 0.0, 1)
+            measure_convergence_study(m, derive_seeds(0, 8), [], 0.0, 1)
         with pytest.raises(ValueError, match="pullback_periods"):
-            measure_convergence_study(m, [2.0**-4], 8, 0.0, 0)
+            measure_convergence_study(m, derive_seeds(0, 8), [2.0**-4], 0.0, 0)
         with pytest.raises(AlignmentError):
-            measure_convergence_study(m, [0.3], 8, 0.0, 1)
+            measure_convergence_study(m, derive_seeds(0, 8), [0.3], 0.0, 1)
 
 
 # (model, measure_convergence_study arguments); "init" starts each path from
 # its own seed-keyed state and samples the law off the period boundary
 MEASURE_CASES = {
-    "builtin": (builtin_benchmark, dict(
-        h_list=[2.0**-3, 2.0**-4, 2.0**-5], num_paths=16, t=0.0, pullback_periods=2, seed=3)),
-    "cubic": (lambda: model_from_config(CUBIC_MODEL), dict(
-        h_list=[2.0**-3, 2.0**-4], num_paths=12, t=0.25, pullback_periods=2, seed=5)),
-    "init": (builtin_benchmark, dict(
-        h_list=[2.0**-4, 2.0**-5], num_paths=10, t=0.75, pullback_periods=1, seed=4,
+    "builtin": (builtin_benchmark, dict(lattice_seeds=derive_seeds(3, 16),
+        h_list=[2.0**-3, 2.0**-4, 2.0**-5], t=0.0, pullback_periods=2)),
+    "cubic": (lambda: model_from_config(CUBIC_MODEL), dict(lattice_seeds=derive_seeds(5, 12),
+        h_list=[2.0**-3, 2.0**-4], t=0.25, pullback_periods=2)),
+    "init": (builtin_benchmark, dict(lattice_seeds=derive_seeds(4, 10),
+        h_list=[2.0**-4, 2.0**-5], t=0.75, pullback_periods=1,
         init=InitialCondition(sampler=lambda s: np.random.default_rng(s).normal(size=1)))),
 }
 
 
-def _oracle_study(model, h_list, num_paths, t, pullback_periods, seed=0, init=None):
+def _oracle_study(model, lattice_seeds, h_list, t, pullback_periods, init=None):
     """The measure study as one runner call per run: each step size of a
     halving on its own, both on lattices of spacing ``h/2``."""
-    seeds = derive_seeds(seed, num_paths)
+    seeds, num_paths = lattice_seeds, len(lattice_seeds)
     pairs, stats = [], []
     for h in h_list:
         laws = []
@@ -747,8 +748,8 @@ class TestMeasureStudyOnePass:
         # (the builtin period is 1)
         span = kwargs["t"] + kwargs["pullback_periods"]
         fine_steps = [round(span / (h / 2)) for h in kwargs["h_list"]]
-        assert len(reads) == kwargs["num_paths"] * len(study.pairs)
-        assert sum(reads) == kwargs["num_paths"] * sum(fine_steps)
+        assert len(reads) == len(kwargs["lattice_seeds"]) * len(study.pairs)
+        assert sum(reads) == len(kwargs["lattice_seeds"]) * sum(fine_steps)
 
 
 @pytest.mark.parametrize("num_paths", [1, 0, -1])
@@ -765,7 +766,7 @@ def test_every_study_needs_two_paths(study, num_paths):
         "periodic_measure": lambda: periodic_measure(
             m, derive_seeds(0, max(num_paths, 0)), 2.0**-4, 1, [0.0]),
         "measure_convergence_study": lambda: measure_convergence_study(
-            m, [2.0**-4], num_paths, 0.0, 1),
+            m, derive_seeds(0, max(num_paths, 0)), [2.0**-4], 0.0, 1),
     }[study]
     with pytest.raises(ValueError):
         run()
@@ -778,7 +779,8 @@ def _run_with_periods(routine, k):
     return {
         "strong_error": lambda: strong_error(m, 2.0**-5, [h], k, 2),
         "periodic_measure": lambda: periodic_measure(m, derive_seeds(0, 2), h, k, [0.0]),
-        "measure_convergence_study": lambda: measure_convergence_study(m, [h], 2, 0.0, k),
+        "measure_convergence_study": lambda: measure_convergence_study(
+            m, derive_seeds(0, 2), [h], 0.0, k),
         "random_periodic_path": lambda: random_periodic_path(m, lattice, h, pullback_periods=k),
         "verify_shift_periodicity": lambda: verify_shift_periodicity(
             m, lattice, h, pullback_periods=k),

@@ -6,7 +6,7 @@ import math
 
 import pytest
 
-from randperiodic import cli, pullback
+from randperiodic import analysis, cli, noise, pullback
 from randperiodic.cli import main
 
 
@@ -325,6 +325,22 @@ class TestMeasureCommand:
         assert dist[0] == "h,h_half,distance,ratio_to_sqrt_h"
         assert len(dist) == 3
         assert "bootstrap noise floor" in out
+
+    def test_study_reuses_the_path_seeds(self, capsys, monkeypatch, tmp_path):
+        # the samples and the halving study read one set of path seeds,
+        # derived once
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return noise.derive_seeds(*args)
+
+        for module in (cli, analysis):
+            monkeypatch.setattr(module, "derive_seeds", counting)
+        code, _, _ = run(capsys, "measure", "--h", "0.0625", "--paths", "8", "--halvings", "2",
+                         "--bootstrap", "5", "--out", str(tmp_path))
+        assert code == 0
+        assert calls == [(0, 8)]
 
     @pytest.mark.parametrize("h", ["0", "-0.5", "nan"])
     def test_bad_step_exits_two(self, capsys, tmp_path, h):

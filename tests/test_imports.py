@@ -38,7 +38,7 @@ cubic = model_from_config({
 h = 2.0**-4
 strong_error(m, 2.0**-6, [2.0**-3, 2.0**-4, 2.0**-5], 1, 4, scheme=("bem", "em"))
 periodic_measure(cubic, derive_seeds(1, 4), h, 1, [0.5, 0.0])
-measure_convergence_study(cubic, [2.0**-3, h], 4, 0.25, 1)
+measure_convergence_study(cubic, derive_seeds(0, 4), [2.0**-3, h], 0.25, 1)
 pullback_pinned_path(m, NoiseLattice(3, h), h, r_max=0.5)
 verify_shift_periodicity(m, NoiseLattice(3, h), h, pullback_periods=2)
 print(json.dumps({"scipy": scipy_at_import, "new": sorted(set(sys.modules) - before)}))

@@ -1,6 +1,7 @@
 """Tests for path construction, pull-back, and periodicity checks."""
 
 import math
+import pickle
 import re
 from collections import Counter
 from dataclasses import replace
@@ -449,9 +450,9 @@ class TestPinnedPullback:
             rows.append(x_prev.shape[0])
             return step(model, t_prev, t_next, h, x_prev, *rest)
 
-        def counting_window(x, gdw, *rest):
-            rows.extend([x.shape[0]] * gdw.shape[1])
-            return window(x, gdw, *rest)
+        def counting_window(z, inc, *rest):
+            rows.extend([z.shape[1]] * inc.shape[0])
+            return window(z, inc, *rest)
 
         monkeypatch.setattr(pullback, "_bem_step_batch", counting_step)
         monkeypatch.setattr(pullback, "_affine_steps", counting_window)
@@ -543,6 +544,36 @@ def test_runs_evaluate_each_coefficient_once_per_residue(monkeypatch, scheme):
     analysis.strong_error(m, h_ref=steps[0], h_list=steps[1:], pullback_periods=2,
                           num_paths=7, scheme=scheme)
     calls.check(steps)
+
+
+@pytest.mark.parametrize("scheme", ["bem", "em"])
+def test_plans_never_change(monkeypatch, scheme):
+    # a plan is built whole: no step, chunk, pinned step, block or window
+    # rebinds or rewrites its rows after __init__
+    names = ("times", "g", "forcing", "affine_forcing")
+    plans = []
+
+    class Recorded(pullback._StepPlan):
+        def __init__(self, *args):
+            super().__init__(*args)
+            rows = [getattr(self, name) for name in names]
+            plans.append((self, rows, [pickle.dumps(row) for row in rows]))
+
+    monkeypatch.setattr(pullback, "_StepPlan", Recorded)
+    monkeypatch.setattr(analysis, "_StepPlan", Recorded)
+    m = builtin_benchmark()
+    h = 2.0**-4
+    lat = NoiseLattice(seed=3, base_step=h)
+    simulate(m, make_grid(m, lat, h, -30.0, 0.0), scheme, InitialCondition(value=[0.2]), lat)
+    pullback_pinned_path(m, lat, h, r_max=2.5, scheme=scheme)
+    monkeypatch.setattr(analysis, "DEFAULT_BLOCK_SIZE", 3)
+    monkeypatch.setattr(analysis, "_WINDOW_WORDS", 40)
+    analysis.strong_error(m, h_ref=2.0**-5, h_list=[2.0**-3, 2.0**-4], pullback_periods=2,
+                          num_paths=7, scheme=scheme)
+    assert len(plans) == 5  # the simulation, the pinned run, one per grid of the study
+    for plan, rows, values in plans:
+        assert all(getattr(plan, name) is row for name, row in zip(names, rows))
+        assert [pickle.dumps(getattr(plan, name)) for name in names] == values
 
 
 def test_newton_runs_read_the_diffusion_from_the_plan(monkeypatch):

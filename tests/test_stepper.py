@@ -199,6 +199,27 @@ class TestImplicitSolve:
             with pytest.raises(ValueError):
                 implicit_solve(m, 0.0, h, np.array([1.0]))
 
+    def test_states_whose_squares_overflow_are_solved(self):
+        # at d = 2 the squares of a state of 3e160 overflow; a norm of inf
+        # made the tolerance inf, and inf <= inf passed the guess as the root
+        m = ModelSpec(
+            eigenvalues=np.array([1.0, 2.0]), drift=lambda t, x: -0.5 * x,
+            diffusion=ConstantDiffusion(0.1), period=1.0,
+            drift_jacobian=lambda t, x: np.broadcast_to(-0.5 * np.eye(2), x.shape + (2,)),
+        )
+        rhs = np.array([3e160, -2e160])
+        a = np.array([[3e160, -2e160], [1e308, -1e308], [3.0, 4.0], [1e-170, 2e-170],
+                      [1e200, np.inf], [1.5e308, 1.5e308]])
+        with np.errstate(over="ignore"):
+            z, stats = implicit_solve(m, 0.0, 0.5, rhs, x0=rhs)
+            norms, plain = stepper._row_norm(a), np.linalg.norm(a, axis=-1)
+        assert np.allclose(z, rhs / np.array([1.75, 2.25]), rtol=1e-12, atol=0.0)
+        assert stats.newton_iters >= 1 and math.isfinite(stats.final_residual)
+        # only rows of finite entries whose plain norm is inf are normed again
+        q = 2e160 / 3e160
+        assert norms[:2].tolist() == [3e160 * math.sqrt(1.0 + q * q), 1e308 * math.sqrt(2.0)]
+        assert _same_bits(norms[2:], plain[2:])
+
 
 class TestBisectScalar:
     def test_finds_root_of_monotone_function(self):
@@ -708,6 +729,15 @@ def test_affine_window_reports_non_finite_steps(where, d):
 
 # -- the proven residual bound of the closed-form step ------------------------
 
+def _window(x, gdw):
+    """A window's ``(z, inc)`` for the states ``x`` and the increments
+    ``gdw[:, j]`` of each step ``j``: ``z[0]`` holds ``x``, and ``inc`` is
+    step-major."""
+    z = np.empty((gdw.shape[1] + 1,) + x.shape)
+    z[0] = x
+    return z, np.ascontiguousarray(gdw.swapaxes(0, 1))
+
+
 def _measured_residual(z, gdw, forcing, divisor):
     """The largest residual norm ``|z_{j+1}*divisor - b_j|`` of a window,
     measured as the check without a bound measures it, and ``|rhs|`` at
@@ -746,8 +776,10 @@ def test_proven_bound_covers_the_measured_residual(data):
     forcing = [h * (p0 + drift._forcing(t)) for t in t_next]
     bound = stepper._affine_bound(divisor, max(abs(f) for f in forcing))
     assert bound is not None
-    z, reported = stepper._affine_steps(x, gdw, forcing, divisor, t_next, bound)
-    z_measured, resid = stepper._affine_steps(x, gdw, forcing, divisor, t_next)
+    z, inc = _window(x, gdw)
+    reported = stepper._affine_steps(z, inc, forcing, divisor, t_next, bound)
+    z_measured, inc = _window(x, gdw)
+    resid = stepper._affine_steps(z_measured, inc, forcing, divisor, t_next)
     assert _same_bits(z, z_measured)
     measured, rhs_max = _measured_residual(z, gdw, forcing, divisor)
     assert resid == measured <= reported <= RESIDUAL_TOL * (1.0 + rhs_max)
@@ -764,7 +796,8 @@ def test_proven_bound_covers_subnormal_steps(d):
     gdw = rng.normal(scale=1e-312, size=(40, 3, d))
     forcing = [0.0, -0.0, 0.0]
     bound = stepper._affine_bound(divisor, 0.0)
-    z, reported = stepper._affine_steps(x, gdw, forcing, divisor, [0.1, 0.2, 0.3], bound)
+    z, inc = _window(x, gdw)
+    reported = stepper._affine_steps(z, inc, forcing, divisor, [0.1, 0.2, 0.3], bound)
     measured, rhs_max = _measured_residual(z, gdw, forcing, divisor)
     assert measured <= reported <= RESIDUAL_TOL * (1.0 + rhs_max)
     # the floor is needed: 2u|b| alone lies below what is measured at d = 1
@@ -818,7 +851,7 @@ def test_proven_window_names_the_first_non_finite_step(bad, d):
     for b in (bound, None):
         with np.errstate(over="ignore", invalid="ignore"), \
                 pytest.raises(NonFiniteEvaluationError, match=f"^{re.escape(message)}$"):
-            stepper._affine_steps(x, gdw, forcing, divisor, t_next, b)
+            stepper._affine_steps(*_window(x, gdw), forcing, divisor, t_next, b)
 
 
 # -- the step plan, against coefficients evaluated at every step -------------

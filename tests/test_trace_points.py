@@ -91,7 +91,7 @@ TINY_RUNS = {
     "periodic_measure": lambda m: analysis.periodic_measure(
         m, derive_seeds(2, 5), H, pullback_periods=2, t_list=[0.0, 0.5]),
     "measure_convergence_study": lambda m: analysis.measure_convergence_study(
-        m, [2.0**-3, H], 5, 0.25, 2),
+        m, derive_seeds(0, 5), [2.0**-3, H], 0.25, 2),
 }
 
 
