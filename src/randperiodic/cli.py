@@ -8,9 +8,12 @@ Subcommands::
     measure      sample the time-t law; optionally compare step halvings
     check        validate a model against the standing assumptions
 
-Every subcommand accepts ``--config FILE`` pointing at a JSON object whose
-keys match the long option names (underscores for dashes).  Explicit flags
-override config values, which override built-in defaults.
+Each option is stated once, in one table (``_COMMON`` for every subcommand,
+``_COMMANDS`` for each): name, kind, default and help.  The parser, the
+config keys and the defaults are built from it, and ``--help`` shows each
+default.  Every subcommand accepts ``--config FILE`` pointing at a JSON
+object whose keys match the long option names (underscores for dashes).
+Explicit flags override config values, which override the defaults.
 
 Exit codes: 0 success, 1 numerical failure (non-convergence, blow-up, or a
 failed check), 2 configuration error (bad flags, files, or alignment).
@@ -20,7 +23,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 from typing import Any, Mapping, Sequence
@@ -37,7 +39,7 @@ from .analysis import (
     write_order_csv,
 )
 from .model import InitialCondition, ModelSpec, check_assumptions, load_model
-from .noise import AlignmentError, NoiseLattice, derive_seeds
+from .noise import NoiseLattice, derive_seeds
 from .pullback import (
     _check_threshold,
     _grid_on,
@@ -49,12 +51,53 @@ from .pullback import (
 )
 from .stepper import RESIDUAL_TOL
 
-_KNOWN_CONFIG_KEYS = {
-    "model", "out", "seed", "h", "scheme", "t0", "t1",
-    "pullback_periods", "h_ref", "h_list", "paths", "t_eval", "t",
-    "halvings", "threshold", "coalesce_periods", "samples", "radius",
-    "bootstrap",
+# (name, kind, default, help) of every option.  A kind is int (a whole
+# number), float, list (of numbers), a tuple of choices or None (text, as
+# given); a default of None is worked out from the model by the handler.
+_COMMON = (
+    ("model", None, "builtin", "built-in model name or JSON model file"),
+    ("out", None, ".", "output directory"),
+    ("seed", int, 0, "master seed"),
+)
+_COMMANDS = {
+    "simulate": ("pull back one path and write a trajectory CSV", (
+        ("h", float, 2.0**-7, "step size"),
+        ("scheme", ("bem", "em"), "bem", "time stepper"),
+        ("t0", float, 0.0, "first recorded time"),
+        ("t1", float, None, "last recorded time (default: one period)"),
+        ("pullback_periods", int, None,
+         "periods to pull back (default: from the contraction envelope)"),
+    )),
+    "periodicity": ("shift identity and coalescence checks", (
+        ("h", float, 2.0**-7, "step size"),
+        ("pullback_periods", int, 30, "periods to pull back"),
+        ("threshold", float, 1e-6, "coalescence distance threshold"),
+        ("coalesce_periods", int, 2, "forward window for coalescence, in periods"),
+    )),
+    "order": ("strong-error table and convergence order", (
+        ("h_ref", float, 2.0**-12, "reference step size"),
+        ("h_list", list, [2.0**-4, 2.0**-5, 2.0**-6, 2.0**-7, 2.0**-8],
+         "coarse steps, comma-separated or repeated"),
+        ("paths", int, 1000, "Monte Carlo paths"),
+        ("t_eval", float, 0.0, "comparison time"),
+        ("pullback_periods", int, 10, "periods to pull back"),
+        ("scheme", ("bem", "em", "both"), "both", "scheme(s) to study"),
+    )),
+    "measure": ("sample the time-t law by pull-back", (
+        ("h", float, 2.0**-7, "step size"),
+        ("paths", int, 2000, "independent paths"),
+        ("t", list, [0.0], "sampling times, comma-separated or repeated"),
+        ("pullback_periods", int, None,
+         "periods to pull back (default: from the contraction envelope)"),
+        ("halvings", int, 0, "number of step-halving comparisons"),
+        ("bootstrap", int, 100, "bootstrap resamples for the noise floor"),
+    )),
+    "check": ("validate a model against the assumptions", (
+        ("samples", int, 1000, "sample points"),
+        ("radius", float, 5.0, "sampling ball radius"),
+    )),
 }
+_KNOWN_CONFIG_KEYS = {opt[0] for _, opts in _COMMANDS.values() for opt in _COMMON + opts}
 
 
 def main(argv: Sequence[str] | None = None) -> int:
@@ -64,8 +107,8 @@ def main(argv: Sequence[str] | None = None) -> int:
         parser.print_help()
         return 2
     try:
-        config = _load_config(args.config)
-        return args.handler(args, config)
+        _resolve(args, _load_config(args.config))
+        return args.handler(args)
     except RuntimeError as exc:  # non-convergence, blow-up, non-finite drift
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 1
@@ -80,70 +123,17 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Random periodic paths of monotone-drift systems by pull-back.",
     )
     sub = parser.add_subparsers(dest="command")
-
-    def common(p: argparse.ArgumentParser) -> None:
+    for command, (summary, options) in _COMMANDS.items():
+        p = sub.add_parser(command, help=summary)
         p.add_argument("--config", help="JSON file with default option values")
-        p.add_argument("--model", help="built-in model name or JSON model file")
-        p.add_argument("--out", help="output directory (default: current)")
-        p.add_argument("--seed", type=int, help="master seed (default: 0)")
-
-    p_sim = sub.add_parser("simulate", help="pull back one path and write a trajectory CSV")
-    common(p_sim)
-    p_sim.add_argument("--h", type=float, help="step size (default: 2^-7)")
-    p_sim.add_argument("--scheme", choices=("bem", "em"), help="time stepper (default: bem)")
-    p_sim.add_argument("--t0", type=float, help="first recorded time (default: 0)")
-    p_sim.add_argument("--t1", type=float, help="last recorded time (default: one period)")
-    p_sim.add_argument("--pullback-periods", dest="pullback_periods", type=int,
-                       help="periods to pull back (default: from the contraction envelope)")
-    p_sim.set_defaults(handler=_cmd_simulate)
-
-    p_per = sub.add_parser("periodicity", help="shift identity and coalescence checks")
-    common(p_per)
-    p_per.add_argument("--h", type=float, help="step size (default: 2^-7)")
-    p_per.add_argument("--pullback-periods", dest="pullback_periods", type=int,
-                       help="periods to pull back (default: 30)")
-    p_per.add_argument("--threshold", type=float,
-                       help="coalescence distance threshold (default: 1e-6)")
-    p_per.add_argument("--coalesce-periods", dest="coalesce_periods", type=int,
-                       help="forward window for coalescence, in periods (default: 2)")
-    p_per.set_defaults(handler=_cmd_periodicity)
-
-    p_ord = sub.add_parser("order", help="strong-error table and convergence order")
-    common(p_ord)
-    p_ord.add_argument("--h-ref", dest="h_ref", type=float,
-                       help="reference step size (default: 2^-12)")
-    p_ord.add_argument("--h-list", dest="h_list", action="append",
-                       help="coarse steps, comma-separated or repeated "
-                            "(default: 2^-4..2^-8)")
-    p_ord.add_argument("--paths", type=int, help="Monte Carlo paths (default: 1000)")
-    p_ord.add_argument("--t-eval", dest="t_eval", type=float,
-                       help="comparison time (default: 0)")
-    p_ord.add_argument("--pullback-periods", dest="pullback_periods", type=int,
-                       help="periods to pull back (default: 10)")
-    p_ord.add_argument("--scheme", choices=("bem", "em", "both"),
-                       help="scheme(s) to study (default: both)")
-    p_ord.set_defaults(handler=_cmd_order)
-
-    p_mea = sub.add_parser("measure", help="sample the time-t law by pull-back")
-    common(p_mea)
-    p_mea.add_argument("--h", type=float, help="step size (default: 2^-7)")
-    p_mea.add_argument("--paths", type=int, help="independent paths (default: 2000)")
-    p_mea.add_argument("--t", action="append",
-                       help="sampling times, comma-separated or repeated (default: 0)")
-    p_mea.add_argument("--pullback-periods", dest="pullback_periods", type=int,
-                       help="periods to pull back (default: from the contraction envelope)")
-    p_mea.add_argument("--halvings", type=int,
-                       help="number of step-halving comparisons (default: 0)")
-    p_mea.add_argument("--bootstrap", type=int,
-                       help="bootstrap resamples for the noise floor (default: 100)")
-    p_mea.set_defaults(handler=_cmd_measure)
-
-    p_chk = sub.add_parser("check", help="validate a model against the assumptions")
-    common(p_chk)
-    p_chk.add_argument("--samples", type=int, help="sample points (default: 1000)")
-    p_chk.add_argument("--radius", type=float, help="sampling ball radius (default: 5)")
-    p_chk.set_defaults(handler=_cmd_check)
-
+        for key, kind, default, text in _COMMON + options:
+            if default is not None:
+                shown = ",".join(map(str, default)) if kind is list else default
+                text = f"{text} (default: {shown})"
+            how = ({"action": "append"} if kind is list
+                   else {"choices": kind} if isinstance(kind, tuple) else {"type": kind})
+            p.add_argument("--" + key.replace("_", "-"), dest=key, help=text, **how)
+        p.set_defaults(handler=globals()["_cmd_" + command])
     return parser
 
 
@@ -163,41 +153,39 @@ def _load_config(path: str | None) -> dict[str, Any]:
     return dict(data)
 
 
-def _opt(args: argparse.Namespace, config: Mapping[str, Any], key: str, default):
-    value = getattr(args, key, None)
-    if value is not None:
-        return value
-    if key in config:
-        return config[key]
-    return default
+def _resolve(args: argparse.Namespace, config: Mapping[str, Any]) -> None:
+    """Set each option of ``args.command`` to its flag, else its config value,
+    else its default, read as its kind; other subcommands' keys are ignored."""
+    for key, kind, default, _ in _COMMON + _COMMANDS[args.command][1]:
+        value = getattr(args, key)
+        if value is None:
+            value = config.get(key, default)
+        if value is not None or key in config:
+            value = _value(kind, key, value)
+        setattr(args, key, value)
 
 
-def _whole_opt(args: argparse.Namespace, config: Mapping[str, Any], key: str, default):
-    """:func:`_opt` as an int, or None; a bool or a number that is not whole raises."""
-    value = _opt(args, config, key, default)
-    if isinstance(value, bool) or isinstance(value, float) and not value.is_integer():
-        raise ValueError(f"{key} must be a whole number, got {value!r}")
-    return None if value is None else int(value)
+def _value(kind, key: str, value):
+    """``value`` read as ``kind``; a bool, or a number that is not whole where
+    a whole number is wanted, raises."""
+    if kind is int:
+        if isinstance(value, bool) or isinstance(value, float) and not value.is_integer():
+            raise ValueError(f"{key} must be a whole number, got {value!r}")
+        return None if value is None else int(value)
+    if kind is float:
+        if isinstance(value, (bool, np.bool_)):
+            raise ValueError(f"{key} must be a number, got {value!r}")
+        return float(value)
+    if kind is list:
+        return _parse_float_list(value, key)
+    return value if kind is None else str(value)
 
 
-def _float_opt(args: argparse.Namespace, config: Mapping[str, Any], key: str, default) -> float:
-    """:func:`_opt` as a float; a bool, which ``float`` would read as 0 or 1, raises."""
-    return _float(_opt(args, config, key, default), key)
-
-
-def _float(value, key: str) -> float:
-    if isinstance(value, (bool, np.bool_)):
-        raise ValueError(f"{key} must be a number, got {value!r}")
-    return float(value)
-
-
-def _setup(args, config) -> tuple[ModelSpec, str, int]:
-    model_src = _opt(args, config, "model", "builtin")
-    model = load_model(model_src)
-    out_dir = str(_opt(args, config, "out", "."))
+def _setup(args) -> tuple[ModelSpec, str]:
+    model = load_model(args.model)
+    out_dir = str(args.out)
     os.makedirs(out_dir, exist_ok=True)
-    seed = _whole_opt(args, config, "seed", 0)
-    return model, out_dir, seed
+    return model, out_dir
 
 
 def _parse_float_list(value, key: str) -> list[float]:
@@ -205,23 +193,20 @@ def _parse_float_list(value, key: str) -> list[float]:
         parts = [p for p in value.replace(";", ",").split(",") if p.strip()]
         return [float(p) for p in parts]
     if np.isscalar(value):
-        return [_float(value, key)]
+        return [_value(float, key, value)]
     out: list[float] = []
     for v in value:
         out.extend(_parse_float_list(v, key))
     return out
 
 
-def _cmd_simulate(args, config) -> int:
-    model, out_dir, seed = _setup(args, config)
-    h = _float_opt(args, config, "h", 2.0**-7)
-    scheme = str(_opt(args, config, "scheme", "bem"))
-    t0 = _float_opt(args, config, "t0", 0.0)
-    t1 = _float_opt(args, config, "t1", model.period)
-    k = _whole_opt(args, config, "pullback_periods", None)
-    lattice = NoiseLattice(seed, h, model.dimension)
+def _cmd_simulate(args) -> int:
+    model, out_dir = _setup(args)
+    h, k = args.h, args.pullback_periods
+    t1 = model.period if args.t1 is None else args.t1
+    lattice = NoiseLattice(args.seed, h, model.dimension)
     result = random_periodic_path(
-        model, lattice, h, pullback_periods=k, horizon=(t0, t1), scheme=scheme,
+        model, lattice, h, pullback_periods=k, horizon=(args.t0, t1), scheme=args.scheme,
     )
     k_used = k if k is not None else default_pullback_periods(model, h)
     path = os.path.join(out_dir, "trajectory.csv")
@@ -238,20 +223,17 @@ def _cmd_simulate(args, config) -> int:
     return 0
 
 
-def _cmd_periodicity(args, config) -> int:
-    model, _, seed = _setup(args, config)
-    h = _float_opt(args, config, "h", 2.0**-7)
-    k = _whole_opt(args, config, "pullback_periods", 30)
-    threshold = _float_opt(args, config, "threshold", 1e-6)
-    windows = _whole_opt(args, config, "coalesce_periods", 2)
+def _cmd_periodicity(args) -> int:
+    model, _ = _setup(args)
+    h, threshold, windows = args.h, args.threshold, args.coalesce_periods
     # the checks of make_grid and coalescence, made before the lattice is
     # built or any path simulated; verify_shift_periodicity checks k before
     # it simulates
     grid = _grid_on(model, h, h, 0.0, windows * model.period)
     _check_threshold(threshold)
-    lattice = NoiseLattice(seed, h, model.dimension)
+    lattice = NoiseLattice(args.seed, h, model.dimension)
 
-    report = verify_shift_periodicity(model, lattice, h, pullback_periods=k)
+    report = verify_shift_periodicity(model, lattice, h, pullback_periods=args.pullback_periods)
     tol = 10.0 * RESIDUAL_TOL
     shift_ok = report.max_discrepancy <= tol
     print(f"shift identity: max discrepancy {report.max_discrepancy:.3e} over one period "
@@ -273,21 +255,14 @@ def _cmd_periodicity(args, config) -> int:
     return 0 if (shift_ok and co_ok) else 1
 
 
-_DEFAULT_H_LIST = [2.0**-4, 2.0**-5, 2.0**-6, 2.0**-7, 2.0**-8]
-
-
-def _cmd_order(args, config) -> int:
-    model, out_dir, seed = _setup(args, config)
-    h_ref = _float_opt(args, config, "h_ref", 2.0**-12)
-    h_list = _parse_float_list(_opt(args, config, "h_list", _DEFAULT_H_LIST), "h_list")
-    paths = _whole_opt(args, config, "paths", 1000)
-    t_eval = _float_opt(args, config, "t_eval", 0.0)
-    k = _whole_opt(args, config, "pullback_periods", 10)
-    which = str(_opt(args, config, "scheme", "both"))
-    schemes = ("bem", "em") if which == "both" else (which,)
+def _cmd_order(args) -> int:
+    model, out_dir = _setup(args)
+    h_ref, paths, t_eval = args.h_ref, args.paths, args.t_eval
+    schemes = ("bem", "em") if args.scheme == "both" else (args.scheme,)
 
     tables = dict(zip(schemes, strong_error(
-        model, h_ref, h_list, k, paths, t_eval=t_eval, seed=seed, scheme=schemes,
+        model, h_ref, args.h_list, args.pullback_periods, paths, t_eval=t_eval,
+        seed=args.seed, scheme=schemes,
     )))
     for scheme, table in tables.items():
         err_path = os.path.join(out_dir, f"error_table_{scheme}.csv")
@@ -313,16 +288,12 @@ def _cmd_order(args, config) -> int:
     return 0
 
 
-def _cmd_measure(args, config) -> int:
-    model, out_dir, seed = _setup(args, config)
-    h = _float_opt(args, config, "h", 2.0**-7)
-    paths = _whole_opt(args, config, "paths", 2000)
-    t_list = _parse_float_list(_opt(args, config, "t", [0.0]), "t")
-    k = _whole_opt(args, config, "pullback_periods", None)
-    if k is None:
-        k = default_pullback_periods(model, h)
-    halvings = _whole_opt(args, config, "halvings", 0)
-    n_boot = _whole_opt(args, config, "bootstrap", 100)
+def _cmd_measure(args) -> int:
+    model, out_dir = _setup(args)
+    h, paths, t_list, seed = args.h, args.paths, args.t, args.seed
+    k = args.pullback_periods
+    k = default_pullback_periods(model, h) if k is None else k
+    halvings, n_boot = args.halvings, args.bootstrap
     if halvings < 0:
         raise ValueError(f"halvings must be >= 0, got {halvings}")
     # the checks of write_measure_csv, bootstrap_noise_floor and
@@ -360,11 +331,10 @@ def _cmd_measure(args, config) -> int:
     return 0
 
 
-def _cmd_check(args, config) -> int:
-    model, _, seed = _setup(args, config)
-    samples = _whole_opt(args, config, "samples", 1000)
-    radius = _float_opt(args, config, "radius", 5.0)
-    report = check_assumptions(model, sample_count=samples, radius=radius, seed=seed)
+def _cmd_check(args) -> int:
+    model, _ = _setup(args)
+    report = check_assumptions(model, sample_count=args.samples, radius=args.radius,
+                               seed=args.seed)
     for line in report.lines():
         print(line)
     if report.passed:

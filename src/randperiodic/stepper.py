@@ -492,11 +492,12 @@ def _row_norm(a: np.ndarray) -> np.ndarray:
     square neither overflows nor underflows (``1.5e-154 < |a| < 1.3e154``).
     A row of finite entries whose sum of squares overflows is normed again
     with its entries scaled by the largest ``|entry|``; every other row
-    keeps the bits of the plain norm.
+    keeps the bits of the plain norm, taken without an overflow warning.
     """
     if a.shape[-1] == 1:
         return np.abs(a[..., 0])
-    norm = np.linalg.norm(a, axis=-1)
+    with np.errstate(over="ignore"):
+        norm = np.linalg.norm(a, axis=-1)
     over = np.isinf(norm)
     if over.any():
         over &= np.isfinite(a).all(axis=-1)

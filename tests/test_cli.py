@@ -437,3 +437,91 @@ class TestNegativeSeeds:
         assert code == 0
         assert f"seed={2**64 - 1}\n" in out
         assert f"#seed={2**64 - 1}\n" in (tmp_path / "trajectory.csv").read_text()
+
+
+# Every option's resolved value with no flag and no config: the defaults as
+# documented (None where the model supplies the value).
+DEFAULTS = {
+    **{(command, key): value
+       for command in ("simulate", "periodicity", "order", "measure", "check")
+       for key, value in (("model", "builtin"), ("out", "."), ("seed", 0))},
+    ("simulate", "h"): 2.0**-7, ("simulate", "scheme"): "bem", ("simulate", "t0"): 0.0,
+    ("simulate", "t1"): None, ("simulate", "pullback_periods"): None,
+    ("periodicity", "h"): 2.0**-7, ("periodicity", "pullback_periods"): 30,
+    ("periodicity", "threshold"): 1e-6, ("periodicity", "coalesce_periods"): 2,
+    ("order", "h_ref"): 2.0**-12, ("order", "h_list"): [2.0**-i for i in range(4, 9)],
+    ("order", "paths"): 1000, ("order", "t_eval"): 0.0, ("order", "pullback_periods"): 10,
+    ("order", "scheme"): "both",
+    ("measure", "h"): 2.0**-7, ("measure", "paths"): 2000, ("measure", "t"): [0.0],
+    ("measure", "pullback_periods"): None, ("measure", "halvings"): 0,
+    ("measure", "bootstrap"): 100,
+    ("check", "samples"): 1000, ("check", "radius"): 5.0,
+}
+
+
+def _kind(command, key):
+    [kind] = [k for name, k, _, _ in cli._COMMON + cli._COMMANDS[command][1] if name == key]
+    return kind
+
+
+def _samples(kind):
+    """(config value, its resolved value, flag arguments, their resolved value)."""
+    if kind is int:
+        return 7.0, 7, ("9",), 9
+    if kind is float:
+        return 3, 3.0, ("0.375",), 0.375
+    if kind is list:
+        return [0.25, "0.5;0.75"], [0.25, 0.5, 0.75], ("1.5", "2.5,3.5"), [1.5, 2.5, 3.5]
+    if kind is None:
+        return "from-config", "from-config", ("from-flag",), "from-flag"
+    return "heun", "heun", (kind[-1],), kind[-1]  # choices bind flags only
+
+
+class TestOptionPrecedence:
+    """Each option resolves to its flag, else its config value, else its default."""
+
+    @staticmethod
+    def resolved(monkeypatch, tmp_path, command, key, config=None, flags=()):
+        seen = []
+        monkeypatch.setattr(cli, f"_cmd_{command}", lambda args: seen.append(args) or 0)
+        argv = [command]
+        for flag in flags:
+            argv += ["--" + key.replace("_", "-"), flag]
+        if config is not None:
+            cfg = tmp_path / "run.json"
+            cfg.write_text(json.dumps(config))
+            argv += ["--config", str(cfg)]
+        assert main(argv) == 0
+        [args] = seen
+        return getattr(args, key)
+
+    def test_every_option_is_covered(self):
+        assert set(DEFAULTS) == {
+            (command, opt[0])
+            for command, (_, options) in cli._COMMANDS.items()
+            for opt in cli._COMMON + options
+        }
+
+    def test_other_subcommands_keys_are_ignored(self, monkeypatch, tmp_path):
+        # h_list belongs to order alone; as a bool it would fail its kind check
+        value = self.resolved(monkeypatch, tmp_path, "check", "samples", config={"h_list": True})
+        assert value == 1000
+
+    @pytest.mark.parametrize("command, key", list(DEFAULTS))
+    def test_default(self, monkeypatch, tmp_path, command, key):
+        value = self.resolved(monkeypatch, tmp_path, command, key)
+        expected = DEFAULTS[command, key]
+        assert value == expected and type(value) is type(expected)
+
+    @pytest.mark.parametrize("command, key", list(DEFAULTS))
+    def test_config_value(self, monkeypatch, tmp_path, command, key):
+        given, expected, _, _ = _samples(_kind(command, key))
+        value = self.resolved(monkeypatch, tmp_path, command, key, config={key: given})
+        assert value == expected and type(value) is type(expected)
+
+    @pytest.mark.parametrize("command, key", list(DEFAULTS))
+    def test_flag_beats_config(self, monkeypatch, tmp_path, command, key):
+        given, _, flags, expected = _samples(_kind(command, key))
+        value = self.resolved(monkeypatch, tmp_path, command, key, config={key: given},
+                              flags=flags)
+        assert value == expected and type(value) is type(expected)

@@ -1,4 +1,5 @@
-"""Every test the README cites by name exists.
+"""The README is in step with the code: every test it cites by name exists,
+and its CLI examples and config keys are the CLI's.
 
 A reference is ``tests/<file>.py::<name>``, optionally followed by
 ``::<member>``; a bare ``::<name>`` belongs to the last file named before it.
@@ -6,7 +7,10 @@ A reference is ``tests/<file>.py::<name>``, optionally followed by
 
 import ast
 import re
+import shlex
 from pathlib import Path
+
+from randperiodic import cli
 
 ROOT = Path(__file__).resolve().parents[1]
 REFERENCE = re.compile(r"(tests/\w+\.py)?((?:::[A-Za-z_]\w*)+)")
@@ -42,3 +46,25 @@ def test_readme_cites_existing_tests():
         if node is None or not names[-1].startswith(("test_", "Test")):
             missing.append(f"{file}::{'::'.join(names)}")
     assert not missing, f"README cites tests that do not exist: {missing}"
+
+
+def _readme():
+    return (ROOT / "README.md").read_text(encoding="utf-8")
+
+
+def test_readme_lists_the_config_keys():
+    [keys] = re.findall(r"keys\s+drawn\s+from:((?:\s*`\w+`,?)+)", _readme())
+    listed = re.findall(r"`(\w+)`", keys)
+    assert len(listed) == len(set(listed))
+    assert set(listed) == cli._KNOWN_CONFIG_KEYS
+
+
+def test_readme_cli_quick_start_parses():
+    section = _readme().split("## Quick start (CLI)", 1)[1]
+    block = section.split("```", 2)[1]
+    lines = [line for line in block.splitlines() if line.startswith("randperiodic ")]
+    assert len(lines) == len(cli._COMMANDS)
+    parser = cli._build_parser()
+    for line in lines:
+        argv = shlex.split(line)[1:]
+        assert parser.parse_args(argv).command == argv[0]

@@ -3,6 +3,7 @@
 import json
 import math
 import re
+import warnings
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -219,6 +220,20 @@ class TestImplicitSolve:
         q = 2e160 / 3e160
         assert norms[:2].tolist() == [3e160 * math.sqrt(1.0 + q * q), 1e308 * math.sqrt(2.0)]
         assert _same_bits(norms[2:], plain[2:])
+
+    def test_states_whose_squares_overflow_raise_no_warning(self):
+        # the rescaled norm handles such a row, so its plain norm's overflow
+        # is no fault to warn of
+        m = ModelSpec(
+            eigenvalues=np.array([1.0, 2.0]), drift=lambda t, x: -0.5 * x,
+            diffusion=ConstantDiffusion(0.1), period=1.0,
+            drift_jacobian=lambda t, x: np.broadcast_to(-0.5 * np.eye(2), x.shape + (2,)),
+        )
+        rhs = np.array([3e160, -2e160])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            z, _ = implicit_solve(m, 0.0, 0.5, rhs, x0=rhs)
+        assert np.allclose(z, [3e160 / 1.75, -2e160 / 2.25], rtol=1e-12, atol=0.0)
 
 
 class TestBisectScalar:
