@@ -13,7 +13,8 @@ Modules
 ``stepper``   backward and forward Euler steps with a monotone solver
 ``pullback``  path construction, coalescence, shift-periodicity checks
 ``analysis``  Monte Carlo error tables, moments, empirical measures
-``cli``       command-line entry points wrapping the above
+``cli``       command-line entry points wrapping the above; the only module
+              that writes files
 """
 
 from .analysis import (
@@ -31,9 +32,6 @@ from .analysis import (
     periodic_measure,
     strong_error,
     weak_distance,
-    write_error_table_csv,
-    write_measure_csv,
-    write_order_csv,
 )
 from .model import (
     BUILTIN_MODELS,
@@ -71,10 +69,8 @@ from .pullback import (
     make_grid,
     pullback_pinned_path,
     random_periodic_path,
-    read_trajectory_csv,
     simulate,
     verify_shift_periodicity,
-    write_trajectory_csv,
 )
 from .stepper import (
     NonConvergenceError,
@@ -135,16 +131,11 @@ __all__ = [
     "periodic_measure",
     "pullback_pinned_path",
     "random_periodic_path",
-    "read_trajectory_csv",
     "shift",
     "simulate",
     "strong_error",
     "verify_shift_periodicity",
     "weak_distance",
     "with_diffusion_amplitude",
-    "write_error_table_csv",
-    "write_measure_csv",
-    "write_order_csv",
-    "write_trajectory_csv",
     "__version__",
 ]

@@ -18,6 +18,9 @@ Strong errors couple resolutions through the increment lattice: the
 reference run reads fine increments, coarse runs read exact sums of the same
 increments, and both are compared pathwise at matching grid times.  The
 measure study couples each step size with its half the same way.
+
+Results are returned as objects; nothing here writes a file (the CLI writes
+the tables and samples as CSV).
 """
 
 from __future__ import annotations
@@ -479,35 +482,6 @@ def measure_convergence_study(
         stats += [summary for _, summary in outs]
     return MeasureStudy(t=float(t), num_paths=len(lattice_seeds), pairs=tuple(rows),
                         solver_stats=_merge_stats(*stats))
-
-
-def write_error_table_csv(table: ErrorTable, path: str) -> None:
-    """Write rows as ``h,rms_error,standard_error,num_paths,diverged``."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("h,rms_error,standard_error,num_paths,diverged\n")
-        for r in table.rows:
-            fh.write(
-                f"{r.h!r},{r.rms_error!r},{r.standard_error!r},{r.num_paths},"
-                f"{'true' if r.diverged else 'false'}\n"
-            )
-
-
-def write_order_csv(table: ErrorTable, path: str) -> None:
-    """Write fit coordinates as ``log2_h,log2_error`` (non-diverged rows)."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("log2_h,log2_error\n")
-        for r in table.valid_rows():
-            fh.write(f"{math.log2(r.h)!r},{math.log2(r.rms_error)!r}\n")
-
-
-def write_measure_csv(measure: EmpiricalMeasure, path: str) -> None:
-    """Write samples as ``t,sample_index,value`` (scalar measures)."""
-    if measure.samples.shape[1] != 1:
-        raise ValueError("measure CSV supports scalar samples only")
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("t,sample_index,value\n")
-        for i, v in enumerate(measure.samples[:, 0]):
-            fh.write(f"{measure.t!r},{i},{float(v)!r}\n")
 
 
 def _run_seeds(

@@ -13,7 +13,12 @@ Each option is stated once, in one table (``_COMMON`` for every subcommand,
 config keys and the defaults are built from it, and ``--help`` shows each
 default.  Every subcommand accepts ``--config FILE`` pointing at a JSON
 object whose keys match the long option names (underscores for dashes).
-Explicit flags override config values, which override the defaults.
+Explicit flags override config values, which override the defaults; a
+null config value counts as absent.
+
+This is the only module that writes files: each subcommand formats its
+rows and ``_write_csv`` writes them, after any ``#key=value`` lines and the
+header.
 
 Exit codes: 0 success, 1 numerical failure (non-convergence, blow-up, or a
 failed check), 2 configuration error (bad flags, files, or alignment).
@@ -23,6 +28,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from typing import Any, Mapping, Sequence
@@ -34,9 +40,6 @@ from .analysis import (
     measure_convergence_study,
     periodic_measure,
     strong_error,
-    write_error_table_csv,
-    write_measure_csv,
-    write_order_csv,
 )
 from .model import InitialCondition, ModelSpec, check_assumptions, load_model
 from .noise import NoiseLattice, derive_seeds
@@ -47,7 +50,6 @@ from .pullback import (
     default_pullback_periods,
     random_periodic_path,
     verify_shift_periodicity,
-    write_trajectory_csv,
 )
 from .stepper import RESIDUAL_TOL
 
@@ -154,15 +156,16 @@ def _load_config(path: str | None) -> dict[str, Any]:
 
 
 def _resolve(args: argparse.Namespace, config: Mapping[str, Any]) -> None:
-    """Set each option of ``args.command`` to its flag, else its config value,
-    else its default, read as its kind; other subcommands' keys are ignored."""
+    """Set each option of ``args.command`` to its flag, else its non-null
+    config value, else its default, read as its kind; other subcommands'
+    keys are ignored."""
     for key, kind, default, _ in _COMMON + _COMMANDS[args.command][1]:
         value = getattr(args, key)
         if value is None:
-            value = config.get(key, default)
-        if value is not None or key in config:
-            value = _value(kind, key, value)
-        setattr(args, key, value)
+            value = config.get(key)
+        if value is None:
+            value = default
+        setattr(args, key, None if value is None else _value(kind, key, value))
 
 
 def _value(kind, key: str, value):
@@ -171,7 +174,7 @@ def _value(kind, key: str, value):
     if kind is int:
         if isinstance(value, bool) or isinstance(value, float) and not value.is_integer():
             raise ValueError(f"{key} must be a whole number, got {value!r}")
-        return None if value is None else int(value)
+        return int(value)
     if kind is float:
         if isinstance(value, (bool, np.bool_)):
             raise ValueError(f"{key} must be a number, got {value!r}")
@@ -186,6 +189,14 @@ def _setup(args) -> tuple[ModelSpec, str]:
     out_dir = str(args.out)
     os.makedirs(out_dir, exist_ok=True)
     return model, out_dir
+
+
+def _write_csv(path: str, header: str, lines, meta=()) -> None:
+    """Write ``#key=value`` for each pair of ``meta``, then ``header``, then
+    each of ``lines`` (rows already formatted), one a line."""
+    text = "\n".join([*(f"#{key}={value}" for key, value in meta), header, *lines])
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(text + "\n")
 
 
 def _parse_float_list(value, key: str) -> list[float]:
@@ -210,7 +221,13 @@ def _cmd_simulate(args) -> int:
     )
     k_used = k if k is not None else default_pullback_periods(model, h)
     path = os.path.join(out_dir, "trajectory.csv")
-    write_trajectory_csv(result, path, pullback_periods=k_used)
+    _write_csv(
+        path, "t," + ",".join(f"x_{c + 1}" for c in range(model.dimension)),
+        (",".join(map(repr, [t, *x]))
+         for t, x in zip(result.times.tolist(), result.states.tolist())),
+        meta=(("scheme", result.scheme), ("seed", result.seed), ("h", repr(result.grid.h)),
+              ("k", k_used)),
+    )
     print(f"scheme={result.scheme} h={h!r} pullback_periods={k_used} "
           f"nodes={result.grid.count + 1} seed={result.seed}")
     print(f"wrote {path}")
@@ -267,8 +284,11 @@ def _cmd_order(args) -> int:
     for scheme, table in tables.items():
         err_path = os.path.join(out_dir, f"error_table_{scheme}.csv")
         fit_path = os.path.join(out_dir, f"order_{scheme}.csv")
-        write_error_table_csv(table, err_path)
-        write_order_csv(table, fit_path)
+        _write_csv(err_path, "h,rms_error,standard_error,num_paths,diverged", (
+            f"{r.h!r},{r.rms_error!r},{r.standard_error!r},{r.num_paths},"
+            f"{'true' if r.diverged else 'false'}" for r in table.rows))
+        _write_csv(fit_path, "log2_h,log2_error", (
+            f"{math.log2(r.h)!r},{math.log2(r.rms_error)!r}" for r in table.valid_rows()))
         print(f"scheme={scheme} reference h={h_ref!r} paths={paths} t_eval={t_eval!r}")
         for row in table.rows:
             if row.diverged:
@@ -296,8 +316,9 @@ def _cmd_measure(args) -> int:
     halvings, n_boot = args.halvings, args.bootstrap
     if halvings < 0:
         raise ValueError(f"halvings must be >= 0, got {halvings}")
-    # the checks of write_measure_csv, bootstrap_noise_floor and
-    # weak_distance, made before any path is simulated
+    # the measure files hold scalar samples; this check and those of
+    # bootstrap_noise_floor and weak_distance are made before any path is
+    # simulated
     if model.dimension != 1:
         raise ValueError(f"measure supports scalar models only, got dimension {model.dimension}")
     if n_boot < 1:
@@ -308,8 +329,9 @@ def _cmd_measure(args) -> int:
     for mu in measures:
         label = repr(mu.t).replace("-", "m").replace(".", "p")
         path = os.path.join(out_dir, f"measure_t{label}.csv")
-        write_measure_csv(mu, path)
         values = mu.samples[:, 0]
+        _write_csv(path, "t,sample_index,value",
+                   (f"{mu.t!r},{i},{v!r}" for i, v in enumerate(values.tolist())))
         print(f"t={mu.t!r}: {mu.num_samples} samples, mean={values.mean():.6e}, "
               f"std={values.std(ddof=1):.3e}; wrote {path}")
     floor = bootstrap_noise_floor(measures[0], n_bootstrap=n_boot, seed=seed)
@@ -319,10 +341,8 @@ def _cmd_measure(args) -> int:
         h_values = [h * 2.0**i for i in range(halvings - 1, -1, -1)]
         study = measure_convergence_study(model, seeds, h_values, t_list[0], k)
         dist_path = os.path.join(out_dir, "measure_distances.csv")
-        with open(dist_path, "w", encoding="utf-8", newline="") as fh:
-            fh.write("h,h_half,distance,ratio_to_sqrt_h\n")
-            for p in study.pairs:
-                fh.write(f"{p.h!r},{p.h_half!r},{p.distance!r},{p.ratio_to_sqrt_h!r}\n")
+        _write_csv(dist_path, "h,h_half,distance,ratio_to_sqrt_h", (
+            f"{p.h!r},{p.h_half!r},{p.distance!r},{p.ratio_to_sqrt_h!r}" for p in study.pairs))
         for p in study.pairs:
             print(f"distance(law at h={p.h!r}, law at h={p.h_half!r}) = {p.distance:.6e} "
                   f"[{p.ratio_to_sqrt_h:.3f} * sqrt(h)]")

@@ -28,7 +28,8 @@ its first, over increments laid out once step-major, in the per-step
 kernel's order of operations; the implicit scheme on a nonlinear drift takes
 one Newton solve per step.  No bit depends on the chunk length.  A path of
 the explicit scheme that diverges is NaN from its crossing node on, and that
-NaN is the only record of it.
+NaN is the only record of it.  Nothing here writes a file; the CLI writes
+trajectories as CSV.
 """
 
 from __future__ import annotations
@@ -583,55 +584,3 @@ def pullback_pinned_path(
         # a diverged run stays NaN through every later step
         diverged_depths=np.flatnonzero(~np.isfinite(values).all(axis=1)),
     )
-
-
-def write_trajectory_csv(
-    result: PathResult, path: str, pullback_periods: int | None = None
-) -> None:
-    """Write a trajectory as CSV with metadata comment lines.
-
-    Format: ``#scheme=``, ``#seed=``, ``#h=``, ``#k=`` comments, then a
-    ``t,x_1,...,x_d`` header and one row per grid node.  ``#k`` is taken
-    from ``pullback_periods`` or derived when the grid starts a whole number
-    of periods below zero.
-    """
-    grid = result.grid
-    k = pullback_periods
-    if k is None and grid.start_index < 0 and grid.start_index % grid.period_steps == 0:
-        k = -grid.start_index // grid.period_steps
-    d = result.states.shape[1]
-    times = result.times
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(f"#scheme={result.scheme}\n")
-        fh.write(f"#seed={result.seed}\n")
-        fh.write(f"#h={grid.h!r}\n")
-        if k is not None:
-            fh.write(f"#k={k}\n")
-        fh.write("t," + ",".join(f"x_{c + 1}" for c in range(d)) + "\n")
-        for i in range(grid.count + 1):
-            row = [repr(float(times[i]))] + [repr(float(v)) for v in result.states[i]]
-            fh.write(",".join(row) + "\n")
-
-
-def read_trajectory_csv(path: str) -> tuple[dict[str, str], np.ndarray, np.ndarray]:
-    """Read back a trajectory CSV; returns (metadata, times, states)."""
-    meta: dict[str, str] = {}
-    times = []
-    states = []
-    with open(path, "r", encoding="utf-8") as fh:
-        header_seen = False
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            if line.startswith("#"):
-                key, _, value = line[1:].partition("=")
-                meta[key] = value
-                continue
-            if not header_seen:
-                header_seen = True
-                continue
-            parts = line.split(",")
-            times.append(float(parts[0]))
-            states.append([float(v) for v in parts[1:]])
-    return meta, np.asarray(times), np.asarray(states)

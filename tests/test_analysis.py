@@ -21,9 +21,6 @@ from randperiodic.analysis import (
     periodic_measure,
     strong_error,
     weak_distance,
-    write_error_table_csv,
-    write_measure_csv,
-    write_order_csv,
 )
 from randperiodic.model import (
     ConstantDiffusion,
@@ -835,41 +832,14 @@ class TestBootstrapFloor:
                                              f"{n_bootstrap!r}"):
             bootstrap_noise_floor(mu, n_bootstrap=n_bootstrap)
 
+    def test_vector_samples_raise(self):
+        wide = EmpiricalMeasure(t=0.0, h=0.1, samples=np.zeros((4, 2)))
+        with pytest.raises(ValueError, match="^bootstrap_noise_floor supports scalar "
+                                             "samples only$"):
+            bootstrap_noise_floor(wide, n_bootstrap=5)
+
     def test_whole_float_resample_count_runs_as_int(self):
         mu = EmpiricalMeasure(t=0.0, h=0.1, samples=np.arange(10.0))
         want = bootstrap_noise_floor(mu, n_bootstrap=3, seed=4)
         for n in (3.0, np.float64(3.0), np.int64(3)):
             assert bootstrap_noise_floor(mu, n_bootstrap=n, seed=4) == want
-
-
-class TestCsvWriters:
-    def test_error_table_round_trip_text(self, tmp_path):
-        rows = [_row(0.25, float("nan"), diverged=True), _row(0.125, 0.01)]
-        table = ErrorTable(scheme="em", h_ref=2.0**-10, t_eval=0.0, rows=rows)
-        out = tmp_path / "errors.csv"
-        write_error_table_csv(table, str(out))
-        lines = out.read_text().strip().splitlines()
-        assert lines[0] == "h,rms_error,standard_error,num_paths,diverged"
-        assert lines[1].endswith("true") and "nan" in lines[1]
-        assert lines[2].endswith("false")
-
-    def test_order_csv_skips_diverged(self, tmp_path):
-        rows = [_row(0.25, float("nan"), diverged=True), _row(0.125, 0.01),
-                _row(0.0625, 0.005)]
-        table = ErrorTable(scheme="em", h_ref=2.0**-10, t_eval=0.0, rows=rows)
-        out = tmp_path / "order.csv"
-        write_order_csv(table, str(out))
-        lines = out.read_text().strip().splitlines()
-        assert lines[0] == "log2_h,log2_error"
-        assert len(lines) == 3  # header + two valid rows
-
-    def test_measure_csv(self, tmp_path):
-        mu = EmpiricalMeasure(t=0.25, h=0.1, samples=np.array([0.5, -0.5]))
-        out = tmp_path / "measure.csv"
-        write_measure_csv(mu, str(out))
-        lines = out.read_text().strip().splitlines()
-        assert lines[0] == "t,sample_index,value"
-        assert lines[1] == "0.25,0,0.5"
-        wide = EmpiricalMeasure(t=0.0, h=0.1, samples=np.zeros((4, 2)))
-        with pytest.raises(ValueError):
-            write_measure_csv(wide, str(out))

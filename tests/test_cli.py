@@ -4,10 +4,15 @@ import argparse
 import json
 import math
 
+import numpy as np
 import pytest
 
 from randperiodic import analysis, cli, noise, pullback
 from randperiodic.cli import main
+from randperiodic.model import builtin_benchmark
+from randperiodic.noise import NoiseLattice, derive_seeds
+from randperiodic.pullback import random_periodic_path
+from randperiodic.stepper import NonConvergenceError
 
 
 # (command, key) of every config key read as one float
@@ -24,6 +29,19 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def read_csv(path):
+    """(``#key=value`` metadata, header, data lines) of a CSV the CLI wrote."""
+    lines = path.read_text().splitlines()
+    meta = dict(line[1:].partition("=")[::2] for line in lines if line.startswith("#"))
+    rest = [line for line in lines if not line.startswith("#")]
+    return meta, rest[0], rest[1:]
+
+
+# An order run whose explicit row at h = 0.125 diverges
+DIVERGING_ORDER = ("order", "--paths", "20", "--h-ref", "0.015625",
+                   "--h-list", "0.125,0.0625,0.03125", "--pullback-periods", "5")
 
 
 class TestCheckCommand:
@@ -129,6 +147,13 @@ class TestConfigHandling:
             if any(o.startswith("--") for o in action.option_strings)
         }
         assert cli._KNOWN_CONFIG_KEYS == options - {"help", "config"}
+
+    def test_non_object_config_exits_two(self, capsys, tmp_path):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps([{"h": 0.03125}]))
+        code, _, err = run(capsys, "simulate", "--config", str(cfg))
+        assert code == 2
+        assert f"configuration error: config file {cfg} must hold a JSON object" in err
 
     def test_malformed_json_exits_two(self, capsys, tmp_path):
         cfg = tmp_path / "run.json"
@@ -250,6 +275,13 @@ class TestPeriodicityCommand:
         assert out.count("PASS") == 2
         assert "max discrepancy 0.000e+00" in out
 
+    def test_coalescence_failure_exits_one(self, capsys):
+        code, out, _ = run(capsys, "periodicity", "--threshold", "1e-300",
+                           "--pullback-periods", "2", "--coalesce-periods", "1")
+        assert code == 1
+        assert "coalescence: gap stayed above 1e-300 over 1 period(s)" in out
+        assert out.rstrip().endswith("-> FAIL")
+
     @pytest.mark.parametrize("threshold", ["nan", "-1", "0"])
     def test_threshold_out_of_range_exits_two(self, capsys, threshold):
         code, _, err = run(capsys, "periodicity", "--h", "0.0078125",
@@ -291,6 +323,28 @@ class TestOrderCommand:
             assert fit[0] == "log2_h,log2_error"
         assert "fitted order" in out
         assert "em/bem rms ratio" in out
+
+    def test_diverged_row_is_written(self, capsys, tmp_path):
+        code, out, _ = run(capsys, *DIVERGING_ORDER, "--seed", "0", "--out", str(tmp_path))
+        assert code == 0
+        em = out[out.index("scheme=em"):]
+        assert "  h=0.125  DIVERGED\n" in em
+        assert "  fitted order: not available (fewer than 3 usable rows)\n" in em
+        _, _, rows = read_csv(tmp_path / "error_table_em.csv")
+        assert rows[0] == "0.125,nan,nan,20,true"
+        assert [row.endswith(",20,false") for row in rows] == [False, True, True]
+        _, _, fit = read_csv(tmp_path / "order_em.csv")
+        assert len(fit) == 2
+
+    def test_numerical_failure_exits_one(self, capsys, monkeypatch, tmp_path):
+        def fails(*args, **kwargs):
+            raise NonConvergenceError("no root after 50 iterations")
+
+        monkeypatch.setattr(cli, "strong_error", fails)
+        code, out, err = run(capsys, *self.ARGS, "--out", str(tmp_path))
+        assert code == 1
+        assert out == ""
+        assert err == "numerical failure: no root after 50 iterations\n"
 
     def test_repeated_h_list_flags_accumulate(self, capsys, tmp_path):
         code, _, _ = run(capsys, "order", "--h-ref", "0.001953125",
@@ -412,6 +466,56 @@ class TestMeasureCommand:
         assert (tmp_path / "measure_t1p25.csv").exists()
 
 
+class TestTrajectoryCsv:
+    def test_round_trip(self, capsys, tmp_path):
+        h = 2.0**-7
+        code, _, _ = run(capsys, "simulate", "--h", repr(h), "--seed", "19",
+                         "--pullback-periods", "2", "--t0", "0", "--t1", "1",
+                         "--out", str(tmp_path))
+        assert code == 0
+        meta, header, rows = read_csv(tmp_path / "trajectory.csv")
+        assert meta["scheme"] == "bem"
+        assert meta["seed"] == "19"
+        assert float(meta["h"]) == h
+        assert meta["k"] == "2"
+        assert header == "t,x_1"
+        path = random_periodic_path(builtin_benchmark(), NoiseLattice(seed=19, base_step=h), h,
+                                    pullback_periods=2, horizon=(0.0, 1.0))
+        cells = np.array([[float(v) for v in row.split(",")] for row in rows])
+        assert cells[:, 0].tobytes() == path.times.tobytes()
+        assert cells[:, 1:].tobytes() == path.states.tobytes()
+
+
+class TestCsvWriters:
+    """The rows of the order and measure files, as the CLI writes them."""
+
+    def test_error_table_round_trip_text(self, capsys, tmp_path):
+        code, _, _ = run(capsys, *DIVERGING_ORDER, "--scheme", "em", "--out", str(tmp_path))
+        assert code == 0
+        lines = (tmp_path / "error_table_em.csv").read_text().strip().splitlines()
+        assert lines[0] == "h,rms_error,standard_error,num_paths,diverged"
+        assert lines[1].endswith("true") and "nan" in lines[1]
+        assert lines[2].endswith("false")
+
+    def test_order_csv_skips_diverged(self, capsys, tmp_path):
+        code, _, _ = run(capsys, *DIVERGING_ORDER, "--scheme", "em", "--out", str(tmp_path))
+        assert code == 0
+        lines = (tmp_path / "order_em.csv").read_text().strip().splitlines()
+        assert lines[0] == "log2_h,log2_error"
+        assert len(lines) == 3  # header + two valid rows
+
+    def test_measure_csv(self, capsys, tmp_path):
+        code, _, _ = run(capsys, "measure", "--h", "0.03125", "--paths", "8", "--t", "0.25",
+                         "--pullback-periods", "2", "--bootstrap", "5", "--seed", "3",
+                         "--out", str(tmp_path))
+        assert code == 0
+        [mu] = analysis.periodic_measure(builtin_benchmark(), derive_seeds(3, 8), 0.03125, 2,
+                                         [0.25])
+        lines = (tmp_path / "measure_t0p25.csv").read_text().strip().splitlines()
+        assert lines[0] == "t,sample_index,value"
+        assert lines[1] == f"0.25,0,{float(mu.samples[0, 0])!r}"
+
+
 class TestNegativeSeeds:
     """A master seed is taken modulo 2**64 by every command, as the lattice takes it."""
 
@@ -517,6 +621,12 @@ class TestOptionPrecedence:
     def test_config_value(self, monkeypatch, tmp_path, command, key):
         given, expected, _, _ = _samples(_kind(command, key))
         value = self.resolved(monkeypatch, tmp_path, command, key, config={key: given})
+        assert value == expected and type(value) is type(expected)
+
+    @pytest.mark.parametrize("command, key", list(DEFAULTS))
+    def test_null_config_value_is_the_default(self, monkeypatch, tmp_path, command, key):
+        value = self.resolved(monkeypatch, tmp_path, command, key, config={key: None})
+        expected = DEFAULTS[command, key]
         assert value == expected and type(value) is type(expected)
 
     @pytest.mark.parametrize("command, key", list(DEFAULTS))

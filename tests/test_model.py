@@ -254,6 +254,24 @@ class TestModelFromConfig:
             with pytest.raises(ValueError, match="missing required key"):
                 model_from_config(bad)
 
+    @pytest.mark.parametrize("tau", [0.0, -0.5])
+    def test_non_positive_period_raises(self, tau):
+        with pytest.raises(ValueError, match=f"^tau must be positive, got {tau}$"):
+            model_from_config(dict(self.CONFIG, tau=tau))
+
+    def test_fractional_trig_freq_raises_when_forced(self):
+        bad = dict(self.CONFIG, drift={"trig_amp": 1.0, "trig_freq": 1.5})
+        with pytest.raises(ValueError, match=r"^trig_freq must be a whole number, got 1\.5$"):
+            model_from_config(bad)
+        # with no forcing the frequency is never used
+        model_from_config(dict(self.CONFIG, drift={"trig_amp": 0.0, "trig_freq": 1.5}))
+
+    def test_diffusion_keys_checked(self):
+        with pytest.raises(ValueError, match=r"^unknown diffusion config keys: \['sigma'\]$"):
+            model_from_config(dict(self.CONFIG, g={"amp": 0.2, "sigma": 0.1}))
+        with pytest.raises(ValueError, match="^diffusion config requires key 'amp'$"):
+            model_from_config(dict(self.CONFIG, g={}))
+
     def test_declared_sigma_kept(self):
         cfg = dict(self.CONFIG, constants={"C_f": 0.0, "sigma": 0.7})
         assert model_from_config(cfg).constants["sigma"] == 0.7
@@ -317,6 +335,11 @@ class TestCheckAssumptions:
     def test_radius_must_be_positive_and_finite(self, radius):
         with pytest.raises(ValueError, match="radius must be positive and finite"):
             check_assumptions(builtin_benchmark(), sample_count=50, radius=radius)
+
+    @pytest.mark.parametrize("count", [1, 0])
+    def test_sample_count_below_two_raises(self, count):
+        with pytest.raises(ValueError, match=f"^sample_count must be >= 2, got {count}$"):
+            check_assumptions(builtin_benchmark(), sample_count=count)
 
     @pytest.mark.parametrize("count", [2.5, True, np.True_, float("inf"), "50"])
     def test_sample_count_must_be_whole(self, count):

@@ -253,6 +253,11 @@ class TestGridSpec:
         with pytest.raises(ValueError):
             GridSpec(start_index=0, step_mult=8, count=4, period_steps=4, base_step=0.125)
 
+    @pytest.mark.parametrize("base_step", [0.0, -0.25])
+    def test_non_positive_base_step_raises(self, base_step):
+        with pytest.raises(ValueError, match=f"^base_step must be positive, got {base_step}$"):
+            GridSpec(start_index=0, step_mult=1, count=4, period_steps=4, base_step=base_step)
+
 
 class TestCoarseIncrements:
     def test_coarse_equals_exact_sum_of_fine(self):

@@ -25,10 +25,8 @@ from randperiodic.pullback import (
     make_grid,
     pullback_pinned_path,
     random_periodic_path,
-    read_trajectory_csv,
     simulate,
     verify_shift_periodicity,
-    write_trajectory_csv,
 )
 
 A = 10.0 * math.pi
@@ -384,6 +382,11 @@ class TestPinnedPullback:
         tail = pinned.values[-16:, 0]
         assert float(tail.max() - tail.min()) < 1e-12
 
+    def test_depth_below_one_step_raises(self):
+        lat = NoiseLattice(seed=3, base_step=H)
+        with pytest.raises(ValueError, match="^r_max must be at least one step, got 0.0$"):
+            pullback_pinned_path(builtin_benchmark(), lat, H, r_max=0.0)
+
     def test_agrees_with_periodic_path_at_whole_periods(self):
         # Depth k*tau reproduces the pull-back construction bit for bit.
         m = builtin_benchmark()
@@ -590,19 +593,3 @@ def test_newton_runs_read_the_diffusion_from_the_plan(monkeypatch):
     monkeypatch.setattr(analysis, "DEFAULT_BLOCK_SIZE", 3)
     analysis.periodic_measure(m, [1, 2, 3, 4, 5], h, pullback_periods=2, t_list=[0.0, 0.5])
     calls.check([h], forcing=False)
-
-
-class TestTrajectoryCsv:
-    def test_round_trip(self, tmp_path):
-        m = builtin_benchmark()
-        lat = NoiseLattice(seed=19, base_step=H)
-        path = random_periodic_path(m, lat, H, pullback_periods=2, horizon=(0.0, 1.0))
-        out = tmp_path / "trajectory.csv"
-        write_trajectory_csv(path, str(out), pullback_periods=2)
-        meta, times, states = read_trajectory_csv(str(out))
-        assert meta["scheme"] == "bem"
-        assert meta["seed"] == "19"
-        assert float(meta["h"]) == H
-        assert meta["k"] == "2"
-        assert np.array_equal(times, path.times)
-        assert np.array_equal(states, path.states)

@@ -194,6 +194,15 @@ class TestImplicitSolve:
         with pytest.raises(NonFiniteEvaluationError):
             implicit_solve(m, 0.0, 0.5, np.array([1.0]))
 
+    def test_drift_of_the_wrong_shape_raises(self):
+        m = ModelSpec(
+            eigenvalues=np.array([1.0]), drift=lambda t, x: np.zeros(x.shape + (2,)),
+            diffusion=ConstantDiffusion(0.1), period=1.0,
+        )
+        with pytest.raises(ValueError, match=r"^drift returned shape \(1, 1, 2\), "
+                                              r"expected \(1, 1\)$"):
+            implicit_solve(m, 0.0, 0.5, np.array([1.0]))
+
     def test_step_size_bounds(self):
         m = linear_model()
         for h in (0.0, 1.0, -0.5, 1.5):
