@@ -40,16 +40,18 @@ from .pullback import (
 
 # Paths per block.  Per-call costs favour wide blocks: the kernels' overhead,
 # the Newton loop's most of all, is paid once per block-step, not per path.
-# A Newton step on criterion 8's cubic drift (2.6 iterations a path) takes
-# about 130 us at 1 or 256 paths and 190 us at 1280, most of it the fixed
-# cost of some 30 numpy calls an iteration (best of 30 runs of 64 steps).
+# A Newton step of the benchmark's cubic drift (``measure_cubic``, about 2.6
+# iterations a path) takes about 75-85 us at 1 path or 256 and 110-120 us
+# at 1280 in the Newton window, most of it the fixed cost of some 30 numpy
+# calls an iteration (best of 7 runs of 64 steps).
 # Each window's noise read re-keys the generator once per path, at about
 # 4 us a path plus 0.03 us a word.  The CLI's default 1000-path order and
 # 2000-path measure studies run as one block.  That block's order-study
-# windows hold 256 fine steps, and most of its cost is paid per window:
-# criterion 5's study took 6.05 s (58 MiB peak) with ``_WINDOW_WORDS`` at
-# 2^18 and 3.92 s (70 MiB) at 2^20.  Wider is slower again, as windows
-# shrink and a block's re-keys grow with the square of its paths:
+# windows hold 256 fine steps, and much of its cost is paid per window:
+# criterion 5's study took 2.4-3.0 s (60 MiB peak) with ``_WINDOW_WORDS`` at
+# 2^18 and 2.1-2.2 s (70 MiB) at 2^20 (three alternating runs each).  Wider
+# blocks are slower again, as windows shrink and a block's re-keys grow with
+# the square of its paths:
 # criterion 8's 5000-path halving study takes about 0.8 s in blocks of 256,
 # 0.5 s in blocks of 2048 and 0.55-0.75 s in one block (2-core Xeon,
 # Python 3.11).  A study whose coarsest step, taken for every path, would
@@ -528,6 +530,10 @@ def _run_seeds(
     size = max(1, min(DEFAULT_BLOCK_SIZE, _WINDOW_WORDS // (d * lcm)))
     recorded = [np.full((len(seeds), r.nodes.size, d), np.nan) for r in runs]
     summaries = [SolverSummary()] * len(runs)
+    # the runs of one step multiple share each window's sums of the increments
+    groups: dict[int, list[int]] = {}
+    for i, run in enumerate(runs):
+        groups.setdefault(run.grid.step_mult, []).append(i)
     for b0 in range(0, len(seeds), size):
         block = seeds[b0 : b0 + size]
         start = (np.tile(fixed, (len(block), 1)) if fixed is not None
@@ -537,17 +543,19 @@ def _run_seeds(
         for f0 in range(0, f_count, span):
             width = min(span, f_count - f0)
             fine = _read_increments(block, f_start + f0, width, first.base_step, d)
-            for i, run in enumerate(runs):
-                m = run.grid.step_mult
+            for m, members in groups.items():
+                dw = _sum_steps(fine, m)
                 n0, count = f0 // m, width // m
-                window = run.grid._steps(n0, count)
-                out, summary = _drive(model, window, run.scheme, states[i], _sum_steps(fine, m),
-                                      run_plans[i])
-                summaries[i] = _merge_stats(summaries[i], summary)
-                inside = (run.nodes >= n0) & (run.nodes <= n0 + count)
-                recorded[i][b0 : b0 + len(block), inside] = out[:, run.nodes[inside] - n0]
-                # a copy, so that the window's buffer of every node can be freed
-                states[i] = out[:, -1].copy()
+                for i in members:
+                    run = runs[i]
+                    out, summary = _drive(model, run.grid._steps(n0, count), run.scheme,
+                                          states[i], dw, run_plans[i])
+                    summaries[i] = _merge_stats(summaries[i], summary)
+                    inside = (run.nodes >= n0) & (run.nodes <= n0 + count)
+                    recorded[i][b0 : b0 + len(block), inside] = out[:, run.nodes[inside] - n0]
+                    # a copy, so that the window's buffer of every node can be freed
+                    states[i] = out[:, -1].copy()
+                del dw, out  # freed before the next group's sums are formed
     return list(zip(recorded, summaries))
 
 

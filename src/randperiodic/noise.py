@@ -245,10 +245,11 @@ def _ndtri(u: np.ndarray) -> np.ndarray:
     return u
 
 
-def _horner(x: np.ndarray, coef: tuple[float, ...]) -> np.ndarray:
+def _horner(x: np.ndarray, coef: tuple[float, ...], out: np.ndarray | None = None) -> np.ndarray:
     """``coef[0] * x**n + ... + coef[n]`` by Horner's rule, as Cephes'
-    ``polevl`` (and ``p1evl`` when ``coef[0]`` is 1) evaluates it."""
-    r = x * coef[0]
+    ``polevl`` (and ``p1evl`` when ``coef[0]`` is 1) evaluates it; into
+    ``out`` when given."""
+    r = np.multiply(x, coef[0], out=out)
     r += coef[1]
     for c in coef[2:]:
         r *= x
@@ -379,12 +380,56 @@ def _sum_steps(fine: np.ndarray, m: int) -> np.ndarray:
 def derive_seeds(master_seed: int, count: int) -> np.ndarray:
     """Derive ``count`` independent lattice seeds from one master seed,
     taken modulo 2**64 as :class:`NoiseLattice` takes its seed.  ``count``
-    must be a whole number of at least 0 (a bool is not one)."""
+    must be a whole number from 0 to 2**32 (a bool is not one)."""
     n = _whole(count, "count must be a whole number")
     if n < 0:
         raise ValueError(f"count must be >= 0, got {count}")
-    children = np.random.SeedSequence(_whole_seed(master_seed)).spawn(n)
-    return np.array([c.generate_state(1, np.uint64)[0] for c in children], dtype=np.uint64)
+    if n > 1 << 32:  # spawn keys of two words are not computed here
+        raise ValueError(f"count must be at most 2**32, got {count}")
+    # Seed i is SeedSequence(master).spawn(n)[i].generate_state(1, np.uint64)[0],
+    # numpy's hash computed for every i at once.  Child i's entropy is the
+    # master's two 32-bit words, zero-padded to the pool of 4, then i: the pool
+    # is the same for every child until i is mixed in, and the output reads
+    # only its first two words.
+    m = _whole_seed(master_seed)
+    pool, const = [], _INIT_A
+    for word in (m & _MASK32, m >> 32, 0, 0):
+        word, const = _hashmix(word, const, _MULT_A)
+        pool.append(word)
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                word, const = _hashmix(pool[src], const, _MULT_A)
+                pool[dst] = _mix(pool[dst], word)
+    keys = np.arange(n, dtype=np.uint32)
+    state, out_const = [], _INIT_B
+    for dst in range(2):
+        word, const = _hashmix(keys, const, _MULT_A)
+        word, out_const = _hashmix(_mix(pool[dst], word), out_const, _MULT_B)
+        state.append(word.astype(np.uint64))
+    return state[0] | state[1] << 32
+
+
+# The constants of numpy's SeedSequence hash, on 32-bit words.
+_MASK32 = 0xFFFFFFFF
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+
+
+def _hashmix(value, const: int, mult: int):
+    """SeedSequence's ``hashmix`` of an int or a uint32 array, and the next
+    hash constant."""
+    value = value ^ const
+    const = const * mult & _MASK32
+    value = value * const & _MASK32
+    return value ^ value >> 16, const
+
+
+def _mix(x: int, y):
+    """SeedSequence's ``mix`` of the int ``x`` and an int or uint32 array ``y``."""
+    r = ((_MIX_L * x & _MASK32) - (_MIX_R * y & _MASK32)) & _MASK32
+    return r ^ r >> 16
 
 
 def _check_alignment(lattice: NoiseLattice, grid: GridSpec) -> None:

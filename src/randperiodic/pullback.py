@@ -22,14 +22,15 @@ when the run starts, and never changes after; a run that calls
 :func:`_drive` many times (a study's blocks and windows, the pinned
 pull-back's steps) builds one plan and passes it to each call.
 :func:`_drive` is one loop over chunks of ``_STEP_CHUNK`` steps for both
-schemes.  Inside a chunk the explicit scheme on any drift, and the implicit
-scheme on an affine one, is one window that fills the chunk's states from
-its first, over increments laid out once step-major, in the per-step
-kernel's order of operations; the implicit scheme on a nonlinear drift takes
-one Newton solve per step.  No bit depends on the chunk length.  A path of
-the explicit scheme that diverges is NaN from its crossing node on, and that
-NaN is the only record of it.  Nothing here writes a file; the CLI writes
-trajectories as CSV.
+schemes, with no loop over steps: each chunk is one window call that fills
+the chunk's states from its first, in the per-step kernel's order of
+operations.  The explicit scheme on any drift and the implicit scheme on an
+affine one read the chunk's increments laid out once step-major; the
+implicit scheme on any other drift takes the Newton window, which forms
+each step's increment as it goes.  No bit depends on the chunk length.  A
+path of the explicit scheme that diverges is NaN from its crossing node on,
+and that NaN is the only record of it.  Nothing here writes a file; the CLI
+writes trajectories as CSV.
 """
 
 from __future__ import annotations
@@ -43,9 +44,11 @@ from .model import InitialCondition, ModelSpec, PolyTrigDrift
 from .noise import (
     AlignmentError, GridSpec, NoiseLattice, _check_alignment, _whole, coarse_increments, shift,
 )
-# unused here: perfbench/tracer.py wraps _em_step_batch under this module's name
+# _bem_step_batch and _em_step_batch are unused here: perfbench/tracer.py wraps
+# them under this module's name
 from .stepper import (
     _affine_bound, _affine_plan, _affine_steps, _bem_step_batch, _em_step_batch, _em_steps,
+    _newton_steps,
 )
 
 DIVERGENCE_THRESHOLD = 1e12
@@ -270,13 +273,16 @@ def _drive(
     this grid's step and period; without one, a plan for this grid is built
     here.  One loop runs the grid in chunks of ``_STEP_CHUNK`` steps, each
     reading its times and coefficients from the plan as one slice and
-    writing its states into one buffer of every node.  The explicit scheme
-    takes one :func:`~randperiodic.stepper._em_steps` call per chunk on any
-    drift, which finds the chunk's crossings after its steps.  The implicit
-    scheme takes one :func:`~randperiodic.stepper._affine_steps` call per
-    chunk on an affine drift, and one Newton solve per step otherwise.  A
-    window fills the chunk's slice ``z`` of the buffer from ``z[0]``, reading
-    the chunk's ``g(t_j)*dw`` step-major, shape ``(steps, paths, d)``.
+    writing its states into one buffer of every node.  Each chunk is one
+    window call, which fills the chunk's slice ``z`` of the buffer from
+    ``z[0]``.  The explicit scheme takes
+    :func:`~randperiodic.stepper._em_steps` on any drift, which finds the
+    chunk's crossings after its steps.  The implicit scheme takes
+    :func:`~randperiodic.stepper._affine_steps` on an affine drift, and
+    :func:`~randperiodic.stepper._newton_steps` on any other.  The first two
+    read the chunk's ``g(t_j)*dw`` step-major, shape ``(steps, paths, d)``;
+    the Newton window reads the chunk's ``dw`` as it is and forms each
+    step's ``g(t_j)*dw`` in turn.
 
     Returns ``(states, summary)`` where ``states[p, i]`` is the state of path
     ``p`` at grid node ``i``, shape ``(paths, grid.count + 1, d)``.  Batch
@@ -298,24 +304,21 @@ def _drive(
         t = plan.times[k : k + steps + 1]
         z = buf[c0 : c0 + steps + 1]  # z[j] is the batch after step j of the chunk
         if newton:
-            g = plan.g[k : k + steps].tolist()
-            for j in range(steps):
-                z[j + 1], iters, rn, fb = _bem_step_batch(
-                    model, t[j], t[j + 1], h, z[j], dw[:, c0 + j], g[j])
-                max_iters = max(max_iters, int(iters.max()))
-                max_resid = max(max_resid, float(rn.max()))
-                any_fb = any_fb or bool(fb.any())
-            continue
-        # inc[j] = g(t_j)*dw of step j, step-major for the windows' loops over steps
-        inc = np.multiply(plan.g[k : k + steps, None, None],
-                          dw[:, c0 : c0 + steps].swapaxes(0, 1), order="C")
-        if scheme == "bem":
+            iters, resid, fb = _newton_steps(
+                model, h, t[1:], z, dw[:, c0 : c0 + steps], plan.g[k : k + steps].tolist(),
+                None if plan.forcing is None else plan.forcing[k + 1 : k + steps + 1])
+        else:
+            # inc[j] = g(t_j)*dw of step j, step-major for the windows' loops over steps
+            inc = np.multiply(plan.g[k : k + steps, None, None],
+                              dw[:, c0 : c0 + steps].swapaxes(0, 1), order="C")
+            if scheme == "em":
+                _em_steps(model, h, t[:-1], z, inc, DIVERGENCE_THRESHOLD,
+                          None if plan.forcing is None else plan.forcing[k : k + steps])
+                continue
             resid = _affine_steps(z, inc, plan.affine_forcing[k + 1 : k + steps + 1],
                                   plan.divisor, t[1:], plan.bound)
-            max_iters, max_resid = 1, max(max_resid, resid)
-        else:
-            _em_steps(model, h, t[:-1], z, inc, DIVERGENCE_THRESHOLD,
-                      None if plan.forcing is None else plan.forcing[k : k + steps])
+            iters, fb = 1, False
+        max_iters, max_resid, any_fb = max(max_iters, iters), max(max_resid, resid), any_fb or fb
 
     return buf.swapaxes(0, 1), SolverSummary(max_iters, max_resid, any_fb)
 

@@ -30,10 +30,15 @@ Its residual needs no measuring where :func:`_affine_bound` holds: a
 division's residual is then proven below the tolerance, and the step
 reports that bound.
 :func:`_em_steps` is the same kind of window for the explicit step of any
-drift, with its divergence check made once per run of steps.  Both windows
-take a buffer ``z`` of shape ``(steps + 1, M, d)`` and fill ``z[1:]`` from
-``z[0]``, reading step ``j``'s increments at ``inc[j]`` of one step-major
-array of shape ``(steps, M, d)``.  Both step a narrow batch of a
+drift, with its divergence check made once per run of steps, and
+:func:`_newton_steps` for the implicit step of any drift without a closed
+form: it runs the damped Newton loop itself for a scalar
+:class:`~randperiodic.model.PolyTrigDrift` with its own Jacobian, with the
+set-up made once per run of steps, and calls the solve once per step for
+any other drift.  Every window takes a buffer ``z`` of shape
+``(steps + 1, M, d)`` and fills ``z[1:]`` from ``z[0]``.  The affine and
+explicit windows read step ``j``'s increments at ``inc[j]`` of one
+step-major array of shape ``(steps, M, d)``, and step a narrow batch of a
 :class:`~randperiodic.model.PolyTrigDrift` on Python floats, column by
 column, with the same IEEE operations in the same order as on arrays.
 
@@ -98,6 +103,12 @@ def _drift(model: ModelSpec, t: float, x: np.ndarray) -> np.ndarray:
     return fx
 
 
+def _check_finite(fx: np.ndarray, t: float) -> None:
+    """Raise unless every drift value ``fx``, taken at time ``t``, is finite."""
+    if not np.isfinite(fx).all():
+        raise NonFiniteEvaluationError(f"drift returned non-finite values at t={t}")
+
+
 def _implicit_solve_batch(
     model: ModelSpec,
     t: float,
@@ -141,12 +152,10 @@ def _implicit_solve_batch(
     x = np.array(x0, dtype=np.float64) if x0 is not None else rhs / denom
 
     fx = _drift(model, t, x)
-    if not np.all(np.isfinite(fx)):
-        raise NonFiniteEvaluationError(f"drift returned non-finite values at t={t}")
+    _check_finite(fx, t)
     r = x * denom - h * fx - rhs
     rn = _row_norm(r)
     iters = np.zeros(m_paths, dtype=np.int64)
-    fallback = np.zeros(m_paths, dtype=bool)
 
     # The loop works on the rows still above tolerance, compacted: ``rows``
     # are their indices in the batch.  A row that is found converged is
@@ -207,9 +216,36 @@ def _implicit_solve_batch(
     else:
         x[rows], rn[rows], iters[rows] = xa, rna, _MAX_NEWTON_ITERS
 
+    fallback = _settle(model, t, h, float(denom[0]), rhs, x, rn, tol)
+    return x, iters, rn, np.zeros(m_paths, dtype=bool) if fallback is None else fallback
+
+
+def _settle(
+    model: ModelSpec,
+    t: float,
+    h: float,
+    denom0: float,
+    rhs: np.ndarray,
+    x: np.ndarray,
+    rn: np.ndarray,
+    tol: np.ndarray,
+) -> np.ndarray | None:
+    """The end of an implicit solve to time ``t`` whose Newton loop left the
+    rows of ``x``, shape ``(M, d)``, at residual norms ``rn``: each scalar
+    row above its ``tol`` is solved again by :func:`_bisect_scalar`, which
+    updates ``x`` and ``rn`` in place.
+
+    Returns the rows that fell back, or None when none did.
+
+    Raises:
+        NonConvergenceError: a row of a model with d > 1 is above its
+            tolerance, or a row still is after the fallback.
+    """
+    if (rn <= tol).all():
+        return None
     stuck = rn > tol
     if stuck.any():
-        if d != 1:
+        if x.shape[1] != 1:
             worst = float(np.max(rn[stuck]))
             raise NonConvergenceError(
                 f"implicit solve did not converge for {int(stuck.sum())} path(s) "
@@ -217,12 +253,11 @@ def _implicit_solve_batch(
             )
         for i in np.nonzero(stuck)[0]:
             z, res = _bisect_scalar(
-                model, t, h, float(denom[0]), float(rhs[i, 0]), float(x[i, 0]),
+                model, t, h, denom0, float(rhs[i, 0]), float(x[i, 0]),
                 float(tol[i]), _MAX_BISECTION_ITERS,
             )
             x[i, 0] = z
             rn[i] = res
-            fallback[i] = True
 
     above = ~(rn <= tol)
     if above.any():
@@ -230,7 +265,7 @@ def _implicit_solve_batch(
             f"implicit solve left {int(above.sum())} path(s) above tolerance at t={t} "
             f"(worst residual {float(np.max(rn[above])):.3e})"
         )
-    return x, iters, rn, fallback
+    return stuck
 
 
 def _affine_plan(model: ModelSpec, h: float) -> tuple[float, np.ndarray] | None:
@@ -455,11 +490,128 @@ def _em_steps(
             crossed = np.flatnonzero(bad.any(axis=0))
             last = bad[:, crossed].argmax(axis=0)  # each crossing row's last live node
             for j in np.unique(last).tolist():
-                rows = crossed[last == j]
-                if not np.isfinite(_drift(model, t_prev[j], z[j, rows])).all():
-                    raise NonFiniteEvaluationError(
-                        f"drift returned non-finite values at t={t_prev[j]}")
+                _check_finite(_drift(model, t_prev[j], z[j, crossed[last == j]]), t_prev[j])
             z[1:][np.logical_or.accumulate(bad, axis=0)] = np.nan
+
+
+def _newton_steps(
+    model: ModelSpec,
+    h: float,
+    t_next: list[float],
+    z: np.ndarray,
+    dw: np.ndarray,
+    g: list[float],
+    forcing: list[float] | None,
+) -> tuple[int, float, bool]:
+    """Implicit steps of a drift without a closed form: fill ``z[1:]`` from
+    ``z[0]``.
+
+    Step ``j`` is :func:`_bem_step_batch` to time ``t_next[j]`` with the
+    diffusion ``g[j]``: it solves ``G(z[j + 1]) = z[j] + g[j]*dw[:, j]``
+    from the guess ``z[j]``.  ``z`` has shape ``(steps + 1, M, d)`` and
+    ``dw``, path-major as the run reads it, shape ``(M, steps, d)``; each
+    step forms its own right-hand side.  A scalar :class:`PolyTrigDrift`
+    (not a subclass) of degree one or more, whose model takes the drift's
+    own ``jacobian``, runs the damped Newton loop of
+    :func:`_implicit_solve_batch` here on rows of the one column, with its
+    set-up made once for the run of steps: ``f`` and ``f'`` by
+    :func:`~randperiodic.noise._horner` plus ``forcing[j] = F(t_next[j])``,
+    as the run's step plan tabulates it, in the same IEEE operations and
+    order.  Any other drift calls :func:`_implicit_solve_batch` once per
+    step, and needs no ``forcing``.
+
+    Returns the run's largest Newton iteration count and residual, and
+    whether any row fell back to bisection.
+
+    Raises:
+        NonFiniteEvaluationError: the drift is non-finite at a step's guess.
+        NonConvergenceError: a step's solve failed; both name its
+            ``t_next``.
+    """
+    drift = model.drift
+    iters, resid, fallback = 0, 0.0, False
+    if not (type(drift) is PolyTrigDrift and z.shape[2] == 1
+            and drift._deriv_coeffs is not None and model.drift_jacobian == drift.jacobian):
+        for j, t in enumerate(t_next):
+            rhs = z[j] + g[j] * dw[:, j]
+            z[j + 1], it, rn, fb = _implicit_solve_batch(model, t, h, rhs, z[j])
+            iters, resid = max(iters, int(it.max())), max(resid, float(rn.max()))
+            fallback = fallback or bool(fb.any())
+        return iters, resid, fallback
+
+    # the scalars as 0-d arrays, which numpy applies faster than floats
+    coeffs, deriv = ([np.array(c) for c in cs] for cs in (drift._coeffs, drift._deriv_coeffs))
+    h_, denom = np.array(h), np.array(1.0 + h * model.eigenvalues[0])
+    zs, dws, f_ts = z[..., 0], dw[..., 0], np.array(forcing)
+    # the work rows of every step: two sets of trial (x, r, |r|), so that a
+    # trial never overwrites the iterate it starts from
+    rhs, tol, rn, work, delta = np.empty((5, zs.shape[1]))
+    trials = np.empty((2, 3, zs.shape[1]))
+    flags, every_row = np.empty(zs.shape[1], dtype=bool), np.arange(zs.shape[1])
+    for j, t in enumerate(t_next):
+        x, f_t = zs[j + 1], f_ts[j, ...]  # each row of x is written once, when it leaves
+        np.multiply(dws[:, j], g[j], out=rhs)
+        rhs += zs[j]
+        np.abs(rhs, out=tol)
+        tol += 1.0
+        tol *= RESIDUAL_TOL
+        xa, (ra, rna) = zs[j], trials[1, 1:]
+        fx = _horner(xa, coeffs, out=work)
+        fx += f_t
+        _check_finite(fx, t)
+        np.multiply(xa, denom, out=ra)
+        fx *= h_
+        ra -= fx
+        ra -= rhs
+        np.abs(ra, out=rna)
+        # as in _implicit_solve_batch: the rows still above tolerance, compacted
+        rows, rhsa, tola, m = every_row, rhs, tol, len(rhs)
+        for k in range(_MAX_NEWTON_ITERS):
+            active = np.greater(rna, tola, out=flags[:m])
+            left = np.count_nonzero(active)
+            if left < m:
+                gone = np.flatnonzero(~active)
+                done = rows[gone]
+                x[done], rn[done] = xa.take(gone), rna.take(gone)
+                if not left:
+                    break
+                keep, m = np.flatnonzero(active), left
+                xa, ra, rhsa, rna, tola, rows = (
+                    a.take(keep) for a in (xa, ra, rhsa, rna, tola, rows))
+            jf = _horner(xa, deriv, out=work[:m])
+            jf *= h_
+            np.subtract(denom, jf, out=jf)
+            step = np.negative(ra, out=delta[:m])
+            step /= jf
+            prop, rp, rpn = trials[k % 2, :, :m]
+            np.add(xa, step, out=prop)
+            alpha = None
+            for halvings in range(_MAX_DAMPING_HALVINGS + 1):
+                if halvings:
+                    if alpha is None:
+                        alpha = np.ones(m)
+                    alpha[worse] *= 0.5
+                    prop[worse] = xa[worse] + alpha[worse] * step[worse]
+                fp = _horner(prop, coeffs, out=work[:m])
+                fp += f_t
+                np.multiply(prop, denom, out=rp)
+                fp *= h_
+                rp -= fp
+                rp -= rhsa
+                np.abs(rp, out=rpn)
+                better = np.less(rpn, rna, out=flags[:m])
+                if np.count_nonzero(better) == m:
+                    break
+                worse = ~better
+            else:
+                rpn[~np.isfinite(rpn)] = np.inf
+            xa, ra, rna = prop, rp, rpn
+        else:
+            k = _MAX_NEWTON_ITERS
+            x[rows], rn[rows] = xa, rna
+        fell_back = _settle(model, t, h, float(denom), rhs[:, None], z[j + 1], rn, tol) is not None
+        iters, resid, fallback = max(iters, k), max(resid, float(rn.max())), fallback or fell_back
+    return iters, resid, fallback
 
 
 # Batches of at most this many numbers (rows x d) step on Python floats, one
@@ -617,14 +769,9 @@ def _bem_step_batch(
     h: float,
     x_prev: np.ndarray,
     dW: np.ndarray,
-    g: float | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Batch implicit step; times must already be reduced to ``[0, tau)``.
-    ``g`` is the diffusion at ``t_prev`` when known, as a run's step plan
-    tabulates it."""
-    if g is None:
-        g = float(model.diffusion(t_prev))
-    rhs = x_prev + g * dW
+    """Batch implicit step; times must already be reduced to ``[0, tau)``."""
+    rhs = x_prev + float(model.diffusion(t_prev)) * dW
     return _implicit_solve_batch(model, t_next, h, rhs, x_prev)
 
 
@@ -651,6 +798,5 @@ def _em_step_batch(
     model: ModelSpec, t_prev: float, h: float, x_prev: np.ndarray, dW: np.ndarray
 ) -> np.ndarray:
     fx = _drift(model, t_prev, x_prev)
-    if not np.all(np.isfinite(fx)):
-        raise NonFiniteEvaluationError(f"drift returned non-finite values at t={t_prev}")
+    _check_finite(fx, t_prev)
     return x_prev + h * (-model.eigenvalues * x_prev + fx) + float(model.diffusion(t_prev)) * dW

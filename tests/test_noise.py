@@ -339,6 +339,21 @@ class TestDeriveSeeds:
                     for c in np.random.SeedSequence(seed).spawn(3)]
             assert derive_seeds(seed, 3).tolist() == want
 
+    @pytest.mark.parametrize("count", [0, 1, 3, 257])
+    @pytest.mark.parametrize("master", [0, 1, 11, 2**32 - 1, 2**32, 2**63 + 5, 2**64 - 1])
+    def test_matches_spawned_seed_sequences(self, master, count):
+        # the hash of numpy's SeedSequence, taken for every child at once
+        want = [c.generate_state(1, np.uint64)[0]
+                for c in np.random.SeedSequence(master).spawn(count)]
+        got = derive_seeds(master, count)
+        assert got.dtype == np.uint64 and got.shape == (count,)
+        assert got.tolist() == want
+
+    def test_count_above_2_32_is_refused(self):
+        # a child past 2**32 - 1 has a spawn key of two words
+        with pytest.raises(ValueError, match=r"count must be at most 2\*\*32, got 4294967297"):
+            derive_seeds(0, 2**32 + 1)
+
     @pytest.mark.parametrize("count", [True, False, np.True_, 2.5, float("inf"), "3"])
     def test_count_must_be_whole(self, count):
         with pytest.raises(ValueError, match=f"count must be a whole number, got {count!r}"):

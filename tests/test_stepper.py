@@ -638,22 +638,29 @@ def _crossings(states):
 
 
 class _KernelCalls:
-    """Path-steps taken by ``_drive`` at the window kernel and at the
-    per-step kernel; the reference loop calls neither through ``pullback``."""
+    """Path-steps taken by ``_drive`` at the affine window, at the Newton
+    window and at the per-step kernel; the reference loop calls none of them
+    through ``pullback``."""
 
     def __init__(self, monkeypatch):
-        self.window = self.step = 0
-        window, step = pullback._affine_steps, pullback._bem_step_batch
+        self.window = self.newton = self.step = 0
+        window, newton = pullback._affine_steps, pullback._newton_steps
+        step = pullback._bem_step_batch
 
         def counted_window(x, gdw, *rest):
             self.window += gdw.shape[0] * gdw.shape[1]
             return window(x, gdw, *rest)
+
+        def counted_newton(model, h, t_next, z, *rest):
+            self.newton += z.shape[1] * len(t_next)
+            return newton(model, h, t_next, z, *rest)
 
         def counted_step(model, t_prev, t_next, h, x_prev, *rest):
             self.step += x_prev.shape[0]
             return step(model, t_prev, t_next, h, x_prev, *rest)
 
         monkeypatch.setattr(pullback, "_affine_steps", counted_window)
+        monkeypatch.setattr(pullback, "_newton_steps", counted_newton)
         monkeypatch.setattr(pullback, "_bem_step_batch", counted_step)
 
 
@@ -706,7 +713,7 @@ def test_other_drifts_keep_the_per_step_kernel(monkeypatch, kind):
     grid, x0, dw = _window_inputs(1, count, seed=1)
     calls = _KernelCalls(monkeypatch)
     _check_same_run(pullback._drive(m, grid, "bem", x0, dw), _reference_drive(m, grid, x0, dw))
-    assert calls.window == 0 and calls.step == 5 * count
+    assert calls.window == 0 and calls.step == 0 and calls.newton == 5 * count
 
 
 def _raised(exc_type, run):
@@ -967,7 +974,127 @@ def test_chunks_are_invisible_to_newton(monkeypatch, d):
     for chunk in (1, 7, CHUNK):
         monkeypatch.setattr(pullback, "_STEP_CHUNK", chunk)
         _check_same_run(pullback._drive(m, grid, "bem", x0, dw), want)
-    assert calls.window == 0 and calls.step == 3 * 5 * count
+    assert calls.window == 0 and calls.step == 0 and calls.newton == 3 * 5 * count
+
+
+# -- the Newton window's own loop and its fallbacks, against one step at a time
+
+def _solves(monkeypatch):
+    """The rows of every per-step implicit solve from now on."""
+    rows = []
+    solve = stepper._implicit_solve_batch
+
+    def counted(model, t, h, rhs, *rest):
+        rows.append(len(rhs))
+        return solve(model, t, h, rhs, *rest)
+
+    monkeypatch.setattr(stepper, "_implicit_solve_batch", counted)
+    return rows
+
+
+NEWTON_KINDS = ["exact", "subclass", "fd", "custom", "d2"]
+
+
+def _newton_window_model(kind):
+    """The cubic of ``_newton_cubic_model``: its own drift and Jacobian at
+    d = 1, which the Newton window solves in its own loop, or one it hands
+    to the per-step solve: a subclass of the drift, a finite-difference or a
+    custom Jacobian, or d = 2."""
+    m = _newton_cubic_model(2 if kind == "d2" else 1)
+    if kind == "subclass":
+        f = m.drift
+        drift = _SubDrift(poly_coeffs=f.poly_coeffs, trig_amp=f.trig_amp,
+                          trig_freq=f.trig_freq, period=f.period)
+        return replace(m, drift=drift, drift_jacobian=drift.jacobian)
+    if kind == "fd":
+        return replace(m, drift_jacobian=None)
+    if kind == "custom":
+        return replace(m, drift_jacobian=lambda t, x, jac=m.drift_jacobian: jac(t, x))
+    return m
+
+
+def _spiked_newton_inputs(paths, count):
+    """Scalar inputs whose rows take one to three iterations a step, and
+    whose spiked rows (every one at width 1) jump far at one step in each of
+    the first two chunks."""
+    grid, x0, dw = _window_inputs(1, count, seed=paths, paths=paths)
+    dw *= np.where(np.arange(paths) % 3 == 0, 0.01, 1.0)[:, None, None]
+    spiked = (np.arange(paths) % 97 == 5) | (paths == 1)
+    dw[spiked, 3] = 40.0
+    dw[spiked, CHUNK + 1] = -40.0
+    return grid, x0, dw
+
+
+@pytest.mark.parametrize("paths", [1, stepper._NARROW_WIDTH, stepper._NARROW_WIDTH + 1, 1280])
+def test_newton_window_matches_step_by_step(monkeypatch, paths):
+    # capped at three iterations, rows converge, damp and fall back to
+    # bisection side by side, in the window's own loop
+    monkeypatch.setattr(stepper, "_MAX_NEWTON_ITERS", 3)
+    m = _newton_window_model("exact")
+    grid, x0, dw = _spiked_newton_inputs(paths, CHUNK + 10)
+    want = _reference_drive(m, grid, x0, dw)
+    assert want[1].max_newton_iters == 3 and want[1].any_fallback
+    solves = _solves(monkeypatch)
+    _check_same_run(pullback._drive(m, grid, "bem", x0, dw), want)
+    assert not solves
+    if paths <= stepper._NARROW_WIDTH + 1:
+        # the spiked rows damp: without halvings the run is another one
+        monkeypatch.setattr(stepper, "_MAX_DAMPING_HALVINGS", 0)
+        undamped = pullback._drive(m, grid, "bem", x0, dw)
+        assert not _same_bits(undamped[0], want[0])
+        _check_same_run(undamped, _reference_drive(m, grid, x0, dw))
+
+
+@pytest.mark.parametrize("kind", NEWTON_KINDS[1:])
+def test_newton_window_hands_other_drifts_to_the_per_step_solve(monkeypatch, kind):
+    m = _newton_window_model(kind)
+    count = CHUNK + 10
+    grid, x0, dw = _window_inputs(m.dimension, count, seed=5, paths=21)
+    want = _reference_drive(m, grid, x0, dw)
+    solves = _solves(monkeypatch)
+    _check_same_run(pullback._drive(m, grid, "bem", x0, dw), want)
+    assert solves == [21] * count
+
+
+@pytest.mark.parametrize("kind", NEWTON_KINDS)
+def test_newton_window_reports_a_non_finite_drift(kind):
+    m = _newton_window_model(kind)
+    grid, x0, dw = _window_inputs(m.dimension, 5, seed=3, paths=21)
+    x0[7, 0] = 1e103  # a finite state at which the cubic overflows
+    with np.errstate(over="ignore", invalid="ignore"):
+        got = _raised(NonFiniteEvaluationError, lambda: pullback._drive(m, grid, "bem", x0, dw))
+        want = _raised(NonFiniteEvaluationError, lambda: _reference_drive(m, grid, x0, dw))
+    assert got == want
+    t_first = ((grid.start_index + 1) % grid.period_steps) * grid.h
+    assert got == f"drift returned non-finite values at t={t_first}"
+
+
+@pytest.mark.parametrize("kind", NEWTON_KINDS)
+def test_newton_window_names_a_step_left_above_tolerance(kind):
+    m = _newton_window_model(kind)
+    count, bad = CHUNK + 10, CHUNK + 5
+    grid, x0, dw = _window_inputs(m.dimension, count, seed=6, paths=21)
+    dw[7, bad, 0] = np.nan
+    got = _raised(NonConvergenceError, lambda: pullback._drive(m, grid, "bem", x0, dw))
+    want = _raised(NonConvergenceError, lambda: _reference_drive(m, grid, x0, dw))
+    assert got == want
+    t_bad = ((grid.start_index + bad + 1) % grid.period_steps) * grid.h
+    assert got.startswith(f"implicit solve left 1 path(s) above tolerance at t={t_bad} ")
+
+
+def test_newton_window_names_a_failed_fallback():
+    # the negative divisor multiplies one row by about -4.6 a step, until at
+    # step 131, in the second chunk, its root overflows the drift and the
+    # bisection fallback fails
+    m = affine_model([1.0], (0.2, 40.0))
+    grid, x0, dw = _window_inputs(1, 2 * CHUNK + 10, seed=4, paths=21)
+    x0[3] = 1e220
+    with np.errstate(over="ignore", invalid="ignore"):
+        got = _raised(NonConvergenceError, lambda: pullback._drive(m, grid, "bem", x0, dw))
+        want = _raised(NonConvergenceError, lambda: _reference_drive(m, grid, x0, dw))
+    assert got == want
+    t_bad = ((grid.start_index + 132) % grid.period_steps) * grid.h
+    assert got.startswith(f"bisection exhausted 200 iterations at t={t_bad} ")
 
 
 def _diverging_em_inputs(d, count):

@@ -101,17 +101,23 @@ def test_implicit_path_steps_agree_across_layers(monkeypatch, run, model):
     # the benchmark's `stepper.path_steps_bem == pullback.path_steps_bem`
     # check: every row of every implicit `_drive` call goes through a step
     # kernel once per grid step; blocks of 3 split the 5 paths unevenly.
-    # The builtin's steps take the affine window kernel, which the tracer
-    # does not wrap, so its path-steps are counted here.
+    # The builtin's steps take the affine window kernel and the cubic's the
+    # Newton window, which the tracer does not wrap, so their path-steps are
+    # counted here.
     monkeypatch.setattr(analysis, "DEFAULT_BLOCK_SIZE", 3)
-    window_steps = []
-    window = pullback._affine_steps
+    window_steps, newton_steps = [], []
+    window, newton = pullback._affine_steps, pullback._newton_steps
 
     def counting_window(x, gdw, *rest):
         window_steps.append(gdw.shape[0] * gdw.shape[1])
         return window(x, gdw, *rest)
 
+    def counting_newton(model, h, t_next, z, *rest):
+        newton_steps.append(z.shape[1] * len(t_next))
+        return newton(model, h, t_next, z, *rest)
+
     monkeypatch.setattr(pullback, "_affine_steps", counting_window)
+    monkeypatch.setattr(pullback, "_newton_steps", counting_newton)
     tracer = _tracer_module().Tracer()
     tracer.install(randperiodic)
     try:
@@ -121,9 +127,10 @@ def test_implicit_path_steps_agree_across_layers(monkeypatch, run, model):
         tracer.uninstall()
     assert not tracer.missing
     assert tracer.counts["pullback.path_steps_bem"] > 0
+    assert tracer.counts["stepper.path_steps_bem"] == 0
     if model == "cubic":
         assert not window_steps
-        assert tracer.counts["stepper.path_steps_bem"] == tracer.counts["pullback.path_steps_bem"]
+        assert sum(newton_steps) == tracer.counts["pullback.path_steps_bem"]
     else:
-        assert tracer.counts["stepper.path_steps_bem"] == 0
+        assert not newton_steps
         assert sum(window_steps) == tracer.counts["pullback.path_steps_bem"]
