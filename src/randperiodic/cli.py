@@ -58,11 +58,12 @@ from .stepper import RESIDUAL_TOL
 # given); a default of None is worked out from the model by the handler.
 _COMMON = (
     ("model", None, "builtin", "built-in model name or JSON model file"),
-    ("out", None, ".", "output directory"),
     ("seed", int, 0, "master seed"),
 )
+_OUT = ("out", None, ".", "output directory")
 _COMMANDS = {
     "simulate": ("pull back one path and write a trajectory CSV", (
+        _OUT,
         ("h", float, 2.0**-7, "step size"),
         ("scheme", ("bem", "em"), "bem", "time stepper"),
         ("t0", float, 0.0, "first recorded time"),
@@ -77,6 +78,7 @@ _COMMANDS = {
         ("coalesce_periods", int, 2, "forward window for coalescence, in periods"),
     )),
     "order": ("strong-error table and convergence order", (
+        _OUT,
         ("h_ref", float, 2.0**-12, "reference step size"),
         ("h_list", list, [2.0**-4, 2.0**-5, 2.0**-6, 2.0**-7, 2.0**-8],
          "coarse steps, comma-separated or repeated"),
@@ -86,6 +88,7 @@ _COMMANDS = {
         ("scheme", ("bem", "em", "both"), "both", "scheme(s) to study"),
     )),
     "measure": ("sample the time-t law by pull-back", (
+        _OUT,
         ("h", float, 2.0**-7, "step size"),
         ("paths", int, 2000, "independent paths"),
         ("t", list, [0.0], "sampling times, comma-separated or repeated"),
@@ -241,7 +244,7 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_periodicity(args) -> int:
-    model, _ = _setup(args)
+    model = load_model(args.model)
     h, threshold, windows = args.h, args.threshold, args.coalesce_periods
     # the checks of make_grid and coalescence, made before the lattice is
     # built or any path simulated; verify_shift_periodicity checks k before
@@ -352,7 +355,7 @@ def _cmd_measure(args) -> int:
 
 
 def _cmd_check(args) -> int:
-    model, _ = _setup(args)
+    model = load_model(args.model)
     report = check_assumptions(model, sample_count=args.samples, radius=args.radius,
                                seed=args.seed)
     for line in report.lines():

@@ -38,9 +38,9 @@ set-up made once per run of steps, and calls the solve once per step for
 any other drift.  Every window takes a buffer ``z`` of shape
 ``(steps + 1, M, d)`` and fills ``z[1:]`` from ``z[0]``.  The affine and
 explicit windows read step ``j``'s increments at ``inc[j]`` of one
-step-major array of shape ``(steps, M, d)``, and step a narrow batch of a
-:class:`~randperiodic.model.PolyTrigDrift` on Python floats, column by
-column, with the same IEEE operations in the same order as on arrays.
+step-major array of shape ``(steps, M, d)``.  The affine window steps a
+batch of one number, a single path of a scalar model, on Python floats,
+with the same IEEE operations in the same order as on arrays.
 
 All solver kernels operate on batches of states with shape ``(M, d)`` and
 make per-path decisions (convergence, damping) independently, so a path's
@@ -103,10 +103,12 @@ def _drift(model: ModelSpec, t: float, x: np.ndarray) -> np.ndarray:
     return fx
 
 
-def _check_finite(fx: np.ndarray, t: float) -> None:
-    """Raise unless every drift value ``fx``, taken at time ``t``, is finite."""
-    if not np.isfinite(fx).all():
-        raise NonFiniteEvaluationError(f"drift returned non-finite values at t={t}")
+def _check_finite(values: np.ndarray, t: float, what: str = "drift returned") -> None:
+    """Raise unless every one of ``values``, taken at time ``t``, is finite;
+    ``what`` names them in the message (drift values by default)."""
+    if not np.isfinite(values).all():
+        raise NonFiniteEvaluationError(f"{what} non-finite values at t={t}")
+
 
 
 def _implicit_solve_batch(
@@ -131,7 +133,8 @@ def _implicit_solve_batch(
     reports one Newton iteration per path, no fallback, and for every path
     the batch's largest residual (or its proven bound).  A subclass, a
     higher-degree polynomial, or a divisor ``1 + h*(lambda_i - p1) <= 0``
-    runs the Newton loop.
+    runs the Newton loop, which first refuses an ``rhs`` that is not finite
+    with :class:`NonFiniteEvaluationError`.
     """
     m_paths, d = rhs.shape
     affine = _affine_plan(model, h)
@@ -146,6 +149,7 @@ def _implicit_solve_batch(
                 np.zeros(m_paths, dtype=bool))
 
     lam = model.eigenvalues
+    _check_finite(rhs, t, "implicit step right-hand side has")
     tol = RESIDUAL_TOL * (1.0 + _row_norm(rhs))
     use_analytic = model.drift_jacobian is not None
     denom = 1.0 + h * lam
@@ -342,8 +346,9 @@ def _affine_steps(
 
     with ``forcing[j] = h*(p0 + F(t_next[j]))`` and ``divisor`` from
     :func:`_affine_plan`.  ``z`` has shape ``(steps + 1, M, d)`` and ``inc``,
-    step-major, shape ``(steps, M, d)``.  The steps run in sequence, on
-    Python floats when the batch is narrow (see :func:`_narrow_columns`).
+    step-major, shape ``(steps, M, d)``.  The steps run in sequence: on
+    Python floats when the batch is one number, in the same IEEE ``+`` and
+    ``/`` as the array loop that steps every other batch.
 
     ``bound`` is :func:`_affine_bound` for these steps' forcing, or None.
     With a bound, a run of steps whose every ``|b_j|`` is within its limit
@@ -359,15 +364,12 @@ def _affine_steps(
         NonFiniteEvaluationError: a step's result is not finite.
         NonConvergenceError: a finite step missed the tolerance.
     """
-    if z[0].size <= _NARROW_WIDTH:
-        cols = []
-        for x_c, inc_c, div_c in _narrow_columns(z, inc, divisor):
-            col = []
-            for w, f in zip(inc_c, forcing):
-                x_c = (x_c + w + f) / div_c
-                col.append(x_c)
-            cols.append(col)
-        _write_columns(z, cols)
+    if z[0].size == 1:
+        x, div, xs = float(z[0, 0, 0]), float(divisor[0]), []
+        for w, f in zip(inc[:, 0, 0].tolist(), forcing):
+            x = (x + w + f) / div
+            xs.append(x)
+        z[1:, 0, 0] = xs
     else:
         for j, f in enumerate(forcing):
             nxt = z[j + 1]
@@ -391,7 +393,8 @@ def _affine_steps(
     tol *= RESIDUAL_TOL
     b += f
     r = z[1:] * divisor
-    r -= b
+    with np.errstate(invalid="ignore"):  # inf - inf where a step is not finite
+        r -= b
     rn = _row_norm(r)
     above = ~(rn <= tol)
     if above.any():
@@ -423,8 +426,7 @@ def _em_steps(
     ``inc[j]`` the step's ``g(t_prev[j])*dW``.  A :class:`PolyTrigDrift`
     (not a subclass) is evaluated here: its polynomial by
     :func:`~randperiodic.noise._horner` (zero for an empty one) plus
-    ``forcing[j] = F(t_prev[j])``, as the run's step plan tabulates it, on
-    Python floats when the batch is narrow (see :func:`_narrow_columns`).
+    ``forcing[j] = F(t_prev[j])``, as the run's step plan tabulates it.
     Any other drift, whose ``forcing`` is None, is called once per step.
     ``z`` has shape ``(steps + 1, M, d)`` and ``inc``, step-major, shape
     ``(steps, M, d)``.
@@ -447,37 +449,20 @@ def _em_steps(
     # rows that diverge keep stepping to the end of the window, and may
     # overflow there; only their values up to the crossing are kept
     with np.errstate(over="ignore", invalid="ignore"):
-        if exact and z[0].size <= _NARROW_WIDTH:
-            cols = []
-            for x_c, inc_c, nl in _narrow_columns(z, inc, neg_lam):
-                col = []
-                for w, f in zip(inc_c, forcing):
-                    if coeffs is None:
-                        fx = 0.0 + f
-                    else:
-                        fx = x_c * coeffs[0] + coeffs[1]
-                        for c in coeffs[2:]:
-                            fx = fx * x_c + c
-                        fx += f
-                    x_c = x_c + h * (nl * x_c + fx) + w
-                    col.append(x_c)
-                cols.append(col)
-            _write_columns(z, cols)
-        else:
-            for j, t in enumerate(t_prev):
-                xj, nxt = z[j], z[j + 1]
-                if not exact:
-                    fx = _drift(model, t, xj)
-                elif coeffs is None:
-                    fx = 0.0 + forcing[j]  # the value of every entry of zeros_like(x) + F
-                else:
-                    fx = _horner(xj, coeffs)
-                    fx += forcing[j]
-                np.multiply(neg_lam, xj, out=nxt)
-                nxt += fx
-                nxt *= h
-                nxt += xj
-                nxt += inc[j]
+        for j, t in enumerate(t_prev):
+            xj, nxt = z[j], z[j + 1]
+            if not exact:
+                fx = _drift(model, t, xj)
+            elif coeffs is None:
+                fx = 0.0 + forcing[j]  # the value of every entry of zeros_like(x) + F
+            else:
+                fx = _horner(xj, coeffs)
+                fx += forcing[j]
+            np.multiply(neg_lam, xj, out=nxt)
+            nxt += fx
+            nxt *= h
+            nxt += xj
+            nxt += inc[j]
 
         bad = ~(_row_norm(z[1:]) <= threshold)  # (steps, rows)
         # a row of z[0] that is not finite steps to states that are not: bad too
@@ -524,7 +509,8 @@ def _newton_steps(
     whether any row fell back to bisection.
 
     Raises:
-        NonFiniteEvaluationError: the drift is non-finite at a step's guess.
+        NonFiniteEvaluationError: a step's right-hand side, or the drift at
+            its guess, is not finite.
         NonConvergenceError: a step's solve failed; both name its
             ``t_next``.
     """
@@ -558,11 +544,13 @@ def _newton_steps(
         xa, (ra, rna) = zs[j], trials[1, 1:]
         fx = _horner(xa, coeffs, out=work)
         fx += f_t
-        _check_finite(fx, t)
         np.multiply(xa, denom, out=ra)
         fx *= h_
         ra -= fx
         ra -= rhs
+        if not np.isfinite(ra).all():  # r is finite only where rhs and f are: name which
+            _check_finite(rhs, t, "implicit step right-hand side has")
+            _check_finite(fx, t)
         np.abs(ra, out=rna)
         # as in _implicit_solve_batch: the rows still above tolerance, compacted
         rows, rhsa, tola, m = every_row, rhs, tol, len(rhs)
@@ -612,29 +600,6 @@ def _newton_steps(
         fell_back = _settle(model, t, h, float(denom), rhs[:, None], z[j + 1], rn, tol) is not None
         iters, resid, fallback = max(iters, k), max(resid, float(rn.max())), fallback or fell_back
     return iters, resid, fallback
-
-
-# Batches of at most this many numbers (rows x d) step on Python floats, one
-# column at a time; wider ones step whole arrays.  Timed per step of a window
-# on a 2-core Xeon: numpy takes about 4.4 us at any width up to 64, Python
-# floats 0.38 us at 1 number, 3.3 us at 16 and 5.0 us at 24.
-_NARROW_WIDTH = 20
-
-
-def _narrow_columns(z: np.ndarray, inc: np.ndarray, per_coord: np.ndarray):
-    """``(x, inc, c)`` as Python floats, one triple per column ``(row, i)``
-    of the batch in row-major order: the column's start in ``z[0]``, its
-    increments over the steps from the step-major ``inc``, and
-    ``per_coord[i]``.  The narrow loops of both windows run the same IEEE
-    ``+ - * /`` on these as the wide loops run on arrays."""
-    return zip(z[0].ravel().tolist(), inc.reshape(len(inc), -1).T.tolist(),
-               per_coord.tolist() * len(z[0]))
-
-
-def _write_columns(z: np.ndarray, cols: list[list[float]]) -> None:
-    """Write the columns of :func:`_narrow_columns`, each the states after
-    steps 1, 2, ..., into ``z[1:]`` of shape ``(steps, M, d)``."""
-    z[1:] = np.array(cols).T.reshape(z[1:].shape)
 
 
 def _row_norm(a: np.ndarray) -> np.ndarray:
@@ -730,7 +695,7 @@ def implicit_solve(
 
     Raises:
         NonConvergenceError: iteration caps exhausted.
-        NonFiniteEvaluationError: the drift produced non-finite values.
+        NonFiniteEvaluationError: ``rhs`` or the drift is not finite.
     """
     _check_h(h)
     rhs = np.atleast_1d(np.asarray(rhs, dtype=np.float64))
@@ -751,6 +716,11 @@ def bem_step(
     The drift is evaluated implicitly at ``t_next`` and the diffusion
     explicitly at ``t_next - h``; both times are reduced modulo the model
     period before evaluating the coefficients.
+
+    Raises:
+        NonConvergenceError: iteration caps exhausted.
+        NonFiniteEvaluationError: the right-hand side ``x_prev + g*dW`` or
+            the drift is not finite; names ``t_next``.
     """
     _check_h(h)
     tau = model.period

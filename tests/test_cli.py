@@ -31,6 +31,11 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def out_flag(command, directory):
+    """``--out directory`` for a subcommand that writes files, else nothing."""
+    return ("--out", str(directory)) if command in ("simulate", "order", "measure") else ()
+
+
 def read_csv(path):
     """(``#key=value`` metadata, header, data lines) of a CSV the CLI wrote."""
     lines = path.read_text().splitlines()
@@ -173,7 +178,7 @@ class TestConfigHandling:
                  "tau": 1.0, "constants": {"C_f": 0.5}}
         path = tmp_path / "model.json"
         path.write_text(json.dumps(dict(model, **{key: value})))  # writes Infinity
-        code, _, err = run(capsys, command, "--model", str(path), "--out", str(tmp_path))
+        code, _, err = run(capsys, command, "--model", str(path), *out_flag(command, tmp_path))
         assert code == 2
         assert "configuration error" in err and "finite" in err
 
@@ -193,7 +198,7 @@ class TestConfigHandling:
         model[section] = dict(model[section], **{key: value})
         path = tmp_path / "model.json"
         path.write_text(json.dumps(model))  # writes Infinity and NaN
-        code, _, err = run(capsys, command, "--model", str(path), "--out", str(tmp_path))
+        code, _, err = run(capsys, command, "--model", str(path), *out_flag(command, tmp_path))
         assert code == 2
         assert "configuration error" in err and "finite" in err
 
@@ -206,6 +211,23 @@ class TestConfigHandling:
         with pytest.raises(SystemExit) as exc:
             main(["simulate", "--scheme", "heun"])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("command", ["periodicity", "check"])
+    def test_out_belongs_to_the_writers(self, capsys, tmp_path, command):
+        # a subcommand that writes no file takes no --out and makes no directory
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--out", str(tmp_path / "flag")])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --out" in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
+
+    def test_out_in_a_config_makes_no_directory(self, capsys, tmp_path):
+        # for a subcommand that writes no file, out is another subcommand's key
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"out": str(tmp_path / "config")}))
+        code, _, _ = run(capsys, "check", "--config", str(cfg), "--samples", "50")
+        assert code == 0
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["run.json"]
 
 
     @pytest.mark.parametrize("command, key", [
@@ -222,7 +244,7 @@ class TestConfigHandling:
     def test_integer_keys_must_be_whole(self, capsys, tmp_path, command, key, value):
         cfg = tmp_path / "run.json"
         cfg.write_text(json.dumps({key: value}))  # writes NaN
-        code, out, err = run(capsys, command, "--config", str(cfg), "--out", str(tmp_path))
+        code, out, err = run(capsys, command, "--config", str(cfg), *out_flag(command, tmp_path))
         assert code == 2 and out == ""
         assert f"configuration error: {key} must be a whole number, got {value!r}" in err
 
@@ -234,7 +256,7 @@ class TestConfigHandling:
     def test_float_keys_must_not_be_bools(self, capsys, tmp_path, command, key, value):
         cfg = tmp_path / "run.json"
         cfg.write_text(json.dumps({key: value}))
-        code, out, err = run(capsys, command, "--config", str(cfg), "--out", str(tmp_path))
+        code, out, err = run(capsys, command, "--config", str(cfg), *out_flag(command, tmp_path))
         bad = True if isinstance(value, list) else value
         assert code == 2 and out == ""
         assert err == f"configuration error: {key} must be a number, got {bad!r}\n"
@@ -254,7 +276,7 @@ class TestConfigHandling:
         (("order", "--h-ref", "nan"), "step size h must be positive and finite, got nan"),
     ], ids=["simulate", "measure", "periodicity", "order", "periodicity-nan", "order-nan"])
     def test_non_finite_grid_ratio_exits_two(self, capsys, tmp_path, argv, message):
-        code, out, err = run(capsys, *argv, "--out", str(tmp_path))
+        code, out, err = run(capsys, *argv, *out_flag(argv[0], tmp_path))
         assert code == 2 and out == ""
         assert err == f"configuration error: {message}\n"
 
@@ -262,7 +284,7 @@ class TestConfigHandling:
     @pytest.mark.parametrize("command, key", [("periodicity", "--h"), ("order", "--h-ref")])
     def test_non_positive_step_exits_two(self, capsys, tmp_path, command, key, h):
         # checked before any grid ratio is formed, which for 0 would divide by zero
-        code, out, err = run(capsys, command, key, h, "--out", str(tmp_path))
+        code, out, err = run(capsys, command, key, h, *out_flag(command, tmp_path))
         assert code == 2 and out == ""
         assert err == f"configuration error: step size h must be positive and finite, got {float(h)!r}\n"
 
@@ -529,9 +551,11 @@ class TestNegativeSeeds:
         outputs = []
         for seed in ("-1", str(2**64 - 1)):
             out_dir = tmp_path / seed
-            code, out, err = run(capsys, *argv, "--seed", seed, "--out", str(out_dir))
+            code, out, err = run(capsys, *argv, "--seed", seed, *out_flag(argv[0], out_dir))
             assert code == 0, err
-            files = {p.name: p.read_bytes() for p in sorted(out_dir.iterdir())}
+            # check writes no file
+            files = out_dir.exists() and {p.name: p.read_bytes()
+                                          for p in sorted(out_dir.iterdir())}
             outputs.append((out.replace(str(out_dir), "<out>"), files))
         assert outputs[0] == outputs[1]
 
@@ -548,7 +572,8 @@ class TestNegativeSeeds:
 DEFAULTS = {
     **{(command, key): value
        for command in ("simulate", "periodicity", "order", "measure", "check")
-       for key, value in (("model", "builtin"), ("out", "."), ("seed", 0))},
+       for key, value in (("model", "builtin"), ("seed", 0))},
+    **{(command, "out"): "." for command in ("simulate", "order", "measure")},
     ("simulate", "h"): 2.0**-7, ("simulate", "scheme"): "bem", ("simulate", "t0"): 0.0,
     ("simulate", "t1"): None, ("simulate", "pullback_periods"): None,
     ("periodicity", "h"): 2.0**-7, ("periodicity", "pullback_periods"): 30,

@@ -194,6 +194,17 @@ class TestImplicitSolve:
         with pytest.raises(NonFiniteEvaluationError):
             implicit_solve(m, 0.0, 0.5, np.array([1.0]))
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_rhs_raises(self, value):
+        # an infinite rhs makes its own tolerance inf, and inf <= inf would
+        # pass the guess as the root
+        message = r"^implicit step right-hand side has non-finite values at t=0\.25$"
+        with pytest.raises(NonFiniteEvaluationError, match=message):
+            implicit_solve(cubic_model(1.0), 0.25, 2**-5, np.array([value]), x0=np.array([0.3]))
+        with pytest.raises(NonFiniteEvaluationError, match=message):
+            _implicit_solve_batch(cubic_model(1.0, jacobian=False), 0.25, 2**-5,
+                                  np.array([[1.0], [value]]))
+
     def test_drift_of_the_wrong_shape_raises(self):
         m = ModelSpec(
             eigenvalues=np.array([1.0]), drift=lambda t, x: np.zeros(x.shape + (2,)),
@@ -272,6 +283,14 @@ class TestBemStep:
         a = bem_step(m, t_next=0.25, h=0.125, x_prev=x, dW=dw)[0]
         b = bem_step(m, t_next=7.25, h=0.125, x_prev=x, dW=dw)[0]
         assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_increment_raises(self, value):
+        # the Newton solve of a cubic and the closed form of the linear model
+        for m, what in ((cubic_model(1.0), "implicit step right-hand side has non-finite values"),
+                        (linear_model(2.0), "affine implicit step is non-finite")):
+            with pytest.raises(NonFiniteEvaluationError, match=rf"^{what} at t=0\.5$"):
+                bem_step(m, t_next=2.5, h=0.25, x_prev=np.array([0.2]), dW=np.array([value]))
 
     def test_benchmark_drift_time(self):
         # With x0 = 0 and no noise the step solves z(1+h*a) = h*sin(2*pi*t_next)
@@ -1025,7 +1044,7 @@ def _spiked_newton_inputs(paths, count):
     return grid, x0, dw
 
 
-@pytest.mark.parametrize("paths", [1, stepper._NARROW_WIDTH, stepper._NARROW_WIDTH + 1, 1280])
+@pytest.mark.parametrize("paths", [1, 20, 21, 1280])
 def test_newton_window_matches_step_by_step(monkeypatch, paths):
     # capped at three iterations, rows converge, damp and fall back to
     # bisection side by side, in the window's own loop
@@ -1037,7 +1056,7 @@ def test_newton_window_matches_step_by_step(monkeypatch, paths):
     solves = _solves(monkeypatch)
     _check_same_run(pullback._drive(m, grid, "bem", x0, dw), want)
     assert not solves
-    if paths <= stepper._NARROW_WIDTH + 1:
+    if paths <= 21:
         # the spiked rows damp: without halvings the run is another one
         monkeypatch.setattr(stepper, "_MAX_DAMPING_HALVINGS", 0)
         undamped = pullback._drive(m, grid, "bem", x0, dw)
@@ -1070,16 +1089,18 @@ def test_newton_window_reports_a_non_finite_drift(kind):
 
 
 @pytest.mark.parametrize("kind", NEWTON_KINDS)
-def test_newton_window_names_a_step_left_above_tolerance(kind):
+def test_newton_window_names_a_non_finite_right_hand_side(kind):
+    # an infinite right-hand side would pass its own infinite tolerance and
+    # hold the state, and a NaN one would be left above tolerance
     m = _newton_window_model(kind)
     count, bad = CHUNK + 10, CHUNK + 5
-    grid, x0, dw = _window_inputs(m.dimension, count, seed=6, paths=21)
-    dw[7, bad, 0] = np.nan
-    got = _raised(NonConvergenceError, lambda: pullback._drive(m, grid, "bem", x0, dw))
-    want = _raised(NonConvergenceError, lambda: _reference_drive(m, grid, x0, dw))
-    assert got == want
-    t_bad = ((grid.start_index + bad + 1) % grid.period_steps) * grid.h
-    assert got.startswith(f"implicit solve left 1 path(s) above tolerance at t={t_bad} ")
+    for value in (np.nan, np.inf, -np.inf):
+        grid, x0, dw = _window_inputs(m.dimension, count, seed=6, paths=21)
+        dw[7, bad, 0] = value
+        got = _raised(NonFiniteEvaluationError, lambda: pullback._drive(m, grid, "bem", x0, dw))
+        want = _raised(NonFiniteEvaluationError, lambda: _reference_drive(m, grid, x0, dw))
+        t_bad = ((grid.start_index + bad + 1) % grid.period_steps) * grid.h
+        assert got == want == f"implicit step right-hand side has non-finite values at t={t_bad}"
 
 
 def test_newton_window_names_a_failed_fallback():
@@ -1120,9 +1141,12 @@ def test_chunks_are_invisible_to_the_explicit_scheme(monkeypatch, model):
     crossed = _crossings(want[0])
     assert crossed[:5].tolist() == [0, 1, 8, CHUNK + 1, count]
     assert (crossed[5] > 0) == model.startswith("cubic")
+    # and one path alone, the one crossing at the first step of a chunk
+    want_one = _reference_drive_em(m, grid, x0[3:4], dw[3:4])
     for chunk in (1, 7, CHUNK):
         monkeypatch.setattr(pullback, "_STEP_CHUNK", chunk)
         _check_same_run(pullback._drive(m, grid, "em", x0, dw), want)
+        _check_same_run(pullback._drive(m, grid, "em", x0[3:4], dw[3:4]), want_one)
 
 
 
@@ -1162,7 +1186,7 @@ def _explicit_window_inputs(d, count, paths):
     return grid, x0, dw
 
 
-@pytest.mark.parametrize("paths", [10, 3 * stepper._NARROW_WIDTH])
+@pytest.mark.parametrize("paths", [10, 60])
 @pytest.mark.parametrize("case", sorted(AFFINE_CASES))
 def test_explicit_window_matches_step_by_step(monkeypatch, case, paths):
     eigenvalues, coeffs = AFFINE_CASES[case]
@@ -1184,7 +1208,7 @@ def test_explicit_window_matches_step_by_step(monkeypatch, case, paths):
     assert calls.step == 0 and calls.window == 3 * (2 * paths - 2) * count
 
 
-@pytest.mark.parametrize("paths", [3, 3 * stepper._NARROW_WIDTH])
+@pytest.mark.parametrize("paths", [3, 60])
 def test_explicit_window_raises_on_a_non_finite_drift(paths):
     # p1 = 1e308: the drift overflows at any state above 2 in size and is 0
     # at 0, where the paths stay until an increment moves them
@@ -1240,11 +1264,10 @@ def _any_drift_em_inputs(d, count, paths):
     return grid, x0, dw
 
 
-@pytest.mark.parametrize("paths", [10, 3 * stepper._NARROW_WIDTH])
+@pytest.mark.parametrize("paths", [10, 60])
 @pytest.mark.parametrize("kind,d", [("function", 1), ("function", 2), ("subclass", 1),
                                     ("cubic", 1), ("cubic", 2)])
 def test_explicit_window_takes_any_drift(monkeypatch, kind, d, paths):
-    # 10 paths are a narrow batch at d = 1 and 2, 60 a wide one
     m = _any_drift_model(kind, d)
     count = 2 * CHUNK + 10
     grid, x0, dw = _any_drift_em_inputs(d, count, paths)
@@ -1262,7 +1285,7 @@ def test_explicit_window_takes_any_drift(monkeypatch, kind, d, paths):
     assert calls.step == 0 and calls.window == 3 * paths * count
 
 
-@pytest.mark.parametrize("paths", [3, 3 * stepper._NARROW_WIDTH])
+@pytest.mark.parametrize("paths", [3, 60])
 @pytest.mark.parametrize("kind", ["function", "subclass"])
 def test_explicit_window_of_any_drift_raises_on_a_non_finite_drift(kind, paths):
     # the drift overflows at any state above 2 in size and is 0 at 0, where
@@ -1292,28 +1315,28 @@ def test_explicit_window_of_any_drift_raises_on_a_non_finite_drift(kind, paths):
     assert _crossings(states).tolist() == [4] + [-1] * (paths - 1)
 
 
-# -- the narrow loops of both windows, against the wide ones ------------------
+# -- one path: the affine window's scalar loop, against the array loop -------
 
-@pytest.mark.parametrize("width", [1, stepper._NARROW_WIDTH, stepper._NARROW_WIDTH + 1, 256])
-@pytest.mark.parametrize("d", [1, 2])
-@pytest.mark.parametrize("scheme", ["bem", "em"])
-def test_narrow_and_wide_loops_agree(monkeypatch, scheme, d, width):
-    # rows x d numbers on either side of the threshold; each run once at the
-    # default, once all on Python floats, once all on arrays
-    rows = -(-width // d)
-    m = replace(affine_model([3.0, 7.5][:d], (-0.4, 1.2)),
+@pytest.mark.parametrize("chunk", [1, 7, CHUNK])
+@pytest.mark.parametrize("branch", ["proven", "measured"])
+def test_one_path_steps_as_row_0_of_a_batch(monkeypatch, branch, chunk):
+    # one path of a scalar model steps on Python floats, row 0 of 2 and of
+    # 21 paths on arrays: the same bits, those of one step at a time, with
+    # the residual proven or measured
+    if branch == "measured":
+        for module in (stepper, pullback):
+            monkeypatch.setattr(module, "_affine_bound", lambda *args: None)
+    monkeypatch.setattr(pullback, "_STEP_CHUNK", chunk)
+    m = replace(affine_model([3.0], (-0.4, 1.2)),
                 diffusion=lambda t: 0.3 + 0.2 * math.cos(2.0 * math.pi * t))
-    count = 40
-    grid, x0, dw = _window_inputs(d, count, seed=width, paths=rows)
-    if scheme == "em":
-        x0[-1] = np.nan
-        dw[0, count // 2] = 1e15
-    runs = []
-    for narrow in (stepper._NARROW_WIDTH, 10**9, -1):
-        monkeypatch.setattr(stepper, "_NARROW_WIDTH", narrow)
-        runs.append(pullback._drive(m, grid, scheme, x0, dw))
-    for run in runs[1:]:
-        _check_same_run(run, runs[0])
+    grid, x0, dw = _window_inputs(1, 2 * CHUNK + 10, seed=chunk, paths=21)
+    assert (pullback._StepPlan(m, grid).bound is None) == (branch == "measured")
+    one = pullback._drive(m, grid, "bem", x0[:1], dw[:1])
+    _check_same_run(one, _reference_drive(m, grid, x0[:1], dw[:1]))
+    assert (one[1].max_newton_iters, one[1].any_fallback) == (1, False)
+    for rows in (2, 21):
+        states, _ = pullback._drive(m, grid, "bem", x0[:rows], dw[:rows])
+        assert _same_bits(states[:1], one[0])
 
 
 # -- the damped Newton loop, pinned bit for bit -------------------------------
