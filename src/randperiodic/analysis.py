@@ -99,7 +99,10 @@ class ErrorTable:
     solver_stats: SolverSummary = SolverSummary()
 
     def valid_rows(self) -> list[ErrorRow]:
-        return [r for r in self.rows if not r.diverged]
+        """The rows an order fit can use: not diverged, with a positive
+        error (a level at ``h_ref`` itself has error 0, whose log2 is not
+        finite)."""
+        return [r for r in self.rows if not r.diverged and r.rms_error > 0.0]
 
 
 @dataclass(frozen=True)
@@ -112,7 +115,7 @@ class OrderFit:
 
 
 def fit_order(table: ErrorTable) -> OrderFit:
-    """Fit the convergence order from the non-diverged rows.
+    """Fit the convergence order from the table's :meth:`~ErrorTable.valid_rows`.
 
     The order is the signed slope in log2-log2 coordinates, so an error that
     halves with the step gives 1.0 and an inverted trend goes negative
@@ -123,7 +126,7 @@ def fit_order(table: ErrorTable) -> OrderFit:
     """
     rows = table.valid_rows()
     if len(rows) < 3:
-        raise ValueError(f"order fit needs at least 3 non-diverged rows, got {len(rows)}")
+        raise ValueError(f"order fit needs at least 3 usable rows, got {len(rows)}")
     x = np.log2([r.h for r in rows])
     y = np.log2([r.rms_error for r in rows])
     slope, intercept = np.polyfit(x, y, 1)
@@ -158,9 +161,10 @@ def strong_error(
     All tables come from one pass: the reference runs once, and each
     window of a path's increments is read once for every run.  A row is
     diverged, and NaN, when any of its paths diverged.  Each table has its
-    order fitted over non-diverged rows when at least three are available.
+    order fitted over its usable rows (see :meth:`ErrorTable.valid_rows`)
+    when at least three are available.
     """
-    if not h_list:
+    if len(h_list) == 0:
         raise ValueError("h_list must not be empty")
     schemes = _check_schemes(scheme)
     t_start = t_eval - _check_periods(pullback_periods) * model.period
@@ -169,7 +173,7 @@ def strong_error(
     n_ref = ref_grid.period_steps
     coarse_grids = [_grid_on(model, h_ref, h, t_start, t_eval) for h in h_list]
     if len({g.step_mult for g in coarse_grids}) < len(coarse_grids):
-        raise ValueError(f"h_list contains duplicate step sizes: {list(h_list)!r}")
+        raise ValueError(f"h_list contains duplicate step sizes: {list(map(float, h_list))!r}")
     # each level's final-period nodes, in reference-grid node indices
     node_sets = [
         ref_grid.count - n_ref + np.arange(g.period_steps + 1) * g.step_mult
@@ -344,7 +348,7 @@ def periodic_measure(
     ``-pullback_periods * tau`` and are recorded at each time in ``t_list``
     by one implicit run.
     """
-    if not t_list:
+    if len(t_list) == 0:
         raise ValueError("t_list must not be empty")
     t_start = -_check_periods(pullback_periods) * model.period
     t_arr = [float(t) for t in t_list]
@@ -464,7 +468,7 @@ def measure_convergence_study(
     each path's lattice is read once for both.  The same seeds serve every
     halving, which removes sampling noise from the comparison between rows.
     """
-    if not h_list:
+    if len(h_list) == 0:
         raise ValueError("h_list must not be empty")
     if model.dimension != 1:  # the check of weak_distance, made before simulating
         raise ValueError(f"measure_convergence_study supports scalar models only, "

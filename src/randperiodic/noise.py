@@ -36,6 +36,9 @@ _U_MAX = 1.0 - 2.0**-53  # the largest double below 1
 # Words per pass of the transform: its temporaries stay in cache, and a
 # window of 2**18 words takes four passes.
 _CHUNK_WORDS = 1 << 16
+# Relative tolerance of a ratio that must be a whole number: a grid node's
+# index, a grid's step counts, and the period a grid spans.
+_ALIGN_TOL = 1e-9
 
 
 class AlignmentError(ValueError):
@@ -316,7 +319,7 @@ class GridSpec:
         """Node times, shape ``(count + 1,)``."""
         return (self.start_index + np.arange(self.count + 1)) * self.h
 
-    def node_index(self, t: float, *, tol: float = 1e-9) -> int:
+    def node_index(self, t: float) -> int:
         """Return ``i`` with ``(start_index + i) * h == t``, or raise.
 
         Raises:
@@ -326,7 +329,7 @@ class GridSpec:
         if not math.isfinite(ratio):
             raise AlignmentError(f"t / h - start_index = {ratio!r} is not finite for time {t}")
         i = round(ratio)
-        if abs(ratio - i) > tol * max(1.0, abs(ratio)):
+        if abs(ratio - i) > _ALIGN_TOL * max(1.0, abs(ratio)):
             raise AlignmentError(f"time {t} is not on the grid (h={self.h})")
         if not 0 <= i <= self.count:
             raise AlignmentError(f"time {t} lies outside the grid")

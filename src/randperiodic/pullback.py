@@ -42,7 +42,8 @@ import numpy as np
 
 from .model import InitialCondition, ModelSpec, PolyTrigDrift
 from .noise import (
-    AlignmentError, GridSpec, NoiseLattice, _check_alignment, _whole, coarse_increments, shift,
+    _ALIGN_TOL, AlignmentError, GridSpec, NoiseLattice, _check_alignment, _whole,
+    coarse_increments, shift,
 )
 # _bem_step_batch and _em_step_batch are unused here: perfbench/tracer.py wraps
 # them under this module's name
@@ -161,12 +162,12 @@ def _check_step(h: float) -> None:
         raise ValueError(f"step size h must be positive and finite, got {h!r}")
 
 
-def _int_ratio(num: float, den: float, what: str, tol: float = 1e-9) -> int:
+def _int_ratio(num: float, den: float, what: str) -> int:
     ratio = num / den
     if not math.isfinite(ratio):
         raise AlignmentError(f"{what} = {ratio!r} is not finite")
     r = round(ratio)
-    if abs(ratio - r) > tol * max(1.0, abs(ratio)):
+    if abs(ratio - r) > _ALIGN_TOL * max(1.0, abs(ratio)):
         raise AlignmentError(f"{what} = {ratio!r} is not a whole number")
     return int(r)
 
@@ -182,7 +183,7 @@ def _validate_run(model: ModelSpec, grid: GridSpec, lattice: NoiseLattice) -> No
 
 def _check_period(model: ModelSpec, grid: GridSpec) -> None:
     tau = grid.period_steps * grid.h
-    if abs(tau - model.period) > 1e-9 * max(1.0, model.period):
+    if abs(tau - model.period) > _ALIGN_TOL * max(1.0, model.period):
         raise AlignmentError(
             f"period_steps * h = {tau!r} does not equal the model period {model.period!r}"
         )

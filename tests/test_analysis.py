@@ -3,6 +3,7 @@
 import contextlib
 import math
 import pickle
+import re
 
 import numpy as np
 import pytest
@@ -73,6 +74,19 @@ class TestFitOrder:
         with pytest.raises(ValueError, match="at least 3"):
             fit_order(table)
 
+    def test_zero_error_rows_are_excluded(self):
+        # a level at h_ref has error 0, whose log2 is -inf: it is skipped as
+        # a diverged row is
+        hs = [2.0**-k for k in range(3, 7)]
+        rows = [_row(h, 2.0 * h) for h in hs]
+        table = ErrorTable(scheme="bem", h_ref=2.0**-7, t_eval=0.0,
+                           rows=rows + [_row(2.0**-7, 0.0)])
+        assert table.valid_rows() == rows
+        assert fit_order(table).order == pytest.approx(1.0, abs=1e-12)
+        table.rows = rows[:2] + [_row(2.0**-7, 0.0)]
+        with pytest.raises(ValueError, match="at least 3 usable rows, got 2"):
+            fit_order(table)
+
 
 class TestStrongError:
     def test_noise_free_reference_convergence(self):
@@ -119,6 +133,26 @@ class TestStrongError:
         with pytest.raises(ValueError):
             strong_error(m, h_ref=2.0**-8, h_list=[2.0**-4], pullback_periods=0,
                          num_paths=4)
+
+    def test_level_at_h_ref_is_not_fitted(self):
+        # the row at h_ref is the reference itself: error 0, left out of the
+        # fit, which then has too few rows (a log2(0) would warn, an error here)
+        table = strong_error(builtin_benchmark(), 2.0**-8, [2.0**-4, 2.0**-6, 2.0**-8], 1, 8,
+                             scheme="bem")
+        assert table.rows[2].rms_error == 0.0 and not table.rows[2].diverged
+        assert table.valid_rows() == table.rows[:2]
+        assert table.fitted_order is None and table.fit_intercept is None
+
+    def test_numpy_h_list(self):
+        m = builtin_benchmark()
+        h_list = [2.0**-4, 2.0**-5, 2.0**-6]
+        want = strong_error(m, 2.0**-8, h_list, 1, 4, scheme="bem")
+        got = strong_error(m, 2.0**-8, np.array(h_list), 1, 4, scheme="bem")
+        assert got.rows == want.rows and got.fitted_order == want.fitted_order
+        with pytest.raises(ValueError, match="h_list must not be empty"):
+            strong_error(m, 2.0**-8, np.array([]), 1, 4)
+        with pytest.raises(ValueError, match=re.escape("step sizes: [0.0625, 0.0625]")):
+            strong_error(m, 2.0**-8, np.array([2.0**-4, 2.0**-4]), 1, 4)
 
     @pytest.mark.parametrize("h_list", [
         [2.0**-4, 2.0**-4, 2.0**-5],
@@ -619,6 +653,16 @@ class TestPeriodicMeasure:
             periodic_measure(m, seeds[:1], h=2.0**-5, pullback_periods=2,
                              t_list=[0.0])
 
+    def test_numpy_t_list(self):
+        m, seeds = builtin_benchmark(), derive_seeds(0, 10)
+        want = periodic_measure(m, seeds, 2.0**-5, 2, [0.25, 0.5])
+        got = periodic_measure(m, seeds, 2.0**-5, 2, np.array([0.25, 0.5]))
+        assert [mu.t for mu in got] == [0.25, 0.5]
+        for a, b in zip(got, want):
+            assert a.samples.tobytes() == b.samples.tobytes()
+        with pytest.raises(ValueError, match="t_list must not be empty"):
+            periodic_measure(m, seeds, 2.0**-5, 2, np.array([]))
+
     def test_seeds_are_whole_numbers_modulo_2_64(self):
         m = builtin_benchmark()
 
@@ -649,6 +693,15 @@ class TestMeasureStudy:
                          InitialCondition(value=[0.0]), lat).state_at(t)
             assert pair.distance == pytest.approx(abs(float(a[0] - b[0])), rel=1e-9)
         assert study.monotone_decreasing
+
+    def test_numpy_h_list(self):
+        m, seeds = builtin_benchmark(), derive_seeds(2, 8)
+        want = measure_convergence_study(m, seeds, [2.0**-4, 2.0**-5], t=0.0, pullback_periods=1)
+        got = measure_convergence_study(m, seeds, np.array([2.0**-4, 2.0**-5]), t=0.0,
+                                        pullback_periods=1)
+        assert got.pairs == want.pairs
+        with pytest.raises(ValueError, match="h_list must not be empty"):
+            measure_convergence_study(m, seeds, np.array([]), t=0.0, pullback_periods=1)
 
     def test_scalar_entries_mean_halving_pairs(self):
         m = builtin_benchmark()

@@ -358,6 +358,37 @@ class TestOrderCommand:
         _, _, fit = read_csv(tmp_path / "order_em.csv")
         assert len(fit) == 2
 
+    def test_zero_error_row_is_not_fitted(self, capsys, tmp_path):
+        # the implicit level at h_ref is the reference: error 0, written to
+        # the error table and left out of the fit
+        code, out, _ = run(capsys, "order", "--paths", "4", "--h-ref", "0.00390625",
+                           "--h-list", "0.0625,0.015625,0.00390625", "--pullback-periods", "1",
+                           "--out", str(tmp_path))
+        assert code == 0
+        _, _, rows = read_csv(tmp_path / "error_table_bem.csv")
+        assert rows[2] == "0.00390625,0.0,0.0,4,false"
+        _, _, fit = read_csv(tmp_path / "order_bem.csv")
+        assert len(fit) == 2
+        bem = out[out.index("scheme=bem"):out.index("scheme=em")]
+        assert "  fitted order: not available (fewer than 3 usable rows)\n" in bem
+        _, _, fit = read_csv(tmp_path / "order_em.csv")
+        assert len(fit) == 3
+
+    def test_noise_free_model_has_no_fit(self, capsys, tmp_path):
+        # every path of every level stays at 0: no row is usable
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps({"lambda": [1.0], "drift": {"poly_coeffs": [0, -1]},
+                                    "g": {"amp": 0.0}, "tau": 1.0}))
+        code, out, _ = run(capsys, "order", "--model", str(path), "--paths", "4",
+                           "--pullback-periods", "1", "--out", str(tmp_path))
+        assert code == 0
+        assert out.count("  fitted order: not available (fewer than 3 usable rows)\n") == 2
+        for scheme in ("bem", "em"):
+            _, _, rows = read_csv(tmp_path / f"error_table_{scheme}.csv")
+            assert len(rows) == 5 and all(",0.0,0.0,4,false" in row for row in rows)
+            _, header, fit = read_csv(tmp_path / f"order_{scheme}.csv")
+            assert header == "log2_h,log2_error" and fit == []
+
     def test_numerical_failure_exits_one(self, capsys, monkeypatch, tmp_path):
         def fails(*args, **kwargs):
             raise NonConvergenceError("no root after 50 iterations")

@@ -879,6 +879,18 @@ def test_tolerance_below_the_bound_keeps_the_measured_check(monkeypatch):
     assert stepper._affine_bound(divisor, 1.0) is None
 
 
+def test_builtin_plans_take_the_proven_closed_form():
+    # the builtin model's runs, the benchmark's order and pull-back
+    # workloads among them, have the proven bound at every step size from
+    # 2**-2 to 2**-12, so they never measure a residual
+    m = builtin_benchmark()
+    for k in range(2, 13):
+        n = 2**k
+        plan = pullback._StepPlan(m, GridSpec(start_index=-n, step_mult=1, count=2 * n,
+                                              period_steps=n, base_step=1.0 / n))
+        assert plan.affine and plan.bound is not None
+
+
 @pytest.mark.parametrize("bad", ["nan", "inf", "overflow"])
 @pytest.mark.parametrize("d", [1, 2])
 def test_proven_window_names_the_first_non_finite_step(bad, d):
