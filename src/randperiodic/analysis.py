@@ -32,7 +32,9 @@ from typing import Sequence
 import numpy as np
 
 from .model import InitialCondition, ModelSpec
-from .noise import GridSpec, _read_increments, _sum_steps, _whole, _whole_seed, derive_seeds
+from .noise import (
+    _CHUNK_WORDS, GridSpec, _read_increments, _sum_steps, _whole, _whole_seed, derive_seeds,
+)
 from .pullback import (
     SolverSummary, _StepPlan, _check_period, _check_periods, _check_scheme, _drive, _grid_on,
     _merge_stats,
@@ -45,9 +47,10 @@ from .pullback import (
 # at 1280 in the Newton window, most of it the fixed cost of some 30 numpy
 # calls an iteration (best of 7 runs of 64 steps).
 # Each window's noise read re-keys the generator once per path, at about
-# 4 us a path plus 0.03 us a word.  The CLI's default 1000-path order and
-# 2000-path measure studies run as one block.  That block's order-study
-# windows hold 256 fine steps, and much of its cost is paid per window:
+# 1.5 us a path plus 0.02 us a word (reads of 1280 paths, best of 30).
+# The CLI's default 1000-path order and 2000-path measure studies run as
+# one block.  That block's order-study windows hold 256 fine steps, and
+# much of its cost is paid per window:
 # criterion 5's study took 2.4-3.0 s (60 MiB peak) with ``_WINDOW_WORDS`` at
 # 2^18 and 2.1-2.2 s (70 MiB) at 2^20 (three alternating runs each).  Wider
 # blocks are slower again, as windows shrink and a block's re-keys grow with
@@ -234,7 +237,15 @@ def _error_row(h: float, diff: np.ndarray | None, num_paths: int) -> ErrorRow:
     var_sq = float(np.var(sq_eval, ddof=1))
     se_mean = math.sqrt(var_sq / num_paths)
     se_rms = se_mean / (2.0 * rms) if rms > 0.0 else 0.0
-    node_rms = np.sqrt([math.fsum(col) / num_paths for col in sq.T.tolist()])
+    # The sup is the largest exact column sum, as /n and sqrt are monotone.
+    # numpy's sum of k nonnegative terms is within (k - 1)*u of the exact one,
+    # relative to it (u = 2**-53), so only columns whose sum is within 4*k*u
+    # of the largest can hold the sup; a sum that overflows, inf, is one of
+    # them, and so is every column when a sum is NaN.
+    with np.errstate(over="ignore"):
+        approx = sq.sum(axis=0)
+    near = ~(approx < np.max(approx) * (1.0 - 4.0 * sq.shape[0] * 2.0**-53))
+    node_rms = np.sqrt([math.fsum(col) / num_paths for col in sq.T[near].tolist()])
     return ErrorRow(float(h), rms, se_rms, float(np.max(node_rms)), num_paths, False)
 
 
@@ -400,6 +411,13 @@ def bootstrap_noise_floor(
     Distances at or below this floor are statistically indistinguishable
     from sampling noise at this sample count.  The seed is taken modulo 2**64.
 
+    Each of the ``n_bootstrap`` pairs of resamples draws its two index rows
+    from one generator, in the stream of two ``rng.choice(values, size=m)``
+    calls.  The pairs go in blocks of about ``_CHUNK_WORDS`` indices: one
+    ``rng.integers`` call draws a block, one sort orders its rows, and one
+    pass forms their clamped gaps, each pair's distance an exact sum of them
+    (``math.fsum``).  The floor is the exact mean of the distances.
+
     Raises:
         ValueError: vector samples, or an ``n_bootstrap`` that is not a whole
             number of at least one (a bool is not one).
@@ -413,10 +431,15 @@ def bootstrap_noise_floor(
     values = measure.samples[:, 0]
     m = values.size
     dists = []
-    for _ in range(n):
-        a = np.sort(rng.choice(values, size=m, replace=True))
-        b = np.sort(rng.choice(values, size=m, replace=True))
-        dists.append(_w1_sorted(a, b))
+    # resamples a and b of pair k are rows 2k and 2k + 1 of a block of
+    # indices, drawn in one call: the stream, and the generator's end state,
+    # of one rng.choice(values, size=m) call per row
+    per_block = max(1, _CHUNK_WORDS // (2 * m))
+    for k0 in range(0, n, per_block):
+        pairs = values[rng.integers(0, m, size=(2 * min(per_block, n - k0), m))]
+        pairs.sort(axis=1)
+        gaps = np.minimum(np.abs(pairs[0::2] - pairs[1::2]), 2.0)  # as _w1_sorted forms them
+        dists += [math.fsum(row) / m for row in gaps.tolist()]
     return math.fsum(dists) / len(dists)
 
 
@@ -559,13 +582,17 @@ def _run_seeds(
                     recorded[i][b0 : b0 + len(block), inside] = out[:, run.nodes[inside] - n0]
                     # a copy, so that the window's buffer of every node can be freed
                     states[i] = out[:, -1].copy()
-                del dw, out  # freed before the next group's sums are formed
+                    del out  # freed before the next run's buffer is made
+                del dw  # freed before the next group's sums are formed
+            del fine  # freed before the next window is read
     return list(zip(recorded, summaries))
 
 
 def _path_seeds(seeds: Sequence[int]) -> list[int]:
     """``seeds`` as ints modulo 2**64; at least two, each a whole number."""
-    arr = np.asarray(seeds, dtype=object)
+    arr = seeds if isinstance(seeds, np.ndarray) else np.asarray(seeds, dtype=object)
     if arr.ndim != 1 or arr.size < 2:
         raise ValueError(f"a study needs at least 2 path seeds, got shape {arr.shape}")
+    if arr.dtype.kind in "iu":  # the cast wraps modulo 2**64, as _whole_seed reduces
+        return arr.astype(np.uint64).tolist()
     return [_whole_seed(s) for s in arr.tolist()]

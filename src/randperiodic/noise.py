@@ -33,9 +33,10 @@ import numpy.random  # loaded with the package, not inside the first read
 _WORDS_PER_BLOCK = 4  # Philox-4x64 emits four 64-bit words per counter value
 _WORD_MASK = (1 << 64) - 1
 _U_MAX = 1.0 - 2.0**-53  # the largest double below 1
-# Words per pass of the transform: its temporaries stay in cache, and a
-# window of 2**18 words takes four passes.
-_CHUNK_WORDS = 1 << 16
+# Words per pass of the transform: its temporaries, a few arrays of 128 KiB,
+# stay in L2, and a window of 2**18 words takes sixteen passes (5.0 ms for
+# the window against 6.8 ms at 2**16 words a pass).
+_CHUNK_WORDS = 1 << 14
 # Relative tolerance of a ratio that must be a whole number: a grid node's
 # index, a grid's step counts, and the period a grid spans.
 _ALIGN_TOL = 1e-9
@@ -142,12 +143,19 @@ def _read_increments(seeds: Sequence[int], start: int, count: int, base_step: fl
     b0, b1 = w0 // _WORDS_PER_BLOCK, -(-(w0 + n) // _WORDS_PER_BLOCK)
     lo, raw = w0 - _WORDS_PER_BLOCK * b0, _WORDS_PER_BLOCK * (b1 - b0)
     gen = np.random.Philox(key=0)
-    state = gen.state
-    state["state"]["counter"][:] = [(b0 >> shift) & _WORD_MASK for shift in (0, 64, 128, 192)]
-    state["buffer_pos"] = _WORDS_PER_BLOCK  # no buffered word carries over
+    # the generator's state of plain Python ints and lists, which its setter
+    # reads faster than numpy scalars; no buffered word carries over
+    key = [0, 0]
+    state = {
+        "bit_generator": "Philox",
+        "state": {"counter": [(b0 >> shift) & _WORD_MASK for shift in (0, 64, 128, 192)],
+                  "key": key},
+        "buffer": [0] * _WORDS_PER_BLOCK, "buffer_pos": _WORDS_PER_BLOCK,
+        "has_uint32": 0, "uinteger": 0,
+    }
     words = np.empty((len(seeds), n), dtype=np.uint64)
     for row, seed in zip(words, seeds):
-        state["state"]["key"][0] = seed
+        key[0] = seed
         gen.state = state
         row[:] = gen.random_raw(raw)[lo : lo + n]
     z = _normals(words)

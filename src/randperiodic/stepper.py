@@ -239,15 +239,24 @@ def _settle(
     row above its ``tol`` is solved again by :func:`_bisect_scalar`, which
     updates ``x`` and ``rn`` in place.
 
+    A bisected row may stay above its tolerance when the residual's rounding
+    floor lies above it.  Such a row is accepted, with the residual it
+    reached, only if ``G(z) - y``, evaluated here, is strictly negative at
+    one of its state and the adjacent double towards the root and strictly
+    positive at the other: the root then lies between two neighbouring
+    doubles, and the state is one of them.
+
     Returns the rows that fell back, or None when none did.
 
     Raises:
         NonConvergenceError: a row of a model with d > 1 is above its
-            tolerance, or a row still is after the fallback.
+            tolerance, or a row still is after the fallback and is not
+            certified by a sign change.
     """
     if (rn <= tol).all():
         return None
     stuck = rn > tol
+    certified = np.zeros_like(stuck)
     if stuck.any():
         if x.shape[1] != 1:
             worst = float(np.max(rn[stuck]))
@@ -256,14 +265,19 @@ def _settle(
                 f"at t={t} (worst residual {worst:.3e})"
             )
         for i in np.nonzero(stuck)[0]:
+            y = float(rhs[i, 0])
             z, res = _bisect_scalar(
-                model, t, h, denom0, float(rhs[i, 0]), float(x[i, 0]),
-                float(tol[i]), _MAX_BISECTION_ITERS,
+                model, t, h, denom0, y, float(x[i, 0]), float(tol[i]), _MAX_BISECTION_ITERS,
             )
             x[i, 0] = z
             rn[i] = res
+            if not res <= tol[i]:
+                g = _g_scalar(model, t, h, denom0, y, z)
+                g_next = _g_scalar(model, t, h, denom0, y,
+                                   math.nextafter(z, -math.inf if g > 0.0 else math.inf))
+                certified[i] = g < 0.0 < g_next or g_next < 0.0 < g
 
-    above = ~(rn <= tol)
+    above = ~((rn <= tol) | certified)
     if above.any():
         raise NonConvergenceError(
             f"implicit solve left {int(above.sum())} path(s) above tolerance at t={t} "
@@ -558,12 +572,12 @@ def _newton_steps(
             active = np.greater(rna, tola, out=flags[:m])
             left = np.count_nonzero(active)
             if left < m:
-                gone = np.flatnonzero(~active)
+                gone = (~active).nonzero()[0]
                 done = rows[gone]
                 x[done], rn[done] = xa.take(gone), rna.take(gone)
                 if not left:
                     break
-                keep, m = np.flatnonzero(active), left
+                keep, m = active.nonzero()[0], left
                 xa, ra, rhsa, rna, tola, rows = (
                     a.take(keep) for a in (xa, ra, rhsa, rna, tola, rows))
             jf = _horner(xa, deriv, out=work[:m])
@@ -595,10 +609,14 @@ def _newton_steps(
                 rpn[~np.isfinite(rpn)] = np.inf
             xa, ra, rna = prop, rp, rpn
         else:
+            # only rows still above tolerance are left to settle: a row
+            # leaves the loop early at or below its tolerance, as no |r| is
+            # NaN (a non-finite trial residual is inf)
             k = _MAX_NEWTON_ITERS
             x[rows], rn[rows] = xa, rna
-        fell_back = _settle(model, t, h, float(denom), rhs[:, None], z[j + 1], rn, tol) is not None
-        iters, resid, fallback = max(iters, k), max(resid, float(rn.max())), fallback or fell_back
+            if _settle(model, t, h, float(denom), rhs[:, None], z[j + 1], rn, tol) is not None:
+                fallback = True
+        iters, resid = max(iters, k), max(resid, float(rn.max()))
     return iters, resid, fallback
 
 
@@ -623,6 +641,13 @@ def _row_norm(a: np.ndarray) -> np.ndarray:
     return norm
 
 
+def _g_scalar(model: ModelSpec, t: float, h: float, denom0: float, y: float, z: float) -> float:
+    """``G(z) - y = z*(1 + h*lambda) - h*f(t, z) - y`` of a scalar model,
+    with ``denom0 = 1 + h*lambda``."""
+    fz = _drift(model, t, np.array([[z]]))[0, 0]
+    return z * denom0 - h * float(fz) - y
+
+
 def _bisect_scalar(
     model: ModelSpec,
     t: float,
@@ -633,11 +658,21 @@ def _bisect_scalar(
     tol: float,
     max_iters: int,
 ) -> tuple[float, float]:
-    """Bracketing bisection for scalar models; relies on G being increasing."""
+    """Root of ``G(z) - y`` for a scalar model by bracketing bisection from
+    ``z0``; relies on ``G`` being increasing.
+
+    Returns ``(z, |G(z) - y|)`` for the first midpoint within ``tol``.  Once
+    no double lies strictly between the bracket's ends, it returns the end
+    of smaller residual instead, which may be above ``tol``: the root lies
+    between those two doubles.
+
+    Raises:
+        NonConvergenceError: no bracket is found, or ``max_iters`` halvings
+            end with neither.
+    """
 
     def gval(z: float) -> float:
-        fz = _drift(model, t, np.array([[z]]))[0, 0]
-        return z * denom0 - h * float(fz) - y
+        return _g_scalar(model, t, h, denom0, y, z)
 
     g0 = gval(z0)
     lo = hi = z0
@@ -666,9 +701,11 @@ def _bisect_scalar(
         if abs(gm) <= tol:
             return mid, abs(gm)
         if gm > 0.0:
-            hi = mid
+            hi, ghi = mid, gm
         else:
-            lo = mid
+            lo, glo = mid, gm
+        if math.nextafter(lo, hi) == hi:
+            return (lo, abs(glo)) if abs(glo) <= abs(ghi) else (hi, abs(ghi))
     raise NonConvergenceError(
         f"bisection exhausted {max_iters} iterations at t={t} (residual {abs(gm):.3e})"
     )

@@ -1,9 +1,13 @@
 """Tests for error tables, order fitting, moments, and empirical measures."""
 
 import contextlib
+import json
 import math
 import pickle
 import re
+import weakref
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -896,3 +900,198 @@ class TestBootstrapFloor:
         want = bootstrap_noise_floor(mu, n_bootstrap=3, seed=4)
         for n in (3.0, np.float64(3.0), np.int64(3)):
             assert bootstrap_noise_floor(mu, n_bootstrap=n, seed=4) == want
+
+
+# A scalar cubic drift, so that the pinned studies take Newton steps.
+REDUCTION_CUBIC = {
+    "lambda": [10.0],
+    "drift": {"poly_coeffs": [0, -1, 0, -2], "trig_amp": 1.5, "trig_freq": 1},
+    "g": {"amp": 0.5},
+    "tau": 1.0,
+    "constants": {"C_f": 0.5, "sigma": 0.5},
+}
+# repr of each pinned reduction's result, recorded before the bootstrap, the
+# path-seed conversion and the error rows' sums were rewritten as array
+# calls.  The recorded bits belong to the numpy (its sorts, sums and
+# generator streams) and libm (``sin`` in the forcing, ``log`` and ``sqrt``
+# in the noise) builds they were recorded with, so another build may differ
+# in the last bit; the differential tests compare each rewrite with the loop
+# it replaced, run in the same process.
+REDUCTION_SNAPSHOT = Path(__file__).with_name("reduction_snapshot.json")
+
+
+def _reduction_cases():
+    """Name -> callable giving the repr of one pinned reduction: bootstrap
+    floors of 3 measures at 3 seeds and 3 resample counts, the two tables of
+    one strong-error study, and one measure study."""
+    cases = {}
+    rng = np.random.default_rng(20261022)
+    for m in (2, 7, 1280):
+        mu = EmpiricalMeasure(t=0.0, h=0.1, samples=rng.normal(size=m))
+        cases[f"bootstrap-m{m}"] = lambda mu=mu: repr([
+            bootstrap_noise_floor(mu, n_bootstrap=n, seed=s)
+            for s in (0, -1, 2**64 - 1) for n in (1, 37, 200)
+        ])
+    cubic = model_from_config(REDUCTION_CUBIC)
+    cases["strong-error-cubic"] = lambda: repr(strong_error(
+        cubic, h_ref=2.0**-7, h_list=[2.0**-3, 2.0**-4, 2.0**-5], pullback_periods=2,
+        num_paths=40, t_eval=0.25, seed=5, scheme=("bem", "em")))
+    cases["measure-study-cubic"] = lambda: repr(measure_convergence_study(
+        cubic, derive_seeds(3, 64), [2.0**-3, 2.0**-4], 0.25, 2))
+    return cases
+
+
+@pytest.mark.parametrize("name", sorted(_reduction_cases()))
+def test_reductions_match_snapshot(name):
+    want = json.loads(REDUCTION_SNAPSHOT.read_text(encoding="utf-8"))[name]
+    assert _reduction_cases()[name]() == want
+
+
+# The loops that the array calls of the reductions replaced, kept as their
+# references: each rewrite must give the same bits.
+
+
+def _bootstrap_loop(measure, n_bootstrap, seed):
+    """``bootstrap_noise_floor`` as two ``rng.choice`` calls per resample
+    pair; returns the floor and the generator."""
+    rng = np.random.default_rng(seed % 2**64)
+    values = measure.samples[:, 0]
+    dists = []
+    for _ in range(n_bootstrap):
+        a = np.sort(rng.choice(values, size=values.size, replace=True))
+        b = np.sort(rng.choice(values, size=values.size, replace=True))
+        dists.append(math.fsum(np.minimum(np.abs(a - b), 2.0).tolist()) / a.size)
+    return math.fsum(dists) / len(dists), rng
+
+
+@pytest.mark.parametrize("seed", [0, -1, 2**64 - 1])
+@pytest.mark.parametrize("n_bootstrap", [1, 3, 37, 200])
+@pytest.mark.parametrize("m", [2, 7, 1280])
+def test_bootstrap_matches_choice_loop(monkeypatch, m, n_bootstrap, seed):
+    rng = np.random.default_rng(m)
+    samples = rng.normal(size=m)
+    samples[: m // 3] = samples[-1]  # ties
+    mu = EmpiricalMeasure(t=0.0, h=0.1, samples=samples)
+    made = []
+    default_rng = np.random.default_rng
+    monkeypatch.setattr(np.random, "default_rng", lambda s: made.append(default_rng(s)) or made[-1])
+    got = bootstrap_noise_floor(mu, n_bootstrap=n_bootstrap, seed=seed)
+    want, want_rng = _bootstrap_loop(mu, n_bootstrap, seed)
+    assert repr(got) == repr(want)
+    # the generator ends where the loop's does: the same words were drawn
+    assert made[0].bit_generator.state == want_rng.bit_generator.state
+
+
+def _path_seeds_loop(seeds):
+    """``_path_seeds`` converting every seed by ``_whole_seed``."""
+    arr = np.asarray(seeds, dtype=object)
+    if arr.ndim != 1 or arr.size < 2:
+        raise ValueError(f"a study needs at least 2 path seeds, got shape {arr.shape}")
+    return [analysis._whole_seed(s) for s in arr.tolist()]
+
+
+def _outcome(fn, *args):
+    try:
+        out = fn(*args)
+    except ValueError as err:
+        return "ValueError", str(err)
+    return [type(s) for s in out], out
+
+
+PATH_SEED_CASES = {
+    "int64": np.array([0, -1, 5, -(2**63), 2**63 - 1], dtype=np.int64),
+    "uint64": np.array([2**64 - 1, 2**64 - 2, 2**63, 0], dtype=np.uint64),
+    "int32": np.array([-1, 7, -(2**31)], dtype=np.int32),
+    "uint8": np.array([255, 0], dtype=np.uint8),
+    "list": [3, -4, 2**64 + 5, 2.0, np.int64(-2)],
+    "object": np.array([2**70, -3, np.uint64(9)], dtype=object),
+    "float": np.array([1.0, -2.0, 3.0]),
+    "bool": np.array([True, False]),
+    "non-whole": np.array([1.0, 2.5]),
+    "nan": [1, float("nan")],
+    "2-d": np.arange(6, dtype=np.int64).reshape(2, 3),
+    "one": np.array([5], dtype=np.uint64),
+    "empty": np.array([], dtype=np.int64),
+    "scalar": np.int64(4),
+}
+
+
+@pytest.mark.parametrize("case", sorted(PATH_SEED_CASES))
+def test_path_seeds_match_the_loop(case):
+    seeds = PATH_SEED_CASES[case]
+    got = _outcome(analysis._path_seeds, seeds)
+    assert got == _outcome(_path_seeds_loop, seeds)
+    if got[0] == "ValueError":
+        assert case in ("bool", "non-whole", "nan", "2-d", "one", "empty", "scalar")
+
+
+def _error_row_loop(h, diff, num_paths):
+    """``_error_row`` with an exact sum of every node's column."""
+    row = analysis._error_row(h, diff, num_paths)
+    sq = np.einsum("ijk,ijk->ij", diff, diff)
+    node_rms = np.sqrt([math.fsum(col) / num_paths for col in sq.T.tolist()])
+    return replace(row, sup_rms_error=float(np.max(node_rms)))
+
+
+def _error_diffs():
+    rng = np.random.default_rng(29)
+    wide = rng.normal(size=(256, 65, 1))
+    tied = np.repeat(rng.normal(size=(40, 1, 2)), 9, axis=1)  # 9 equal columns
+    near = np.repeat(rng.normal(size=(300, 1, 1)), 5, axis=1)
+    near[:, 1:] *= 1.0 + np.array([1, 2, 3, 4])[None, :, None] * 2.0**-52  # sums a few ulps apart
+    reversed_near = near[::-1].copy()
+    return {
+        "wide": wide,
+        "tied": tied,
+        "near": near,
+        "near-reversed": reversed_near,
+        "zeros": np.zeros((8, 5, 1)),
+        "one-node": rng.normal(size=(30, 1, 1)),
+        "one-large": np.concatenate([wide[:, :3], 1e150 * wide[:, 3:4], wide[:, 4:]], axis=1),
+    }
+
+
+@pytest.mark.parametrize("case", sorted(_error_diffs()))
+def test_error_row_matches_every_column_sum(case):
+    diff = _error_diffs()[case]
+    got = analysis._error_row(0.25, diff, diff.shape[0])
+    want = _error_row_loop(0.25, diff, diff.shape[0])
+    assert repr(got) == repr(want)
+
+
+def test_error_row_column_overflow_raises():
+    # node 1's squares are finite and their sum is not: both raise in fsum
+    diff = np.ones((3, 3, 1))
+    diff[:, 1] = 1e154
+    with pytest.raises(OverflowError):
+        _error_row_loop(0.5, diff, 3)
+    with pytest.raises(OverflowError):
+        analysis._error_row(0.5, diff, 3)
+
+
+def test_run_seeds_holds_one_window(monkeypatch):
+    # every window's increments, and every run's buffer of nodes, is freed
+    # before the next one is made
+    monkeypatch.setattr(analysis, "_WINDOW_WORDS", 64)
+    windows, buffers = [], []
+    read, drive = analysis._read_increments, analysis._drive
+
+    def watched_read(*args):
+        assert all(w() is None for w in windows + buffers), "an earlier window is alive"
+        fine = read(*args)
+        windows.append(weakref.ref(fine))
+        return fine
+
+    def watched_drive(*args):
+        assert all(b() is None for b in buffers), "an earlier run's buffer is alive"
+        out, summary = drive(*args)
+        buffers.extend((weakref.ref(out), weakref.ref(out.base)))
+        return out, summary
+
+    monkeypatch.setattr(analysis, "_read_increments", watched_read)
+    monkeypatch.setattr(analysis, "_drive", watched_drive)
+    model = model_from_config(REDUCTION_CUBIC)
+    strong_error(model, h_ref=2.0**-5, h_list=[2.0**-2, 2.0**-3, 2.0**-4], pullback_periods=1,
+                 num_paths=6, scheme=("bem", "em"))
+    measure_convergence_study(model, derive_seeds(1, 6), [2.0**-3], 0.25, 1)
+    assert len(windows) > 4 and len(buffers) > 8 * len(windows)

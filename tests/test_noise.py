@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from scipy import special, stats
 
-from randperiodic import analysis
+from randperiodic import analysis, noise
 from randperiodic.model import builtin_benchmark, check_assumptions
 from randperiodic.noise import (
     AlignmentError,
@@ -184,8 +184,27 @@ class TestBatchedRead:
                 view = lat.shifted(start + 13)
                 assert np.array_equal(row, view.increments(-13, count))
 
+    def test_read_after_other_seeds_matches_fresh_read(self):
+        # each read keys its own generator: nothing of an earlier read, of
+        # other seeds and another range, carries into the next
+        seeds = derive_seeds(8, 40).tolist()
+        _read_increments(derive_seeds(9, 7).tolist(), -3, 17, 0.125, 2)
+        batch = _read_increments(seeds, 5, 9, 0.125, 2)
+        for row, seed in zip(batch, seeds):
+            assert np.array_equal(row, _reference_increments(NoiseLattice(seed, 0.125, 2), 5, 9))
+
 
 class TestTransform:
+    @pytest.mark.parametrize("chunk", [2**10, 2**14, 2**16])
+    def test_chunk_size_leaves_the_bits(self, monkeypatch, chunk):
+        # three and a bit passes at the largest size, the extreme words included
+        words = np.random.Philox(key=29).random_raw(3 * 2**16 + 5)
+        words[[0, 2**14, -1]] = [0, 2**64 - 1, 2**64 - 1]
+        want = _ndtri(_uniform(words))
+        monkeypatch.setattr(noise, "_CHUNK_WORDS", chunk)
+        got = _normals(words.copy())
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
     def test_top_words_give_finite_normals(self):
         # ((w >> 11) + 0.5) * 2**-53 rounds to 1.0 for the top word; the
         # clamp keeps it below 1 and leaves the word beneath it alone

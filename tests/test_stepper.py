@@ -266,6 +266,81 @@ class TestBisectScalar:
         assert resid <= tol
 
 
+def stiff_forcing_model():
+    """A cubic whose forcing, 1e5*sin(2 pi t), dwarfs its state: at h = 0.5
+    the residual's rounding floor, about u*|h*f|, lies above the tolerance
+    RESIDUAL_TOL*(1 + |rhs|) of a right-hand side of order one."""
+    drift = PolyTrigDrift(poly_coeffs=(-0.4, 1.2, 0.0, -1.0), trig_amp=1e5, trig_freq=1,
+                          period=1.0)
+    return ModelSpec(eigenvalues=np.array([3.0]), drift=drift,
+                     diffusion=ConstantDiffusion(0.5), period=1.0,
+                     drift_jacobian=drift.jacobian)
+
+
+def _g(model, t, h, y, z):
+    """``G(z) - y`` evaluated as the solve evaluates it."""
+    return z * (1.0 + h * model.eigenvalues[0]) - h * float(model.drift(t, np.array([[z]]))[0, 0]) - y
+
+
+def _brackets_root(model, t, h, y, z):
+    """``G - y`` changes sign strictly between ``z`` and its neighbour
+    towards the root."""
+    g = _g(model, t, h, y, z)
+    g_next = _g(model, t, h, y, math.nextafter(z, -math.inf if g > 0.0 else math.inf))
+    return g < 0.0 < g_next or g_next < 0.0 < g
+
+
+STIFF_RHS = np.random.default_rng(0).standard_normal((50, 1))
+
+
+class TestLastBitRoots:
+    @pytest.mark.parametrize("t", [0.125, 0.25])
+    def test_solve_accepts_a_root_between_adjacent_doubles(self, t):
+        m, h = stiff_forcing_model(), 0.5
+        z, iters, rn, fallback = _implicit_solve_batch(m, t, h, STIFF_RHS)
+        tol = RESIDUAL_TOL * (1.0 + np.abs(STIFF_RHS[:, 0]))
+        above = rn > tol
+        print(f"t={t}: {int(fallback.sum())} rows fell back, {int(above.sum())} above "
+              f"tolerance, largest residual {rn.max():.3e}")
+        assert above.any() and fallback[above].all()
+        for i in range(len(z)):
+            y, zi = float(STIFF_RHS[i, 0]), float(z[i, 0])
+            assert rn[i] == abs(_g(m, t, h, y, zi))
+            assert rn[i] <= tol[i] or _brackets_root(m, t, h, y, zi)
+
+    def test_bisection_returns_the_better_end(self):
+        m, t, h = stiff_forcing_model(), 0.125, 0.5
+        y = float(STIFF_RHS[0, 0])
+        tol = RESIDUAL_TOL * (1.0 + abs(y))
+        z, res = _bisect_scalar(m, t, h, 1.0 + h * 3.0, y, 0.0, tol, 200)
+        assert res > tol and res == abs(_g(m, t, h, y, z))
+        g = _g(m, t, h, y, z)
+        other = math.nextafter(z, -math.inf if g > 0.0 else math.inf)
+        assert _brackets_root(m, t, h, y, z)
+        assert abs(_g(m, t, h, y, other)) >= res
+
+    def test_bem_step_matches_the_batch(self):
+        m, h = stiff_forcing_model(), 0.5
+        x_prev = np.zeros((50, 1))
+        want = _implicit_solve_batch(m, 0.125, h, STIFF_RHS, x_prev)
+        for i in range(50):
+            # g = 0.5, so rhs = 0 + 0.5*(2*rhs) exactly
+            z, stats = bem_step(m, 0.125, h, x_prev[i], 2.0 * STIFF_RHS[i])
+            assert z[0] == want[0][i, 0]
+            assert (stats.newton_iters, stats.final_residual, stats.fallback_used) == (
+                want[1][i], want[2][i], want[3][i])
+
+    def test_newton_window_matches_step_by_step(self):
+        m = stiff_forcing_model()
+        # steps of 0.25, to t = 0.25 and 0.75 among others, where |h*f| is 2.5e4
+        grid = GridSpec(start_index=0, step_mult=1, count=8, period_steps=4, base_step=0.25)
+        dw = np.random.default_rng(7).standard_normal((50, 8, 1))
+        x0 = np.zeros((50, 1))
+        want = _reference_drive(m, grid, x0, dw)
+        assert want[1].any_fallback and want[1].max_residual > 7e-12
+        _check_same_run(pullback._drive(m, grid, "bem", x0, dw), want)
+
+
 class TestBemStep:
     def test_linear_with_noise(self):
         # x1 = (x0 + g*dW) / (1 + h*lam), diffusion read at t_next - h
