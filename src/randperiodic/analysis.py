@@ -237,16 +237,27 @@ def _error_row(h: float, diff: np.ndarray | None, num_paths: int) -> ErrorRow:
     var_sq = float(np.var(sq_eval, ddof=1))
     se_mean = math.sqrt(var_sq / num_paths)
     se_rms = se_mean / (2.0 * rms) if rms > 0.0 else 0.0
-    # The sup is the largest exact column sum, as /n and sqrt are monotone.
-    # numpy's sum of k nonnegative terms is within (k - 1)*u of the exact one,
-    # relative to it (u = 2**-53), so only columns whose sum is within 4*k*u
-    # of the largest can hold the sup; a sum that overflows, inf, is one of
-    # them, and so is every column when a sum is NaN.
+    sup_rms = math.sqrt(_column_sup(sq, num_paths)[1])  # sqrt is monotone
+    return ErrorRow(float(h), rms, se_rms, sup_rms, num_paths, False)
+
+
+def _column_sup(sq: np.ndarray, num_paths: int) -> tuple[int, float]:
+    """``(node, mean)`` of the column of ``sq`` (paths x nodes, nonnegative)
+    whose exact mean ``math.fsum(column) / num_paths`` is largest: the first
+    such column, or the first whose mean is NaN.
+
+    numpy's sum of k nonnegative terms is within (k - 1)*u of the exact one,
+    relative to it (u = 2**-53), so only columns whose sum is within 4*k*u
+    of the largest can hold the sup, and only they are summed exactly; a sum
+    that overflows, inf, is one of them, and so is every column when a sum
+    is NaN.
+    """
     with np.errstate(over="ignore"):
         approx = sq.sum(axis=0)
-    near = ~(approx < np.max(approx) * (1.0 - 4.0 * sq.shape[0] * 2.0**-53))
-    node_rms = np.sqrt([math.fsum(col) / num_paths for col in sq.T[near].tolist()])
-    return ErrorRow(float(h), rms, se_rms, float(np.max(node_rms)), num_paths, False)
+    near = np.flatnonzero(~(approx < np.max(approx) * (1.0 - 4.0 * sq.shape[0] * 2.0**-53)))
+    means = [math.fsum(col) / num_paths for col in sq.T[near].tolist()]
+    k = int(np.argmax(means))
+    return int(near[k]), means[k]
 
 
 @dataclass(frozen=True, eq=False)
@@ -298,12 +309,10 @@ def moment_estimate(
     run = _Run(grid, _check_scheme(scheme), np.arange(grid.count + 1))
     [(states, summary)] = _run_seeds(model, [run], derive_seeds(seed, num_paths), init)
     sq = np.einsum("ijk,ijk->ij", states, states)  # (num_paths, count + 1)
-    mean_sq = np.array([math.fsum(col) / num_paths for col in sq.T.tolist()])
-    node = int(np.argmax(mean_sq))
+    node, sup = _column_sup(sq, num_paths)
     se = math.sqrt(float(np.var(sq[:, node], ddof=1)) / num_paths)
     alpha = (2.0 * c_f + sigma**2) / (2.0 * (model.lambda_min - c_f))
-    bound = float(mean_sq[0]) + alpha
-    sup = float(mean_sq[node])
+    bound = math.fsum(sq[:, 0].tolist()) / num_paths + alpha
     return MomentEstimate(
         sup_mean_square=sup,
         standard_error=se,

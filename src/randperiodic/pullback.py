@@ -48,8 +48,7 @@ from .noise import (
 # _bem_step_batch and _em_step_batch are unused here: perfbench/tracer.py wraps
 # them under this module's name
 from .stepper import (
-    _affine_bound, _affine_plan, _affine_steps, _bem_step_batch, _em_step_batch, _em_steps,
-    _newton_steps,
+    _affine_plan, _affine_steps, _bem_step_batch, _em_step_batch, _em_steps, _newton_steps,
 )
 
 DIVERGENCE_THRESHOLD = 1e12
@@ -74,9 +73,9 @@ SCHEMES = ("bem", "em")
 class SolverSummary:
     """Aggregate implicit-solver statistics over a whole run.
 
-    ``max_residual`` is the largest residual norm of any solve; for the
-    closed-form steps of an affine drift it is the proven bound that
-    :func:`~randperiodic.stepper._affine_steps` reports.
+    ``max_residual`` is the largest residual norm of any Newton solve; for
+    the closed-form steps of an affine drift, never measured, it is the
+    proven bound that :func:`~randperiodic.stepper._affine_steps` reports.
     """
 
     max_newton_iters: int = 0
@@ -211,14 +210,15 @@ class _StepPlan:
     ``t_a = (a mod n)*h``, so each coefficient of a step takes one of ``n``
     values.  A plan built for a grid tabulates, over the residues of the
     grid's nodes, the time ``t_a`` and ``g(t_a)``; for an exact
-    :class:`PolyTrigDrift` also ``F(t_a)``; and for an affine one also
-    ``h*(p0 + F(t_a))``, with the closed-form divisor and
-    :func:`~randperiodic.stepper._affine_bound` over those terms.  Each
-    value comes from the call a step would make, once, so a step reads the
-    bits it would compute.  The rows of a grid spanning a period repeat it
-    far enough for a chunk from any residue; a shorter grid's hold only its
-    nodes.  Built whole, the plan never changes, and serves any grid of the
-    same ``h`` and ``n`` whose nodes it holds.
+    :class:`PolyTrigDrift` also ``F(t_a)``; and where
+    :func:`~randperiodic.stepper._affine_plan` holds for the model and
+    ``h``, also ``h*(p0 + F(t_a))``, with the closed-form divisor and the
+    residual bound of the whole period.  Each value comes from the call a
+    step would make, once, so a step reads the bits it would compute.  The
+    rows of a grid spanning a period repeat it far enough for a chunk from
+    any residue; a shorter grid's hold only its nodes.  Built whole, the
+    plan never changes, and serves any grid of the same ``h`` and ``n``
+    whose nodes it holds.
     """
 
     def __init__(self, model: ModelSpec, grid: GridSpec) -> None:
@@ -231,9 +231,8 @@ class _StepPlan:
         affine = _affine_plan(model, h)
         self.affine = affine is not None
         if self.affine:
-            p0, self.divisor = affine
+            p0, self.divisor, self.bound = affine
             rows.append([h * (p0 + f) for f in rows[2]])
-            self.bound = _affine_bound(self.divisor, float(np.abs(rows[3]).max()))
         if len(times) == n:  # an entry is the same residue in every period
             size = n + _STEP_CHUNK + 1
             rows = [(row * -(-size // n))[:size] for row in rows]

@@ -21,14 +21,15 @@ still working.  An affine drift, a :class:`~randperiodic.model.PolyTrigDrift`
 
     z_i = (y_i + h*(p0 + F(t_next))) / (1 + h*(lambda_i - p1)),
 
-which is the one exact Newton step.  The solver takes it instead of the loop
-whenever every divisor is positive, and otherwise runs Newton unchanged.
-:func:`_affine_steps` is that closed form and its residual check, for one
-step or for a run of steps in one loop; the single-step solve calls it for
-one step, and :func:`randperiodic.pullback._drive` once per chunk of steps.
-Its residual needs no measuring where :func:`_affine_bound` holds: a
-division's residual is then proven below the tolerance, and the step
-reports that bound.
+which is the one exact Newton step.  :func:`_affine_plan` decides once per
+model and step size whether the solver takes it instead of the loop: where
+every divisor is positive and :func:`_affine_bound` proves every division's
+residual below the tolerance, over the forcing's whole period.  Otherwise
+every step of that model and step size runs Newton unchanged.
+:func:`_affine_steps` is that closed form, for one step or for a run of
+steps in one loop, and reports the proven bound; the single-step solve
+calls it for one step, and :func:`randperiodic.pullback._drive` once per
+chunk of steps.
 :func:`_em_steps` is the same kind of window for the explicit step of any
 drift, with its divergence check made once per run of steps, and
 :func:`_newton_steps` for the implicit step of any drift without a closed
@@ -71,8 +72,9 @@ class NonFiniteEvaluationError(RuntimeError):
 class StepStats:
     """Work and accuracy record of one implicit solve.
 
-    ``final_residual`` is the measured residual norm of the solve, or, for a
-    closed-form step of an affine drift, the bound of :func:`_affine_bound`.
+    ``final_residual`` is the measured residual norm of a Newton solve, or,
+    for a closed-form step of an affine drift, the proven bound that
+    :func:`_affine_steps` reports.
     """
 
     newton_iters: int
@@ -127,24 +129,22 @@ def _implicit_solve_batch(
     declares one, and one-sided finite differences with step
     ``1e-7 * (1 + |x|)`` otherwise.
 
-    When the drift is exactly a :class:`PolyTrigDrift` whose polynomial is
-    at most linear, every row is solved by one division instead (see
-    :func:`_affine_steps`), without calling the drift or its Jacobian; it
-    reports one Newton iteration per path, no fallback, and for every path
-    the batch's largest residual (or its proven bound).  A subclass, a
-    higher-degree polynomial, or a divisor ``1 + h*(lambda_i - p1) <= 0``
-    runs the Newton loop, which first refuses an ``rhs`` that is not finite
-    with :class:`NonFiniteEvaluationError`.
+    Where :func:`_affine_plan` holds for the model and ``h``, every row is
+    solved by one division instead (see :func:`_affine_steps`), without
+    calling the drift or its Jacobian; it reports one Newton iteration per
+    path, no fallback, and for every path the batch's proven residual
+    bound.  Any other model or ``h`` runs the Newton loop, which first
+    refuses an ``rhs`` that is not finite with
+    :class:`NonFiniteEvaluationError`.
     """
     m_paths, d = rhs.shape
     affine = _affine_plan(model, h)
     if affine is not None:
-        p0, divisor = affine
+        p0, divisor, bound = affine
         forcing = h * (p0 + model.drift._forcing(t))
         z = np.stack((rhs, rhs))  # the step fills z[1] from z[0]
         # x + (-0.0) is x bit for bit: rhs is one step from itself
-        resid = _affine_steps(z, np.full((1, m_paths, d), -0.0), [forcing], divisor, [t],
-                              _affine_bound(divisor, abs(forcing)))
+        resid = _affine_steps(z, np.full((1, m_paths, d), -0.0), [forcing], divisor, [t], bound)
         return (z[1], np.ones(m_paths, dtype=np.int64), np.full(m_paths, resid),
                 np.zeros(m_paths, dtype=bool))
 
@@ -286,14 +286,23 @@ def _settle(
     return stuck
 
 
-def _affine_plan(model: ModelSpec, h: float) -> tuple[float, np.ndarray] | None:
-    """``(p0, divisor)`` of the closed-form implicit step at step size ``h``:
-    the step to time ``t`` divides ``rhs + h*(p0 + F(t))`` by
-    ``divisor = 1 + h*(lambda - p1)``.
+def _affine_plan(
+    model: ModelSpec, h: float
+) -> tuple[float, np.ndarray, tuple[float, float, float]] | None:
+    """``(p0, divisor, bound)`` of the closed-form implicit step at step size
+    ``h``: the step to time ``t`` divides ``rhs + h*(p0 + F(t))`` by
+    ``divisor = 1 + h*(lambda - p1)``, and ``bound`` is :func:`_affine_bound`
+    for forcing terms up to ``h*(|p0| + |trig_amp|)``.
 
-    None unless the drift is a :class:`PolyTrigDrift` (not a subclass) whose
-    polynomial ``p0 + p1*x + ...`` has no nonzero term above ``x``, and
-    every divisor is positive.
+    That bound holds at every time: ``|sin| <= 1`` and rounding is
+    monotone, so no computed ``|h*(p0 + F(t))|`` exceeds it.  The choice is
+    made here once for the model and ``h``, so a run, a shorter grid and
+    one :func:`bem_step` take the same path at every step.
+
+    None, and every implicit step of the model at ``h`` runs Newton, unless
+    the drift is a :class:`PolyTrigDrift` (not a subclass) whose polynomial
+    ``p0 + p1*x + ...`` has no nonzero term above ``x``, every divisor is
+    positive, and the bound exists.
     """
     drift = model.drift
     if type(drift) is not PolyTrigDrift or any(drift.poly_coeffs[2:]):
@@ -302,7 +311,8 @@ def _affine_plan(model: ModelSpec, h: float) -> tuple[float, np.ndarray] | None:
     divisor = 1.0 + h * (model.eigenvalues - p1)
     if not np.all(divisor > 0.0):
         return None
-    return p0, divisor
+    bound = _affine_bound(divisor, h * (abs(p0) + abs(drift.trig_amp)))
+    return None if bound is None else (p0, divisor, bound)
 
 
 # The residual of one closed-form division.  Take ``z = fl(b/d)`` with
@@ -325,12 +335,12 @@ def _affine_bound(divisor: np.ndarray, forcing_max: float) -> tuple[float, float
     """``(scale, floor, limit)`` of the proven residual of closed-form steps
     whose forcing terms are at most ``forcing_max`` in size, or None.
 
-    A step of right-hand side ``rhs`` and ``b = rhs + forcing`` whose every
-    ``|b_i|`` is at most ``limit`` has a finite quotient and product, and
-    residual norm at most ``scale * max|b_i| + floor``.  None unless that
-    bound is at most half of ``RESIDUAL_TOL * (1 + |rhs|)`` for every
-    ``rhs``: then no such step can miss the tolerance, and only ``b`` needs
-    checking.
+    A step of right-hand side ``rhs`` and ``b = rhs + forcing`` whose
+    quotient and product are finite, as they are wherever every ``|b_i|``
+    is at most ``limit``, has residual norm at most
+    ``scale * max|b_i| + floor``.  None unless that bound is at most half
+    of ``RESIDUAL_TOL * (1 + |rhs|)`` for every ``rhs``: then no such step
+    can miss the tolerance.
     """
     root = math.sqrt(divisor.size)
     scale = root * _RESIDUAL_ULPS
@@ -348,7 +358,7 @@ def _affine_steps(
     forcing: list[float],
     divisor: np.ndarray,
     t_next: list[float],
-    bound: tuple[float, float, float] | None = None,
+    bound: tuple[float, float, float],
 ) -> float:
     """Closed-form implicit steps of an affine drift: fill ``z[1:]`` from
     ``z[0]``.
@@ -358,25 +368,23 @@ def _affine_steps(
 
         b_j = rhs_j + forcing[j],    z[j + 1] = b_j / divisor,
 
-    with ``forcing[j] = h*(p0 + F(t_next[j]))`` and ``divisor`` from
-    :func:`_affine_plan`.  ``z`` has shape ``(steps + 1, M, d)`` and ``inc``,
-    step-major, shape ``(steps, M, d)``.  The steps run in sequence: on
-    Python floats when the batch is one number, in the same IEEE ``+`` and
-    ``/`` as the array loop that steps every other batch.
+    with ``forcing[j] = h*(p0 + F(t_next[j]))``, and ``divisor`` and
+    ``bound`` from :func:`_affine_plan`.  ``z`` has shape
+    ``(steps + 1, M, d)`` and ``inc``, step-major, shape ``(steps, M, d)``.
+    The steps run in sequence: on Python floats when the batch is one
+    number, in the same IEEE ``+`` and ``/`` as the array loop that steps
+    every other batch.
 
-    ``bound`` is :func:`_affine_bound` for these steps' forcing, or None.
-    With a bound, a run of steps whose every ``|b_j|`` is within its limit
-    is proven within tolerance, and reports the bound at its largest
-    ``|b_j|``.  Otherwise the residual ``|z[j + 1]*divisor - b_j|`` of every
-    division is measured and checked against ``RESIDUAL_TOL * (1 + |rhs_j|)``
-    at once, and the first step with a row above it raises, naming its
-    ``t_next``; the run reports its largest measured residual.
+    A division whose quotient and product ``z[j + 1]*divisor`` are finite
+    is proven within tolerance by ``bound``; the run reports the bound at
+    its largest ``|b_j|``.  Only where some ``|b_j|`` exceeds the bound's
+    limit are the products checked, and the first step with one that is not
+    finite raises, naming its ``t_next``.
 
-    Returns the residual reported for the run.
+    Returns the residual bound reported for the run.
 
     Raises:
         NonFiniteEvaluationError: a step's result is not finite.
-        NonConvergenceError: a finite step missed the tolerance.
     """
     if z[0].size == 1:
         x, div, xs = float(z[0, 0, 0]), float(divisor[0]), []
@@ -390,37 +398,18 @@ def _affine_steps(
             np.add(z[j], inc[j], out=nxt)
             nxt += f
             nxt /= divisor
+    scale, floor, limit = bound
     # b as the loops formed it: z[:-1] + inc, then the forcing
     b = z[:-1] + inc
-    f = np.asarray(forcing)[:, None, None]
-    if bound is not None:
-        scale, floor, limit = bound
-        b += f
-        big = float(np.maximum.reduce(np.abs(b, out=b), axis=None))
-        if big <= limit:  # so every b, and with it every z, is finite
-            return scale * big + floor
-        b = z[:-1] + inc
-    # built in place to hold fewer chunk-sized arrays, with the bits of
-    # RESIDUAL_TOL * (1 + |rhs|) and z*divisor - b
-    tol = _row_norm(b)
-    tol += 1.0
-    tol *= RESIDUAL_TOL
-    b += f
-    r = z[1:] * divisor
-    with np.errstate(invalid="ignore"):  # inf - inf where a step is not finite
-        r -= b
-    rn = _row_norm(r)
-    above = ~(rn <= tol)
-    if above.any():
-        j = int(np.flatnonzero(above.any(axis=1))[0])
-        t, bad = t_next[j], above[j]
-        if not np.all(np.isfinite(z[j + 1])):
+    b += np.asarray(forcing)[:, None, None]
+    big = float(np.maximum.reduce(np.abs(b, out=b), axis=None))
+    if not big <= limit:  # below the limit every b, and with it every z, is finite
+        with np.errstate(over="ignore"):
+            finite = np.isfinite(z[1:] * divisor).all(axis=(1, 2))
+        if not finite.all():
+            t = t_next[int(np.argmin(finite))]
             raise NonFiniteEvaluationError(f"affine implicit step is non-finite at t={t}")
-        raise NonConvergenceError(
-            f"affine implicit step left {int(bad.sum())} path(s) above tolerance at t={t} "
-            f"(worst residual {float(np.max(rn[j][bad])):.3e})"
-        )
-    return float(rn.max())
+    return scale * big + floor
 
 
 def _em_steps(

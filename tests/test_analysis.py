@@ -1069,6 +1069,35 @@ def test_error_row_column_overflow_raises():
         analysis._error_row(0.5, diff, 3)
 
 
+def _column_sup_loop(sq, num_paths):
+    """``(node, mean)`` of the largest exact column mean, every column summed,
+    as ``moment_estimate`` first took it."""
+    mean_sq = np.array([math.fsum(col) / num_paths for col in sq.T.tolist()])
+    node = int(np.argmax(mean_sq))
+    return node, float(mean_sq[node])
+
+
+def _moment_squares():
+    rng = np.random.default_rng(30)
+    cases = {name: np.einsum("ijk,ijk->ij", diff, diff) for name, diff in _error_diffs().items()}
+    # diverged explicit paths: NaN from their crossing nodes on
+    diverged = rng.normal(size=(64, 40)) ** 2
+    diverged[5, 31:] = np.nan
+    diverged[17, 12:] = np.nan
+    cases["nan-columns"] = diverged
+    larger = diverged.copy()
+    larger[:, 3] *= 4.0  # a NaN column still wins over a larger one before it
+    cases["nan-after-a-larger-column"] = larger
+    return cases
+
+
+@pytest.mark.parametrize("case", sorted(_moment_squares()))
+def test_column_sup_matches_every_column_sum(case):
+    sq = _moment_squares()[case]
+    got = analysis._column_sup(sq, sq.shape[0])
+    assert repr(got) == repr(_column_sup_loop(sq, sq.shape[0]))
+
+
 def test_run_seeds_holds_one_window(monkeypatch):
     # every window's increments, and every run's buffer of nodes, is freed
     # before the next one is made

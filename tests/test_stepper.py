@@ -483,11 +483,15 @@ def test_affine_single_step_api_takes_the_closed_form():
 def test_affine_step_checks_its_residual(monkeypatch):
     m = affine_model([3.0], (-0.4, 1.2))
     rhs = np.random.default_rng(2).normal(size=(50, 1))
-    # no division lands every row within 1e-30 of its right-hand side
+    # no division is proven within 1e-30 of its right-hand side, so the
+    # step is Newton's on the drift's values and Jacobian, as on a drift
+    # that has no closed form
     with monkeypatch.context() as patch:
         patch.setattr(stepper, "RESIDUAL_TOL", 1e-30)
-        with pytest.raises(NonConvergenceError, match="above tolerance at t=0.25"):
-            _implicit_solve_batch(m, 0.25, 0.5, rhs)
+        assert stepper._affine_plan(m, 0.5) is None
+        got = _implicit_solve_batch(m, 0.25, 0.5, rhs)
+        want = _implicit_solve_batch(_subclass_twin(m), 0.25, 0.5, rhs)
+    assert all(_same_bits(a, b) for a, b in zip(got, want))
     rhs[7, 0] = np.nan
     with pytest.raises(NonFiniteEvaluationError, match="non-finite at t=0.25"):
         _implicit_solve_batch(m, 0.25, 0.5, rhs)
@@ -627,6 +631,14 @@ def test_cubic_model_still_runs_newton(monkeypatch):
 @dataclass(frozen=True)
 class _SubDrift(PolyTrigDrift):
     """A subclass may change how the drift evaluates, so it runs Newton."""
+
+
+def _subclass_twin(model):
+    """``model`` with its drift as a :class:`_SubDrift` of the same fields,
+    and the same ``drift_jacobian``: every implicit step of it runs Newton,
+    on the values and Jacobian of ``model``."""
+    d = model.drift
+    return replace(model, drift=_SubDrift(d.poly_coeffs, d.trig_amp, d.trig_freq, d.period))
 
 
 def test_other_drifts_run_newton(monkeypatch):
@@ -817,21 +829,26 @@ def _raised(exc_type, run):
 
 
 def test_affine_window_names_the_first_step_over_tolerance(monkeypatch):
-    # every step before `bad` divides 0 by the divisor exactly; at `bad` no
-    # division of 50 random right-hand sides lands every row within 1e-30
+    # below a tolerance of 1e-30 the run takes Newton: every step before
+    # `bad` solves 0 exactly; at `bad` Newton cannot bring 50 random
+    # right-hand sides at d = 2 within 1e-30, and the run raises the error
+    # of one step at a time of a drift without a closed form
     drift = PolyTrigDrift(poly_coeffs=(0.0, -0.5), trig_amp=0.0, trig_freq=1, period=1.0)
-    m = ModelSpec(eigenvalues=np.array([3.0]), drift=drift, diffusion=ConstantDiffusion(0.3),
-                  period=1.0)
+    m = ModelSpec(eigenvalues=np.array([3.0, 5.0]), drift=drift,
+                  diffusion=ConstantDiffusion(0.3), period=1.0)
     count, bad = 2 * CHUNK + 10, CHUNK + 5
-    grid, _, _ = _window_inputs(1, count, seed=0)
-    x0, dw = np.zeros((50, 1)), np.zeros((50, count, 1))
-    dw[:, bad:] = np.random.default_rng(2).normal(size=(50, count - bad, 1))
+    grid, _, _ = _window_inputs(2, count, seed=0)
+    x0, dw = np.zeros((50, 2)), np.zeros((50, count, 2))
+    dw[:, bad:] = np.random.default_rng(2).normal(size=(50, count - bad, 2))
     monkeypatch.setattr(stepper, "RESIDUAL_TOL", 1e-30)
+    assert not pullback._StepPlan(m, grid).affine
     got = _raised(NonConvergenceError, lambda: pullback._drive(m, grid, "bem", x0, dw))
-    want = _raised(NonConvergenceError, lambda: _reference_drive(m, grid, x0, dw))
+    want = _raised(NonConvergenceError,
+                   lambda: _reference_drive(_subclass_twin(m), grid, x0, dw))
     assert got == want
     t_bad = ((grid.start_index + bad + 1) % grid.period_steps) * grid.h
-    assert f"above tolerance at t={t_bad} " in got
+    assert got.startswith("implicit solve did not converge for ")
+    assert f" path(s) at t={t_bad} (" in got
 
 
 @pytest.mark.parametrize("where", ["x0", "dw"])
@@ -865,8 +882,7 @@ def _window(x, gdw):
 
 def _measured_residual(z, gdw, forcing, divisor):
     """The largest residual norm ``|z_{j+1}*divisor - b_j|`` of a window,
-    measured as the check without a bound measures it, and ``|rhs|`` at
-    its largest."""
+    measured, and ``|rhs|`` at its largest."""
     rhs = z[:-1] + np.ascontiguousarray(gdw.swapaxes(0, 1))
     r = z[1:] * divisor - (rhs + np.asarray(forcing)[:, None, None])
     return float(stepper._row_norm(r).max()), float(stepper._row_norm(rhs).max())
@@ -876,9 +892,9 @@ def _measured_residual(z, gdw, forcing, divisor):
 @given(data=st.data())
 def test_proven_bound_covers_the_measured_residual(data):
     # random affine models, states and increments at d = 1 and 2, inside the
-    # bound's precondition: the reported bound lies between the residual the
-    # check would measure and the tolerance, and the states are those of the
-    # measured check
+    # bound's precondition: the reported bound lies between the measured
+    # residual and the tolerance, and the states are those of one division
+    # per step
     d = data.draw(st.sampled_from([1, 2]), label="d")
     floats = lambda lo, hi: st.floats(lo, hi, allow_nan=False)  # noqa: E731
     h = data.draw(floats(1e-3, 0.9), label="h")
@@ -890,7 +906,7 @@ def test_proven_bound_covers_the_measured_residual(data):
     m = ModelSpec(eigenvalues=lam, drift=drift, diffusion=ConstantDiffusion(0.3), period=1.0)
     affine = stepper._affine_plan(m, h)
     assume(affine is not None)
-    _, divisor = affine
+    _, divisor, _ = affine
     steps, paths = data.draw(st.integers(1, 12)), data.draw(st.integers(1, 30))
     # squares of the computed norms at d = 2 stay finite
     scale = 10.0 ** data.draw(st.integers(-150, 140) | st.integers(-3, 3), label="scale")
@@ -903,11 +919,13 @@ def test_proven_bound_covers_the_measured_residual(data):
     assert bound is not None
     z, inc = _window(x, gdw)
     reported = stepper._affine_steps(z, inc, forcing, divisor, t_next, bound)
-    z_measured, inc = _window(x, gdw)
-    resid = stepper._affine_steps(z_measured, inc, forcing, divisor, t_next)
-    assert _same_bits(z, z_measured)
-    measured, rhs_max = _measured_residual(z, gdw, forcing, divisor)
-    assert resid == measured <= reported <= RESIDUAL_TOL * (1.0 + rhs_max)
+    z_divided = np.empty_like(z)
+    z_divided[0] = x
+    for j, f in enumerate(forcing):
+        z_divided[j + 1] = (z_divided[j] + gdw[:, j] + f) / divisor
+    assert _same_bits(z, z_divided)
+    measured, rhs_max = _measured_residual(z_divided, gdw, forcing, divisor)
+    assert measured <= reported <= RESIDUAL_TOL * (1.0 + rhs_max)
 
 
 @pytest.mark.parametrize("d", [1, 2])
@@ -915,7 +933,7 @@ def test_proven_bound_covers_subnormal_steps(d):
     # quotients and products below the normal range round by an absolute
     # amount, which the bound's floor covers
     m = affine_model([3.0, 7.5][:d], (0.0, 1.2))
-    _, divisor = stepper._affine_plan(m, 0.5)
+    _, divisor, _ = stepper._affine_plan(m, 0.5)
     rng = np.random.default_rng(d)
     x = rng.normal(scale=1e-310, size=(40, d))
     gdw = rng.normal(scale=1e-312, size=(40, 3, d))
@@ -929,29 +947,138 @@ def test_proven_bound_covers_subnormal_steps(d):
     assert (measured > 2.0**-52 * float(np.abs(z[1:] * divisor).max())) == (d == 1)
 
 
-def test_forcing_outside_the_bound_keeps_the_measured_check():
-    # h*|F| = 5e5 leaves no room for the bound, so each division's residual
-    # is measured: at t = 0.25 it misses the tolerance on 24 of 50 rows, and
-    # elsewhere every residual here is exactly 0
+def _large_forcing_model(d):
+    """An affine drift whose forcing, 1e6*sin(2 pi t), leaves no room for
+    the proven bound at h = 0.5 or 0.25, on d = 1 or 2 coordinates."""
     drift = PolyTrigDrift(poly_coeffs=(-0.4, 1.2), trig_amp=1e6, trig_freq=1, period=1.0)
-    m = ModelSpec(eigenvalues=np.array([3.0]), drift=drift, diffusion=ConstantDiffusion(0.3),
-                  period=1.0)
-    _, divisor = stepper._affine_plan(m, 0.5)
+    return ModelSpec(eigenvalues=np.array([3.0, 5.0][:d]), drift=drift,
+                     diffusion=ConstantDiffusion(0.3), period=1.0,
+                     drift_jacobian=drift.jacobian)
+
+
+def test_forcing_outside_the_bound_takes_newton(monkeypatch):
+    # h*(|p0| + |trig_amp|) = 5e5 has no bound, so the plan is None and
+    # every step runs Newton, at t = 0 where h*|p0 + F| is 0.2 too
+    counts = _CountCalls(monkeypatch)
+    m = _large_forcing_model(1)  # built after patching: it binds drift.jacobian
+    assert stepper._affine_plan(m, 0.5) is None
+    _, divisor, _ = stepper._affine_plan(affine_model([3.0], (-0.4, 1.2)), 0.5)
     assert stepper._affine_bound(divisor, 0.5 * (1e6 + 0.4)) is None
-    rhs = np.random.default_rng(2).normal(size=(50, 1))
-    message = _raised(NonConvergenceError, lambda: _implicit_solve_batch(m, 0.25, 0.5, rhs))
-    assert message == ("affine implicit step left 24 path(s) above tolerance at t=0.25 "
-                       "(worst residual 5.821e-11)")
-    _, _, rn, _ = _implicit_solve_batch(m, 0.125, 0.5, rhs)
-    assert np.array_equal(rn, np.zeros(50))
+    z, _ = implicit_solve(m, t=0.0, h=0.5, rhs=np.array([0.7]))
+    assert counts.drift > 0 and counts.jacobian > 0
+    assert z[0] == pytest.approx((0.7 + 0.5 * -0.4) / (1.0 + 0.5 * (3.0 - 1.2)), rel=1e-12)
 
 
-def test_tolerance_below_the_bound_keeps_the_measured_check(monkeypatch):
+def test_tolerance_below_the_bound_takes_newton(monkeypatch):
+    counts = _CountCalls(monkeypatch)
     m = affine_model([3.0], (-0.4, 1.2))
-    _, divisor = stepper._affine_plan(m, 0.5)
+    _, divisor, _ = stepper._affine_plan(m, 0.5)
     assert stepper._affine_bound(divisor, 1.0) is not None
     monkeypatch.setattr(stepper, "RESIDUAL_TOL", 1e-30)
     assert stepper._affine_bound(divisor, 1.0) is None
+    assert stepper._affine_plan(m, 0.5) is None
+    implicit_solve(m, t=0.25, h=0.5, rhs=np.array([0.7]))
+    assert counts.drift > 0 and counts.jacobian > 0
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_affine_drift_without_a_bound_steps_as_newton(d):
+    # a forcing of 1e6 has no proven bound, so the single-step solve,
+    # bem_step and a run over t = 0.25 step by Newton with the bits, or the
+    # error, of a drift that has no closed form.  At d = 1 bisection brings
+    # every row within the tolerance or between two adjacent doubles around
+    # the root; at d = 2 the solve does not converge
+    m, h, t = _large_forcing_model(d), 0.5, 0.25
+    twin = _subclass_twin(m)
+    rhs = np.random.default_rng(2).normal(size=(50, d))
+    zero = np.zeros(d)
+    grid = GridSpec(start_index=0, step_mult=1, count=4, period_steps=4, base_step=0.25)
+    dw = np.random.default_rng(3).normal(size=(50, 4, d))
+    calls = {
+        "solve": lambda model: _implicit_solve_batch(model, t, h, rhs),
+        "implicit_solve": lambda model: implicit_solve(model, t, h, rhs[0]),
+        # g*0 is 0, so the step solves for rhs[1] from the guess rhs[1]
+        "bem_step": lambda model: bem_step(model, t, h, rhs[1], zero),
+        "drive": lambda model: pullback._drive(model, grid, "bem", rhs, dw),
+    }
+    for name, call in calls.items():
+        if d == 2:
+            got = _raised(NonConvergenceError, lambda: call(m))
+            assert got == _raised(NonConvergenceError, lambda: call(twin)), name
+            continue
+        for a, b in zip(call(m), call(twin), strict=True):
+            assert _same_bits(a, b) if isinstance(a, np.ndarray) else a == b, name
+    if d == 1:
+        _check_same_run(calls["drive"](m), _reference_drive(twin, grid, rhs, dw))
+        z, _, rn, fallback = calls["solve"](m)
+        assert fallback.any()
+        for i in np.flatnonzero(fallback):
+            y, zi = float(rhs[i, 0]), float(z[i, 0])
+            assert rn[i] <= RESIDUAL_TOL * (1.0 + abs(y)) or _brackets_root(m, t, h, y, zi)
+
+
+def _forced_model(p0, amp, freq, n, h):
+    """A scalar affine model whose forcing is ``amp*sin(2 pi freq t)`` on a
+    period of ``n`` steps of ``h``."""
+    drift = PolyTrigDrift(poly_coeffs=(p0, 1.2), trig_amp=amp, trig_freq=freq, period=n * h)
+    return ModelSpec(eigenvalues=np.array([3.0]), drift=drift, diffusion=ConstantDiffusion(0.3),
+                     period=n * h, drift_jacobian=drift.jacobian)
+
+
+@settings(max_examples=150, deadline=None)
+@given(p0=st.floats(-1e200, 1e200) | st.floats(-10.0, 10.0),
+       amp=st.floats(-1e200, 1e200) | st.floats(-1e5, 1e5),
+       freq=st.integers(-4, 4), n=st.integers(1, 40), h=st.floats(1e-4, 0.99),
+       start=st.integers(-100, 100), count=st.integers(1, 90))
+def test_plan_forcing_lies_within_the_period_bound(p0, amp, freq, n, h, start, count):
+    # every h*(p0 + F(t_a)) a plan tabulates, for any residues, is at most
+    # the h*(|p0| + |trig_amp|) that _affine_plan proves its bound for
+    m = _forced_model(p0, amp, freq, n, h)
+    plan = pullback._StepPlan(m, GridSpec(start_index=start, step_mult=1, count=count,
+                                          period_steps=n, base_step=h))
+    terms = plan.affine_forcing if plan.affine else [h * (p0 + f) for f in plan.forcing]
+    assert plan.affine == (stepper._affine_plan(m, h) is not None)
+    assert max(abs(f) for f in terms) <= h * (abs(p0) + abs(amp))
+
+
+def _threshold_amplitudes(p0, n, h):
+    """The largest forcing amplitude whose plan at ``h`` divides, and the
+    next double above it, whose plan runs Newton."""
+    lo, hi = 0.0, 1e9
+    while math.nextafter(lo, hi) != hi:
+        mid = 0.5 * (lo + hi)
+        if stepper._affine_plan(_forced_model(p0, mid, 1, n, h), h) is None:
+            hi = mid
+        else:
+            lo = mid
+    return lo, hi
+
+
+@pytest.mark.parametrize("side", [0, 1])
+def test_one_decision_for_every_grid_and_step(monkeypatch, side):
+    # just below the threshold every plan divides, and just above it every
+    # plan runs Newton: a one-step grid where |F| is small, a grid shorter
+    # than a period and a grid over two periods decide alike, and each
+    # simulation gives the bytes of bem_step taken step by step, which
+    # divides (no drift call) or runs Newton (drift calls) at every step
+    n, h, p0 = 16, 2.0**-4, -0.4
+    amp = _threshold_amplitudes(p0, n, h)[side]
+    counts = _CountCalls(monkeypatch)
+    m = _forced_model(p0, amp, 1, n, h)  # built after patching: it binds drift.jacobian
+    lat = NoiseLattice(seed=3, base_step=h)
+    init = InitialCondition(value=[0.4])
+    for t_start, t_end in ((7 * h, 8 * h), (3 * h, 9 * h), (-1.0, 1.0)):
+        grid = make_grid(m, lat, h, t_start, t_end)
+        assert pullback._StepPlan(m, grid).affine == (side == 0)
+        path = simulate(m, grid, "bem", init, lat)
+        dw = coarse_increments(lat, grid, grid.start_index, grid.count)
+        xs = [init.value]
+        for i in range(grid.count):
+            counts.drift = 0
+            t_next = (grid.start_index + i + 1) * h
+            xs.append(bem_step(m, t_next, h, xs[-1], dw[i])[0])
+            assert (counts.drift > 0) == (side == 1)
+        assert _same_bits(path.states, np.array(xs))
 
 
 def test_builtin_plans_take_the_proven_closed_form():
@@ -969,11 +1096,11 @@ def test_builtin_plans_take_the_proven_closed_form():
 @pytest.mark.parametrize("bad", ["nan", "inf", "overflow"])
 @pytest.mark.parametrize("d", [1, 2])
 def test_proven_window_names_the_first_non_finite_step(bad, d):
-    # inside the bound's precondition a non-finite step raises as the
-    # measured check does, naming the first step whose result is not finite
+    # a non-finite step raises, naming the first step whose result is not
+    # finite
     m = affine_model([3.0, 5.0][:d], (0.25, -1.5))
     h, steps = 2.0**-5, 9
-    _, divisor = stepper._affine_plan(m, h)
+    _, divisor, _ = stepper._affine_plan(m, h)
     rng = np.random.default_rng(5)
     x = rng.normal(size=(30, d))
     gdw = rng.normal(scale=math.sqrt(h), size=(30, steps, d))
@@ -985,10 +1112,9 @@ def test_proven_window_names_the_first_non_finite_step(bad, d):
     assert bound is not None
     first = 6 if bad != "overflow" else 7
     message = f"affine implicit step is non-finite at t={t_next[first]}"
-    for b in (bound, None):
-        with np.errstate(over="ignore", invalid="ignore"), \
-                pytest.raises(NonFiniteEvaluationError, match=f"^{re.escape(message)}$"):
-            stepper._affine_steps(*_window(x, gdw), forcing, divisor, t_next, b)
+    with np.errstate(over="ignore", invalid="ignore"), \
+            pytest.raises(NonFiniteEvaluationError, match=f"^{re.escape(message)}$"):
+        stepper._affine_steps(*_window(x, gdw), forcing, divisor, t_next, bound)
 
 
 # -- the step plan, against coefficients evaluated at every step -------------
@@ -1405,22 +1531,22 @@ def test_explicit_window_of_any_drift_raises_on_a_non_finite_drift(kind, paths):
 # -- one path: the affine window's scalar loop, against the array loop -------
 
 @pytest.mark.parametrize("chunk", [1, 7, CHUNK])
-@pytest.mark.parametrize("branch", ["proven", "measured"])
+@pytest.mark.parametrize("branch", ["proven", "newton"])
 def test_one_path_steps_as_row_0_of_a_batch(monkeypatch, branch, chunk):
-    # one path of a scalar model steps on Python floats, row 0 of 2 and of
-    # 21 paths on arrays: the same bits, those of one step at a time, with
-    # the residual proven or measured
-    if branch == "measured":
-        for module in (stepper, pullback):
-            monkeypatch.setattr(module, "_affine_bound", lambda *args: None)
+    # one path of a scalar model steps as row 0 of 2 and of 21 paths: the
+    # same bits, those of one step at a time, on Python floats where the
+    # plan divides, and by Newton where a forcing of 1e5 leaves no bound
     monkeypatch.setattr(pullback, "_STEP_CHUNK", chunk)
     m = replace(affine_model([3.0], (-0.4, 1.2)),
                 diffusion=lambda t: 0.3 + 0.2 * math.cos(2.0 * math.pi * t))
+    if branch == "newton":
+        m = replace(m, drift=replace(m.drift, trig_amp=1e5))
     grid, x0, dw = _window_inputs(1, 2 * CHUNK + 10, seed=chunk, paths=21)
-    assert (pullback._StepPlan(m, grid).bound is None) == (branch == "measured")
+    assert pullback._StepPlan(m, grid).affine == (branch == "proven")
     one = pullback._drive(m, grid, "bem", x0[:1], dw[:1])
     _check_same_run(one, _reference_drive(m, grid, x0[:1], dw[:1]))
-    assert (one[1].max_newton_iters, one[1].any_fallback) == (1, False)
+    if branch == "proven":
+        assert (one[1].max_newton_iters, one[1].any_fallback) == (1, False)
     for rows in (2, 21):
         states, _ = pullback._drive(m, grid, "bem", x0[:rows], dw[:rows])
         assert _same_bits(states[:1], one[0])
